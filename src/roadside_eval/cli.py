@@ -19,13 +19,13 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .core import (
     CATEGORIES,
     GeoPoint,
@@ -47,7 +47,13 @@ from .latency import (
     estimate_latency_for_trial,
     make_route_line,
 )
-from .metrics import MetricsReport, ThresholdSweep, compute_report, threshold_sweep
+from .metrics import (
+    MetricsReport,
+    ThresholdSweep,
+    _checked_thresholds,
+    compute_report,
+    threshold_sweep,
+)
 from .synth import (
     DEFAULT_ORIGIN,
     ErrorModel,
@@ -96,58 +102,6 @@ _METRICS_CSV_COLUMNS = (
     "gt_total",
     "det_total",
 )
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Resolved evaluation configuration (defaults < config file < flags)."""
-
-    detection_path: tuple[str, ...]
-    ground_truth_path: tuple[str, ...]
-    projection_origin: GeoPoint
-    threshold_m: float = 1.5
-    latency_s: float | None = None
-    category_filter: str | None = None
-    max_gap_s: float | None = None
-    output_dir: str = "."
-    output_formats: tuple[str, ...] = ("table", "json")
-
-    def __post_init__(self) -> None:
-        if self.threshold_m <= 0:
-            raise EvalError(f"threshold must be positive, got {self.threshold_m}")
-        for f in self.output_formats:
-            if f not in _FORMATS:
-                raise EvalError(f"unknown output format {f!r}; choose from {_FORMATS}")
-        if self.category_filter is not None and self.category_filter not in CATEGORIES:
-            raise EvalError(
-                f"unknown category {self.category_filter!r}; choose from {CATEGORIES}"
-            )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run from the same inputs."""
-
-    command: str
-    config: dict[str, Any]
-    inputs: tuple[dict[str, Any], ...]
-    latency: dict[str, Any] | None
-    reports: tuple[dict[str, Any], ...]
-    sweep: dict[str, Any] | None
-
-    def to_document(self) -> dict[str, Any]:
-        from roadside_eval import __version__
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": TOOL_NAME, "version": __version__},
-            "command": self.command,
-            "config": self.config,
-            "inputs": list(self.inputs),
-            "latency": self.latency,
-            "reports": list(self.reports),
-            "sweep": self.sweep,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,10 +161,28 @@ def _default_origin(gt: TrajectorySet) -> GeoPoint:
     raise EvalError("ground truth contains no usable points")
 
 
-def _resolve_origin(args: argparse.Namespace, gt: TrajectorySet) -> GeoPoint:
+def _projection(args: argparse.Namespace, gt: TrajectorySet) -> ProjectionContext:
+    """Plane at --origin, else at the first gt point; the origin used is
+    written back to args so the manifest's config echo reproduces the run."""
     if args.origin is not None:
-        return _parse_origin(args.origin)
-    return _default_origin(gt)
+        origin = _parse_origin(args.origin)
+    else:
+        origin = _default_origin(gt)
+    args.origin = f"{origin.lat_deg},{origin.lon_deg}"
+    return make_projection(origin)
+
+
+def _load_trial(
+    args: argparse.Namespace, det_path: str, gt_path: str
+) -> tuple[TrajectorySet, TrajectorySet, ProjectionContext, list[dict[str, Any]]]:
+    """Load one detection/gt pair with its projection and input records."""
+    det, det_rep = _load_set(det_path, SOURCE_DETECTION)
+    gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
+    inputs = [
+        _input_record("detection", det_path, det_rep),
+        _input_record("ground_truth", gt_path, gt_rep),
+    ]
+    return det, gt, _projection(args, gt), inputs
 
 
 def _route_from_args(args: argparse.Namespace) -> RouteLine | None:
@@ -253,47 +225,39 @@ def _latency_dict(est: LatencyEstimate, source: str) -> dict[str, Any]:
     }
 
 
-def _report_dict(r: MetricsReport) -> dict[str, Any]:
-    c = r.counts
+def _fixed_latency(mean_s: float, source: str) -> dict[str, Any]:
     return {
-        "trial_id": r.trial_id,
-        "category": r.category,
-        "fp_rate_pct": r.fp_rate_pct,
-        "fn_rate_pct": r.fn_rate_pct,
-        "ids": r.ids,
-        "mota_pct": r.mota_pct,
-        "motp_m": r.motp_m,
-        "idf1_pct": r.idf1_pct,
-        "deta_pct": r.deta_pct,
-        "assa_pct": r.assa_pct,
-        "hota_pct": r.hota_pct,
-        "counts": {
-            "tp": c.tp,
-            "fp": c.fp,
-            "fn": c.fn,
-            "ids": c.ids,
-            "tpa": c.tpa,
-            "fpa": c.fpa,
-            "fna": c.fna,
-            "gt_total": c.gt_total,
-            "det_total": c.det_total,
-            "sum_tp_distance_m": c.sum_tp_distance_m,
-        },
-    }
-
-
-def _sweep_dict(sweep: ThresholdSweep) -> dict[str, Any]:
-    return {
-        "thresholds_m": list(sweep.thresholds_m),
-        "fp_rate_pct": list(sweep.fp_rate_pct),
-        "fn_rate_pct": list(sweep.fn_rate_pct),
+        "mean_s": mean_s,
+        "std_s": None,
+        "n_samples": None,
+        "per_direction_mean_s": None,
+        "source": source,
     }
 
 
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     """The --config document that reproduces this run (flags already merged)."""
-    skip = {"func", "config", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in _CONFIG_SKIP_KEYS}
+
+
+def _manifest(
+    args: argparse.Namespace,
+    inputs: Sequence[dict[str, Any]],
+    latency: dict[str, Any] | None,
+    reports: Sequence[MetricsReport] = (),
+    sweep: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The report.json document: everything needed to reproduce the run."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": TOOL_NAME, "version": __version__},
+        "command": args.command,
+        "config": _config_echo(args),
+        "inputs": list(inputs),
+        "latency": latency,
+        "reports": [asdict(r) for r in reports],
+        "sweep": sweep,
+    }
 
 
 def _fmt1(v: float | None) -> str:
@@ -355,31 +319,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
 def _write_metrics_csv(path: Path, reports: Sequence[MetricsReport]) -> None:
     rows = []
     for r in reports:
-        c = r.counts
-        rows.append(
-            (
-                SCHEMA_VERSION,
-                r.trial_id,
-                r.category,
-                r.fp_rate_pct,
-                r.fn_rate_pct,
-                r.ids,
-                r.mota_pct,
-                r.motp_m,
-                r.idf1_pct,
-                r.deta_pct,
-                r.assa_pct,
-                r.hota_pct,
-                c.tp,
-                c.fp,
-                c.fn,
-                c.tpa,
-                c.fpa,
-                c.fna,
-                c.gt_total,
-                c.det_total,
-            )
-        )
+        fields = {"schema_version": SCHEMA_VERSION, **asdict(r), **asdict(r.counts)}
+        rows.append([fields[c] for c in _METRICS_CSV_COLUMNS])
     _write_csv(path, _METRICS_CSV_COLUMNS, rows)
 
 
@@ -393,8 +334,8 @@ def _write_sweep_csv(path: Path, sweep: ThresholdSweep) -> None:
     )
 
 
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    doc = json.dumps(manifest.to_document(), sort_keys=True, indent=2)
+def _write_manifest(path: Path, manifest: dict[str, Any]) -> None:
+    doc = json.dumps(manifest, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(doc + "\n")
 
@@ -444,16 +385,9 @@ def cmd_latency(args: argparse.Namespace) -> int:
     inputs: list[dict[str, Any]] = []
     estimates: list[LatencyEstimate] = []
     per_trial: list[dict[str, Any]] = []
-    origin: GeoPoint | None = None
     for det_path, gt_path in pairs:
-        det, det_rep = _load_set(det_path, SOURCE_DETECTION)
-        gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
-        if origin is None:
-            origin = _resolve_origin(args, gt)
-            args.origin = f"{origin.lat_deg},{origin.lon_deg}"
-        ctx = make_projection(origin)
-        inputs.append(_input_record("detection", det_path, det_rep))
-        inputs.append(_input_record("ground_truth", gt_path, gt_rep))
+        det, gt, ctx, trial_inputs = _load_trial(args, det_path, gt_path)
+        inputs.extend(trial_inputs)
         est = estimate_latency_for_trial(
             det, gt, route, ctx, args.test_points, args.speed_tol
         )
@@ -471,15 +405,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
 
     latency = _latency_dict(combined, "estimated")
     latency["per_trial"] = per_trial
-    manifest = RunManifest(
-        command="latency",
-        config=_config_echo(args),
-        inputs=tuple(inputs),
-        latency=latency,
-        reports=(),
-        sweep=None,
-    )
-    _write_manifest(_out_dir(args) / "report.json", manifest)
+    _write_manifest(_out_dir(args) / "report.json", _manifest(args, inputs, latency))
     return 0
 
 
@@ -491,58 +417,18 @@ def _resolve_trial_latency(
 ) -> tuple[float, dict[str, Any]]:
     """Latency for one trial: provided beats estimated beats zero."""
     if args.latency is not None:
-        return args.latency, {
-            "mean_s": args.latency,
-            "std_s": None,
-            "n_samples": None,
-            "per_direction_mean_s": None,
-            "source": "provided",
-        }
+        return args.latency, _fixed_latency(args.latency, "provided")
     route = _route_from_args(args)
     if route is not None:
         est = estimate_latency_for_trial(
             det, gt, route, ctx, args.test_points, args.speed_tol
         )
         return est.mean_s, _latency_dict(est, "estimated")
-    return 0.0, {
-        "mean_s": 0.0,
-        "std_s": None,
-        "n_samples": None,
-        "per_direction_mean_s": None,
-        "source": "default",
-    }
+    return 0.0, _fixed_latency(0.0, "default")
 
 
 def _categories_present(gt: TrajectorySet) -> list[str]:
     return sorted({p.category for f in gt.frames for p in f.points})
-
-
-def _evaluate_trial(
-    args: argparse.Namespace,
-    det_path: str,
-    gt_path: str,
-    trial_id: str,
-    ctx: ProjectionContext,
-) -> tuple[list[dict[str, Any]], dict[str, Any], list[MetricsReport]]:
-    det, det_rep = _load_set(det_path, SOURCE_DETECTION)
-    gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
-    inputs = [
-        _input_record("detection", det_path, det_rep),
-        _input_record("ground_truth", gt_path, gt_rep),
-    ]
-    latency_s, latency = _resolve_trial_latency(args, det, gt, ctx)
-    categories = (
-        [args.category] if args.category is not None else _categories_present(gt)
-    )
-    if not categories:
-        raise EvalError(f"ground truth {gt_path!r} contains no usable points")
-    reports = [
-        compute_report(
-            det, gt, latency_s, args.threshold, cat, ctx, trial_id, args.max_gap
-        )
-        for cat in categories
-    ]
-    return inputs, latency, reports
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -550,54 +436,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "gt", "--gt")
     formats = _parse_formats(args.formats)
     pairs = _paired_paths(args)
-    trial_ids = _trial_ids(args, pairs)
-    args.trial_id = trial_ids
-
-    first_gt, _ = _load_set(pairs[0][1], SOURCE_GROUND_TRUTH)
-    origin = _resolve_origin(args, first_gt)
-    args.origin = f"{origin.lat_deg},{origin.lon_deg}"
-    ctx = make_projection(origin)
-    # validates threshold/category/formats up front
-    EvalConfig(
-        detection_path=tuple(p for p, _ in pairs),
-        ground_truth_path=tuple(g for _, g in pairs),
-        projection_origin=origin,
-        threshold_m=args.threshold,
-        latency_s=args.latency,
-        category_filter=args.category,
-        max_gap_s=args.max_gap,
-        output_dir=args.output_dir,
-        output_formats=formats,
-    )
-
-    if len(pairs) == 1:
-        results = [_evaluate_trial(args, pairs[0][0], pairs[0][1], trial_ids[0], ctx)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(pairs))) as pool:
-            results = list(
-                pool.map(
-                    lambda item: _evaluate_trial(args, item[0][0], item[0][1], item[1], ctx),
-                    zip(pairs, trial_ids),
-                )
-            )
+    args.trial_id = _trial_ids(args, pairs)
+    # An extra read of the first gt file, for its origin alone: perfbench
+    # (test_smoke.py) pins five reads on eval_intersection.
+    _projection(args, _load_set(pairs[0][1], SOURCE_GROUND_TRUTH)[0])
 
     inputs: list[dict[str, Any]] = []
-    reports: list[MetricsReport] = []
     latencies: list[dict[str, Any]] = []
-    for trial_inputs, latency, trial_reports in results:
+    reports: list[MetricsReport] = []
+    for (det_path, gt_path), trial_id in zip(pairs, args.trial_id):
+        det, gt, ctx, trial_inputs = _load_trial(args, det_path, gt_path)
         inputs.extend(trial_inputs)
+        latency_s, latency = _resolve_trial_latency(args, det, gt, ctx)
         latencies.append(latency)
-        reports.extend(trial_reports)
+        categories = (
+            [args.category] if args.category is not None else _categories_present(gt)
+        )
+        if not categories:
+            raise EvalError(f"ground truth {gt_path!r} contains no usable points")
+        reports.extend(
+            compute_report(
+                det, gt, latency_s, args.threshold, cat, ctx, trial_id, args.max_gap
+            )
+            for cat in categories
+        )
 
     latency_block = latencies[0] if len(latencies) == 1 else {"per_trial": latencies}
-    manifest = RunManifest(
-        command="eval",
-        config=_config_echo(args),
-        inputs=tuple(inputs),
-        latency=latency_block,
-        reports=tuple(_report_dict(r) for r in reports),
-        sweep=None,
-    )
+    manifest = _manifest(args, inputs, latency_block, reports=reports)
     _emit(args, formats, manifest, reports, sweep=None)
     return 0
 
@@ -609,25 +474,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     formats = _parse_formats(args.formats)
     thresholds = _parse_thresholds(args.thresholds)
 
-    det, det_rep = _load_set(args.det, SOURCE_DETECTION)
-    gt, gt_rep = _load_set(args.gt, SOURCE_GROUND_TRUTH)
-    origin = _resolve_origin(args, gt)
-    args.origin = f"{origin.lat_deg},{origin.lon_deg}"
-    ctx = make_projection(origin)
+    det, gt, ctx, inputs = _load_trial(args, args.det, args.gt)
     latency_s, latency = _resolve_trial_latency(args, det, gt, ctx)
     category = args.category if args.category is not None else _first_category(gt)
 
     sweep = threshold_sweep(det, gt, latency_s, thresholds, category, ctx, args.max_gap)
-    manifest = RunManifest(
-        command="sweep",
-        config=_config_echo(args),
-        inputs=(
-            _input_record("detection", args.det, det_rep),
-            _input_record("ground_truth", args.gt, gt_rep),
-        ),
-        latency=latency,
-        reports=(),
-        sweep={"category": category, **_sweep_dict(sweep)},
+    manifest = _manifest(
+        args, inputs, latency, sweep={"category": category, **asdict(sweep)}
     )
     _emit(args, formats, manifest, reports=(), sweep=sweep)
     return 0
@@ -664,19 +517,13 @@ def _parse_thresholds(text: str) -> list[float]:
         thresholds = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise EvalError(f"thresholds must be numeric, got {text!r}") from None
-    if not thresholds:
-        raise EvalError("at least one threshold is required")
-    if any(t <= 0 for t in thresholds):
-        raise EvalError(f"thresholds must be positive, got {thresholds}")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise EvalError(f"thresholds must be strictly ascending, got {thresholds}")
-    return thresholds
+    return _checked_thresholds(thresholds)
 
 
 def _emit(
     args: argparse.Namespace,
     formats: tuple[str, ...],
-    manifest: RunManifest,
+    manifest: dict[str, Any],
     reports: Sequence[MetricsReport],
     sweep: ThresholdSweep | None,
 ) -> None:
@@ -915,16 +762,45 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
-_CONFIG_SKIP_KEYS = {"func", "config", "command"}
+_CONFIG_SKIP_KEYS = {"func", "config", "command", "help"}
+
+
+def _config_tokens(sp: argparse.ArgumentParser, cfg: dict[str, Any]) -> list[str]:
+    """Config values as flag tokens, so argparse checks them like flags.
+
+    A list fills a multi-value flag with one token per item; null keeps the
+    flag's default.
+    """
+    actions = {
+        a.dest: a for a in sp._actions if a.dest not in _CONFIG_SKIP_KEYS  # noqa: SLF001
+    }
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise EvalError(f"unknown config keys: {sorted(unknown)}")
+    tokens: list[str] = []
+    for key, value in cfg.items():
+        if value is None:
+            continue
+        flag = actions[key].option_strings[-1]
+        if isinstance(value, list) and actions[key].nargs == "+":
+            tokens += [flag, *map(_config_token, value)]
+        else:
+            tokens.append(f"{flag}={_config_token(value)}")
+    return tokens
+
+
+def _config_token(value: Any) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _apply_config_file(
     parser: argparse.ArgumentParser,
     subparsers: dict[str, argparse.ArgumentParser],
-    argv: Sequence[str],
+    argv: list[str],
     args: argparse.Namespace,
 ) -> argparse.Namespace:
-    """Load --config JSON as new defaults and re-parse so flags win."""
+    """Re-parse with the --config values inserted as flags right after the
+    subcommand, so command-line flags come later and win."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -934,13 +810,9 @@ def _apply_config_file(
         raise EvalError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise EvalError("config file must hold a JSON object")
-    sp = subparsers[args.command]
-    known = {a.dest for a in sp._actions} - _CONFIG_SKIP_KEYS  # noqa: SLF001
-    unknown = set(cfg) - known
-    if unknown:
-        raise EvalError(f"unknown config keys: {sorted(unknown)}")
-    sp.set_defaults(**cfg)
-    return parser.parse_args(argv)
+    tokens = _config_tokens(subparsers[args.command], cfg)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

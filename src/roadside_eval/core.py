@@ -18,13 +18,12 @@ threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ExtrapolationError, IntegrityError, ProjectionRangeError
+from .errors import IntegrityError, ProjectionRangeError
 
 VEHICLE = "vehicle"
 PEDESTRIAN = "pedestrian"
@@ -182,7 +181,6 @@ def build_trajectory_set(
         raise ValueError(f"frame_bin_s must be positive, got {frame_bin_s}")
 
     by_bin: dict[int, dict[str, DataPoint]] = {}
-    by_id: dict[str, list[DataPoint]] = {}
     for p in points:
         b = _frame_bin(p.timestamp_s, frame_bin_s)
         frame = by_bin.setdefault(b, {})
@@ -192,24 +190,13 @@ def build_trajectory_set(
                 f"around t={p.timestamp_s:.3f} s"
             )
         frame[p.object_id] = p
-        by_id.setdefault(p.object_id, []).append(p)
 
     frames = []
     for b in sorted(by_bin):
         members = [by_bin[b][oid] for oid in sorted(by_bin[b])]
         stamp = math.fsum(m.timestamp_s for m in members) / len(members)
         frames.append(DataFrame(stamp, tuple(members)))
-
-    trajectories = []
-    for oid in sorted(by_id):
-        pts = sorted(by_id[oid], key=lambda p: p.timestamp_s)
-        counts: dict[str, int] = {}
-        for p in pts:
-            counts[p.category] = counts.get(p.category, 0) + 1
-        category = min(counts, key=lambda c: (-counts[c], c))
-        trajectories.append(Trajectory(oid, category, tuple(pts)))
-
-    return TrajectorySet(tuple(frames), tuple(trajectories), source)
+    return from_frames(frames, source)
 
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
@@ -254,26 +241,6 @@ def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndar
     xy[:, 0] = (raw[:, 2] - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
     xy[:, 1] = (raw[:, 1] - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
     return times, xy
-
-
-def interpolate_position(traj: Trajectory, t: float, ctx: ProjectionContext) -> LocalPoint:
-    """Linearly interpolated plane position of the trajectory at time ``t``.
-
-    Ground truth is sampled at RTK rates, so linear interpolation between
-    the bracketing samples loses nothing measurable.
-    """
-    pts = traj.points
-    if not pts or t < pts[0].timestamp_s or t > pts[-1].timestamp_s:
-        span = f"[{pts[0].timestamp_s:.3f}, {pts[-1].timestamp_s:.3f}]" if pts else "[]"
-        raise ExtrapolationError(f"t={t:.3f} s outside trajectory span {span}")
-
-    times = [p.timestamp_s for p in pts]
-    i = bisect_left(times, t)
-    if times[i] == t:
-        return project(pts[i].position, ctx)
-    a, b = project(pts[i - 1].position, ctx), project(pts[i].position, ctx)
-    w = (t - times[i - 1]) / (times[i] - times[i - 1])
-    return LocalPoint(a.x_m + w * (b.x_m - a.x_m), a.y_m + w * (b.y_m - a.y_m))
 
 
 def slice_trajectory(traj: Trajectory, t0: float, t1: float) -> Trajectory | None:

@@ -21,14 +21,6 @@ class ProjectionRangeError(EvalError):
     """Point too far from the projection origin for a flat-earth plane."""
 
 
-class ExtrapolationError(EvalError):
-    """Interpolation query outside the trajectory's time span."""
-
-
-class WindowExtractionError(EvalError):
-    """No qualifying constant-speed interval found in a run."""
-
-
 class PairingError(EvalError):
     """Latency samples cover only one travel direction."""
 

@@ -158,13 +158,3 @@ def write_points(path: str | Path, points: Iterable[DataPoint]) -> None:
                     p.object_id,
                 ]
             )
-
-
-def apply_clock_offset(points: Iterable[DataPoint], offset_s: float) -> list[DataPoint]:
-    """Shift every timestamp by ``offset_s`` (new list, inputs untouched)."""
-    if not math.isfinite(offset_s):
-        raise ValueError(f"clock offset must be finite, got {offset_s}")
-    return [
-        DataPoint(p.timestamp_s + offset_s, p.position, p.category, p.object_id)
-        for p in points
-    ]

@@ -36,12 +36,7 @@ from .core import (
     slice_trajectory,
     trajectory_arrays,
 )
-from .errors import (
-    EvalError,
-    InsufficientDataError,
-    PairingError,
-    WindowExtractionError,
-)
+from .errors import EvalError, InsufficientDataError, PairingError
 
 
 @dataclass(frozen=True)
@@ -194,21 +189,6 @@ def find_constant_speed_windows(
         windows.append(SpeedWindow(float(times[i]), float(times[j + 1]), sign))
         i = j + 1
     return windows
-
-
-def extract_constant_speed_window(
-    traj: Trajectory,
-    route: RouteLine,
-    ctx: ProjectionContext,
-    speed_tol_frac: float = 0.1,
-) -> SpeedWindow:
-    """The longest constant-speed interval; error when none qualifies."""
-    windows = find_constant_speed_windows(traj, route, ctx, speed_tol_frac)
-    if not windows:
-        raise WindowExtractionError(
-            "no interval holds nominal speed within tolerance inside the route window"
-        )
-    return max(windows, key=lambda w: (w.t_end_s - w.t_start_s, -w.t_start_s))
 
 
 def _crossing_time(times: np.ndarray, s: np.ndarray, x: float) -> float | None:

@@ -143,6 +143,8 @@ def compute_report(
     trajectory association. Raises CategoryError when the ground truth has
     no points of the requested category (nothing to normalize against).
     """
+    if threshold_m <= 0:
+        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
     gt_points_total = sum(len(f.points) for f in gt_c.frames)
@@ -197,6 +199,18 @@ def compute_report(
     )
 
 
+def _checked_thresholds(thresholds_m: Sequence[float]) -> list[float]:
+    """Thresholds as floats; ValueError unless non-empty, positive, ascending."""
+    thresholds = [float(t) for t in thresholds_m]
+    if not thresholds:
+        raise ValueError("thresholds_m must be non-empty")
+    if any(t <= 0 for t in thresholds):
+        raise ValueError("thresholds must be positive")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must be strictly ascending, got {thresholds}")
+    return thresholds
+
+
 def threshold_sweep(
     det: TrajectorySet,
     gt: TrajectorySet,
@@ -213,14 +227,7 @@ def threshold_sweep(
     and the rates are non-increasing by construction. The monotonicity
     postcondition is still checked; a violation means the matcher broke.
     """
-    thresholds = [float(t) for t in thresholds_m]
-    if not thresholds:
-        raise ValueError("thresholds_m must be non-empty")
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError(f"thresholds must be strictly ascending, got {thresholds}")
-
+    thresholds = _checked_thresholds(thresholds_m)
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
     gt_points_total = sum(len(f.points) for f in gt_c.frames)

@@ -337,6 +337,40 @@ class TestConfigAndPlumbing:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, flag", [
+        ({"threshold": [1]}, "--threshold"),
+        ({"threshold": True}, "--threshold"),
+        ({"category": "bicycle"}, "--category"),
+    ])
+    def test_config_values_checked_like_flags(self, data_dir, tmp_path, capsys,
+                                              cfg, flag):
+        gt = str(data_dir / "scene_gt.csv")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"det": [gt], "gt": [gt], **cfg}))
+        # a usage error exits 1 through SystemExit; any other exception escapes
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(path), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_string_names_one_file(self, data_dir, tmp_path):
+        # as after --det on the command line, a string is one file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "det": str(data_dir / "lat_det.csv"), "gt": str(data_dir / "lat_gt.csv"),
+            "output_dir": str(tmp_path),
+        }))
+        assert main(["latency", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert [i["role"] for i in doc["inputs"]] == ["detection", "ground_truth"]
+
+    def test_help_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": True}))
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert "unknown config keys: ['help']" in capsys.readouterr().err
+
     def test_manifest_config_reproduces_run(self, data_dir, tmp_path):
         gt = data_dir / "noisy_gt.csv"
         det = data_dir / "noisy_det.csv"

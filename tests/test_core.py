@@ -1,4 +1,4 @@
-"""Domain types, projection, grouping, and interpolation."""
+"""Domain types, projection, grouping, arrays and slicing."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from roadside_eval.core import (
     build_trajectory_set,
     filter_category,
     from_frames,
-    interpolate_position,
     make_projection,
     project,
     slice_trajectory,
@@ -24,11 +23,7 @@ from roadside_eval.core import (
     unproject,
     validate_geo,
 )
-from roadside_eval.errors import (
-    ExtrapolationError,
-    IntegrityError,
-    ProjectionRangeError,
-)
+from roadside_eval.errors import IntegrityError, ProjectionRangeError
 
 from conftest import ORIGIN, dp, haversine_m, line_points
 
@@ -165,41 +160,6 @@ class TestFilterCategory:
         assert len(ts.frames) == 2
         assert ts.frames[1].points == ()
         assert [t.category for t in ts.trajectories] == ["vehicle"]
-
-
-class TestInterpolation:
-    def test_exact_at_sample(self, ctx):
-        pts = line_points(ctx, n=10)
-        ts = build_trajectory_set(pts)
-        traj = ts.trajectories[0]
-        got = interpolate_position(traj, pts[3].timestamp_s, ctx)
-        want = project(pts[3].position, ctx)
-        assert got == pytest.approx(want)
-
-    def test_midpoint_is_arithmetic_mean(self, ctx):
-        pts = [dp(1.0, 0, 0, ctx), dp(2.0, 4, 2, ctx)]
-        traj = build_trajectory_set(pts).trajectories[0]
-        mid = interpolate_position(traj, 1.5, ctx)
-        assert mid.x_m == pytest.approx(2.0, abs=1e-9)
-        assert mid.y_m == pytest.approx(1.0, abs=1e-9)
-
-    def test_constant_velocity_closed_form(self, ctx):
-        # 100 Hz, exact kinematics: x(t) = 3 + 7 (t - t0)
-        pts = line_points(ctx, t0=50.0, n=200, dt=0.01, x0=3.0, vx=7.0, y=-2.0)
-        traj = build_trajectory_set(pts).trajectories[0]
-        rng = random.Random(3)
-        for _ in range(100):
-            t = rng.uniform(50.0, 50.0 + 1.99)
-            got = interpolate_position(traj, t, ctx)
-            assert abs(got.x_m - (3.0 + 7.0 * (t - 50.0))) < 1e-9
-            assert abs(got.y_m - (-2.0)) < 1e-9
-
-    def test_extrapolation_rejected(self, ctx):
-        traj = build_trajectory_set(line_points(ctx, t0=10.0, n=5)).trajectories[0]
-        with pytest.raises(ExtrapolationError):
-            interpolate_position(traj, 9.9, ctx)
-        with pytest.raises(ExtrapolationError):
-            interpolate_position(traj, 10.0 + 0.4 + 1e-6, ctx)
 
 
 class TestArraysAndSlicing:

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from roadside_eval.core import DataPoint, GeoPoint
 from roadside_eval.errors import SchemaError
-from roadside_eval.ingest import (
-    apply_clock_offset,
-    parse_csv,
-    read_points,
-    write_points,
-)
+from roadside_eval.ingest import parse_csv, read_points, write_points
 
 HEADER = "timestamp,lat,lon,category,id\n"
 
@@ -106,22 +101,6 @@ class TestMillisecondDetection:
         pts, rep = parse(HEADER + "1700000000.123,42.3,-83.7,vehicle,v1\n")
         assert rep.n_ms_converted == 0
         assert pts[0].timestamp_s == 1700000000.123
-
-
-class TestClockOffset:
-    def test_zero_offset_identity(self, ctx):
-        pts, _ = parse(HEADER + "100,42.3,-83.7,vehicle,v1\n")
-        assert apply_clock_offset(pts, 0.0) == pts
-
-    def test_offset_inverse(self):
-        pts, _ = parse(HEADER + "100.25,42.3,-83.7,vehicle,v1\n")
-        back = apply_clock_offset(apply_clock_offset(pts, 1.5), -1.5)
-        assert back[0].timestamp_s == pts[0].timestamp_s
-
-    def test_non_finite_offset_rejected(self):
-        pts, _ = parse(HEADER + "100,42.3,-83.7,vehicle,v1\n")
-        with pytest.raises(ValueError):
-            apply_clock_offset(pts, float("nan"))
 
 
 class TestRoundTrip:

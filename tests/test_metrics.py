@@ -199,6 +199,12 @@ class TestComputeReport:
         assert r.motp_m is None
         assert r.fn_rate_pct == 100.0
 
+    def test_threshold_checked_without_frame_pairs(self, ctx):
+        gt = simple_scene(ctx)
+        det = build_trajectory_set([], source="detection")
+        with pytest.raises(ValueError, match="threshold"):
+            compute_report(det, gt, 0.0, -1.0, "vehicle", ctx)
+
     def test_latency_compensation_restores_alignment(self, ctx):
         gt = simple_scene(ctx)
         # detections lag 0.2 s: uncompensated matching sees 2 m of motion
