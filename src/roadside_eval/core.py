@@ -18,7 +18,11 @@ threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,6 +102,13 @@ class Trajectory:
     @property
     def end_time_s(self) -> float:
         return self.points[-1].timestamp_s
+
+    @cached_property
+    def _geo(self) -> np.ndarray:
+        """(n, 3) rows of (timestamp_s, lat_deg, lon_deg), built on first use."""
+        n = len(self.points)
+        flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in self.points])
+        return np.fromiter(flat, dtype=float, count=3 * n).reshape(n, 3)
 
 
 @dataclass(frozen=True)
@@ -201,17 +212,16 @@ def build_trajectory_set(
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
     """Build a TrajectorySet from explicit frames, preserving empty ones."""
-    ordered = tuple(sorted(frames, key=lambda f: f.timestamp_s))
+    by_time = attrgetter("timestamp_s")
+    ordered = tuple(sorted(frames, key=by_time))
     by_id: dict[str, list[DataPoint]] = {}
     for f in ordered:
         for p in f.points:
             by_id.setdefault(p.object_id, []).append(p)
     trajectories = []
     for oid in sorted(by_id):
-        pts = sorted(by_id[oid], key=lambda p: p.timestamp_s)
-        counts: dict[str, int] = {}
-        for p in pts:
-            counts[p.category] = counts.get(p.category, 0) + 1
+        pts = sorted(by_id[oid], key=by_time)
+        counts = Counter(map(attrgetter("category"), pts))
         category = min(counts, key=lambda c: (-counts[c], c))
         trajectories.append(Trajectory(oid, category, tuple(pts)))
     return TrajectorySet(ordered, tuple(trajectories), source)
@@ -233,11 +243,9 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
 
 def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:
     """Extract (times, xy) arrays for vectorized geometry on a trajectory."""
-    n = len(traj.points)
-    raw = np.array([(p.timestamp_s,) + p.position for p in traj.points])
-    raw = raw.reshape(n, 3)
+    raw = traj._geo
     times = raw[:, 0].copy()
-    xy = np.empty((n, 2))
+    xy = np.empty((len(raw), 2))
     xy[:, 0] = (raw[:, 2] - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
     xy[:, 1] = (raw[:, 1] - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
     return times, xy

@@ -23,6 +23,7 @@ single-sample observation.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -173,7 +174,8 @@ def find_constant_speed_windows(
         (np.abs(np.abs(v) - v0) <= speed_tol_frac * v0)
         & in_bounds[:-1]
         & in_bounds[1:]
-    )
+    ).tolist()
+    forward = (v > 0).tolist()
 
     windows: list[SpeedWindow] = []
     i = 0
@@ -182,25 +184,13 @@ def find_constant_speed_windows(
         if not ok[i]:
             i += 1
             continue
-        sign = 1 if v[i] > 0 else -1
+        sign = 1 if forward[i] else -1
         j = i
-        while j + 1 < n and ok[j + 1] and (v[j + 1] > 0) == (sign > 0):
+        while j + 1 < n and ok[j + 1] and forward[j + 1] == forward[i]:
             j += 1
         windows.append(SpeedWindow(float(times[i]), float(times[j + 1]), sign))
         i = j + 1
     return windows
-
-
-def _crossing_time(times: np.ndarray, s: np.ndarray, x: float) -> float | None:
-    """Linearly interpolated time at which monotone arc data crosses x."""
-    lo, hi = (s[0], s[-1]) if s[0] <= s[-1] else (s[-1], s[0])
-    if not (lo <= x <= hi):
-        return None
-    if s[0] <= s[-1]:
-        t = np.interp(x, s, times)
-    else:
-        t = np.interp(x, s[::-1], times[::-1])
-    return float(t)
 
 
 def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:
@@ -215,13 +205,12 @@ def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:
     ts = t[order]
     if len(ts) == 1:
         return order
-    tick = float(np.median(np.diff(ts)))
-    gap = max(5.0 * tick, 0.5)
-    breaks = np.nonzero(np.diff(ts) > gap)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [len(ts)]))
-    centers = [(ts[a] + ts[b - 1]) / 2 for a, b in zip(starts, ends)]
-    k = int(np.argmin([abs(c - t_center) for c in centers]))
+    steps = np.diff(ts)
+    gap = max(5.0 * statistics.median(steps.tolist()), 0.5)
+    breaks = (np.nonzero(steps > gap)[0] + 1).tolist()
+    starts, ends, tl = [0, *breaks], [*breaks, len(ts)], ts.tolist()
+    dist = [abs((tl[a] + tl[b - 1]) / 2 - t_center) for a, b in zip(starts, ends)]
+    k = dist.index(min(dist))
     return order[starts[k] : ends[k]]
 
 
@@ -266,23 +255,17 @@ def sample_tau(
             f"route traversal at {sign * v0:.2f} m/s"
         )
 
-    samples: list[TauSample] = []
-    for x in test_points_m:
-        t1 = _crossing_time(t_gt, s_gt, float(x))
-        if t1 is None:
-            continue
-        t_fit = (float(x) - intercept) / slope
-        k = int(np.argmin(np.abs(td - t_fit)))
-        t2 = float(td[k] - (sd[k] - float(x)) / slope)
-        samples.append(
-            TauSample(
-                test_point_m=float(x),
-                t1_s=t1,
-                t2_s=t2,
-                tau_s=t2 - t1,
-                direction_sign=sign,
-            )
-        )
+    # crossings of the test points the monotone gt pass spans: t1 by linear
+    # interpolation, t2 from the detection nearest the fitted crossing time
+    x = np.asarray(test_points_m, dtype=float)
+    x = x[(min(s_gt[0], s_gt[-1]) <= x) & (x <= max(s_gt[0], s_gt[-1]))]
+    t1 = np.interp(x, s_gt, t_gt) if sign > 0 else np.interp(x, s_gt[::-1], t_gt[::-1])
+    k = np.argmin(np.abs(td[:, None] - (x - intercept) / slope), axis=0)
+    t2 = td[k] - (sd[k] - x) / slope
+    samples = [
+        TauSample(test_point_m=a, t1_s=b, t2_s=c, tau_s=c - b, direction_sign=sign)
+        for a, b, c in zip(x.tolist(), t1.tolist(), t2.tolist())
+    ]
     if not samples:
         raise InsufficientDataError("no test point was crossed by both trajectories")
     return samples

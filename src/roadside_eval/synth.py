@@ -15,8 +15,10 @@ explicit seed, and identical inputs produce identical outputs byte for byte.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,17 +220,13 @@ def _trapezoid_phases(
 
 
 def _eval_phases(phases: Sequence[_Phase], t: np.ndarray) -> np.ndarray:
-    s = np.empty_like(t)
-    s[:] = np.nan
-    for t0, t1, s0, v, a in phases:
-        m = (t >= t0) & (t < t1)
-        if m.any():
-            dt = t[m] - t0
-            s[m] = s0 + v * dt + 0.5 * a * dt * dt
-    # ticks before the first phase start hold the initial position
-    first = phases[0]
-    s[np.isnan(s)] = first[2]
-    return s
+    t0, t1, s0, v, a = np.array(phases).T
+    i = np.clip(np.searchsorted(t0, t, side="right") - 1, 0, None)
+    dt = t - t0[i]
+    s = s0[i] + v[i] * dt + 0.5 * a[i] * dt * dt
+    # the phases tile time contiguously; ticks outside them (before the
+    # first start) hold the initial position
+    return np.where((t >= t0[i]) & (t < t1[i]), s, s0[0])
 
 
 _PathFn = Callable[[np.ndarray], np.ndarray]
@@ -381,21 +379,18 @@ def generate_scenario(
     else:  # pragma: no cover - ScenarioSpec already validates
         raise ScenarioError(f"unhandled template {spec.template!r}")
 
-    # tolist() yields native floats, so the points serialize as literals
-    series = []
-    for oid, cat, xy in actors:
+    # tolist() yields native floats, so the points serialize as literals;
+    # every actor has a point at every tick, so both views are built directly
+    times_f = times.tolist()
+    trajectories = []
+    for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
         lat = (ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat).tolist()
         lon = (ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon).tolist()
-        series.append((oid, cat, lat, lon))
-    series.sort(key=lambda s: s[0])
-    frames = []
-    for k, t_k in enumerate(times.tolist()):
-        pts = tuple(
-            DataPoint(t_k, GeoPoint(lat[k], lon[k]), cat, oid)
-            for oid, cat, lat, lon in series
-        )
-        frames.append(DataFrame(t_k, pts))
-    return from_frames(frames, "ground_truth")
+        geo = map(GeoPoint, lat, lon)
+        pts = tuple(map(DataPoint, times_f, geo, repeat(cat), repeat(oid)))
+        trajectories.append(Trajectory(oid, cat, pts))
+    frames = map(DataFrame, times_f, zip(*(t.points for t in trajectories)))
+    return TrajectorySet(tuple(frames), tuple(trajectories), "ground_truth")
 
 
 # --- degradation -------------------------------------------------------------
@@ -645,37 +640,47 @@ def monte_carlo_validate(
     rms_acc: list[tuple[int, float]] = []
     n_residuals = 0
     children = np.random.SeedSequence(master_seed).spawn(n_runs)
-    for child in children:
-        ss_gen, ss_deg = child.spawn(2)
-        spec = ScenarioSpec(
-            template="latency_run",
-            duration_s=duration_s,
-            rng_seed=int(ss_gen.generate_state(1)[0]),
-            gt_rate_hz=gt_rate_hz,
-            speeds_mps=(route.nominal_speed_mps,),
-            routes=(route,),
-        )
-        gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
-        det = degrade(
-            gt,
-            model,
-            ctx,
-            rng=np.random.default_rng(ss_deg),
-            route_direction=route.direction,
-        )
-        try:
-            est = estimate_latency(
-                collect_tau_samples(det, gt, route, ctx, n_test_points)
+    # Each run allocates thousands of short-lived objects and no reference
+    # cycles, so reference counting frees all of them; the cyclic collector's
+    # full passes over the whole heap would find nothing, yet cost about a
+    # tenth of the loop in a large process. It is paused for the loop only.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for child in children:
+            ss_gen, ss_deg = child.spawn(2)
+            spec = ScenarioSpec(
+                template="latency_run",
+                duration_s=duration_s,
+                rng_seed=int(ss_gen.generate_state(1)[0]),
+                gt_rate_hz=gt_rate_hz,
+                speeds_mps=(route.nominal_speed_mps,),
+                routes=(route,),
             )
-            part = _constant_window_slice(
-                det.trajectories[0], gt.trajectories[0], route, model, ctx
+            gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
+            det = degrade(
+                gt,
+                model,
+                ctx,
+                rng=np.random.default_rng(ss_deg),
+                route_direction=route.direction,
             )
-            pos = estimate_position_error(part, gt.trajectories[0], est, ctx)
-        except (InsufficientDataError, PairingError):
-            continue
-        estimates.append(est)
-        rms_acc.append((pos.n_samples, pos.residual_rms_m))
-        n_residuals += pos.n_samples
+            try:
+                est = estimate_latency(
+                    collect_tau_samples(det, gt, route, ctx, n_test_points)
+                )
+                part = _constant_window_slice(
+                    det.trajectories[0], gt.trajectories[0], route, model, ctx
+                )
+                pos = estimate_position_error(part, gt.trajectories[0], est, ctx)
+            except (InsufficientDataError, PairingError):
+                continue
+            estimates.append(est)
+            rms_acc.append((pos.n_samples, pos.residual_rms_m))
+            n_residuals += pos.n_samples
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     if len(estimates) < max(n_runs // 2, 2):
         raise EvalError(
