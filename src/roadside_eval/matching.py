@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,11 @@ UNMATCHABLE_COST = 1e12
 # genuinely tied assignments compare exactly and this only absorbs rounding
 # introduced upstream of the solver.
 _TIE_TOL = 1e-6
+
+# Bound on solver and summation rounding per n² · max|cost|, generous: it
+# covers the single solve's suboptimality, the potentials' and reduced
+# costs' rounding along a cycle, and the refinement's own fsum comparisons.
+_ROUNDING_PER_TERM = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,13 @@ def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> fl
 def solve_assignment(cost) -> Assignment:
     """Minimum-total-cost one-to-one assignment of min(rows, cols) pairs.
 
-    Among equal-cost optima the lexicographically smallest pair list is
-    returned, so output is deterministic and order-stable for tests and
-    re-runs. Raises ValueError on non-finite costs.
+    Among optima within _TIE_TOL of each other the lexicographically
+    smallest pair list is returned, so output is deterministic and
+    order-stable for tests and re-runs. One solve settles almost every
+    matrix: when no other assignment comes near its total, that optimum is
+    the answer (see _unique_optimum). Only near-ties take the row-by-row
+    refinement, which re-solves O(n²) submatrices. Raises ValueError on
+    non-finite costs.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -110,6 +120,117 @@ def solve_assignment(cost) -> Assignment:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
 
+    n_rows, n_cols = cost.shape
+    if n_rows == 1 or n_cols == 1:
+        # the refinement's rule in closed form: first index within _TIE_TOL
+        line = cost.ravel()
+        k = int(np.argmax(line <= line.min() + _TIE_TOL))
+        pairs = [(0, k) if n_rows == 1 else (k, 0)]
+    else:
+        pairs = _unique_optimum(cost)
+        if pairs is None:
+            pairs = _refine_lexicographic(cost)
+    total = math.fsum(cost[r, c] for r, c in pairs)
+    return Assignment(tuple(pairs), total)
+
+
+def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
+    """The optimum when every other assignment costs more than a margin.
+
+    Solves the zero-padded square matrix once (optimum σ) and proves that
+    every other assignment costs more than _TIE_TOL plus a rounding margin
+    above it. The row-by-row refinement would then place σ's pairs one by
+    one, so σ is its answer. Returns None when the proof fails.
+
+    The proof works on the exchange graph over rows: moving row i from
+    column σ(i) to column σ(k) costs c[i, σ(k)] − c[i, σ(i)], and every
+    other assignment is σ plus disjoint cycles of such moves, costing the
+    sum of their weights more. Shortest distances d over that graph
+    (Bellman–Ford from a virtual source) make every reduced weight
+    c[i, j] − c[i, σ(i)] + d[σ(i)] − d[j] non-negative, and a cycle's
+    reduced weights sum to its true weight. So an assignment within the
+    margin of σ needs a cycle of "tight" moves, each with reduced weight
+    at most the margin; a tight graph without cycles rules one out.
+    Moves between two idle rows (dummy rows, or real rows on dummy
+    columns) only reshuffle padding; a cycle through them shortcuts to one
+    of the same weight without them, so they are left out.
+
+    Sums of large costs are too coarse to resolve _TIE_TOL (the
+    UNMATCHABLE_COST sentinel among them), and the refinement's own
+    rounding then decides; such matrices return None.
+    """
+    n_rows, n_cols = cost.shape
+    n = max(n_rows, n_cols)
+    rounding = _ROUNDING_PER_TERM * n * n * float(np.abs(cost).max())
+    if rounding > _TIE_TOL:
+        return None
+    margin = _TIE_TOL + rounding
+    if n <= 3:
+        return _enumerated_optimum(cost, margin)
+    padded = np.zeros((n, n))
+    padded[:n_rows, :n_cols] = cost
+    sigma = linear_sum_assignment(padded)[1]
+    rows = np.arange(n)
+    move = padded - padded[rows, sigma][:, None]
+
+    d = np.zeros(n)
+    for _ in range(n + 1):
+        via = move + d[sigma][:, None]
+        shorter = via.min(axis=0)
+        if np.array_equal(shorter, d):
+            break
+        d = shorter
+    else:
+        return None  # no fixed point: σ is not optimal to rounding
+
+    tight = (via - d <= margin)[:, sigma]
+    tight[rows, rows] = False
+    if n_rows != n_cols:
+        idle = rows >= n_rows if n_rows < n_cols else sigma >= n_cols
+        tight[np.ix_(idle, idle)] = False
+    if _has_cycle(tight):
+        return None
+    return [(int(i), int(sigma[i])) for i in range(n_rows) if sigma[i] < n_cols]
+
+
+def _enumerated_optimum(cost: np.ndarray, margin: float) -> list[tuple[int, int]] | None:
+    """_unique_optimum for at most three rows and columns, by listing all
+    (at most six) assignments, which is cheaper there than any solve."""
+    n_rows, n_cols = cost.shape
+    lines = cost.tolist() if n_rows <= n_cols else cost.T.tolist()
+    totals = sorted(
+        (math.fsum(line[j] for line, j in zip(lines, cols)), cols)
+        for cols in permutations(range(len(lines[0])), len(lines))
+    )
+    (best, cols), (second, _) = totals[:2]
+    if second - best <= margin:
+        return None
+    pairs = list(enumerate(cols))
+    return pairs if n_rows <= n_cols else sorted((j, i) for i, j in pairs)
+
+
+def _has_cycle(adj: np.ndarray) -> bool:
+    """Whether the directed graph with boolean adjacency adj has a cycle.
+
+    Peels off nodes without an out-edge or an in-edge among the nodes
+    left; a cycle's nodes are never peeled.
+    """
+    live = adj.any(axis=1) & adj.any(axis=0)
+    while live.any():
+        sub = adj[np.ix_(live, live)]
+        keep = sub.any(axis=1) & sub.any(axis=0)
+        if keep.all():
+            return True
+        live[live] = keep
+    return False
+
+
+def _refine_lexicographic(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Lexicographically smallest optimum, placed one row at a time.
+
+    Row by row, the first column whose best completion is within _TIE_TOL
+    of the optimum of what is left wins. Every step re-solves submatrices.
+    """
     n_rows, n_cols = cost.shape
     rows = list(range(n_rows))
     cols = list(range(n_cols))
@@ -143,8 +264,7 @@ def solve_assignment(cost) -> Assignment:
                 break
 
     pairs.sort()
-    total = math.fsum(cost[r, c] for r, c in pairs)
-    return Assignment(tuple(pairs), total)
+    return pairs
 
 
 def match_frames_by_time(
@@ -164,8 +284,8 @@ def match_frames_by_time(
         raise EvalError("ground truth contains no frames")
     if max_gap_s is None:
         max_gap_s = _default_max_gap(det, gt)
-    if max_gap_s <= 0:
-        raise ValueError(f"max_gap_s must be positive, got {max_gap_s}")
+    if not 0 < max_gap_s < math.inf:
+        raise ValueError(f"max_gap_s must be positive and finite, got {max_gap_s}")
 
     gt_times = np.array([f.timestamp_s for f in gt.frames])
     pairs: list[tuple[DataFrame, DataFrame]] = []
@@ -246,8 +366,8 @@ def point_match(
     beyond the threshold contributes a FP and a FN (the detection placed
     nothing within range of that gt point, and vice versa).
     """
-    if threshold_m <= 0:
-        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+    if not 0 < threshold_m < math.inf:
+        raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     triples, _, _ = _frame_distances(det_frame, gt_frame, ctx, same_category_only)
 
     matched_det = set()

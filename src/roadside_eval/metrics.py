@@ -143,8 +143,8 @@ def compute_report(
     trajectory association. Raises CategoryError when the ground truth has
     no points of the requested category (nothing to normalize against).
     """
-    if threshold_m <= 0:
-        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+    if not 0 < threshold_m < math.inf:
+        raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
     gt_points_total = sum(len(f.points) for f in gt_c.frames)
@@ -200,12 +200,13 @@ def compute_report(
 
 
 def _checked_thresholds(thresholds_m: Sequence[float]) -> list[float]:
-    """Thresholds as floats; ValueError unless non-empty, positive, ascending."""
+    """Thresholds as floats; ValueError unless non-empty, positive, finite
+    and ascending."""
     thresholds = [float(t) for t in thresholds_m]
     if not thresholds:
         raise ValueError("thresholds_m must be non-empty")
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
+    if not all(0 < t < math.inf for t in thresholds):
+        raise ValueError(f"thresholds must be positive and finite, got {thresholds}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError(f"thresholds must be strictly ascending, got {thresholds}")
     return thresholds

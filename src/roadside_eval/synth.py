@@ -669,10 +669,13 @@ def monte_carlo_validate(
                 est = estimate_latency(
                     collect_tau_samples(det, gt, route, ctx, n_test_points)
                 )
-                part = _constant_window_slice(
-                    det.trajectories[0], gt.trajectories[0], route, model, ctx
-                )
-                pos = estimate_position_error(part, gt.trajectories[0], est, ctx)
+                actor = gt.trajectories[0]
+                # clutter tracks sort ahead of the actor's; pick it by id
+                tracked = [t for t in det.trajectories if t.object_id == actor.object_id]
+                if not tracked:
+                    raise InsufficientDataError("the actor was never detected")
+                part = _constant_window_slice(tracked[0], actor, route, model, ctx)
+                pos = estimate_position_error(part, actor, est, ctx)
             except (InsufficientDataError, PairingError):
                 continue
             estimates.append(est)

@@ -226,6 +226,19 @@ class TestEvalCommand:
         assert rc == 1
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--max-gap"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_one(self, data_dir, tmp_path, capsys, flag, value):
+        rc = main([
+            "eval", "--det", str(data_dir / "noisy_det.csv"),
+            "--gt", str(data_dir / "noisy_gt.csv"), "--category", "vehicle",
+            flag, value, "--output-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "finite" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_multi_trial_shared_gt(self, data_dir, tmp_path, capsys):
         gt = data_dir / "noisy_gt.csv"
         det = data_dir / "noisy_det.csv"
@@ -287,6 +300,22 @@ class TestSweepCommand:
         ])
         assert rc == 1
         assert "ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [["--thresholds", "nan"], ["--thresholds", "0.5,inf"],
+                 ["--thresholds", "1.5", "--max-gap", "nan"],
+                 ["--thresholds", "1.5", "--max-gap", "inf"]],
+    )
+    def test_non_finite_value_exits_one(self, data_dir, tmp_path, capsys, args):
+        rc = main([
+            "sweep", "--det", str(data_dir / "noisy_det.csv"),
+            "--gt", str(data_dir / "noisy_gt.csv"), "--category", "vehicle",
+            *args, "--output-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "finite" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_mixed_category_needs_flag(self, data_dir, tmp_path, capsys):
         rc = main([

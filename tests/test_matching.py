@@ -7,7 +7,9 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from roadside_eval import matching
 from roadside_eval.core import (
     DataFrame,
     build_trajectory_set,
@@ -15,6 +17,7 @@ from roadside_eval.core import (
 )
 from roadside_eval.errors import EvalError
 from roadside_eval.matching import (
+    UNMATCHABLE_COST,
     FrameMatchResult,
     MatchPair,
     association_match,
@@ -82,6 +85,149 @@ class TestSolveAssignment:
             solve_assignment([[1.0, float("inf")], [1.0, 1.0]])
         with pytest.raises(ValueError):
             solve_assignment([[float("nan")]])
+
+
+def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+    """The row-by-row tie-break that re-solves every submatrix, kept here as
+    a reference: solve_assignment must return exactly its pairs and total."""
+    def sub_total(rows, cols):
+        sub = cost[np.ix_(rows, cols)]
+        rr, cc = linear_sum_assignment(sub)
+        return math.fsum(sub[i, j] for i, j in zip(rr, cc))
+
+    rows = list(range(cost.shape[0]))
+    cols = list(range(cost.shape[1]))
+    pairs = []
+    while rows and cols:
+        best = sub_total(rows, cols)
+        placed = False
+        for ci in range(len(cols)):
+            rest_rows = rows[1:]
+            rest_cols = cols[:ci] + cols[ci + 1 :]
+            tail = sub_total(rest_rows, rest_cols) if rest_rows and rest_cols else 0.0
+            if math.fsum([cost[rows[0], cols[ci]], tail]) <= best + 1e-6:
+                pairs.append((rows[0], cols[ci]))
+                rows.pop(0)
+                cols.pop(ci)
+                placed = True
+                break
+        if not placed:
+            if len(rows) > len(cols):
+                rows.pop(0)
+            else:
+                sub = cost[np.ix_(rows, cols)]
+                rr, cc = linear_sum_assignment(sub)
+                pairs.extend((rows[i], cols[j]) for i, j in zip(rr, cc))
+                break
+    pairs.sort()
+    return tuple(pairs), math.fsum(cost[r, c] for r, c in pairs)
+
+
+def _crowd_frame(rng, n_gt: int, n_det: int) -> np.ndarray:
+    """Distances from shuffled noisy detections (plus clutter) to gt."""
+    gt = rng.uniform(-40.0, 40.0, (n_gt, 2))
+    det = gt[rng.permutation(n_gt)[: min(n_det, n_gt)]]
+    det = det + rng.normal(0.0, 0.3, det.shape)
+    det = np.vstack([det, rng.uniform(-60.0, 60.0, (n_det - len(det), 2))])
+    det = det[rng.permutation(n_det)]
+    return np.hypot(det[:, None, 0] - gt[None, :, 0], det[:, None, 1] - gt[None, :, 1])
+
+
+class TestSolveAssignmentAgainstRefinement:
+    """One solve plus a uniqueness proof must give the refinement's answer."""
+
+    @staticmethod
+    def _matrices(seed: int, kind: str, count: int):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            shape = tuple(int(v) for v in rng.integers(1, 8, size=2))
+            if kind == "continuous":
+                yield rng.uniform(0.0, 100.0, shape)
+            elif kind == "association":
+                # negative co-occurrence counts: integer costs, many exact ties
+                yield -rng.integers(0, 4, shape).astype(float)
+            elif kind == "rounded":
+                yield np.round(rng.uniform(0.0, 3.0, shape), 1)
+            elif kind == "sub_tolerance":
+                # totals that differ by less than, about, or just over _TIE_TOL
+                yield rng.integers(0, 3, shape) * 0.1 + rng.choice(
+                    [0.0, 1e-7, 5e-7, 1e-6, 2e-6], shape
+                )
+            else:
+                cost = np.round(rng.uniform(0.0, 5.0, shape), 1)
+                cost[rng.random(shape) < 0.4] = UNMATCHABLE_COST
+                yield cost
+
+    @pytest.mark.parametrize(
+        "kind", ["continuous", "association", "rounded", "sub_tolerance", "unmatchable"]
+    )
+    def test_small_matrices_match_refinement(self, kind):
+        shapes = set()
+        for cost in self._matrices(2024, kind, 600):
+            got = solve_assignment(cost)
+            assert (got.pairs, got.total_cost) == _refinement_oracle(cost), cost.tolist()
+            shapes.add(cost.shape[0] < cost.shape[1])
+        assert shapes == {True, False}  # both rectangular orientations
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 9), (9, 12), (40, 41), (41, 40), (80, 81)]
+    )
+    def test_crowd_frames_match_refinement(self, shape):
+        cost = _crowd_frame(np.random.default_rng(sum(shape)), shape[1], shape[0])
+        got = solve_assignment(cost)
+        assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
+
+    @pytest.mark.parametrize("shape", [(10, 12), (12, 10)])
+    def test_tied_and_sentinel_frames_match_refinement(self, shape):
+        rng = np.random.default_rng(7)
+        tied = np.round(rng.uniform(0.0, 2.0, shape), 1)
+        gated = tied.copy()
+        gated[rng.random(shape) < 0.3] = UNMATCHABLE_COST
+        for cost in (tied, gated, -rng.integers(0, 3, shape).astype(float)):
+            got = solve_assignment(cost)
+            assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        calls = []
+
+        def counted(cost):
+            calls.append(np.shape(cost))
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        return calls
+
+    def test_generic_frame_solves_once(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        cost = _crowd_frame(np.random.default_rng(41), 41, 40)
+        assert cost.shape == (40, 41)
+        solve_assignment(cost)
+        assert calls == [(41, 41)]
+
+    @pytest.mark.parametrize("shape", [(41, 40), (12, 30), (30, 12)])
+    def test_padding_does_not_force_refinement(self, monkeypatch, shape):
+        # several dummy rows (or columns) can swap among themselves at no
+        # cost; that alone is no tie between real assignments
+        calls = self._count_solves(monkeypatch)
+        solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
+        assert calls == [(max(shape),) * 2]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_small_frames_need_no_solve(self, monkeypatch, shape):
+        calls = self._count_solves(monkeypatch)
+        solve_assignment(np.random.default_rng(6).uniform(0.0, 50.0, shape))
+        assert calls == []
+
+    def test_unmatchable_cells_take_the_refinement(self, monkeypatch):
+        # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
+        # own arithmetic decides, whatever the single solve would say
+        cost = np.random.default_rng(8).uniform(0.0, 50.0, (6, 6))
+        cost[0, 1:] = UNMATCHABLE_COST
+        calls = self._count_solves(monkeypatch)
+        got = solve_assignment(cost)
+        assert len(calls) > 1
+        assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
 
 
 class TestMatchFramesByTime:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from roadside_eval.core import GeoPoint, build_trajectory_set, make_projection
 from roadside_eval.errors import CategoryError, ConsistencyError
+from roadside_eval.matching import match_frames_by_time, point_match
 from roadside_eval.metrics import (
     CountSummary,
     compute_hota,
@@ -204,6 +205,18 @@ class TestComputeReport:
         det = build_trajectory_set([], source="detection")
         with pytest.raises(ValueError, match="threshold"):
             compute_report(det, gt, 0.0, -1.0, "vehicle", ctx)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, ctx, bad):
+        gt = simple_scene(ctx)
+        with pytest.raises(ValueError, match="finite"):
+            compute_report(gt, gt, 0.0, bad, "vehicle", ctx)
+        with pytest.raises(ValueError, match="finite"):
+            threshold_sweep(gt, gt, 0.0, [1.0, bad], "vehicle", ctx)
+        with pytest.raises(ValueError, match="finite"):
+            point_match(gt.frames[0], gt.frames[0], bad, ctx)
+        with pytest.raises(ValueError, match="finite"):
+            match_frames_by_time(gt, gt, 0.0, max_gap_s=bad)
 
     def test_latency_compensation_restores_alignment(self, ctx):
         gt = simple_scene(ctx)

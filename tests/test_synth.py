@@ -274,6 +274,16 @@ class TestMonteCarloValidate:
         assert cmp.n_runs >= 200
         assert cmp.n_tau_samples > 1000
 
+    def test_clutter_does_not_drop_runs(self):
+        # clutter tracks ("clutter-NNNNN") sort ahead of the actor's track
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=0.02,
+                           noise_sigma_m=0.2, speed_jitter_mps=0.2,
+                           det_rate_hz=5.0, clutter_rate=0.2)
+        route = default_latency_route(10.0, window_m=40.0)
+        cmp = monte_carlo_validate(model, route, n_runs=100)
+        assert cmp.n_runs >= 90
+        assert cmp.n_residual_samples >= 10 * cmp.n_runs
+
     def test_small_n_runs_rejected(self):
         model = ErrorModel(latency_mean_s=0.1)
         route = default_latency_route(10.0)
