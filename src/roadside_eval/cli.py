@@ -364,11 +364,17 @@ def _trial_ids(args: argparse.Namespace, pairs: Sequence[tuple[str, str]]) -> li
             raise EvalError(
                 f"{len(args.trial_id)} trial ids for {len(pairs)} trials"
             )
+        if len(set(args.trial_id)) != len(args.trial_id):
+            raise EvalError(f"trial ids must be unique, got {args.trial_id}")
         return list(args.trial_id)
-    ids = []
+    ids: list[str] = []
     for det_path, _ in pairs:
-        stem = Path(det_path).stem
-        ids.append(stem if stem not in ids else f"{stem}-{len(ids)}")
+        trial_id = stem = Path(det_path).stem
+        suffix = len(ids)
+        while trial_id in ids:
+            trial_id = f"{stem}-{suffix}"
+            suffix += 1
+        ids.append(trial_id)
     return ids
 
 

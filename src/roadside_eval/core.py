@@ -42,6 +42,10 @@ METERS_PER_DEG_LAT = 111_132.95
 # Flat-earth validity radius for project(); beyond this the plane distorts.
 MAX_PROJECTION_RANGE_M = 10_000.0
 
+# Width of the time bins that group points into frames: tight enough that
+# only genuinely simultaneous records share a frame.
+FRAME_BIN_S = 0.001
+
 
 class GeoPoint(NamedTuple):
     lat_deg: float
@@ -94,14 +98,6 @@ class Trajectory:
     object_id: str
     category: str
     points: tuple[DataPoint, ...]
-
-    @property
-    def start_time_s(self) -> float:
-        return self.points[0].timestamp_s
-
-    @property
-    def end_time_s(self) -> float:
-        return self.points[-1].timestamp_s
 
     @cached_property
     def _geo(self) -> np.ndarray:
@@ -169,31 +165,21 @@ def unproject(p: LocalPoint, ctx: ProjectionContext) -> GeoPoint:
     )
 
 
-def _frame_bin(timestamp_s: float, frame_bin_s: float) -> int:
-    return round(timestamp_s / frame_bin_s)
-
-
 def build_trajectory_set(
     points: Iterable[DataPoint],
-    frame_bin_s: float = 0.001,
     source: str = SOURCE_DETECTION,
 ) -> TrajectorySet:
     """Group points by time into frames and by object id into trajectories.
 
-    Points whose timestamps fall into the same bin of width ``frame_bin_s``
-    share a frame; the default bin is tight enough that only genuinely
-    simultaneous records merge. The result is independent of input order:
-    frames are ordered by time, points within a frame by object id, and
-    trajectories by object id.
+    Points whose timestamps fall into the same FRAME_BIN_S bin share a
+    frame. The result is independent of input order: frames are ordered by
+    time, points within a frame by object id, and trajectories by object id.
 
     Raises IntegrityError when one object id occurs twice in one frame bin.
     """
-    if frame_bin_s <= 0:
-        raise ValueError(f"frame_bin_s must be positive, got {frame_bin_s}")
-
     by_bin: dict[int, dict[str, DataPoint]] = {}
     for p in points:
-        b = _frame_bin(p.timestamp_s, frame_bin_s)
+        b = round(p.timestamp_s / FRAME_BIN_S)
         frame = by_bin.setdefault(b, {})
         if p.object_id in frame:
             raise IntegrityError(

@@ -39,6 +39,14 @@ from .core import (
 )
 from .errors import EvalError, InsufficientDataError, PairingError
 
+# Detections are searched this far beyond each gt constant-speed window, so
+# that latency up to several seconds still finds the matching pass.
+_DET_SLACK_S = 5.0
+
+# Below this gt speed the along-track direction of a residual is undefined,
+# so the offset estimate skips the sample.
+_MIN_OFFSET_SPEED_MPS = 0.5
+
 
 @dataclass(frozen=True)
 class RouteLine:
@@ -325,7 +333,6 @@ def estimate_position_error(
     gt: Trajectory,
     latency: LatencyEstimate,
     ctx: ProjectionContext,
-    min_speed_mps: float = 0.5,
 ) -> PositionErrorEstimate:
     """Constant-offset estimate: detection minus latency-shifted gt.
 
@@ -351,7 +358,7 @@ def estimate_position_error(
     vy = np.diff(xy_gt[:, 1]) / dt
     seg = np.clip(np.searchsorted(t_gt, query, side="right") - 1, 0, len(dt) - 1)
     speed = np.hypot(vx[seg], vy[seg])
-    usable = (query >= t_gt[0]) & (query <= t_gt[-1]) & (speed >= min_speed_mps)
+    usable = (query >= t_gt[0]) & (query <= t_gt[-1]) & (speed >= _MIN_OFFSET_SPEED_MPS)
     n = int(usable.sum())
     if n < 10:
         raise InsufficientDataError(
@@ -408,7 +415,6 @@ def collect_tau_samples(
     ctx: ProjectionContext,
     n_test_points: int = 11,
     speed_tol_frac: float = 0.1,
-    det_slack_s: float = 5.0,
 ) -> list[TauSample]:
     """Tau samples pooled over every constant-speed pass in a trial.
 
@@ -430,7 +436,7 @@ def collect_tau_samples(
             best: dict[float, TauSample] = {}
             for det_traj in det_candidates:
                 det_slice = slice_trajectory(
-                    det_traj, w.t_start_s - det_slack_s, w.t_end_s + det_slack_s
+                    det_traj, w.t_start_s - _DET_SLACK_S, w.t_end_s + _DET_SLACK_S
                 )
                 if det_slice is None:
                     continue
@@ -453,12 +459,9 @@ def estimate_latency_for_trial(
     ctx: ProjectionContext,
     n_test_points: int = 11,
     speed_tol_frac: float = 0.1,
-    det_slack_s: float = 5.0,
 ) -> LatencyEstimate:
     """End-to-end latency estimate for one trial's file pair."""
-    samples = collect_tau_samples(
-        det, gt, route, ctx, n_test_points, speed_tol_frac, det_slack_s
-    )
+    samples = collect_tau_samples(det, gt, route, ctx, n_test_points, speed_tol_frac)
     if not samples:
         raise InsufficientDataError(
             "no samples: no detection crossings line up with any "

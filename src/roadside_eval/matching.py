@@ -316,40 +316,40 @@ def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     return 0.5
 
 
-def _frame_distances(
-    det_frame: DataFrame,
-    gt_frame: DataFrame,
+def _distances(
+    det_points: Sequence[DataPoint],
+    gt_points: Sequence[DataPoint],
     ctx: ProjectionContext,
-    same_category_only: bool,
-) -> tuple[list[tuple[int, int, float]], int, int]:
-    """Assign detections to gt points; return real (i, j, distance) triples.
+) -> np.ndarray:
+    """Planar distances between two non-empty point lists, det by gt.
 
-    Cross-category cells are encoded with a large finite sentinel and
-    filtered out of the result, so forbidden pairs never surface even when
-    the matrix shape forces the solver to use them.
+    Cross-category cells hold UNMATCHABLE_COST: large and finite, so the
+    solver still accepts the matrix, and callers drop such cells with
+    cost < UNMATCHABLE_COST / 2 (a finite threshold may exceed the sentinel).
     """
-    det = det_frame.points
-    gt = gt_frame.points
-    if not det or not gt:
-        return [], len(det), len(gt)
+    dxy = np.array([project(p.position, ctx) for p in det_points])
+    gxy = np.array([project(p.position, ctx) for p in gt_points])
+    dist = np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
+    det_cat = np.array([p.category for p in det_points])
+    gt_cat = np.array([p.category for p in gt_points])
+    dist[det_cat[:, None] != gt_cat[None, :]] = UNMATCHABLE_COST
+    return dist
 
-    dxy = np.array([project(p.position, ctx) for p in det])
-    gxy = np.array([project(p.position, ctx) for p in gt])
-    cost = np.hypot(
-        dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1]
-    )
-    if same_category_only:
-        det_cat = np.array([p.category for p in det])
-        gt_cat = np.array([p.category for p in gt])
-        cost[det_cat[:, None] != gt_cat[None, :]] = UNMATCHABLE_COST
 
-    asn = solve_assignment(cost)
-    triples = [
-        (i, j, float(cost[i, j]))
-        for i, j in asn.pairs
-        if cost[i, j] < UNMATCHABLE_COST / 2
-    ]
-    return triples, len(det), len(gt)
+def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
+    """(detection, gt) point counts that a pairing's rates are taken over.
+
+    Detections count in paired and FP-only frames. Gt counts in paired
+    frames only, or in full when nothing pairs: detections that never
+    overlap the trial window leave every gt point unexplained.
+    """
+    det_total = sum(len(df.points) for df, _ in pairing.pairs)
+    det_total += sum(len(df.points) for df in pairing.fp_only)
+    if pairing.pairs:
+        gt_total = sum(len(gf.points) for _, gf in pairing.pairs)
+    else:
+        gt_total = sum(len(f.points) for f in gt.frames)
+    return det_total, gt_total
 
 
 def point_match(
@@ -357,35 +357,35 @@ def point_match(
     gt_frame: DataFrame,
     threshold_m: float,
     ctx: ProjectionContext,
-    same_category_only: bool = True,
 ) -> FrameMatchResult:
     """Optimal one-to-one point matching within one aligned frame pair.
 
     The assignment minimizes total distance without regard to the
     threshold; the threshold only classifies afterwards. An assigned pair
     beyond the threshold contributes a FP and a FN (the detection placed
-    nothing within range of that gt point, and vice versa).
+    nothing within range of that gt point, and vice versa). Points of
+    different categories never match.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    triples, _, _ = _frame_distances(det_frame, gt_frame, ctx, same_category_only)
-
+    det, gt = det_frame.points, gt_frame.points
+    tp: list[MatchPair] = []
     matched_det = set()
     matched_gt = set()
-    tp: list[MatchPair] = []
-    for i, j, d in triples:
-        if d <= threshold_m:
-            tp.append(MatchPair(det_frame.points[i], gt_frame.points[j], d))
-            matched_det.add(i)
-            matched_gt.add(j)
-    fp = tuple(p for i, p in enumerate(det_frame.points) if i not in matched_det)
-    fn = tuple(p for j, p in enumerate(gt_frame.points) if j not in matched_gt)
+    if det and gt:
+        cost = _distances(det, gt, ctx)
+        for i, j in solve_assignment(cost).pairs:
+            d = float(cost[i, j])
+            if d <= threshold_m and d < UNMATCHABLE_COST / 2:
+                tp.append(MatchPair(det[i], gt[j], d))
+                matched_det.add(i)
+                matched_gt.add(j)
     return FrameMatchResult(
         frame_time_s=det_frame.timestamp_s,
         tp=tuple(tp),
-        fp=fp,
-        fn=fn,
-        gt_count=len(gt_frame.points),
+        fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
+        fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
+        gt_count=len(gt),
     )
 
 
@@ -425,37 +425,26 @@ def association_match(
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
 
     co_counts: dict[tuple[str, str], int] = {}
-    det_total = 0
-    gt_total = 0
     for df, gf in pairing.pairs:
-        det_total += len(df.points)
-        gt_total += len(gf.points)
         if not df.points or not gf.points:
             continue
-        dxy = np.array([project(p.position, ctx) for p in df.points])
-        gxy = np.array([project(p.position, ctx) for p in gf.points])
-        dist = np.hypot(
-            dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1]
-        )
-        for i, dp in enumerate(df.points):
-            for j, gp in enumerate(gf.points):
-                if dp.category == gp.category and dist[i, j] <= threshold_m:
-                    key = (dp.object_id, gp.object_id)
-                    co_counts[key] = co_counts.get(key, 0) + 1
-    for df in pairing.fp_only:
-        det_total += len(df.points)
-    if not pairing.pairs:
-        # no temporal overlap at all: every gt point goes unexplained
-        gt_total = sum(len(f.points) for f in gt.frames)
+        dist = _distances(df.points, gf.points, ctx)
+        hits = (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
+        for i, j in zip(*np.nonzero(hits)):
+            key = (df.points[i].object_id, gf.points[j].object_id)
+            co_counts[key] = co_counts.get(key, 0) + 1
+    det_total, gt_total = point_totals(pairing, gt)
 
     det_ids = sorted({d for d, _ in co_counts})
     gt_ids = sorted({g for _, g in co_counts})
     tpa = 0
     chosen: list[tuple[str, str]] = []
     if det_ids and gt_ids:
+        det_row = {d: i for i, d in enumerate(det_ids)}
+        gt_col = {g: j for j, g in enumerate(gt_ids)}
         neg = np.zeros((len(det_ids), len(gt_ids)))
         for (d, g), n in co_counts.items():
-            neg[det_ids.index(d), gt_ids.index(g)] = -n
+            neg[det_row[d], gt_col[g]] = -n
         asn = solve_assignment(neg)
         for i, j in asn.pairs:
             n = co_counts.get((det_ids[i], gt_ids[j]), 0)

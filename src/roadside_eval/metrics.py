@@ -23,11 +23,12 @@ import numpy as np
 from .core import ProjectionContext, TrajectorySet, filter_category
 from .errors import CategoryError, ConsistencyError
 from .matching import (
+    FrameMatchResult,
     association_match,
     count_id_switches,
     match_frames_by_time,
     point_match,
-    _frame_distances,
+    point_totals,
 )
 
 
@@ -82,11 +83,11 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class ThresholdSweep:
-    """FP/FN rates over ascending thresholds (parallel arrays)."""
+    """FP/FN rates over ascending thresholds (parallel arrays). None = undefined."""
 
     thresholds_m: tuple[float, ...]
-    fp_rate_pct: tuple[float, ...]
-    fn_rate_pct: tuple[float, ...]
+    fp_rate_pct: tuple[float | None, ...]
+    fn_rate_pct: tuple[float | None, ...]
 
 
 def compute_motp(counts: CountSummary) -> float | None:
@@ -127,6 +128,37 @@ def _pct(x: float | None) -> float | None:
     return None if x is None else 100.0 * x
 
 
+def _rate_pct(n: int, gt_total: int) -> float | None:
+    """n as a percentage of the gt total; None when there is no gt."""
+    return 100.0 * n / gt_total if gt_total else None
+
+
+def _match_category(
+    det: TrajectorySet,
+    gt: TrajectorySet,
+    latency_s: float,
+    threshold_m: float,
+    category: str,
+    ctx: ProjectionContext,
+    max_gap_s: float | None,
+) -> tuple[TrajectorySet, TrajectorySet, list[FrameMatchResult], int, int]:
+    """One category's matching pass, shared by reports and sweeps.
+
+    Returns the category's detection and gt sets, the per-frame matches at
+    threshold_m, and the (detection, gt) point totals. Raises CategoryError
+    when the ground truth has no points of the category (nothing to
+    normalize against).
+    """
+    det_c = filter_category(det, category)
+    gt_c = filter_category(gt, category)
+    if not any(f.points for f in gt_c.frames):
+        raise CategoryError(f"no ground truth in category {category!r}")
+    pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
+    frame_results = [point_match(df, gf, threshold_m, ctx) for df, gf in pairing.pairs]
+    det_total, gt_total = point_totals(pairing, gt_c)
+    return det_c, gt_c, frame_results, det_total, gt_total
+
+
 def compute_report(
     det: TrajectorySet,
     gt: TrajectorySet,
@@ -141,31 +173,17 @@ def compute_report(
 
     Frame alignment -> per-frame point matching -> ID-switch counting ->
     trajectory association. Raises CategoryError when the ground truth has
-    no points of the requested category (nothing to normalize against).
+    no points of the requested category.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    det_c = filter_category(det, category)
-    gt_c = filter_category(gt, category)
-    gt_points_total = sum(len(f.points) for f in gt_c.frames)
-    if gt_points_total == 0:
-        raise CategoryError(f"no ground truth in category {category!r}")
-
-    pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
-    frame_results = [
-        point_match(df, gf, threshold_m, ctx) for df, gf in pairing.pairs
-    ]
-
+    det_c, gt_c, frame_results, det_total, gt_total = _match_category(
+        det, gt, latency_s, threshold_m, category, ctx, max_gap_s
+    )
     tp = sum(len(fr.tp) for fr in frame_results)
-    fp = sum(len(fr.fp) for fr in frame_results)
-    fp += sum(len(df.points) for df in pairing.fp_only)
-    sum_d = math.fsum(mp.distance_m for fr in frame_results for mp in fr.tp)
-    if pairing.pairs:
-        gt_total = sum(fr.gt_count for fr in frame_results)
-    else:
-        # detections never overlap the trial window: all of gt goes unseen
-        gt_total = gt_points_total
+    fp = det_total - tp
     fn = gt_total - tp
+    sum_d = math.fsum(mp.distance_m for fr in frame_results for mp in fr.tp)
     ids = count_id_switches(frame_results)
     assoc = association_match(det_c, gt_c, latency_s, threshold_m, ctx, max_gap_s)
 
@@ -178,16 +196,15 @@ def compute_report(
         fpa=assoc.fpa,
         fna=assoc.fna,
         gt_total=gt_total,
-        det_total=tp + fp,
+        det_total=det_total,
         sum_tp_distance_m=sum_d,
     )
     deta, assa, hota = compute_hota(counts)
-    rate = (lambda n: 100.0 * n / gt_total) if gt_total else (lambda n: None)
     return MetricsReport(
         trial_id=trial_id,
         category=category,
-        fp_rate_pct=rate(fp),
-        fn_rate_pct=rate(fn),
+        fp_rate_pct=_rate_pct(fp, gt_total),
+        fn_rate_pct=_rate_pct(fn, gt_total),
         ids=ids,
         mota_pct=_pct(compute_mota(counts)),
         motp_m=compute_motp(counts),
@@ -224,41 +241,27 @@ def threshold_sweep(
     """FP/FN rates at each threshold over the same matched frames.
 
     The assignment step never looks at the threshold (thresholds only
-    classify assigned pairs), so one matching pass serves every threshold
-    and the rates are non-increasing by construction. The monotonicity
-    postcondition is still checked; a violation means the matcher broke.
+    classify assigned pairs), so one matching pass at the largest threshold
+    serves every threshold, and the rates are non-increasing by
+    construction. A pair beyond the largest threshold counts at none of
+    them. The monotonicity postcondition is still checked; a violation
+    means the matcher broke. Rates are None when the paired frames hold no
+    gt point.
     """
     thresholds = _checked_thresholds(thresholds_m)
-    det_c = filter_category(det, category)
-    gt_c = filter_category(gt, category)
-    gt_points_total = sum(len(f.points) for f in gt_c.frames)
-    if gt_points_total == 0:
-        raise CategoryError(f"no ground truth in category {category!r}")
+    _, _, frame_results, det_total, gt_total = _match_category(
+        det, gt, latency_s, thresholds[-1], category, ctx, max_gap_s
+    )
+    dist = np.sort([mp.distance_m for fr in frame_results for mp in fr.tp])
+    tps = np.searchsorted(dist, thresholds, side="right").tolist()
+    fp_rates = [_rate_pct(det_total - tp, gt_total) for tp in tps]
+    fn_rates = [_rate_pct(gt_total - tp, gt_total) for tp in tps]
 
-    pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
-    distances: list[float] = []
-    det_total = sum(len(df.points) for df in pairing.fp_only)
-    gt_total = 0
-    for df, gf in pairing.pairs:
-        triples, n_det, n_gt = _frame_distances(df, gf, ctx, True)
-        distances.extend(d for _, _, d in triples)
-        det_total += n_det
-        gt_total += n_gt
-    if not pairing.pairs:
-        gt_total = gt_points_total
-
-    dist = np.sort(np.array(distances))
-    fp_rates = []
-    fn_rates = []
-    for t in thresholds:
-        tp = int(np.searchsorted(dist, t, side="right"))
-        fp_rates.append(100.0 * (det_total - tp) / gt_total)
-        fn_rates.append(100.0 * (gt_total - tp) / gt_total)
-
-    for name, rates in (("fp", fp_rates), ("fn", fn_rates)):
-        if any(b > a for a, b in zip(rates, rates[1:])):
-            raise ConsistencyError(
-                f"{name} rate increased with threshold: {rates}; "
-                "the matcher violated its monotonicity contract"
-            )
+    if gt_total:
+        for name, rates in (("fp", fp_rates), ("fn", fn_rates)):
+            if any(b > a for a, b in zip(rates, rates[1:])):
+                raise ConsistencyError(
+                    f"{name} rate increased with threshold: {rates}; "
+                    "the matcher violated its monotonicity contract"
+                )
     return ThresholdSweep(tuple(thresholds), tuple(fp_rates), tuple(fn_rates))

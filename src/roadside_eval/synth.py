@@ -324,7 +324,7 @@ def _actor_speed(spec: ScenarioSpec, i: int, default: float) -> float:
 
 def generate_scenario(
     spec: ScenarioSpec,
-    ctx: ProjectionContext | None = None,
+    ctx: ProjectionContext,
     speed_jitter_mps: float = 0.0,
 ) -> TrajectorySet:
     """Ground truth for one trial template, sampled at gt_rate_hz.
@@ -333,8 +333,6 @@ def generate_scenario(
     latency run, one per actor otherwise); zero keeps constant-speed
     stretches exactly constant.
     """
-    if ctx is None:
-        ctx = make_projection(DEFAULT_ORIGIN)
     rng = np.random.default_rng(spec.rng_seed)
     n_ticks = int(round(spec.duration_s * spec.gt_rate_hz)) + 1
     t_rel = np.arange(n_ticks) / spec.gt_rate_hz
@@ -614,27 +612,23 @@ def monte_carlo_validate(
     n_runs: int,
     master_seed: int = 0,
     gt_rate_hz: float = 10.0,
-    n_test_points: int = 11,
-    duration_s: float | None = None,
-    ctx: ProjectionContext | None = None,
 ) -> MonteCarloComparison:
     """Empirical vs predicted variances over repeated synthetic trials.
 
-    Each run generates a one-round-trip latency scenario, degrades it, and
-    feeds the public estimators. Var(tau) is pooled within direction across
-    runs (via the estimator's own pooled std); Var(e_d) pools the per-run
-    along-track residual spreads, restricted to detections that fall well
-    inside the constant-speed windows because that constant-speed regime is
-    what the closed-form predictors describe. For the predictors to apply,
+    Each run generates a one-round-trip latency scenario on the
+    DEFAULT_ORIGIN plane, degrades it, and feeds the public estimators.
+    Var(tau) is pooled within direction across runs (via the estimator's
+    own pooled std); Var(e_d) pools the per-run along-track residual
+    spreads, restricted to detections that fall well inside the
+    constant-speed windows because that constant-speed regime is what the
+    closed-form predictors describe. For the predictors to apply,
     latency_mean_s should also sit several latency_std_s above zero,
     otherwise the clamp at zero genuinely reduces the realized jitter.
     """
     if n_runs < 100:
         raise ValueError("n_runs must be at least 100 for stable variances")
-    if ctx is None:
-        ctx = make_projection(DEFAULT_ORIGIN)
-    if duration_s is None:
-        duration_s = min_round_trip_duration_s(route, model.speed_jitter_mps)
+    ctx = make_projection(DEFAULT_ORIGIN)
+    duration_s = min_round_trip_duration_s(route, model.speed_jitter_mps)
 
     estimates: list[LatencyEstimate] = []
     rms_acc: list[tuple[int, float]] = []
@@ -666,9 +660,7 @@ def monte_carlo_validate(
                 route_direction=route.direction,
             )
             try:
-                est = estimate_latency(
-                    collect_tau_samples(det, gt, route, ctx, n_test_points)
-                )
+                est = estimate_latency(collect_tau_samples(det, gt, route, ctx))
                 actor = gt.trajectories[0]
                 # clutter tracks sort ahead of the actor's; pick it by id
                 tracked = [t for t in det.trajectories if t.object_id == actor.object_id]

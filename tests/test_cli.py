@@ -255,6 +255,30 @@ class TestEvalCommand:
         assert a["trial_id"] != b["trial_id"]
         assert a["mota_pct"] == b["mota_pct"]
 
+    def test_auto_trial_ids_never_collide(self, data_dir, tmp_path):
+        # x.csv twice would take the suffix "-2" that a/x-2.csv already holds
+        dets = [tmp_path / "a" / "x-2.csv", tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"]
+        for det in dets:
+            det.parent.mkdir(exist_ok=True)
+            shutil.copy(data_dir / "noisy_det.csv", det)
+        rc = main([
+            "eval", "--det", *map(str, dets), "--gt", str(data_dir / "noisy_gt.csv"),
+            "--category", "vehicle", "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["trial_id"] for r in doc["reports"]] == ["x-2", "x", "x-3"]
+
+    def test_repeated_trial_id_exits_one(self, data_dir, tmp_path, capsys):
+        det = str(data_dir / "noisy_det.csv")
+        rc = main([
+            "eval", "--det", det, det, "--gt", str(data_dir / "noisy_gt.csv"),
+            "--trial-id", "t", "t", "--output-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "unique" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSweepCommand:
     def test_single_threshold_matches_eval(self, data_dir, tmp_path, capsys):
@@ -316,6 +340,32 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "finite" in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_no_gt_in_paired_frames_is_undefined(self, tmp_path, capsys):
+        # the vehicle leaves before the detections start, so the detection
+        # frames pair only with gt frames that hold no vehicle
+        gt_rows = [f"{100 + k / 10:.1f},42.3,{-83.7 + 1e-5 * k:.7f},vehicle,veh-01\n"
+                   for k in range(11)]
+        det_rows = [f"{105 + k / 10:.1f},{42.3 + 1e-6 * k:.7f},-83.7001,pedestrian,ped-01\n"
+                    for k in range(21)]
+        (tmp_path / "gt.csv").write_text(GT_HEADER + "".join(gt_rows + det_rows))
+        (tmp_path / "det.csv").write_text(GT_HEADER + "".join(det_rows))
+        files = ["--det", str(tmp_path / "det.csv"), "--gt", str(tmp_path / "gt.csv"),
+                 "--category", "vehicle", "--formats", "table,json,csv"]
+        assert main(["eval", *files, "--output-dir", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())["reports"][0]
+        assert report["fp_rate_pct"] is None and report["fn_rate_pct"] is None
+        capsys.readouterr()
+        rc = main(["sweep", *files, "--thresholds", "1,2", "--output-dir", str(tmp_path / "sweep")])
+        assert rc == 0
+        assert [l.split() for l in capsys.readouterr().out.splitlines()[2:]] == [
+            ["1.000", "—", "—"], ["2.000", "—", "—"],
+        ]
+        sweep = json.loads((tmp_path / "sweep" / "report.json").read_text())["sweep"]
+        assert sweep["fp_rate_pct"] == [None, None] and sweep["fn_rate_pct"] == [None, None]
+        assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:] == [
+            "1,1.0,,", "1,2.0,,",
+        ]
 
     def test_mixed_category_needs_flag(self, data_dir, tmp_path, capsys):
         rc = main([

@@ -324,8 +324,8 @@ class TestPointMatch:
         gt = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="g1"),))
         gated = point_match(det, gt, 1.5, ctx)
         assert not gated.tp and len(gated.fp) == 1 and len(gated.fn) == 1
-        free = point_match(det, gt, 1.5, ctx, same_category_only=False)
-        assert len(free.tp) == 1
+        # a finite threshold above the cross-category sentinel still gates
+        assert not point_match(det, gt, 1e13, ctx).tp
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)

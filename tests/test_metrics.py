@@ -356,12 +356,18 @@ class TestThresholdSweep:
         assert all(a >= b for a, b in zip(fn, fn[1:]))
 
     def test_matches_single_report(self, noisy_scene):
+        # the sweep matches once at its largest threshold; every smaller one
+        # must still give exactly the rates of a report at that threshold
         det, gt, ctx = noisy_scene
-        sweep = threshold_sweep(det, gt, 0.0, [1.5], "vehicle", ctx)
-        r = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
-        assert sweep.fp_rate_pct[0] == pytest.approx(r.fp_rate_pct, abs=1e-9)
-        assert sweep.fn_rate_pct[0] == pytest.approx(r.fn_rate_pct, abs=1e-9)
-        assert sweep.thresholds_m == (1.5,)
+        thresholds = (0.25, 0.5, 1.0, 1.5, 3.0)
+        sweep = threshold_sweep(det, gt, 0.0, thresholds, "vehicle", ctx)
+        assert sweep.thresholds_m == thresholds
+        for k, t in enumerate(thresholds):
+            r = compute_report(det, gt, 0.0, t, "vehicle", ctx)
+            assert (sweep.fp_rate_pct[k], sweep.fn_rate_pct[k]) == (
+                r.fp_rate_pct,
+                r.fn_rate_pct,
+            )
 
     def test_generous_threshold_reaches_floor_rates(self, noisy_scene):
         det, gt, ctx = noisy_scene
