@@ -11,8 +11,13 @@ the ground truth's. Each frame's distance matrix is solved twice:
 - after: ``matching.solve_assignment``, one solve plus a uniqueness proof,
   refining only near-ties.
 
-Prints milliseconds and ``linear_sum_assignment`` calls per solve for both,
-and checks that they return the same pairs.
+Both run on the module's own numpy solver, ``matching.linear_sum_assignment``
+(before it replaced scipy's, the "before" column ran on scipy's). Prints
+milliseconds and ``linear_sum_assignment`` calls per solve for both, and
+checks that they return the same pairs. The engine columns time one bare
+solve of each frame: microseconds per ``matching.linear_sum_assignment``
+call, and per ``scipy.optimize.linear_sum_assignment`` call when scipy is
+importable.
 
 usage: PYTHONPATH=src python scripts/solver_ladder.py [--frames N] [--seed S]
 """
@@ -28,6 +33,7 @@ from roadside_eval import matching
 
 LANE_SPACING_M = 2.5
 RATE_HZ = 10.0
+ENGINE_REPEATS = 5
 
 
 def crowd_frames(n_actors: int, n_frames: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -70,22 +76,43 @@ def timed(solve, frames: list[np.ndarray]) -> tuple[float, float, list]:
     return 1e3 * elapsed / len(frames), calls / len(frames), results
 
 
+def engine_us(engine, frames: list[np.ndarray]) -> float:
+    """Best of ENGINE_REPEATS passes, in microseconds per engine call."""
+    best = float("inf")
+    for _ in range(ENGINE_REPEATS):
+        started = time.perf_counter()
+        for cost in frames:
+            engine(cost)
+        best = min(best, time.perf_counter() - started)
+    return 1e6 * best / len(frames)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--frames", type=int, default=10, help="frames per actor count (default 10)")
     p.add_argument("--seed", type=int, default=3)
     args = p.parse_args()
+    try:
+        from scipy.optimize import linear_sum_assignment as scipy_engine
+    except ImportError:
+        scipy_engine = None
 
-    print(f"{'actors':>6}  {'before ms':>10}  {'lsap':>7}  {'after ms':>9}  {'lsap':>5}  {'speed-up':>8}")
+    print(
+        f"{'actors':>6}  {'before ms':>10}  {'lsap':>7}  {'after ms':>9}  {'lsap':>5}"
+        f"  {'speed-up':>8}  {'engine us':>9}  {'scipy us':>8}"
+    )
     for n_actors in (10, 40, 80):
         frames = crowd_frames(n_actors, args.frames, np.random.default_rng([args.seed, n_actors]))
         before_ms, before_calls, before = timed(matching._refine_lexicographic, frames)
         after_ms, after_calls, after = timed(matching.solve_assignment, frames)
         if [list(a.pairs) for a in after] != before:
             raise SystemExit(f"{n_actors} actors: solve_assignment differs from the refinement")
+        engine = engine_us(matching.linear_sum_assignment, frames)
+        scipy_us = f"{engine_us(scipy_engine, frames):>8.1f}" if scipy_engine else f"{'-':>8}"
         print(
             f"{n_actors:>6}  {before_ms:>10.2f}  {before_calls:>7.1f}  "
             f"{after_ms:>9.3f}  {after_calls:>5.2f}  {before_ms / after_ms:>7.0f}x"
+            f"  {engine:>9.1f}  {scipy_us}"
         )
     return 0
 

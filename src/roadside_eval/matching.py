@@ -13,12 +13,12 @@ chronological per-frame matches.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DataFrame, DataPoint, ProjectionContext, TrajectorySet, project
 from .errors import EvalError
@@ -94,10 +94,96 @@ class FramePairing:
     n_dropped: int
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Minimum-cost assignment of min(rows, cols) pairs, with its duals.
+
+    Returns (rows, cols, u, v): the pairs as index arrays in ascending row
+    order, and potentials with c[i, j] − u[i] − v[j] ≥ 0 everywhere and 0
+    on the pairs. The longer side's potentials are ≤ 0 and 0 on its
+    unpaired lines, which proves the pairs optimal (linear programming
+    duality). The method is Crouse's shortest augmenting path (2016, "On
+    implementing 2D rectangular assignment algorithms"), on the matrix
+    transposed to have no more rows than columns: each row takes its
+    cheapest column if no earlier row did, and each row left free then
+    augments along one Dijkstra shortest path of reduced costs. The matrix
+    is never padded: zero dummy lines would be every row's cheapest.
+    """
+    cost = np.asarray(cost, dtype=float)
+    tall = cost.shape[0] > cost.shape[1]
+    c = cost.T if tall else cost
+    n_rows, n_cols = c.shape
+    v = [0.0] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for i, j in enumerate(c.argmin(axis=1).tolist()):
+        if row4col[j] < 0:
+            row4col[j] = i
+            col4row[i] = j
+    for cur in [i for i, j in enumerate(col4row) if j < 0]:
+        _augment(c, v, col4row, row4col, cur)
+    rows, cols, v = np.arange(n_rows), np.array(col4row), np.array(v)
+    u = c[rows, cols] - v[cols]
+    if tall:
+        order = np.argsort(cols)
+        return cols[order], order, v, u
+    return rows, cols, u, v
+
+
+def _augment(c, v: list, col4row: list, row4col: list, cur: int) -> None:
+    """Pair free row cur along a shortest augmenting path, lowering the
+    column duals so that reduced costs stay non-negative and the pairs tight.
+
+    Dijkstra over columns: row i reaches column j at reduced cost
+    c[i, j] − u[i] − v[j], and a paired column leads on to its row at no
+    cost. A paired row's u is its pair's c − v, so only v is kept; the free
+    row's u counts as 0, which shifts every distance alike. path[j] is the
+    row that last shortened column j's distance. The search stops at the
+    first free column it closes, the sink, and among columns tied at the
+    minimum it takes a free one. A closed column's costs read +inf from
+    then on.
+    """
+    reduced = c - v
+    dist = np.full(len(v), np.inf)
+    reach = np.empty(len(v))
+    path = np.empty(len(v), dtype=np.intp)
+    free = [j for j, i in enumerate(row4col) if i < 0]
+    closed: list[int] = []
+    closed_dist: list[float] = []
+    i, offset = cur, 0.0  # offset: row i's distance less its u
+    while True:
+        np.add(reduced[i], offset, out=reach)
+        path[reach < dist] = i
+        np.minimum(dist, reach, out=dist)
+        j = int(dist.argmin())
+        low = dist.item(j)
+        i = row4col[j]
+        if i >= 0:
+            for k in free:
+                if dist.item(k) == low:
+                    j, i = k, -1
+                    break
+        if i < 0:
+            break
+        closed.append(j)
+        closed_dist.append(low)
+        offset = low - reduced.item(i, j)
+        dist[j] = reduced[:, j] = np.inf
+
+    while True:
+        i = path.item(j)
+        row4col[j] = i
+        j, col4row[i] = col4row[i], j
+        if i == cur:
+            break
+    for j, d in zip(closed, closed_dist):
+        if d < low:  # closed before the sink, so no farther, up to rounding
+            v[j] -= low - d
+
+
 def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> float:
     """Optimal assignment total on a submatrix, summed exactly."""
     sub = cost[np.ix_(rows, cols)]
-    rr, cc = linear_sum_assignment(sub)
+    rr, cc, _, _ = linear_sum_assignment(sub)
     return math.fsum(sub[i, j] for i, j in zip(rr, cc))
 
 
@@ -137,23 +223,29 @@ def solve_assignment(cost) -> Assignment:
 def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     """The optimum when every other assignment costs more than a margin.
 
-    Solves the zero-padded square matrix once (optimum σ) and proves that
-    every other assignment costs more than _TIE_TOL plus a rounding margin
-    above it. The row-by-row refinement would then place σ's pairs one by
-    one, so σ is its answer. Returns None when the proof fails.
+    Solves the matrix once (optimum σ) and proves that every other
+    assignment costs more than _TIE_TOL plus a rounding margin above it.
+    The row-by-row refinement would then place σ's pairs one by one, so σ
+    is its answer. Returns None when the proof fails.
 
-    The proof works on the exchange graph over rows: moving row i from
+    The proof works on the matrix turned to have no more lines (rows)
+    than columns, as a square one: dummy lines of zeros fill it, each
+    paired with one of the columns σ leaves free. Moving line i from
     column σ(i) to column σ(k) costs c[i, σ(k)] − c[i, σ(i)], and every
     other assignment is σ plus disjoint cycles of such moves, costing the
-    sum of their weights more. Shortest distances d over that graph
-    (Bellman–Ford from a virtual source) make every reduced weight
-    c[i, j] − c[i, σ(i)] + d[σ(i)] − d[j] non-negative, and a cycle's
-    reduced weights sum to its true weight. So an assignment within the
-    margin of σ needs a cycle of "tight" moves, each with reduced weight
-    at most the margin; a tight graph without cycles rules one out.
-    Moves between two idle rows (dummy rows, or real rows on dummy
-    columns) only reshuffle padding; a cycle through them shortcuts to one
-    of the same weight without them, so they are left out.
+    sum of their weights more. The solver's column duals v make every
+    reduced weight c[i, j] − c[i, σ(i)] + v[σ(i)] − v[j] = c[i, j] − u[i]
+    − v[j] non-negative, and a cycle's reduced weights sum to its true
+    weight. So an assignment within the margin of σ needs a cycle of
+    "tight" moves, each with reduced weight at most the margin; a tight
+    graph without cycles rules one out. The dummy lines get dual 0, which
+    is feasible because v ≤ 0 with v = 0 on free columns: a dummy line
+    moves to column j at reduced weight −v[j]. Moves between two dummy
+    lines only reshuffle padding, so the dummies are one node, entered by
+    a move to any free column. Reduced weights that rounding leaves below
+    zero widen the tight test by n times their depth, as a cycle of up to
+    n moves can hide that much; below −margin, the duals do not prove σ
+    optimal at all.
 
     Sums of large costs are too coarse to resolve _TIE_TOL (the
     UNMATCHABLE_COST sentinel among them), and the refinement's own
@@ -167,30 +259,35 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     margin = _TIE_TOL + rounding
     if n <= 3:
         return _enumerated_optimum(cost, margin)
-    padded = np.zeros((n, n))
-    padded[:n_rows, :n_cols] = cost
-    sigma = linear_sum_assignment(padded)[1]
-    rows = np.arange(n)
-    move = padded - padded[rows, sigma][:, None]
-
-    d = np.zeros(n)
-    for _ in range(n + 1):
-        via = move + d[sigma][:, None]
-        shorter = via.min(axis=0)
-        if np.array_equal(shorter, d):
-            break
-        d = shorter
-    else:
-        return None  # no fixed point: σ is not optimal to rounding
-
-    tight = (via - d <= margin)[:, sigma]
-    tight[rows, rows] = False
-    if n_rows != n_cols:
-        idle = rows >= n_rows if n_rows < n_cols else sigma >= n_cols
-        tight[np.ix_(idle, idle)] = False
-    if _has_cycle(tight):
+    rows, cols, u, v = linear_sum_assignment(cost)
+    reduced = cost - u[:, None] - v
+    # one line per pair, in pair order; sigma[k] is line k's column
+    sigma = cols
+    if n_rows > n_cols:
+        reduced, v, sigma = reduced.T[cols], u, rows
+    low = min(float(reduced.min()), 0.0)
+    if low < -margin:
         return None
-    return [(int(i), int(sigma[i])) for i in range(n_rows) if sigma[i] < n_cols]
+    limit = margin - n * low
+    # the move graph over lines: line i moves to the column of line k
+    tight = reduced <= limit
+    moves = tight[:, sigma]
+    np.fill_diagonal(moves, False)
+    if len(v) > len(sigma):
+        # dummy lines on the free columns act as one more node; it is on no
+        # cycle unless some line moves onto a free column
+        tight[:, sigma] = False
+        into = tight.any(axis=1)
+        if into.any():
+            k = len(sigma)
+            graph = np.zeros((k + 1, k + 1), dtype=bool)
+            graph[:k, :k] = moves
+            graph[:k, k] = into
+            graph[k, :k] = v[sigma] >= -limit
+            moves = graph
+    if _has_cycle(moves):
+        return None
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _enumerated_optimum(cost: np.ndarray, margin: float) -> list[tuple[int, int]] | None:
@@ -259,7 +356,7 @@ def _refine_lexicographic(cost: np.ndarray) -> list[tuple[int, int]]:
             else:
                 # float corner: fall back to the engine's optimum outright
                 sub = cost[np.ix_(rows, cols)]
-                rr, cc = linear_sum_assignment(sub)
+                rr, cc, _, _ = linear_sum_assignment(sub)
                 pairs.extend((rows[i], cols[j]) for i, j in zip(rr, cc))
                 break
 
@@ -312,7 +409,8 @@ def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     for ts in (det, gt):
         times = [f.timestamp_s for f in ts.frames]
         if len(times) >= 2:
-            return 0.5 * float(np.median(np.diff(times)))
+            # statistics.median, not np.median: the latter imports numpy.ma
+            return 0.5 * statistics.median(b - a for a, b in zip(times, times[1:]))
     return 0.5
 
 

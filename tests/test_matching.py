@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from roadside_eval import matching
 from roadside_eval.core import (
@@ -87,12 +91,75 @@ class TestSolveAssignment:
             solve_assignment([[float("nan")]])
 
 
+class TestLinearSumAssignment:
+    """The in-module solver, with scipy's as a test-only oracle."""
+
+    @staticmethod
+    def _matrix(rng, kind: str, shape: tuple[int, int]) -> np.ndarray:
+        if kind == "continuous":
+            return rng.uniform(0.0, 100.0, shape)
+        if kind == "rounded":
+            return np.round(rng.uniform(0.0, 3.0, shape), 1)
+        if kind == "association":
+            return -rng.integers(0, 4, shape).astype(float)
+        cost = np.round(rng.uniform(0.0, 5.0, shape), 1)
+        cost[rng.random(shape) < 0.4] = UNMATCHABLE_COST
+        return cost
+
+    @pytest.mark.parametrize(
+        "seed, kind", enumerate(["continuous", "rounded", "association", "unmatchable"])
+    )
+    def test_optimal_with_dual_certificate(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        tall = set()
+        for _ in range(250):
+            shape = tuple(int(v) for v in rng.integers(1, 21, size=2))
+            cost = self._matrix(rng, kind, shape)
+            rows, cols, u, v = matching.linear_sum_assignment(cost)
+            want = math.fsum(cost[scipy_assignment(cost)])
+            # tied optima may differ in the last bits of their exact sums
+            assert math.isclose(math.fsum(cost[rows, cols]), want, rel_tol=4 * np.finfo(float).eps)
+            assert len(rows) == min(shape)
+            assert len(set(rows.tolist())) == len(set(cols.tolist())) == len(rows)
+            assert rows.tolist() == sorted(rows.tolist())
+
+            # u, v prove the pairs optimal: reduced costs are non-negative,
+            # zero on the pairs, and the longer side's potentials are ≤ 0
+            # and 0 where it is unpaired; tol is the duals' rounding
+            tol = 64 * np.finfo(float).eps * max(shape) * float(np.abs(cost).max())
+            reduced = cost - u[:, None] - v
+            assert reduced.min() >= -tol
+            assert np.abs(reduced[rows, cols]).max() <= tol
+            longer, paired = (u, rows) if shape[0] > shape[1] else (v, cols)
+            assert (longer <= 0.0).all()
+            assert not np.delete(longer, paired).any()
+            tall.add(shape[0] > shape[1])
+        assert tall == {True, False}
+
+    def test_package_imports_without_scipy(self):
+        src = Path(matching.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, roadside_eval.cli, roadside_eval.synth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
 def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
     """The row-by-row tie-break that re-solves every submatrix, kept here as
     a reference: solve_assignment must return exactly its pairs and total."""
     def sub_total(rows, cols):
         sub = cost[np.ix_(rows, cols)]
-        rr, cc = linear_sum_assignment(sub)
+        rr, cc = scipy_assignment(sub)
         return math.fsum(sub[i, j] for i, j in zip(rr, cc))
 
     rows = list(range(cost.shape[0]))
@@ -116,7 +183,7 @@ def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[tuple[int, int], ...], f
                 rows.pop(0)
             else:
                 sub = cost[np.ix_(rows, cols)]
-                rr, cc = linear_sum_assignment(sub)
+                rr, cc = scipy_assignment(sub)
                 pairs.extend((rows[i], cols[j]) for i, j in zip(rr, cc))
                 break
     pairs.sort()
@@ -190,10 +257,11 @@ class TestSolveAssignmentAgainstRefinement:
     @staticmethod
     def _count_solves(monkeypatch) -> list:
         calls = []
+        solve = matching.linear_sum_assignment
 
         def counted(cost):
             calls.append(np.shape(cost))
-            return linear_sum_assignment(cost)
+            return solve(cost)
 
         monkeypatch.setattr(matching, "linear_sum_assignment", counted)
         return calls
@@ -203,15 +271,15 @@ class TestSolveAssignmentAgainstRefinement:
         cost = _crowd_frame(np.random.default_rng(41), 41, 40)
         assert cost.shape == (40, 41)
         solve_assignment(cost)
-        assert calls == [(41, 41)]
+        assert calls == [(40, 41)]
 
     @pytest.mark.parametrize("shape", [(41, 40), (12, 30), (30, 12)])
     def test_padding_does_not_force_refinement(self, monkeypatch, shape):
-        # several dummy rows (or columns) can swap among themselves at no
-        # cost; that alone is no tie between real assignments
+        # the proof's dummy lines can swap among themselves at no cost; that
+        # alone is no tie between real assignments
         calls = self._count_solves(monkeypatch)
         solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
-        assert calls == [(max(shape),) * 2]
+        assert calls == [shape]
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_small_frames_need_no_solve(self, monkeypatch, shape):
