@@ -19,6 +19,13 @@ solve of each frame: microseconds per ``matching.linear_sum_assignment``
 call, and per ``scipy.optimize.linear_sum_assignment`` call when scipy is
 importable.
 
+A second table covers 2,000 small frames of an intersection scene for each
+shape (1×1, 2×2, 3×2 and 3×3 points): microseconds per frame through one
+``solve_assignment`` call per frame, on the distance matrices, and through
+one batched ``matching.point_match`` call over all the frame pairs, which
+also projects the points and builds the per-frame results. It checks that
+both assign the same pairs.
+
 usage: PYTHONPATH=src python scripts/solver_ladder.py [--frames N] [--seed S]
 """
 
@@ -30,10 +37,21 @@ import time
 import numpy as np
 
 from roadside_eval import matching
+from roadside_eval.core import (
+    DataFrame,
+    DataPoint,
+    GeoPoint,
+    LocalPoint,
+    make_projection,
+    project,
+    unproject,
+)
 
 LANE_SPACING_M = 2.5
 RATE_HZ = 10.0
 ENGINE_REPEATS = 5
+SMALL_SHAPES = ((1, 1), (2, 2), (3, 2), (3, 3))
+SMALL_FRAMES = 2000  # per shape
 
 
 def crowd_frames(n_actors: int, n_frames: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -87,6 +105,54 @@ def engine_us(engine, frames: list[np.ndarray]) -> float:
     return 1e6 * best / len(frames)
 
 
+def small_pairs(shape, n_frames: int, rng: np.random.Generator, ctx):
+    """Frame pairs of shape (detections, gt): gt spread over an intersection,
+    detections near them with 0.3 m noise, in a random order."""
+    n_det, n_gt = shape
+    pairs = []
+    for k in range(n_frames):
+        t = 1000.0 + k / RATE_HZ
+        gt = rng.uniform(-20.0, 20.0, (n_gt, 2))
+        det = gt[rng.integers(0, n_gt, n_det)] + rng.normal(0.0, 0.3, (n_det, 2))
+
+        def frame(xy, prefix):
+            return DataFrame(t, tuple(
+                DataPoint(t, unproject(LocalPoint(x, y), ctx), "vehicle", f"{prefix}{i}")
+                for i, (x, y) in enumerate(xy.tolist())
+            ))
+
+        pairs.append((frame(det, "d"), frame(gt, "g")))
+    return pairs
+
+
+def small_frame_rows(n_frames: int, seed: int) -> None:
+    ctx = make_projection(GeoPoint(42.3, -83.7))
+    print(f"\n{'shape':>6}  {'solve us':>9}  {'batch us':>9}  {'speed-up':>8}")
+    for shape in SMALL_SHAPES:
+        pairs = small_pairs(shape, n_frames, np.random.default_rng([seed, *shape]), ctx)
+        frames = []
+        for df, gf in pairs:
+            dxy = np.array([project(p.position, ctx) for p in df.points])
+            gxy = np.array([project(p.position, ctx) for p in gf.points])
+            dx, dy = dxy[:, None, 0] - gxy[None, :, 0], dxy[:, None, 1] - gxy[None, :, 1]
+            frames.append(np.hypot(dx, dy))
+        started = time.perf_counter()
+        solved = [matching.solve_assignment(cost).pairs for cost in frames]
+        solve_us = 1e6 * (time.perf_counter() - started) / n_frames
+        started = time.perf_counter()
+        # a threshold far above any distance keeps every assigned pair
+        results = matching.point_match(pairs, 1e6, ctx)
+        batch_us = 1e6 * (time.perf_counter() - started) / n_frames
+        for (df, gf), fr, want in zip(pairs, results, solved):
+            got = tuple(
+                (df.points.index(mp.det_point), gf.points.index(mp.gt_point)) for mp in fr.tp
+            )
+            if got != want:
+                raise SystemExit(f"{shape}: point_match differs from solve_assignment")
+        label = f"{shape[0]}x{shape[1]}"
+        print(f"{label:>6}  {solve_us:>9.1f}  {batch_us:>9.1f}  {solve_us / batch_us:>7.1f}x")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--frames", type=int, default=10, help="frames per actor count (default 10)")
@@ -114,6 +180,7 @@ def main() -> int:
             f"{after_ms:>9.3f}  {after_calls:>5.2f}  {before_ms / after_ms:>7.0f}x"
             f"  {engine:>9.1f}  {scipy_us}"
         )
+    small_frame_rows(SMALL_FRAMES, args.seed)
     return 0
 
 

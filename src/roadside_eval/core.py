@@ -144,11 +144,20 @@ def make_projection(origin: GeoPoint) -> ProjectionContext:
 def project(p: GeoPoint, ctx: ProjectionContext) -> LocalPoint:
     """Map a geographic point to plane coordinates (east, north) in meters.
 
-    Raises ProjectionRangeError beyond 10 km from the origin, where the
-    flat-earth assumption no longer holds.
+    A GeoPoint of equal-shape arrays maps to a LocalPoint of arrays, with
+    the same arithmetic per element. Raises ProjectionRangeError beyond
+    10 km from the origin, where the flat-earth assumption no longer holds;
+    for arrays it names the first such point.
     """
     x = (p.lon_deg - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
     y = (p.lat_deg - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
+    if isinstance(x, np.ndarray):
+        far = np.flatnonzero(x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M)
+        if not far.size:
+            return LocalPoint(x, y)
+        k = far[0]
+        p = GeoPoint(float(p.lat_deg.flat[k]), float(p.lon_deg.flat[k]))
+        x, y = float(x.flat[k]), float(y.flat[k])
     if x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M:
         raise ProjectionRangeError(
             f"point {p} is {math.hypot(x, y):.0f} m from the projection "

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Sequence
 
 import numpy as np
 
-from .core import DataFrame, DataPoint, ProjectionContext, TrajectorySet, project
+from .core import DataFrame, DataPoint, GeoPoint, ProjectionContext, TrajectorySet, project
 from .errors import EvalError
 
 # Cost for forbidden (cross-category) pairs: large, finite, and far above any
@@ -37,6 +38,10 @@ _TIE_TOL = 1e-6
 # covers the single solve's suboptimality, the potentials' and reduced
 # costs' rounding along a cycle, and the refinement's own fsum comparisons.
 _ROUNDING_PER_TERM = 64 * np.finfo(float).eps
+
+# Frames with at most this many points a side are solved by listing every
+# assignment, and point_match solves them together.
+_SMALL = 3
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,12 @@ def solve_assignment(cost) -> Assignment:
 
     Among optima within _TIE_TOL of each other the lexicographically
     smallest pair list is returned, so output is deterministic and
-    order-stable for tests and re-runs. One solve settles almost every
-    matrix: when no other assignment comes near its total, that optimum is
-    the answer (see _unique_optimum). Only near-ties take the row-by-row
-    refinement, which re-solves O(n²) submatrices. Raises ValueError on
-    non-finite costs.
+    order-stable for tests and re-runs. A single line, or a frame of at
+    most three rows and columns, is settled by _solve_small. For a larger
+    one, one solve settles almost every matrix: when no other assignment
+    comes near its total, that optimum is the answer (see
+    _unique_optimum). Only near-ties take the row-by-row refinement, which
+    re-solves O(n²) submatrices. Raises ValueError on non-finite costs.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -206,16 +212,13 @@ def solve_assignment(cost) -> Assignment:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
 
-    n_rows, n_cols = cost.shape
-    if n_rows == 1 or n_cols == 1:
-        # the refinement's rule in closed form: first index within _TIE_TOL
-        line = cost.ravel()
-        k = int(np.argmax(line <= line.min() + _TIE_TOL))
-        pairs = [(0, k) if n_rows == 1 else (k, 0)]
+    if min(cost.shape) == 1 or max(cost.shape) <= _SMALL:
+        ok, rows, cols = _solve_small(cost[None])
+        pairs = list(zip(rows[0].tolist(), cols[0].tolist())) if ok[0] else None
     else:
         pairs = _unique_optimum(cost)
-        if pairs is None:
-            pairs = _refine_lexicographic(cost)
+    if pairs is None:
+        pairs = _refine_lexicographic(cost)
     total = math.fsum(cost[r, c] for r, c in pairs)
     return Assignment(tuple(pairs), total)
 
@@ -257,8 +260,6 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     if rounding > _TIE_TOL:
         return None
     margin = _TIE_TOL + rounding
-    if n <= 3:
-        return _enumerated_optimum(cost, margin)
     rows, cols, u, v = linear_sum_assignment(cost)
     reduced = cost - u[:, None] - v
     # one line per pair, in pair order; sigma[k] is line k's column
@@ -290,20 +291,44 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _enumerated_optimum(cost: np.ndarray, margin: float) -> list[tuple[int, int]] | None:
-    """_unique_optimum for at most three rows and columns, by listing all
-    (at most six) assignments, which is cheaper there than any solve."""
-    n_rows, n_cols = cost.shape
-    lines = cost.tolist() if n_rows <= n_cols else cost.T.tolist()
-    totals = sorted(
-        (math.fsum(line[j] for line, j in zip(lines, cols)), cols)
-        for cols in permutations(range(len(lines[0])), len(lines))
-    )
-    (best, cols), (second, _) = totals[:2]
-    if second - best <= margin:
-        return None
-    pairs = list(enumerate(cols))
-    return pairs if n_rows <= n_cols else sorted((j, i) for i, j in pairs)
+def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The answer of the row-by-row refinement for a stack of same-shape
+    frames that are 1×n, n×1 or at most _SMALL × _SMALL, where it is plain.
+
+    Returns (ok, rows, cols): each frame's pairs in row order, valid where
+    ok. A 1×n or n×1 frame takes the refinement's rule in closed form: the
+    first index within _TIE_TOL of the minimum. Any other frame lists
+    every assignment and is ok when its best beats the rest by more than
+    _unique_optimum's margin plus a slack for naive summation; the slack
+    is the rounding term again, far above the few eps · n · max|cost| by
+    which a naive sum can miss math.fsum. The frames that are not ok
+    (near-ties, sentinel cells, non-finite costs) are the refinement's.
+    """
+    count, n_rows, n_cols = cost.shape
+    ok = np.isfinite(cost).all(axis=(1, 2))
+    if n_rows == 1 or n_cols == 1:
+        line = cost.reshape(count, -1)
+        k = np.argmax(line <= line.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)[:, None]
+        zero = np.zeros_like(k)
+        return (ok, zero, k) if n_rows == 1 else (ok, k, zero)
+    tall = n_rows > n_cols
+    lines = cost.transpose(0, 2, 1) if tall else cost
+    n_lines, width = lines.shape[1:]
+    perms = np.array(list(permutations(range(width), n_lines)))
+    totals = lines[:, 0, perms[:, 0]]
+    for i in range(1, n_lines):
+        totals = totals + lines[:, i, perms[:, i]]
+    order = np.argsort(totals, axis=1)
+    best = np.take_along_axis(totals, order[:, :2], axis=1)
+    n = max(n_rows, n_cols)
+    rounding = _ROUNDING_PER_TERM * n * n * np.abs(cost).max(axis=(1, 2))
+    ok &= (rounding <= _TIE_TOL) & (best[:, 1] - best[:, 0] > _TIE_TOL + 2 * rounding)
+    chosen = perms[order[:, 0]]
+    if tall:
+        # chosen[f, j] is the row of gt column j; list the pairs by row
+        by_row = np.argsort(chosen, axis=1)
+        return ok, np.take_along_axis(chosen, by_row, axis=1), by_row
+    return ok, np.broadcast_to(np.arange(n_lines), chosen.shape), chosen
 
 
 def _has_cycle(adj: np.ndarray) -> bool:
@@ -372,37 +397,34 @@ def match_frames_by_time(
 ) -> FramePairing:
     """Align each detection frame with the gt frame nearest (t − latency).
 
-    max_gap_s defaults to half the median detection frame interval. A
-    detection frame whose nearest gt frame is farther than max_gap but
-    within twice of it is kept as an all-FP frame (boundary raggedness);
-    anything farther lies outside the trial window and is dropped.
+    Equidistant gt frames go to the earlier one. max_gap_s defaults to half
+    the median detection frame interval. A detection frame whose nearest gt
+    frame is farther than max_gap but within twice of it is kept as an
+    all-FP frame (boundary raggedness); anything farther lies outside the
+    trial window and is dropped. Raises ValueError on a non-finite latency.
     """
     if not gt.frames:
         raise EvalError("ground truth contains no frames")
+    if not math.isfinite(latency_s):
+        raise ValueError(f"latency_s must be finite, got {latency_s}")
     if max_gap_s is None:
         max_gap_s = _default_max_gap(det, gt)
     if not 0 < max_gap_s < math.inf:
         raise ValueError(f"max_gap_s must be positive and finite, got {max_gap_s}")
 
     gt_times = np.array([f.timestamp_s for f in gt.frames])
-    pairs: list[tuple[DataFrame, DataFrame]] = []
-    fp_only: list[DataFrame] = []
-    n_dropped = 0
-    for df in det.frames:
-        target = df.timestamp_s - latency_s
-        i = int(np.searchsorted(gt_times, target))
-        if i > 0 and (
-            i == len(gt_times) or target - gt_times[i - 1] <= gt_times[i] - target
-        ):
-            i -= 1
-        gap = abs(gt_times[i] - target)
-        if gap <= max_gap_s:
-            pairs.append((df, gt.frames[i]))
-        elif gap <= 2.0 * max_gap_s:
-            fp_only.append(df)
-        else:
-            n_dropped += 1
-    return FramePairing(tuple(pairs), tuple(fp_only), n_dropped)
+    target = np.array([f.timestamp_s for f in det.frames], dtype=float) - latency_s
+    i = np.searchsorted(gt_times, target)
+    last = len(gt_times) - 1
+    before = gt_times[np.maximum(i - 1, 0)]
+    after = gt_times[np.minimum(i, last)]
+    i -= (i > 0) & ((i > last) | (target - before <= after - target))
+    gap = np.abs(gt_times[i] - target)
+    paired = np.flatnonzero(gap <= max_gap_s).tolist()
+    near = np.flatnonzero((gap > max_gap_s) & (gap <= 2.0 * max_gap_s)).tolist()
+    pairs = tuple((det.frames[k], gt.frames[j]) for k, j in zip(paired, i[paired].tolist()))
+    fp_only = tuple(det.frames[k] for k in near)
+    return FramePairing(pairs, fp_only, len(det.frames) - len(pairs) - len(fp_only))
 
 
 def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
@@ -414,24 +436,107 @@ def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     return 0.5
 
 
-def _distances(
-    det_points: Sequence[DataPoint],
-    gt_points: Sequence[DataPoint],
-    ctx: ProjectionContext,
-) -> np.ndarray:
-    """Planar distances between two non-empty point lists, det by gt.
+@dataclass(frozen=True)
+class _Blocks:
+    """Distance blocks of the aligned frame pairs with points on both sides.
 
-    Cross-category cells hold UNMATCHABLE_COST: large and finite, so the
-    solver still accepts the matrix, and callers drop such cells with
-    cost < UNMATCHABLE_COST / 2 (a finite threshold may exceed the sentinel).
+    live[k] is such a pair's index in the pairing. Its rows[k] detection
+    points and then its cols[k] gt points sit in points from start[k]. A
+    frame of at most _SMALL points a side has its block in flat, row-major
+    from cell[k], with the cells' indices into points in cell_det and
+    cell_gt; a larger frame's block is big[k]. Cross-category cells hold
+    UNMATCHABLE_COST: large and finite, so the solver still accepts the
+    block, and callers drop such cells with cost < UNMATCHABLE_COST / 2 (a
+    finite threshold may exceed the sentinel).
     """
-    dxy = np.array([project(p.position, ctx) for p in det_points])
-    gxy = np.array([project(p.position, ctx) for p in gt_points])
-    dist = np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
-    det_cat = np.array([p.category for p in det_points])
-    gt_cat = np.array([p.category for p in gt_points])
-    dist[det_cat[:, None] != gt_cat[None, :]] = UNMATCHABLE_COST
-    return dist
+
+    live: list[int]
+    points: list[DataPoint]
+    start: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    cell: np.ndarray
+    flat: np.ndarray
+    cell_det: np.ndarray
+    cell_gt: np.ndarray
+    big: dict[int, np.ndarray]
+
+
+def _distance_blocks(
+    pairs: Sequence[tuple[DataFrame, DataFrame]], ctx: ProjectionContext
+) -> _Blocks:
+    """Project the points of the pairs with points on both sides, in one
+    call and in pair order, detections first, and take their distances.
+
+    Projecting in that order names the same far point as matching the
+    pairs one by one would; points of a pair with an empty side are never
+    projected.
+    """
+    live = [k for k, (df, gf) in enumerate(pairs) if df.points and gf.points]
+    points = [p for k in live for f in pairs[k] for p in f.points]
+    n = len(points)
+    geo = np.fromiter(chain.from_iterable(p.position for p in points), float, 2 * n)
+    x, y = project(GeoPoint(geo[0::2], geo[1::2]), ctx)
+    categories = [p.category for p in points]
+    codes = {c: k for k, c in enumerate(set(categories))}
+    # one category throughout, as after filter_category, needs no sentinel
+    cat = np.array([codes[c] for c in categories]) if len(codes) > 1 else None
+
+    def cells(di: np.ndarray, gi: np.ndarray) -> np.ndarray:
+        dist = np.hypot(x[di] - x[gi], y[di] - y[gi])
+        if cat is not None:
+            dist[cat[di] != cat[gi]] = UNMATCHABLE_COST
+        return dist
+
+    rows = np.array([len(pairs[k][0].points) for k in live], dtype=np.intp)
+    cols = np.array([len(pairs[k][1].points) for k in live], dtype=np.intp)
+    start = np.cumsum(rows + cols) - (rows + cols)
+    small = (rows <= _SMALL) & (cols <= _SMALL)
+    # one flat kernel over the small frames' cells, frame by frame
+    size = np.where(small, rows * cols, 0)
+    cell = np.cumsum(size) - size
+    local = np.arange(size.sum()) - np.repeat(cell, size)
+    width = np.repeat(cols, size)
+    cell_det = np.repeat(start, size) + local // width
+    cell_gt = np.repeat(start + rows, size) + local % width
+    big = {}
+    for f in np.flatnonzero(~small).tolist():
+        s, r = start[f], rows[f]
+        big[f] = cells(s + np.arange(r)[:, None], s + r + np.arange(cols[f]))
+    flat = cells(cell_det, cell_gt)
+    return _Blocks(live, points, start, rows, cols, cell, flat, cell_det, cell_gt, big)
+
+
+def _assigned(blocks: _Blocks) -> list[list[tuple[int, int, float]]]:
+    """solve_assignment's pairs of every live frame, each with its distance.
+
+    Small frames are grouped by shape and solved as one stack; only the
+    frames that _solve_small leaves open, and the larger ones, call
+    solve_assignment.
+    """
+    out: list[list[tuple[int, int, float]]] = [[] for _ in blocks.live]
+    small = np.flatnonzero((blocks.rows <= _SMALL) & (blocks.cols <= _SMALL))
+    shapes = blocks.rows[small] * (_SMALL + 1) + blocks.cols[small]
+    # a set, not np.unique: the latter imports numpy.ma on first use
+    for shape in sorted(set(shapes.tolist())):
+        n_rows, n_cols = divmod(shape, _SMALL + 1)
+        frames = small[shapes == shape]
+        index = blocks.cell[frames][:, None] + np.arange(n_rows * n_cols)
+        cost = blocks.flat[index].reshape(-1, n_rows, n_cols)
+        ok, rows, cols = _solve_small(cost)
+        dist = cost[np.arange(len(frames))[:, None], rows, cols]
+        for f, (k, good) in enumerate(zip(frames.tolist(), ok.tolist())):
+            if good:
+                out[k] = list(zip(rows[f].tolist(), cols[f].tolist(), dist[f].tolist()))
+            else:
+                out[k] = _solved(cost[f])
+    for k, block in blocks.big.items():
+        out[k] = _solved(block)
+    return out
+
+
+def _solved(cost: np.ndarray) -> list[tuple[int, int, float]]:
+    return [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost).pairs]
 
 
 def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
@@ -451,40 +556,44 @@ def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
 
 
 def point_match(
-    det_frame: DataFrame,
-    gt_frame: DataFrame,
+    pairs: Sequence[tuple[DataFrame, DataFrame]],
     threshold_m: float,
     ctx: ProjectionContext,
-) -> FrameMatchResult:
-    """Optimal one-to-one point matching within one aligned frame pair.
+) -> list[FrameMatchResult]:
+    """Optimal one-to-one point matching within each aligned frame pair.
 
-    The assignment minimizes total distance without regard to the
-    threshold; the threshold only classifies afterwards. An assigned pair
-    beyond the threshold contributes a FP and a FN (the detection placed
-    nothing within range of that gt point, and vice versa). Points of
-    different categories never match.
+    Returns one result per (detection frame, gt frame) pair, in order. The
+    assignment minimizes total distance without regard to the threshold;
+    the threshold only classifies afterwards. An assigned pair beyond the
+    threshold contributes a FP and a FN (the detection placed nothing
+    within range of that gt point, and vice versa). Points of different
+    categories never match. All points are projected in one call, and the
+    frames of at most three points a side are solved together.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    det, gt = det_frame.points, gt_frame.points
-    tp: list[MatchPair] = []
-    matched_det = set()
-    matched_gt = set()
-    if det and gt:
-        cost = _distances(det, gt, ctx)
-        for i, j in solve_assignment(cost).pairs:
-            d = float(cost[i, j])
-            if d <= threshold_m and d < UNMATCHABLE_COST / 2:
-                tp.append(MatchPair(det[i], gt[j], d))
-                matched_det.add(i)
-                matched_gt.add(j)
-    return FrameMatchResult(
-        frame_time_s=det_frame.timestamp_s,
-        tp=tuple(tp),
-        fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
-        fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
-        gt_count=len(gt),
-    )
+    blocks = _distance_blocks(pairs, ctx)
+    assigned = dict(zip(blocks.live, _assigned(blocks)))
+    results = []
+    for k, (df, gf) in enumerate(pairs):
+        det, gt = df.points, gf.points
+        tp = [
+            (i, j, d)
+            for i, j, d in assigned.get(k, ())
+            if d <= threshold_m and d < UNMATCHABLE_COST / 2
+        ]
+        matched_det = {i for i, _, _ in tp}
+        matched_gt = {j for _, j, _ in tp}
+        results.append(
+            FrameMatchResult(
+                frame_time_s=df.timestamp_s,
+                tp=tuple(MatchPair(det[i], gt[j], d) for i, j, d in tp),
+                fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
+                fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
+                gt_count=len(gt),
+            )
+        )
+    return results
 
 
 def count_id_switches(frame_results: Sequence[FrameMatchResult]) -> int:
@@ -522,15 +631,21 @@ def association_match(
     """
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
 
-    co_counts: dict[tuple[str, str], int] = {}
-    for df, gf in pairing.pairs:
-        if not df.points or not gf.points:
-            continue
-        dist = _distances(df.points, gf.points, ctx)
-        hits = (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
-        for i, j in zip(*np.nonzero(hits)):
-            key = (df.points[i].object_id, gf.points[j].object_id)
-            co_counts[key] = co_counts.get(key, 0) + 1
+    def within(dist: np.ndarray) -> np.ndarray:
+        return (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
+
+    blocks = _distance_blocks(pairing.pairs, ctx)
+    hit = within(blocks.flat)
+    det_hits, gt_hits = [blocks.cell_det[hit]], [blocks.cell_gt[hit]]
+    for k, block in blocks.big.items():
+        i, j = np.nonzero(within(block))
+        det_hits.append(blocks.start[k] + i)
+        gt_hits.append(blocks.start[k] + blocks.rows[k] + j)
+    ids = [p.object_id for p in blocks.points]
+    co_counts = Counter(
+        (ids[i], ids[j])
+        for i, j in zip(np.concatenate(det_hits).tolist(), np.concatenate(gt_hits).tolist())
+    )
     det_total, gt_total = point_totals(pairing, gt)
 
     det_ids = sorted({d for d, _ in co_counts})

@@ -154,7 +154,7 @@ def _match_category(
     if not any(f.points for f in gt_c.frames):
         raise CategoryError(f"no ground truth in category {category!r}")
     pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
-    frame_results = [point_match(df, gf, threshold_m, ctx) for df, gf in pairing.pairs]
+    frame_results = point_match(pairing.pairs, threshold_m, ctx)
     det_total, gt_total = point_totals(pairing, gt_c)
     return det_c, gt_c, frame_results, det_total, gt_total
 

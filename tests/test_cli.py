@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,16 @@ from roadside_eval.errors import ConsistencyError
 from roadside_eval.synth import default_latency_route, min_round_trip_duration_s
 
 GT_HEADER = "timestamp,lat,lon,category,id\n"
+DATA = Path(__file__).parent / "data"
+SCENE = ["--det", str(DATA / "scene_det_a.csv"), "--gt", str(DATA / "scene_gt.csv")]
+
+
+def strict_json(path: Path):
+    """report.json parsed as JSON proper: NaN and Infinity tokens raise."""
+    def refuse(token: str):
+        raise ValueError(f"{token} is not a JSON value")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +289,35 @@ class TestEvalCommand:
         assert rc == 1
         assert "unique" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_far_origin_exits_one_without_traceback(self, tmp_path, capsys):
+        rc = main(["eval", *SCENE, "--origin", "0,0", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: point GeoPoint(" in err and "flat-plane validity" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+
+COMMANDS = [["eval"], ["sweep", "--thresholds", "0.5,1.5", "--category", "vehicle"]]
+
+
+class TestNonFiniteLatency:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_exits_one(self, tmp_path, capsys, command, value):
+        rc = main([*command, *SCENE, f"--latency={value}", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: latency_s must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_finite_latency_writes_strict_json(self, tmp_path, command):
+        rc = main([*command, *SCENE, "--latency", "0.05", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        doc = strict_json(tmp_path / "report.json")
+        assert doc["latency"]["mean_s"] == 0.05
 
 
 class TestSweepCommand:

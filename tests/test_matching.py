@@ -18,8 +18,9 @@ from roadside_eval.core import (
     DataFrame,
     build_trajectory_set,
     from_frames,
+    project,
 )
-from roadside_eval.errors import EvalError
+from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.matching import (
     UNMATCHABLE_COST,
     FrameMatchResult,
@@ -352,17 +353,290 @@ class TestMatchFramesByTime:
         assert len(pairing.pairs) == 10
         assert pairing.n_dropped == 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency_rejected(self, ctx, bad):
+        ts = build_trajectory_set(line_points(ctx, n=5), source="ground_truth")
+        with pytest.raises(ValueError, match="latency_s must be finite"):
+            match_frames_by_time(ts, ts, bad)
+
+
+def _aligned_by_loop(det, gt, latency_s, max_gap_s):
+    """The frame-by-frame alignment loop that match_frames_by_time replaced,
+    kept here as a reference: (pairs, fp_only, n_dropped)."""
+    gt_times = np.array([f.timestamp_s for f in gt.frames])
+    pairs, fp_only, n_dropped = [], [], 0
+    for df in det.frames:
+        target = df.timestamp_s - latency_s
+        i = int(np.searchsorted(gt_times, target))
+        if i > 0 and (
+            i == len(gt_times) or target - gt_times[i - 1] <= gt_times[i] - target
+        ):
+            i -= 1
+        gap = abs(gt_times[i] - target)
+        if gap <= max_gap_s:
+            pairs.append((df, gt.frames[i]))
+        elif gap <= 2.0 * max_gap_s:
+            fp_only.append(df)
+        else:
+            n_dropped += 1
+    return tuple(pairs), tuple(fp_only), n_dropped
+
+
+class TestAlignmentAgainstLoop:
+    """match_frames_by_time must pair exactly as the per-frame loop did."""
+
+    @staticmethod
+    def _grids(seed: int, count: int):
+        """(det, gt, latency, max_gap) on binary-exact time grids, so that
+        midpoint ties and gaps of exactly max_gap and 2·max_gap occur."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            steps = rng.choice([0.125, 0.25, 0.5], size=int(rng.integers(1, 30)))
+            gt_t = 1000.0 + np.concatenate([[0.0], np.cumsum(steps)])
+            max_gap = float(rng.choice([0.0625, 0.125, 0.25]))
+            latency = float(rng.choice([0.0, 0.25, -0.125, 0.3]))
+            anchors = rng.choice(gt_t, size=int(rng.integers(0, 40)))
+            offsets = rng.choice(
+                [0.0, 0.0625, -0.0625, 0.125, -0.125, 0.25, -0.25, 0.5, 3.0, -3.0, 0.07],
+                size=len(anchors),
+            )
+            det_t = sorted(set((anchors + offsets + latency).tolist()))
+            det = from_frames([DataFrame(t, ()) for t in det_t], "detection")
+            gt = from_frames([DataFrame(t, ()) for t in gt_t.tolist()], "ground_truth")
+            yield det, gt, latency, max_gap
+
+    def test_random_grids_match_loop(self):
+        seen = {"tie": 0, "at_gap": 0, "at_2gap": 0, "dropped": 0, "empty": 0}
+        for det, gt, latency, max_gap in self._grids(17, 400):
+            got = match_frames_by_time(det, gt, latency, max_gap)
+            want = _aligned_by_loop(det, gt, latency, max_gap)
+            assert (got.pairs, got.fp_only, got.n_dropped) == want
+            gt_t = [f.timestamp_s for f in gt.frames]
+            for df in det.frames:
+                target = df.timestamp_s - latency
+                gaps = sorted(abs(t - target) for t in gt_t)
+                seen["tie"] += len(gaps) > 1 and gaps[0] == gaps[1]
+                seen["at_gap"] += gaps[0] == max_gap
+                seen["at_2gap"] += gaps[0] == 2 * max_gap
+            seen["dropped"] += got.n_dropped > 0
+            seen["empty"] += not det.frames
+        assert all(seen.values()), seen
+
+    def test_default_gap_and_empty_detections_match_loop(self, ctx):
+        for det, gt, latency, _ in self._grids(18, 100):
+            got = match_frames_by_time(det, gt, latency)
+            want = _aligned_by_loop(det, gt, latency, matching._default_max_gap(det, gt))
+            assert (got.pairs, got.fp_only, got.n_dropped) == want
+        gt = build_trajectory_set(line_points(ctx, n=5), source="ground_truth")
+        empty = match_frames_by_time(from_frames([], "detection"), gt, 0.0)
+        assert (empty.pairs, empty.fp_only, empty.n_dropped) == ((), (), 0)
+
+
+def _per_pair_distances(det, gt, ctx) -> np.ndarray:
+    """One pair's distance matrix, projected point by point."""
+    dxy = np.array([project(p.position, ctx) for p in det])
+    gxy = np.array([project(p.position, ctx) for p in gt])
+    cost = np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
+    det_cat = np.array([p.category for p in det])
+    gt_cat = np.array([p.category for p in gt])
+    cost[det_cat[:, None] != gt_cat[None, :]] = UNMATCHABLE_COST
+    return cost
+
+
+def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> FrameMatchResult:
+    """The one-pair matcher that the batched point_match replaced, kept here
+    as a reference: per-point projection and one distance matrix per pair
+    with points on both sides, assigned by _refinement_oracle, which shares
+    no code with the batch's small-frame rule."""
+    det, gt = det_frame.points, gt_frame.points
+    tp, matched_det, matched_gt = [], set(), set()
+    if det and gt:
+        cost = _per_pair_distances(det, gt, ctx)
+        for i, j in _refinement_oracle(cost)[0]:
+            d = float(cost[i, j])
+            if d <= threshold_m and d < UNMATCHABLE_COST / 2:
+                tp.append(MatchPair(det[i], gt[j], d))
+                matched_det.add(i)
+                matched_gt.add(j)
+    return FrameMatchResult(
+        frame_time_s=det_frame.timestamp_s,
+        tp=tuple(tp),
+        fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
+        fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
+        gt_count=len(gt),
+    )
+
+
+def _random_pairs(ctx, seed: int, kind: str, count: int):
+    """Seeded aligned frame pairs of 0×0 up to 5×5 points, mostly at most 3×3.
+
+    continuous: uniform positions; rounded: a coarse 0.1 m grid, so that
+    totals tie; duplicate: a few shared positions; near_margin: gt on a
+    0.5 m grid along one line and detections near the midpoints, nudged by
+    about 5e-7 m, so that the best and second-best totals differ by about
+    _TIE_TOL, give or take 2e-8; mixed: rounded, with both categories, so
+    that cross-category cells hold the sentinel.
+    """
+    rng = np.random.default_rng(seed)
+
+    def position(side):
+        if kind == "continuous":
+            return rng.uniform(-6.0, 6.0, 2)
+        if kind == "duplicate":
+            return np.array([(0.0, 0.0), (1.2, 0.0), (0.6, 0.8)][rng.integers(3)])
+        if kind == "near_margin":
+            if side == "g":
+                return np.array([rng.integers(-2, 3) * 0.5, 0.0])
+            nudge = rng.choice([0.0, 5e-7 - 1e-8, 5e-7, 5e-7 + 1e-8, 1e-6])
+            return np.array([rng.integers(-4, 5) * 0.25 + nudge, 0.0])
+        return np.round(rng.uniform(-0.6, 0.6, 2), 1)
+
+    def frame(t, n, side):
+        pts = []
+        for i in range(n):
+            category = rng.choice(["vehicle", "pedestrian"]) if kind == "mixed" else "vehicle"
+            pts.append(dp(t, *position(side), ctx, category=str(category), object_id=f"{side}{i}"))
+        return DataFrame(t, tuple(pts))
+
+    pairs = []
+    for k in range(count):
+        t = 1000.0 + 0.1 * k
+        n_det, n_gt = rng.choice(6, size=2, p=[0.1, 0.2, 0.25, 0.25, 0.1, 0.1]).tolist()
+        pairs.append((frame(t, n_det, "d"), frame(t, n_gt, "g")))
+    return pairs
+
+
+class TestBatchedPointMatch:
+    """point_match over many pairs must give the per-pair matcher's results."""
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        calls = []
+        solve = matching.solve_assignment
+
+        def counted(cost):
+            calls.append(np.shape(cost))
+            return solve(cost)
+
+        monkeypatch.setattr(matching, "solve_assignment", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "seed, kind",
+        enumerate(["continuous", "rounded", "duplicate", "near_margin", "mixed"]),
+    )
+    def test_matches_per_pair_matcher(self, ctx, monkeypatch, seed, kind):
+        pairs = _random_pairs(ctx, seed, kind, 700)
+        # 50 m keeps every assigned pair; the last threshold equals one
+        # pair's distance, which then counts as a TP
+        tps = [mp.distance_m for fr in point_match(pairs, 50.0, ctx) for mp in fr.tp]
+        edge = max(d for d in tps if 0 < d < 1.5)
+        for threshold in (50.0, 1.5, edge):
+            got = point_match(pairs, threshold, ctx)
+            assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
+        # both ways through the small frames: the batch, and solve_assignment
+        # where only its own arithmetic can decide (near-ties, the sentinel)
+        calls = self._count_solves(monkeypatch)
+        point_match(pairs, 1.5, ctx)
+        small = sum(
+            1 for df, gf in pairs
+            if df.points and gf.points and max(len(df.points), len(gf.points)) <= 3
+        )
+        small_calls = [shape for shape in calls if max(shape) <= 3]
+        if kind == "continuous":
+            assert small_calls == []
+        else:
+            assert 0 < len(small_calls) < small
+
+    def test_only_frames_beyond_three_by_three_call_the_solver(self, ctx, monkeypatch):
+        pairs = _random_pairs(ctx, 11, "continuous", 400)
+        calls = self._count_solves(monkeypatch)
+        point_match(pairs, 1.5, ctx)
+        shapes = [(len(df.points), len(gf.points)) for df, gf in pairs]
+        assert calls == [s for s in shapes if min(s) > 0 and max(s) > 3]
+        assert any(min(s) > 0 and max(s) <= 3 for s in shapes)
+
+    @staticmethod
+    def _first_far_point(pairs, ctx) -> str | None:
+        for df, gf in pairs:
+            try:
+                _per_pair_point_match(df, gf, 1.5, ctx)
+            except ProjectionRangeError as exc:
+                return str(exc)
+        return None
+
+    def test_names_the_same_far_point(self, ctx):
+        rng = np.random.default_rng(5)
+        raised = 0
+        for _ in range(300):
+            pairs = []
+            for k in range(int(rng.integers(1, 6))):
+                t = 1000.0 + 0.1 * k
+                sides = []
+                for prefix in "dg":
+                    pts = tuple(
+                        dp(t, float(rng.choice([1.0, 12_000.0, -15_000.0], p=[0.8, 0.1, 0.1])),
+                           float(rng.uniform(-5.0, 5.0)), ctx, object_id=f"{prefix}{i}")
+                        for i in range(int(rng.integers(0, 4)))
+                    )
+                    sides.append(DataFrame(t, pts))
+                pairs.append(tuple(sides))
+            want = self._first_far_point(pairs, ctx)
+            if want is None:
+                assert point_match(pairs, 1.5, ctx) == [
+                    _per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs
+                ]
+                continue
+            with pytest.raises(ProjectionRangeError) as exc:
+                point_match(pairs, 1.5, ctx)
+            assert str(exc.value) == want
+            raised += 1
+        assert 0 < raised < 300
+
+    def test_far_point_beside_an_empty_frame_is_not_checked(self, ctx):
+        far = DataFrame(1.0, (dp(1.0, 20_000.0, 0.0, ctx, object_id="d0"),))
+        near = DataFrame(1.0, (dp(1.0, 0.0, 0.0, ctx, object_id="g0"),))
+        empty = DataFrame(1.0, ())
+        det_far, gt_far, _ = point_match([(far, empty), (empty, far), (near, near)], 1.5, ctx)
+        assert det_far.fp == far.points and gt_far.fn == far.points
+        with pytest.raises(ProjectionRangeError, match="flat-plane validity"):
+            point_match([(far, near)], 1.5, ctx)
+
+    def test_scoring_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique and np.median import numpy.ma on first use, about 40 ms
+        # of a command that scores in about 100 ms
+        src = Path(matching.__file__).resolve().parents[1]
+        data = Path(__file__).parent / "data"
+        scene = [str(data / "scene_det_a.csv"), "--gt", str(data / "scene_gt.csv")]
+        code = (
+            "import sys; from roadside_eval.cli import main; "
+            f"main(['eval', '--det', *{scene!r}, '--output-dir', {str(tmp_path)!r}]); "
+            f"main(['sweep', '--det', *{scene!r}, '--thresholds', '0.5,1.5', "
+            f"'--category', 'vehicle', '--output-dir', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "False"
+
 
 class TestPointMatch:
     def test_both_empty(self, ctx):
-        res = point_match(DataFrame(1.0, ()), DataFrame(1.0, ()), 1.5, ctx)
+        [res] = point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx)
         assert (len(res.tp), len(res.fp), len(res.fn)) == (0, 0, 0)
         assert res.gt_count == 0
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="g1"),))
-        res = point_match(det, gt, 1.5, ctx)
+        [res] = point_match([(det, gt)], 1.5, ctx)
         assert len(res.tp) == 1
         assert res.tp[0].distance_m == pytest.approx(0.0, abs=1e-9)
 
@@ -375,7 +649,7 @@ class TestPointMatch:
             dp(1.0, 0.4, 0, ctx, object_id="d1"),
             dp(1.0, 1.6, 0, ctx, object_id="d2"),
         ))
-        res = point_match(det, gt, 1.5, ctx)
+        [res] = point_match([(det, gt)], 1.5, ctx)
         assert len(res.tp) == 2 and not res.fp and not res.fn
         total = sum(mp.distance_m for mp in res.tp)
         assert total == pytest.approx(0.8, abs=1e-6)  # crossed pairing costs 3.2
@@ -383,17 +657,17 @@ class TestPointMatch:
     def test_over_threshold_counts_both_sides(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 10.0, 0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0.0, 0, ctx, object_id="g1"),))
-        res = point_match(det, gt, 1.5, ctx)
+        [res] = point_match([(det, gt)], 1.5, ctx)
         assert not res.tp
         assert len(res.fp) == 1 and len(res.fn) == 1
 
     def test_category_gating(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="pedestrian", object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="g1"),))
-        gated = point_match(det, gt, 1.5, ctx)
+        [gated] = point_match([(det, gt)], 1.5, ctx)
         assert not gated.tp and len(gated.fp) == 1 and len(gated.fn) == 1
         # a finite threshold above the cross-category sentinel still gates
-        assert not point_match(det, gt, 1e13, ctx).tp
+        assert not point_match([(det, gt)], 1e13, ctx)[0].tp
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -409,7 +683,7 @@ class TestPointMatch:
                    object_id=f"g{i}")
                 for i in range(n_gt)
             ))
-            res = point_match(det, gt, 1.5, ctx)
+            [res] = point_match([(det, gt)], 1.5, ctx)
             assert len(res.tp) + len(res.fp) == n_det
             assert len(res.tp) + len(res.fn) == n_gt == res.gt_count
 
@@ -427,7 +701,7 @@ class TestPointMatch:
                 dp(1.0, x + shift, y + shift, ctx, object_id=f"g{i}")
                 for i, (x, y) in enumerate(gt_xy)
             ))
-            res = point_match(det, gt, 1.5, ctx)
+            [res] = point_match([(det, gt)], 1.5, ctx)
             return (
                 sorted((mp.det_point.object_id, mp.gt_point.object_id) for mp in res.tp),
                 sorted(p.object_id for p in res.fp),
@@ -538,9 +812,7 @@ class TestAssociationMatch:
         det = build_trajectory_set(det_pts, source="detection")
         gt = build_trajectory_set(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
-        per_frame_tp = sum(
-            len(point_match(df, gf, 1.5, ctx).tp) for df, gf in pairing.pairs
-        )
+        per_frame_tp = sum(len(fr.tp) for fr in point_match(pairing.pairs, 1.5, ctx))
         res = association_match(det, gt, 0.0, 1.5, ctx)
         assert res.tpa <= per_frame_tp
 
@@ -560,3 +832,71 @@ class TestAssociationMatch:
         b = association_match(det_rev, gt, 0.0, 1.5, ctx)
         assert (a.tpa, a.fpa, a.fna) == (b.tpa, b.fpa, b.fna)
         assert a.trajectory_pairs == b.trajectory_pairs
+
+    @staticmethod
+    def _by_pairs(det, gt, threshold_m, ctx):
+        """association_match as it was before the batched pass: per-point
+        projection and one distance matrix per aligned pair."""
+        pairing = match_frames_by_time(det, gt, 0.0)
+        co_counts = {}
+        for df, gf in pairing.pairs:
+            if not df.points or not gf.points:
+                continue
+            dist = _per_pair_distances(df.points, gf.points, ctx)
+            hits = (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
+            for i, j in zip(*np.nonzero(hits)):
+                key = (df.points[i].object_id, gf.points[j].object_id)
+                co_counts[key] = co_counts.get(key, 0) + 1
+        det_total, gt_total = matching.point_totals(pairing, gt)
+        det_ids = sorted({d for d, _ in co_counts})
+        gt_ids = sorted({g for _, g in co_counts})
+        neg = np.zeros((len(det_ids), len(gt_ids)))
+        for (d, g), n in co_counts.items():
+            neg[det_ids.index(d), gt_ids.index(g)] = -n
+        chosen = [
+            (det_ids[i], gt_ids[j])
+            for i, j in (solve_assignment(neg).pairs if neg.size else ())
+            if co_counts.get((det_ids[i], gt_ids[j]), 0) > 0
+        ]
+        tpa = sum(co_counts[key] for key in chosen)
+        return tuple(sorted(chosen)), tpa, det_total - tpa, gt_total - tpa
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_counts(self, ctx, seed):
+        # frames of 0 to 5 points a side, both categories, ids from small
+        # pools so that co-occurrences accumulate across frames
+        rng = np.random.default_rng(seed)
+        det_frames, gt_frames = [], []
+        for k in range(80):
+            t = 1000.0 + 0.1 * k
+            for frames, prefix in ((det_frames, "d"), (gt_frames, "g")):
+                ids = rng.choice(6, size=int(rng.integers(0, 6)), replace=False)
+                frames.append(DataFrame(t, tuple(
+                    dp(t, *rng.uniform(-3.0, 3.0, 2), ctx,
+                       category=str(rng.choice(["vehicle", "pedestrian"], p=[0.8, 0.2])),
+                       object_id=f"{prefix}{i}")
+                    for i in sorted(ids.tolist())
+                )))
+        det = from_frames(det_frames, "detection")
+        gt = from_frames(gt_frames, "ground_truth")
+        # at a threshold equal to the farthest hit of a chosen id pair in
+        # frames of at most 3×3, that hit still counts
+        small = [
+            (df, gf) for df, gf in zip(det.frames, gt.frames)
+            if max(len(df.points), len(gf.points)) <= 3
+        ]
+
+        def hits(d_id, g_id):
+            return [
+                float(_per_pair_distances((p,), (q,), ctx)[0, 0])
+                for df, gf in small
+                for p in df.points if p.object_id == d_id
+                for q in gf.points if q.object_id == g_id
+            ]
+
+        chosen = association_match(det, gt, 0.0, 1.5, ctx).trajectory_pairs
+        edge = max(d for pair in chosen for d in hits(*pair) if d <= 1.5)
+        for threshold in (edge, 0.5, 1.5, 1e13):
+            got = association_match(det, gt, 0.0, threshold, ctx)
+            want = self._by_pairs(det, gt, threshold, ctx)
+            assert (got.trajectory_pairs, got.tpa, got.fpa, got.fna) == want

@@ -214,7 +214,7 @@ class TestComputeReport:
         with pytest.raises(ValueError, match="finite"):
             threshold_sweep(gt, gt, 0.0, [1.0, bad], "vehicle", ctx)
         with pytest.raises(ValueError, match="finite"):
-            point_match(gt.frames[0], gt.frames[0], bad, ctx)
+            point_match([(gt.frames[0], gt.frames[0])], bad, ctx)
         with pytest.raises(ValueError, match="finite"):
             match_frames_by_time(gt, gt, 0.0, max_gap_s=bad)
 
