@@ -14,6 +14,11 @@ bytes do not depend on numpy's random stream. They were written by:
         --out-gt lat_gt.csv --out-det lat_det_a.csv
     (the same with --seed 43 and --out-det lat_det_b.csv; the gt is identical)
 
+scene_det_perframe.csv is scene_det_b.csv with the ids of a detector that
+has no tracker: each distinct (timestamp, id) text pair, taken in sorted
+order, is renamed to trk-NNNNNNN, the numbers drawn by
+numpy.random.default_rng(11).choice(10 * n_pairs, n_pairs, replace=False).
+
 A change that alters reported numbers on purpose regenerates
 tests/data/golden/<case>/ by running the case's argv in a directory holding
 the inputs: stdout goes to stdout.txt, the files under out/ next to it.
@@ -36,6 +41,7 @@ INPUTS = (
     "lat_gt.csv",
     "lat_det_a.csv",
     "lat_det_b.csv",
+    "scene_det_perframe.csv",
 )
 ALL_FORMATS = ["--formats", "table,csv,json", "--output-dir", "out"]
 
@@ -50,6 +56,10 @@ CASES = {
     "sweep": ["sweep", "--det", "scene_det_b.csv", "--gt", "scene_gt.csv",
               "--thresholds", "0.25,0.5,1.5,3.0", "--category", "vehicle",
               "--latency", "0.05", *ALL_FORMATS],
+    # detection ids change every frame, so every detection track is one point
+    "sweep_perframe_ids": ["sweep", "--det", "scene_det_perframe.csv",
+                           "--gt", "scene_gt.csv", "--thresholds", "0.25,0.5,1.5,3.0",
+                           "--category", "vehicle", "--latency", "0.05", *ALL_FORMATS],
     "latency": ["latency", "--det", "lat_det_a.csv", "lat_det_b.csv",
                 "--gt", "lat_gt.csv", "--output-dir", "out"],
 }
