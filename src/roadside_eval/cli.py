@@ -38,7 +38,7 @@ from .core import (
     make_projection,
     validate_geo,
 )
-from .errors import ConsistencyError, EvalError
+from .errors import ConsistencyError, EvalError, IntegrityError
 from .ingest import IngestReport, read_points, write_points
 from .latency import (
     LatencyEstimate,
@@ -125,7 +125,21 @@ def _sha256(path: str) -> str:
 
 def _load_set(path: str, source: str) -> tuple[TrajectorySet, IngestReport]:
     points, report = read_points(path)
-    return build_trajectory_set(points, source=source), report
+    try:
+        return build_trajectory_set(points, source=source), report
+    except IntegrityError as exc:
+        lines = " and ".join(str(report.point_lines[k]) for k in exc.records)
+        raise IntegrityError(f"{path}: {exc} (lines {lines})") from None
+
+
+def _warn_rejections(path: str, report: IngestReport) -> None:
+    if report.rejections:
+        line, reason = report.rejections[0]
+        print(
+            f"warning: {path}: dropped {len(report.rejections)} malformed "
+            f"row(s); first at line {line}: {reason}",
+            file=sys.stderr,
+        )
 
 
 def _input_record(role: str, path: str, report: IngestReport) -> dict[str, Any]:
@@ -178,6 +192,8 @@ def _load_trial(
     """Load one detection/gt pair with its projection and input records."""
     det, det_rep = _load_set(det_path, SOURCE_DETECTION)
     gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
+    _warn_rejections(det_path, det_rep)
+    _warn_rejections(gt_path, gt_rep)
     inputs = [
         _input_record("detection", det_path, det_rep),
         _input_record("ground_truth", gt_path, gt_rep),
@@ -434,7 +450,7 @@ def _resolve_trial_latency(
 
 
 def _categories_present(gt: TrajectorySet) -> list[str]:
-    return sorted({p.category for f in gt.frames for p in f.points})
+    return sorted(gt.categories)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

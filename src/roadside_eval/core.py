@@ -2,9 +2,11 @@
 
 A recording from either a perception system or an RTK-GPS logger reduces to
 a list of :class:`DataPoint` (timestamp, position, category, object id).
-Points grouped by time form a :class:`DataFrame`, points grouped by object id
-form a :class:`Trajectory`, and both views together form a
-:class:`TrajectorySet`.
+Points grouped by time form a :class:`DataFrame`, and a
+:class:`TrajectorySet` holds a recording's frames in time order. Its
+trajectory view, points grouped by object id into :class:`Trajectory`, is
+built from the frames on first use: scoring reads frames only, and a
+detector without a tracker gives one trajectory per point.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -12,13 +14,14 @@ origin. Trials span well under a kilometer, where this projection is accurate
 to small fractions of the 1.5 m match threshold.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads; two threads that build the same on-demand view at once get equal
+results.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -46,6 +49,8 @@ MAX_PROJECTION_RANGE_M = 10_000.0
 # only genuinely simultaneous records share a frame.
 FRAME_BIN_S = 0.001
 
+_BY_TIME = attrgetter("timestamp_s")
+
 
 class GeoPoint(NamedTuple):
     lat_deg: float
@@ -69,8 +74,7 @@ class ProjectionContext:
     meters_per_deg_lon: float
 
 
-@dataclass(frozen=True, slots=True)
-class DataPoint:
+class DataPoint(NamedTuple):
     """One measured object at one instant."""
 
     timestamp_s: float
@@ -79,8 +83,7 @@ class DataPoint:
     object_id: str
 
 
-@dataclass(frozen=True)
-class DataFrame:
+class DataFrame(NamedTuple):
     """All points sharing one time instant (one output tick of a system).
 
     A frame may be empty: a perception system that reports nothing at a tick
@@ -109,15 +112,39 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Frame view and trajectory view of one recording.
+    """One recording: its frames in time order, and their points by object id.
 
     Invariant: both views contain exactly the same multiset of points
-    (empty frames add nothing to either side).
+    (empty frames add nothing to either side). It holds by construction,
+    because the trajectory view is grouped from the frames.
     """
 
     frames: tuple[DataFrame, ...]
-    trajectories: tuple[Trajectory, ...]
     source: str
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """One trajectory per object id, in id order, each in time order.
+
+        A trajectory's category is the one most of its points carry; a tie
+        goes to the alphabetically first.
+        """
+        by_id: defaultdict[str, list[DataPoint]] = defaultdict(list)
+        for f in self.frames:
+            for p in f.points:
+                by_id[p.object_id].append(p)
+        trajectories = []
+        for oid in sorted(by_id):
+            pts = sorted(by_id[oid], key=_BY_TIME)
+            counts = Counter(map(attrgetter("category"), pts))
+            category = min(counts, key=lambda c: (-counts[c], c))
+            trajectories.append(Trajectory(oid, category, tuple(pts)))
+        return tuple(trajectories)
+
+    @cached_property
+    def categories(self) -> frozenset[str]:
+        """The categories that occur in the recording."""
+        return frozenset(p.category for f in self.frames for p in f.points)
 
     def all_points(self) -> list[DataPoint]:
         return [p for f in self.frames for p in f.points]
@@ -178,28 +205,30 @@ def build_trajectory_set(
     points: Iterable[DataPoint],
     source: str = SOURCE_DETECTION,
 ) -> TrajectorySet:
-    """Group points by time into frames and by object id into trajectories.
+    """Group points by time into frames.
 
     Points whose timestamps fall into the same FRAME_BIN_S bin share a
     frame. The result is independent of input order: frames are ordered by
-    time, points within a frame by object id, and trajectories by object id.
+    time, and points within a frame by object id.
 
-    Raises IntegrityError when one object id occurs twice in one frame bin.
+    Raises IntegrityError when one object id occurs twice in one frame bin;
+    its ``records`` are the input positions of the two points.
     """
-    by_bin: dict[int, dict[str, DataPoint]] = {}
-    for p in points:
-        b = round(p.timestamp_s / FRAME_BIN_S)
-        frame = by_bin.setdefault(b, {})
-        if p.object_id in frame:
+    pts = list(points)
+    by_bin: dict[int, dict[str, int]] = {}
+    for k, p in enumerate(pts):
+        frame = by_bin.setdefault(round(p.timestamp_s / FRAME_BIN_S), {})
+        first = frame.setdefault(p.object_id, k)
+        if first != k:
             raise IntegrityError(
                 f"duplicate record for object {p.object_id!r} in frame bin "
-                f"around t={p.timestamp_s:.3f} s"
+                f"around t={p.timestamp_s:.3f} s",
+                records=(first, k),
             )
-        frame[p.object_id] = p
 
     frames = []
     for b in sorted(by_bin):
-        members = [by_bin[b][oid] for oid in sorted(by_bin[b])]
+        members = [pts[k] for _, k in sorted(by_bin[b].items())]
         stamp = math.fsum(m.timestamp_s for m in members) / len(members)
         frames.append(DataFrame(stamp, tuple(members)))
     return from_frames(frames, source)
@@ -207,19 +236,7 @@ def build_trajectory_set(
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
     """Build a TrajectorySet from explicit frames, preserving empty ones."""
-    by_time = attrgetter("timestamp_s")
-    ordered = tuple(sorted(frames, key=by_time))
-    by_id: dict[str, list[DataPoint]] = {}
-    for f in ordered:
-        for p in f.points:
-            by_id.setdefault(p.object_id, []).append(p)
-    trajectories = []
-    for oid in sorted(by_id):
-        pts = sorted(by_id[oid], key=by_time)
-        counts = Counter(map(attrgetter("category"), pts))
-        category = min(counts, key=lambda c: (-counts[c], c))
-        trajectories.append(Trajectory(oid, category, tuple(pts)))
-    return TrajectorySet(ordered, tuple(trajectories), source)
+    return TrajectorySet(tuple(sorted(frames, key=_BY_TIME)), source)
 
 
 def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
@@ -227,8 +244,11 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
 
     Frames are kept even when the filter empties them: the frame grid is the
     evaluation clock, and a tick on which a system reported only the other
-    category still counts as a tick.
+    category still counts as a tick. A set that holds no other category is
+    returned as it is.
     """
+    if ts.categories <= {category}:
+        return ts
     frames = tuple(
         DataFrame(f.timestamp_s, tuple(p for p in f.points if p.category == category))
         for f in ts.frames

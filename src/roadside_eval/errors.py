@@ -10,11 +10,19 @@ class EvalError(Exception):
 
 
 class SchemaError(EvalError):
-    """Input file header does not match the expected column schema."""
+    """Input file is not the wire format: not UTF-8 text, or a bad header."""
 
 
 class IntegrityError(EvalError):
-    """Structurally inconsistent data, e.g. duplicate (id, frame) records."""
+    """Structurally inconsistent data, e.g. duplicate (id, frame) records.
+
+    ``records`` holds the input positions of the records in conflict, when
+    known, so a caller can name their lines.
+    """
+
+    def __init__(self, message: str, records: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.records = records
 
 
 class ProjectionRangeError(EvalError):

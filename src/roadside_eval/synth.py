@@ -378,17 +378,16 @@ def generate_scenario(
         raise ScenarioError(f"unhandled template {spec.template!r}")
 
     # tolist() yields native floats, so the points serialize as literals;
-    # every actor has a point at every tick, so both views are built directly
+    # every actor has a point at every tick, so frames zip the id-sorted series
     times_f = times.tolist()
-    trajectories = []
+    series = []
     for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
         lat = (ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat).tolist()
         lon = (ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon).tolist()
         geo = map(GeoPoint, lat, lon)
-        pts = tuple(map(DataPoint, times_f, geo, repeat(cat), repeat(oid)))
-        trajectories.append(Trajectory(oid, cat, pts))
-    frames = map(DataFrame, times_f, zip(*(t.points for t in trajectories)))
-    return TrajectorySet(tuple(frames), tuple(trajectories), "ground_truth")
+        series.append(map(DataPoint, times_f, geo, repeat(cat), repeat(oid)))
+    frames = map(DataFrame, times_f, zip(*series))
+    return TrajectorySet(tuple(frames), "ground_truth")
 
 
 # --- degradation -------------------------------------------------------------
@@ -415,7 +414,7 @@ def degrade(
     """
     rng = np.random.default_rng(rng)
     if not gt.frames:
-        return TrajectorySet((), (), "detection")
+        return TrajectorySet((), "detection")
 
     t0 = gt.frames[0].timestamp_s
     t1 = gt.frames[-1].timestamp_s

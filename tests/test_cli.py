@@ -521,3 +521,50 @@ class TestConfigAndPlumbing:
         ])
         assert rc == 2
         assert "fabricated invariant violation" in capsys.readouterr().err
+
+
+class TestInputDiagnostics:
+    """Input errors name their file; dropped rows are reported on stderr."""
+
+    def _scene_with(self, tmp_path, extra: bytes) -> Path:
+        det = tmp_path / "det.csv"
+        det.write_bytes((DATA / "scene_det_a.csv").read_bytes() + extra)
+        return det
+
+    def test_duplicate_record_names_file_and_both_lines(self, tmp_path, capsys):
+        lines = (DATA / "scene_det_a.csv").read_text().splitlines()
+        det = self._scene_with(tmp_path, (lines[3] + "\n").encode())
+        rc = main(["eval", "--det", str(det), "--gt", str(DATA / "scene_gt.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {det}: duplicate record for object" in err
+        assert f"(lines 4 and {len(lines) + 1})" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_input_names_file(self, tmp_path, capsys):
+        det = self._scene_with(tmp_path, b"\xff\xfe\n")
+        rc = main(["eval", "--det", str(det), "--gt", str(DATA / "scene_gt.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {det}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_rejections_reported_without_changing_outputs(self, tmp_path, capsys):
+        args = ["--gt", str(DATA / "scene_gt.csv"), "--category", "vehicle", "--trial-id", "t"]
+        assert main(["eval", *SCENE[:2], *args, "--output-dir", str(tmp_path / "a")]) == 0
+        clean = capsys.readouterr()
+        assert "warning:" not in clean.err
+        n_lines = len((DATA / "scene_det_a.csv").read_text().splitlines())
+        det = self._scene_with(tmp_path, b"1700000000.0,95.0,-83.7,vehicle,x\nbad row\n")
+        assert main(["eval", "--det", str(det), *args, "--output-dir", str(tmp_path / "b")]) == 0
+        dirty = capsys.readouterr()
+        assert dirty.out == clean.out
+        warnings = [l for l in dirty.err.splitlines() if l.startswith("warning:")]
+        assert warnings == [
+            f"warning: {det}: dropped 2 malformed row(s); first at line "
+            f"{n_lines + 1}: latitude '95.0' outside [-90, 90]"
+        ]
+        a = json.loads((tmp_path / "a" / "report.json").read_text())
+        b = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert b["inputs"][0]["n_rejected"] == 2
+        assert a["reports"] == b["reports"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from roadside_eval.core import (
     DataFrame,
+    DataPoint,
     GeoPoint,
     LocalPoint,
     build_trajectory_set,
@@ -19,6 +21,7 @@ from roadside_eval.core import (
     make_projection,
     project,
     slice_trajectory,
+    Trajectory,
     trajectory_arrays,
     unproject,
     validate_geo,
@@ -186,3 +189,99 @@ class TestArraysAndSlicing:
         assert sorted(ts.all_points(), key=lambda p: (p.timestamp_s, p.object_id)) == sorted(
             pts, key=lambda p: (p.timestamp_s, p.object_id)
         )
+
+
+# --- the eager grouping and filter, kept as oracles for the on-demand view ---
+
+
+def _oracle_trajectories(frames):
+    by_id = {}
+    for f in sorted(frames, key=lambda f: f.timestamp_s):
+        for p in f.points:
+            by_id.setdefault(p.object_id, []).append(p)
+    out = []
+    for oid in sorted(by_id):
+        pts = sorted(by_id[oid], key=lambda p: p.timestamp_s)
+        counts = Counter(p.category for p in pts)
+        category = min(counts, key=lambda c: (-counts[c], c))
+        out.append(Trajectory(oid, category, tuple(pts)))
+    return tuple(out)
+
+
+def _oracle_filter(ts, category):
+    frames = [
+        DataFrame(f.timestamp_s, tuple(p for p in f.points if p.category == category))
+        for f in ts.frames
+    ]
+    frames.sort(key=lambda f: f.timestamp_s)
+    return tuple(frames), _oracle_trajectories(frames)
+
+
+def _seeded_frames(seed, per_frame_ids, categories):
+    """Frames of a few objects, some empty, with equal-time frames and
+    points whose times differ from their frame's."""
+    rng = random.Random(seed)
+    frames = []
+    for k in range(rng.randint(0, 12)):
+        t = 100.0 + rng.choice([0.0, 0.1, 0.2]) * k
+        pts = []
+        for j in rng.sample(range(5), rng.randint(0, 4)):
+            oid = f"trk-{seed}-{k}-{j}" if per_frame_ids else f"obj-{j}"
+            pts.append(DataPoint(t + rng.uniform(-0.05, 0.05),
+                                 GeoPoint(ORIGIN.lat_deg + 1e-5 * j, ORIGIN.lon_deg),
+                                 rng.choice(categories), oid))
+        frames.append(DataFrame(t, tuple(sorted(pts, key=lambda p: p.object_id))))
+    rng.shuffle(frames)
+    return frames
+
+
+class TestOnDemandTrajectories:
+    @given(seed=st.integers(0, 2**32 - 1), per_frame_ids=st.booleans(),
+           mixed=st.booleans())
+    def test_matches_eager_grouping(self, seed, per_frame_ids, mixed):
+        categories = ["vehicle", "pedestrian"] if mixed else ["vehicle"]
+        frames = _seeded_frames(seed, per_frame_ids, categories)
+        ts = from_frames(frames, "detection")
+        assert ts.trajectories == _oracle_trajectories(frames)
+        assert ts.categories == {p.category for f in frames for p in f.points}
+
+    def test_category_vote_tie_goes_to_first_name(self, ctx):
+        frames = [
+            DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="a"),)),
+            DataFrame(2.0, (dp(2.0, 1, 0, ctx, category="pedestrian", object_id="a"),)),
+            DataFrame(3.0, (dp(3.0, 2, 0, ctx, category="vehicle", object_id="b"),)),
+            DataFrame(4.0, (dp(4.0, 3, 0, ctx, category="pedestrian", object_id="b"),)),
+            DataFrame(5.0, (dp(5.0, 4, 0, ctx, category="pedestrian", object_id="b"),)),
+        ]
+        ts = from_frames(frames, "detection")
+        assert [t.category for t in ts.trajectories] == ["pedestrian", "pedestrian"]
+        assert ts.trajectories == _oracle_trajectories(frames)
+
+    def test_per_frame_ids_give_one_point_tracks(self, ctx):
+        pts = [dp(10.0 + 0.1 * k, k, 0, ctx, object_id=f"trk-{k}") for k in range(6)]
+        ts = build_trajectory_set(pts)
+        assert [len(t.points) for t in ts.trajectories] == [1] * 6
+        assert ts.trajectories == _oracle_trajectories(ts.frames)
+
+    def test_empty_frames_only(self):
+        ts = from_frames([DataFrame(2.0, ()), DataFrame(1.0, ())], "detection")
+        assert ts.trajectories == () and ts.categories == frozenset()
+
+
+class TestFilterPassThrough:
+    @given(seed=st.integers(0, 2**32 - 1), category=st.sampled_from(["vehicle", "pedestrian"]))
+    def test_one_category_set_is_returned_as_is(self, seed, category):
+        ts = from_frames(_seeded_frames(seed, False, [category]), "ground_truth")
+        assert filter_category(ts, category) is ts
+
+    @given(seed=st.integers(0, 2**32 - 1), per_frame_ids=st.booleans(),
+           category=st.sampled_from(["vehicle", "pedestrian"]))
+    def test_mixed_set_equals_eager_rebuild(self, seed, per_frame_ids, category):
+        ts = from_frames(_seeded_frames(seed, per_frame_ids, ["vehicle", "pedestrian"]),
+                         "detection")
+        got = filter_category(ts, category)
+        frames, trajectories = _oracle_filter(ts, category)
+        assert got.frames == frames
+        assert got.trajectories == trajectories
+        assert got.source == "detection"
+        assert got.categories <= {category}
