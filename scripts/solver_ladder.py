@@ -23,8 +23,8 @@ A second table covers 2,000 small frames of an intersection scene for each
 shape (1×1, 2×2, 3×2 and 3×3 points): microseconds per frame through one
 ``solve_assignment`` call per frame, on the distance matrices, and through
 one batched ``matching.point_match`` call over all the frame pairs, which
-also projects the points and builds the per-frame results. It checks that
-both assign the same pairs.
+also projects the points and lists each frame's (detection id, gt id,
+distance) matches. It checks that both assign the same pairs.
 
 usage: PYTHONPATH=src python scripts/solver_ladder.py [--frames N] [--seed S]
 """
@@ -137,16 +137,16 @@ def small_frame_rows(n_frames: int, seed: int) -> None:
             dx, dy = dxy[:, None, 0] - gxy[None, :, 0], dxy[:, None, 1] - gxy[None, :, 1]
             frames.append(np.hypot(dx, dy))
         started = time.perf_counter()
-        solved = [matching.solve_assignment(cost).pairs for cost in frames]
+        solved = [matching.solve_assignment(cost) for cost in frames]
         solve_us = 1e6 * (time.perf_counter() - started) / n_frames
         started = time.perf_counter()
         # a threshold far above any distance keeps every assigned pair
         results = matching.point_match(pairs, 1e6, ctx)
         batch_us = 1e6 * (time.perf_counter() - started) / n_frames
-        for (df, gf), fr, want in zip(pairs, results, solved):
-            got = tuple(
-                (df.points.index(mp.det_point), gf.points.index(mp.gt_point)) for mp in fr.tp
-            )
+        for (df, gf), matches, want in zip(pairs, results, solved):
+            det_row = {p.object_id: i for i, p in enumerate(df.points)}
+            gt_col = {p.object_id: j for j, p in enumerate(gf.points)}
+            got = tuple((det_row[d], gt_col[g]) for d, g, _ in matches)
             if got != want:
                 raise SystemExit(f"{shape}: point_match differs from solve_assignment")
         label = f"{shape[0]}x{shape[1]}"
@@ -171,7 +171,7 @@ def main() -> int:
         frames = crowd_frames(n_actors, args.frames, np.random.default_rng([args.seed, n_actors]))
         before_ms, before_calls, before = timed(matching._refine_lexicographic, frames)
         after_ms, after_calls, after = timed(matching.solve_assignment, frames)
-        if [list(a.pairs) for a in after] != before:
+        if [list(a) for a in after] != before:
             raise SystemExit(f"{n_actors} actors: solve_assignment differs from the refinement")
         engine = engine_us(matching.linear_sum_assignment, frames)
         scipy_us = f"{engine_us(scipy_engine, frames):>8.1f}" if scipy_engine else f"{'-':>8}"

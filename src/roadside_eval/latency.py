@@ -30,10 +30,12 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    GeoPoint,
     LocalPoint,
     ProjectionContext,
     Trajectory,
     TrajectorySet,
+    project,
     slice_trajectory,
     trajectory_arrays,
 )
@@ -460,7 +462,14 @@ def estimate_latency_for_trial(
     n_test_points: int = 11,
     speed_tol_frac: float = 0.1,
 ) -> LatencyEstimate:
-    """End-to-end latency estimate for one trial's file pair."""
+    """End-to-end latency estimate for one trial's file pair.
+
+    Raises ProjectionRangeError, naming the point, when a point of either
+    set lies beyond project's range; trajectory_arrays does not check it.
+    """
+    for ts in (det, gt):
+        geo = np.array([p.position for p in ts.all_points()], dtype=float).reshape(-1, 2)
+        project(GeoPoint(geo[:, 0], geo[:, 1]), ctx)
     samples = collect_tau_samples(det, gt, route, ctx, n_test_points, speed_tol_frac)
     if not samples:
         raise InsufficientDataError(

@@ -45,41 +45,9 @@ _SMALL = 3
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """One-to-one row/column pairing with its summed cost."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: float
-
-
-@dataclass(frozen=True)
-class MatchPair:
-    det_point: DataPoint
-    gt_point: DataPoint
-    distance_m: float
-
-
-@dataclass(frozen=True)
-class FrameMatchResult:
-    """Classified outcome of matching one detection frame against gt.
-
-    tp + fp covers every detection point in the frame; tp + fn covers every
-    gt point (gt_count). A matched pair beyond the threshold appears in both
-    fp and fn, never in tp.
-    """
-
-    frame_time_s: float
-    tp: tuple[MatchPair, ...]
-    fp: tuple[DataPoint, ...]
-    fn: tuple[DataPoint, ...]
-    gt_count: int
-
-
-@dataclass(frozen=True)
 class AssociationResult:
     """Point counts under the best fixed trajectory-level id mapping."""
 
-    trajectory_pairs: tuple[tuple[str, str], ...]
     tpa: int
     fpa: int
     fna: int
@@ -192,8 +160,9 @@ def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> fl
     return math.fsum(sub[i, j] for i, j in zip(rr, cc))
 
 
-def solve_assignment(cost) -> Assignment:
-    """Minimum-total-cost one-to-one assignment of min(rows, cols) pairs.
+def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
+    """Minimum-total-cost one-to-one assignment of min(rows, cols) pairs,
+    as (row, column) tuples in row order.
 
     Among optima within _TIE_TOL of each other the lexicographically
     smallest pair list is returned, so output is deterministic and
@@ -208,7 +177,7 @@ def solve_assignment(cost) -> Assignment:
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
     if cost.size == 0:
-        return Assignment((), 0.0)
+        return ()
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
 
@@ -219,8 +188,7 @@ def solve_assignment(cost) -> Assignment:
         pairs = _unique_optimum(cost)
     if pairs is None:
         pairs = _refine_lexicographic(cost)
-    total = math.fsum(cost[r, c] for r, c in pairs)
-    return Assignment(tuple(pairs), total)
+    return tuple(pairs)
 
 
 def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
@@ -536,7 +504,7 @@ def _assigned(blocks: _Blocks) -> list[list[tuple[int, int, float]]]:
 
 
 def _solved(cost: np.ndarray) -> list[tuple[int, int, float]]:
-    return [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost).pairs]
+    return [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost)]
 
 
 def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
@@ -559,55 +527,45 @@ def point_match(
     pairs: Sequence[tuple[DataFrame, DataFrame]],
     threshold_m: float,
     ctx: ProjectionContext,
-) -> list[FrameMatchResult]:
+) -> list[tuple[tuple[str, str, float], ...]]:
     """Optimal one-to-one point matching within each aligned frame pair.
 
-    Returns one result per (detection frame, gt frame) pair, in order. The
-    assignment minimizes total distance without regard to the threshold;
-    the threshold only classifies afterwards. An assigned pair beyond the
-    threshold contributes a FP and a FN (the detection placed nothing
-    within range of that gt point, and vice versa). Points of different
-    categories never match. All points are projected in one call, and the
-    frames of at most three points a side are solved together.
+    Returns one entry per (detection frame, gt frame) pair, in order: the
+    pair's true positives as (detection id, gt id, distance in meters), in
+    detection order. The assignment minimizes total distance without regard
+    to the threshold; the threshold only classifies afterwards. An assigned
+    pair beyond the threshold contributes a FP and a FN (the detection
+    placed nothing within range of that gt point, and vice versa), so a
+    pair's FPs are its detections less its TPs, and likewise its FNs.
+    Points of different categories never match. All points are projected
+    in one call, and the frames of at most three points a side are solved
+    together.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     blocks = _distance_blocks(pairs, ctx)
-    assigned = dict(zip(blocks.live, _assigned(blocks)))
-    results = []
-    for k, (df, gf) in enumerate(pairs):
-        det, gt = df.points, gf.points
-        tp = [
-            (i, j, d)
-            for i, j, d in assigned.get(k, ())
+    matches: list[tuple[tuple[str, str, float], ...]] = [()] * len(pairs)
+    for k, assigned in zip(blocks.live, _assigned(blocks)):
+        det, gt = pairs[k][0].points, pairs[k][1].points
+        matches[k] = tuple(
+            (det[i].object_id, gt[j].object_id, d)
+            for i, j, d in assigned
             if d <= threshold_m and d < UNMATCHABLE_COST / 2
-        ]
-        matched_det = {i for i, _, _ in tp}
-        matched_gt = {j for _, j, _ in tp}
-        results.append(
-            FrameMatchResult(
-                frame_time_s=df.timestamp_s,
-                tp=tuple(MatchPair(det[i], gt[j], d) for i, j, d in tp),
-                fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
-                fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
-                gt_count=len(gt),
-            )
         )
-    return results
+    return matches
 
 
-def count_id_switches(frame_results: Sequence[FrameMatchResult]) -> int:
+def count_id_switches(matches: Sequence[Sequence[tuple[str, str, float]]]) -> int:
     """Count changes of the matched detection id per gt object over time.
 
-    Re-acquiring a previously used id after a switch counts again (A,B,A
-    is two switches). Input must be in ascending frame-time order.
+    Takes point_match's entries. Re-acquiring a previously used id after a
+    switch counts again (A,B,A is two switches). Input must be in
+    ascending frame-time order.
     """
     last_id: dict[str, str] = {}
     switches = 0
-    for fr in frame_results:
-        for mp in fr.tp:
-            g = mp.gt_point.object_id
-            d = mp.det_point.object_id
+    for frame in matches:
+        for d, g, _ in frame:
             if g in last_id and last_id[g] != d:
                 switches += 1
             last_id[g] = d
@@ -651,22 +609,11 @@ def association_match(
     det_ids = sorted({d for d, _ in co_counts})
     gt_ids = sorted({g for _, g in co_counts})
     tpa = 0
-    chosen: list[tuple[str, str]] = []
     if det_ids and gt_ids:
         det_row = {d: i for i, d in enumerate(det_ids)}
         gt_col = {g: j for j, g in enumerate(gt_ids)}
         neg = np.zeros((len(det_ids), len(gt_ids)))
         for (d, g), n in co_counts.items():
             neg[det_row[d], gt_col[g]] = -n
-        asn = solve_assignment(neg)
-        for i, j in asn.pairs:
-            n = co_counts.get((det_ids[i], gt_ids[j]), 0)
-            if n > 0:
-                chosen.append((det_ids[i], gt_ids[j]))
-                tpa += n
-    return AssociationResult(
-        trajectory_pairs=tuple(sorted(chosen)),
-        tpa=tpa,
-        fpa=det_total - tpa,
-        fna=gt_total - tpa,
-    )
+        tpa = sum(co_counts.get((det_ids[i], gt_ids[j]), 0) for i, j in solve_assignment(neg))
+    return AssociationResult(tpa=tpa, fpa=det_total - tpa, fna=gt_total - tpa)

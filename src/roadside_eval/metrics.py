@@ -23,7 +23,6 @@ import numpy as np
 from .core import ProjectionContext, TrajectorySet, filter_category
 from .errors import CategoryError, ConsistencyError
 from .matching import (
-    FrameMatchResult,
     association_match,
     count_id_switches,
     match_frames_by_time,
@@ -141,22 +140,24 @@ def _match_category(
     category: str,
     ctx: ProjectionContext,
     max_gap_s: float | None,
-) -> tuple[TrajectorySet, TrajectorySet, list[FrameMatchResult], int, int]:
+) -> tuple[
+    TrajectorySet, TrajectorySet, list[tuple[tuple[str, str, float], ...]], int, int
+]:
     """One category's matching pass, shared by reports and sweeps.
 
-    Returns the category's detection and gt sets, the per-frame matches at
-    threshold_m, and the (detection, gt) point totals. Raises CategoryError
-    when the ground truth has no points of the category (nothing to
-    normalize against).
+    Returns the category's detection and gt sets, point_match's per-frame
+    true positives at threshold_m, and the (detection, gt) point totals.
+    Raises CategoryError when the ground truth has no points of the
+    category (nothing to normalize against).
     """
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
     if not any(f.points for f in gt_c.frames):
         raise CategoryError(f"no ground truth in category {category!r}")
     pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
-    frame_results = point_match(pairing.pairs, threshold_m, ctx)
+    matches = point_match(pairing.pairs, threshold_m, ctx)
     det_total, gt_total = point_totals(pairing, gt_c)
-    return det_c, gt_c, frame_results, det_total, gt_total
+    return det_c, gt_c, matches, det_total, gt_total
 
 
 def compute_report(
@@ -177,14 +178,14 @@ def compute_report(
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    det_c, gt_c, frame_results, det_total, gt_total = _match_category(
+    det_c, gt_c, matches, det_total, gt_total = _match_category(
         det, gt, latency_s, threshold_m, category, ctx, max_gap_s
     )
-    tp = sum(len(fr.tp) for fr in frame_results)
+    tp = sum(map(len, matches))
     fp = det_total - tp
     fn = gt_total - tp
-    sum_d = math.fsum(mp.distance_m for fr in frame_results for mp in fr.tp)
-    ids = count_id_switches(frame_results)
+    sum_d = math.fsum(d for frame in matches for _, _, d in frame)
+    ids = count_id_switches(matches)
     assoc = association_match(det_c, gt_c, latency_s, threshold_m, ctx, max_gap_s)
 
     counts = CountSummary(
@@ -249,10 +250,10 @@ def threshold_sweep(
     gt point.
     """
     thresholds = _checked_thresholds(thresholds_m)
-    _, _, frame_results, det_total, gt_total = _match_category(
+    _, _, matches, det_total, gt_total = _match_category(
         det, gt, latency_s, thresholds[-1], category, ctx, max_gap_s
     )
-    dist = np.sort([mp.distance_m for fr in frame_results for mp in fr.tp])
+    dist = np.sort([d for frame in matches for _, _, d in frame])
     tps = np.searchsorted(dist, thresholds, side="right").tolist()
     fp_rates = [_rate_pct(det_total - tp, gt_total) for tp in tps]
     fn_rates = [_rate_pct(gt_total - tp, gt_total) for tp in tps]

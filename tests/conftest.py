@@ -15,10 +15,13 @@ import pytest
 from hypothesis import settings
 
 from roadside_eval.core import (
+    DataFrame,
     DataPoint,
     GeoPoint,
     LocalPoint,
     ProjectionContext,
+    TrajectorySet,
+    from_frames,
     make_projection,
     unproject,
 )
@@ -98,3 +101,29 @@ def line_points(
         dp(t0 + k * dt, x0 + vx * k * dt, y, ctx, category, object_id)
         for k in range(n)
     ]
+
+
+def swap_object_ids(
+    ts: TrajectorySet, id_a: str, id_b: str, from_time_s: float
+) -> TrajectorySet:
+    """Swap two reported ids for every point at or after from_time_s.
+
+    Deterministic counterpart of the id_switch_prob mechanism, for tests
+    that need a switch at a known instant.
+    """
+    swap = {id_a: id_b, id_b: id_a}
+    frames = []
+    for f in ts.frames:
+        pts = tuple(
+            DataPoint(
+                p.timestamp_s,
+                p.position,
+                p.category,
+                swap.get(p.object_id, p.object_id)
+                if p.timestamp_s >= from_time_s
+                else p.object_id,
+            )
+            for p in f.points
+        )
+        frames.append(DataFrame(f.timestamp_s, pts))
+    return from_frames(frames, ts.source)

@@ -38,10 +38,9 @@ from roadside_eval.synth import (
     generate_scenario,
     min_round_trip_duration_s,
     monte_carlo_validate,
-    swap_object_ids,
 )
 
-from conftest import ORIGIN, brute_force_assignment
+from conftest import ORIGIN, brute_force_assignment, swap_object_ids
 
 
 def verdict(capsys, label: str, ok: bool, detail: str) -> None:
@@ -206,13 +205,12 @@ def test_4_assignment_optimality(capsys):
         cols = int(rng.integers(1, 7))
         cost = rng.uniform(0.0, 100.0, (rows, cols))
         sol = solve_assignment(cost)
-        total = math.fsum(cost[r, c] for r, c in sol.pairs)
+        total = math.fsum(cost[r, c] for r, c in sol)
         best = brute_force_assignment(cost)
         worst = max(worst, abs(total - best))
         all_ok &= abs(total - best) < 1e-9
         all_ok &= solve_assignment(cost) == sol  # deterministic replay
-    ties = solve_assignment(np.ones((3, 3)))
-    all_ok &= ties.pairs == ((0, 0), (1, 1), (2, 2))
+    all_ok &= solve_assignment(np.ones((3, 3))) == ((0, 0), (1, 1), (2, 2))
     verdict(
         capsys, "4 assignment optimality", all_ok,
         f"1000 random matrices ≤ 6×6, max gap to exhaustive minimum "

@@ -148,6 +148,23 @@ class TestLatencyCommand:
         assert rc == 1
         assert "no samples" in capsys.readouterr().err
 
+    def test_far_origin_exits_one_naming_the_point(self, data_dir, tmp_path, capsys):
+        # about 55.6 km north of the data, with the route moved along, so
+        # that the estimate itself would still succeed
+        rc = main([
+            "latency", "--det", str(data_dir / "lat_det.csv"),
+            "--gt", str(data_dir / "lat_gt.csv"),
+            "--origin", "42.8,-83.7", "--route", "0,-55600,1,-55600",
+            "--output-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        _, lat, lon, *_ = (data_dir / "lat_det.csv").read_text().splitlines()[1].split(",")
+        assert f"error: point GeoPoint(lat_deg={float(lat)!r}, lon_deg={float(lon)!r}) is " in err
+        assert "flat-plane validity ends at 10000 m" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestEvalCommand:
     def test_perfect_detection_row(self, data_dir, tmp_path, capsys):

@@ -23,8 +23,6 @@ from roadside_eval.core import (
 from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.matching import (
     UNMATCHABLE_COST,
-    FrameMatchResult,
-    MatchPair,
     association_match,
     count_id_switches,
     match_frames_by_time,
@@ -37,18 +35,13 @@ from conftest import brute_force_assignment, dp, line_points
 
 class TestSolveAssignment:
     def test_symmetric_two_by_two(self):
-        a = solve_assignment([[1.0, 2.0], [2.0, 1.0]])
-        assert set(a.pairs) == {(0, 0), (1, 1)}
-        assert a.total_cost == 2.0
+        assert solve_assignment([[1.0, 2.0], [2.0, 1.0]]) == ((0, 0), (1, 1))
 
     def test_one_by_one(self):
-        a = solve_assignment([[7.0]])
-        assert a.pairs == ((0, 0),)
-        assert a.total_cost == 7.0
+        assert solve_assignment([[7.0]]) == ((0, 0),)
 
     def test_empty_matrix(self):
-        a = solve_assignment(np.zeros((0, 3)))
-        assert a.pairs == () and a.total_cost == 0.0
+        assert solve_assignment(np.zeros((0, 3))) == ()
 
     def test_thousand_random_matrices_match_brute_force(self):
         rng = random.Random(1234)
@@ -61,22 +54,19 @@ class TestSolveAssignment:
             ]
             got = solve_assignment(cost)
             want = brute_force_assignment(cost)
-            assert math.fsum(cost[r][c] for r, c in got.pairs) == want, (
+            assert math.fsum(cost[r][c] for r, c in got) == want, (
                 f"trial {trial}: solver total differs from exhaustive minimum"
             )
-            assert len(got.pairs) == min(n_rows, n_cols)
+            assert len(got) == min(n_rows, n_cols)
 
     def test_tie_break_lexicographic(self):
         # every assignment of this matrix costs 2; the smallest pair list wins
-        a = solve_assignment([[1.0, 1.0], [1.0, 1.0]])
-        assert a.pairs == ((0, 0), (1, 1))
-        b = solve_assignment([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]])
-        assert b.pairs == ((0, 0), (1, 1))
+        assert solve_assignment([[1.0, 1.0], [1.0, 1.0]]) == ((0, 0), (1, 1))
+        assert solve_assignment([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]]) == ((0, 0), (1, 1))
 
     def test_tie_break_prefers_smaller_column_at_equal_cost(self):
         # rows can take either column at the same total
-        a = solve_assignment([[2.0, 2.0]])
-        assert a.pairs == ((0, 0),)
+        assert solve_assignment([[2.0, 2.0]]) == ((0, 0),)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(9)
@@ -155,9 +145,9 @@ class TestLinearSumAssignment:
         assert out.stdout.strip() == "[]"
 
 
-def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The row-by-row tie-break that re-solves every submatrix, kept here as
-    a reference: solve_assignment must return exactly its pairs and total."""
+    a reference: solve_assignment must return exactly its pairs."""
     def sub_total(rows, cols):
         sub = cost[np.ix_(rows, cols)]
         rr, cc = scipy_assignment(sub)
@@ -188,7 +178,7 @@ def _refinement_oracle(cost: np.ndarray) -> tuple[tuple[tuple[int, int], ...], f
                 pairs.extend((rows[i], cols[j]) for i, j in zip(rr, cc))
                 break
     pairs.sort()
-    return tuple(pairs), math.fsum(cost[r, c] for r, c in pairs)
+    return tuple(pairs)
 
 
 def _crowd_frame(rng, n_gt: int, n_det: int) -> np.ndarray:
@@ -232,8 +222,7 @@ class TestSolveAssignmentAgainstRefinement:
     def test_small_matrices_match_refinement(self, kind):
         shapes = set()
         for cost in self._matrices(2024, kind, 600):
-            got = solve_assignment(cost)
-            assert (got.pairs, got.total_cost) == _refinement_oracle(cost), cost.tolist()
+            assert solve_assignment(cost) == _refinement_oracle(cost), cost.tolist()
             shapes.add(cost.shape[0] < cost.shape[1])
         assert shapes == {True, False}  # both rectangular orientations
 
@@ -242,8 +231,7 @@ class TestSolveAssignmentAgainstRefinement:
     )
     def test_crowd_frames_match_refinement(self, shape):
         cost = _crowd_frame(np.random.default_rng(sum(shape)), shape[1], shape[0])
-        got = solve_assignment(cost)
-        assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
+        assert solve_assignment(cost) == _refinement_oracle(cost)
 
     @pytest.mark.parametrize("shape", [(10, 12), (12, 10)])
     def test_tied_and_sentinel_frames_match_refinement(self, shape):
@@ -252,8 +240,7 @@ class TestSolveAssignmentAgainstRefinement:
         gated = tied.copy()
         gated[rng.random(shape) < 0.3] = UNMATCHABLE_COST
         for cost in (tied, gated, -rng.integers(0, 3, shape).astype(float)):
-            got = solve_assignment(cost)
-            assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
+            assert solve_assignment(cost) == _refinement_oracle(cost)
 
     @staticmethod
     def _count_solves(monkeypatch) -> list:
@@ -296,7 +283,7 @@ class TestSolveAssignmentAgainstRefinement:
         calls = self._count_solves(monkeypatch)
         got = solve_assignment(cost)
         assert len(calls) > 1
-        assert (got.pairs, got.total_cost) == _refinement_oracle(cost)
+        assert got == _refinement_oracle(cost)
 
 
 class TestMatchFramesByTime:
@@ -443,28 +430,21 @@ def _per_pair_distances(det, gt, ctx) -> np.ndarray:
     return cost
 
 
-def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> FrameMatchResult:
+def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> tuple:
     """The one-pair matcher that the batched point_match replaced, kept here
     as a reference: per-point projection and one distance matrix per pair
     with points on both sides, assigned by _refinement_oracle, which shares
-    no code with the batch's small-frame rule."""
+    no code with the batch's small-frame rule. Returns the pair's TPs as
+    (detection id, gt id, distance), in detection order."""
     det, gt = det_frame.points, gt_frame.points
-    tp, matched_det, matched_gt = [], set(), set()
+    tp = []
     if det and gt:
         cost = _per_pair_distances(det, gt, ctx)
-        for i, j in _refinement_oracle(cost)[0]:
+        for i, j in _refinement_oracle(cost):
             d = float(cost[i, j])
             if d <= threshold_m and d < UNMATCHABLE_COST / 2:
-                tp.append(MatchPair(det[i], gt[j], d))
-                matched_det.add(i)
-                matched_gt.add(j)
-    return FrameMatchResult(
-        frame_time_s=det_frame.timestamp_s,
-        tp=tuple(tp),
-        fp=tuple(p for i, p in enumerate(det) if i not in matched_det),
-        fn=tuple(p for j, p in enumerate(gt) if j not in matched_gt),
-        gt_count=len(gt),
-    )
+                tp.append((det[i].object_id, gt[j].object_id, d))
+    return tuple(tp)
 
 
 def _random_pairs(ctx, seed: int, kind: str, count: int):
@@ -529,7 +509,7 @@ class TestBatchedPointMatch:
         pairs = _random_pairs(ctx, seed, kind, 700)
         # 50 m keeps every assigned pair; the last threshold equals one
         # pair's distance, which then counts as a TP
-        tps = [mp.distance_m for fr in point_match(pairs, 50.0, ctx) for mp in fr.tp]
+        tps = [d for frame in point_match(pairs, 50.0, ctx) for _, _, d in frame]
         edge = max(d for d in tps if 0 < d < 1.5)
         for threshold in (50.0, 1.5, edge):
             got = point_match(pairs, threshold, ctx)
@@ -598,7 +578,9 @@ class TestBatchedPointMatch:
         near = DataFrame(1.0, (dp(1.0, 0.0, 0.0, ctx, object_id="g0"),))
         empty = DataFrame(1.0, ())
         det_far, gt_far, _ = point_match([(far, empty), (empty, far), (near, near)], 1.5, ctx)
-        assert det_far.fp == far.points and gt_far.fn == far.points
+        # no TPs, so the far detection is a FP and the far gt point a FN
+        assert det_far == gt_far == ()
+        assert len(far.points) - len(det_far) == 1
         with pytest.raises(ProjectionRangeError, match="flat-plane validity"):
             point_match([(far, near)], 1.5, ctx)
 
@@ -629,16 +611,14 @@ class TestBatchedPointMatch:
 
 class TestPointMatch:
     def test_both_empty(self, ctx):
-        [res] = point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx)
-        assert (len(res.tp), len(res.fp), len(res.fn)) == (0, 0, 0)
-        assert res.gt_count == 0
+        assert point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx) == [()]
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="g1"),))
-        [res] = point_match([(det, gt)], 1.5, ctx)
-        assert len(res.tp) == 1
-        assert res.tp[0].distance_m == pytest.approx(0.0, abs=1e-9)
+        [((det_id, gt_id, d),)] = point_match([(det, gt)], 1.5, ctx)
+        assert (det_id, gt_id) == ("d1", "g1")
+        assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_optimal_beats_crossed_pairing(self, ctx):
         gt = DataFrame(1.0, (
@@ -650,24 +630,25 @@ class TestPointMatch:
             dp(1.0, 1.6, 0, ctx, object_id="d2"),
         ))
         [res] = point_match([(det, gt)], 1.5, ctx)
-        assert len(res.tp) == 2 and not res.fp and not res.fn
-        total = sum(mp.distance_m for mp in res.tp)
+        # TPs in detection order; no FP (2 detections − 2 TPs), no FN (2 gt − 2)
+        assert [(d, g) for d, g, _ in res] == [("d1", "g1"), ("d2", "g2")]
+        total = sum(d for _, _, d in res)
         assert total == pytest.approx(0.8, abs=1e-6)  # crossed pairing costs 3.2
 
     def test_over_threshold_counts_both_sides(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 10.0, 0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0.0, 0, ctx, object_id="g1"),))
         [res] = point_match([(det, gt)], 1.5, ctx)
-        assert not res.tp
-        assert len(res.fp) == 1 and len(res.fn) == 1
+        # no TP: FP = 1 detection − 0 TPs, FN = 1 gt − 0 TPs
+        assert res == ()
 
     def test_category_gating(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="pedestrian", object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="g1"),))
-        [gated] = point_match([(det, gt)], 1.5, ctx)
-        assert not gated.tp and len(gated.fp) == 1 and len(gated.fn) == 1
+        # no TP, so the detection is a FP and the gt point a FN
+        assert point_match([(det, gt)], 1.5, ctx) == [()]
         # a finite threshold above the cross-category sentinel still gates
-        assert not point_match([(det, gt)], 1e13, ctx)[0].tp
+        assert point_match([(det, gt)], 1e13, ctx) == [()]
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -684,8 +665,9 @@ class TestPointMatch:
                 for i in range(n_gt)
             ))
             [res] = point_match([(det, gt)], 1.5, ctx)
-            assert len(res.tp) + len(res.fp) == n_det
-            assert len(res.tp) + len(res.fn) == n_gt == res.gt_count
+            # one-to-one: FP = n_det − TP and FN = n_gt − TP are never negative
+            assert len({d for d, _, _ in res}) == len(res) <= n_det
+            assert len({g for _, g, _ in res}) == len(res) <= n_gt
 
     def test_translation_invariance(self, ctx):
         rng = random.Random(11)
@@ -702,55 +684,47 @@ class TestPointMatch:
                 for i, (x, y) in enumerate(gt_xy)
             ))
             [res] = point_match([(det, gt)], 1.5, ctx)
-            return (
-                sorted((mp.det_point.object_id, mp.gt_point.object_id) for mp in res.tp),
-                sorted(p.object_id for p in res.fp),
-                sorted(p.object_id for p in res.fn),
-            )
+            # the TP id pairs fix the FPs and FNs: every other point
+            return sorted((d, g) for d, g, _ in res)
 
         assert run(0.0) == run(40.0)
 
 
 class TestIdSwitches:
     @staticmethod
-    def _frames(seq_by_gt: dict[str, list[str | None]], ctx) -> list[FrameMatchResult]:
+    def _frames(seq_by_gt: dict[str, list[str | None]]) -> list[tuple]:
+        """point_match's entries for frames where gt object g matches
+        detection seq_by_gt[g][k] in frame k, or nothing where that is None."""
         out = []
         n = max(len(v) for v in seq_by_gt.values())
         for k in range(n):
             tp = []
-            t = 1.0 + k
             for gid, seq in seq_by_gt.items():
                 det_id = seq[k] if k < len(seq) else None
                 if det_id is None:
                     continue
-                tp.append(MatchPair(
-                    det_point=dp(t, 0, 0, ctx, object_id=det_id),
-                    gt_point=dp(t, 0, 0, ctx, object_id=gid),
-                    distance_m=0.0,
-                ))
-            out.append(FrameMatchResult(t, tuple(tp), (), (), len(tp)))
+                tp.append((det_id, gid, 0.0))
+            out.append(tuple(tp))
         return out
 
-    def test_constant_id_no_switch(self, ctx):
-        frames = self._frames({"g": ["A", "A", "A", "A"]}, ctx)
+    def test_constant_id_no_switch(self):
+        frames = self._frames({"g": ["A", "A", "A", "A"]})
         assert count_id_switches(frames) == 0
 
-    def test_single_change(self, ctx):
-        frames = self._frames({"g": ["A", "A", "B", "B"]}, ctx)
+    def test_single_change(self):
+        frames = self._frames({"g": ["A", "A", "B", "B"]})
         assert count_id_switches(frames) == 1
 
-    def test_reacquisition_counts_again(self, ctx):
-        frames = self._frames({"g": ["A", "B", "A"]}, ctx)
+    def test_reacquisition_counts_again(self):
+        frames = self._frames({"g": ["A", "B", "A"]})
         assert count_id_switches(frames) == 2
 
-    def test_gap_does_not_count(self, ctx):
-        frames = self._frames({"g": ["A", None, "A"]}, ctx)
+    def test_gap_does_not_count(self):
+        frames = self._frames({"g": ["A", None, "A"]})
         assert count_id_switches(frames) == 0
 
-    def test_independent_objects_sum(self, ctx):
-        frames = self._frames(
-            {"g1": ["A", "B", "B"], "g2": ["C", "C", "D"]}, ctx
-        )
+    def test_independent_objects_sum(self):
+        frames = self._frames({"g1": ["A", "B", "B"], "g2": ["C", "C", "D"]})
         assert count_id_switches(frames) == 2
 
 
@@ -761,7 +735,6 @@ class TestAssociationMatch:
         gt = build_trajectory_set(pts, source="ground_truth")
         res = association_match(det, gt, 0.0, 1.5, ctx)
         assert res.tpa == 25 and res.fpa == 0 and res.fna == 0
-        assert res.trajectory_pairs == (("veh-01", "veh-01"),)
 
     def test_empty_detection_side(self, ctx):
         det = build_trajectory_set([], source="detection")
@@ -812,7 +785,7 @@ class TestAssociationMatch:
         det = build_trajectory_set(det_pts, source="detection")
         gt = build_trajectory_set(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
-        per_frame_tp = sum(len(fr.tp) for fr in point_match(pairing.pairs, 1.5, ctx))
+        per_frame_tp = sum(map(len, point_match(pairing.pairs, 1.5, ctx)))
         res = association_match(det, gt, 0.0, 1.5, ctx)
         assert res.tpa <= per_frame_tp
 
@@ -831,12 +804,12 @@ class TestAssociationMatch:
         a = association_match(det_fwd, gt, 0.0, 1.5, ctx)
         b = association_match(det_rev, gt, 0.0, 1.5, ctx)
         assert (a.tpa, a.fpa, a.fna) == (b.tpa, b.fpa, b.fna)
-        assert a.trajectory_pairs == b.trajectory_pairs
 
     @staticmethod
     def _by_pairs(det, gt, threshold_m, ctx):
         """association_match as it was before the batched pass: per-point
-        projection and one distance matrix per aligned pair."""
+        projection and one distance matrix per aligned pair. Returns the
+        chosen id pairs, then tpa, fpa and fna."""
         pairing = match_frames_by_time(det, gt, 0.0)
         co_counts = {}
         for df, gf in pairing.pairs:
@@ -855,7 +828,7 @@ class TestAssociationMatch:
             neg[det_ids.index(d), gt_ids.index(g)] = -n
         chosen = [
             (det_ids[i], gt_ids[j])
-            for i, j in (solve_assignment(neg).pairs if neg.size else ())
+            for i, j in (solve_assignment(neg) if neg.size else ())
             if co_counts.get((det_ids[i], gt_ids[j]), 0) > 0
         ]
         tpa = sum(co_counts[key] for key in chosen)
@@ -894,9 +867,9 @@ class TestAssociationMatch:
                 for q in gf.points if q.object_id == g_id
             ]
 
-        chosen = association_match(det, gt, 0.0, 1.5, ctx).trajectory_pairs
+        chosen = self._by_pairs(det, gt, 1.5, ctx)[0]
         edge = max(d for pair in chosen for d in hits(*pair) if d <= 1.5)
         for threshold in (edge, 0.5, 1.5, 1e13):
             got = association_match(det, gt, 0.0, threshold, ctx)
             want = self._by_pairs(det, gt, threshold, ctx)
-            assert (got.trajectory_pairs, got.tpa, got.fpa, got.fna) == want
+            assert (got.tpa, got.fpa, got.fna) == want[1:]

@@ -26,8 +26,9 @@ from roadside_eval.synth import (
     generate_scenario,
     min_round_trip_duration_s,
     monte_carlo_validate,
-    swap_object_ids,
 )
+
+from conftest import swap_object_ids
 
 
 def spec_for(template="two_vehicle_plus_pedestrian", duration=60.0, seed=5, **kw):
