@@ -11,6 +11,7 @@ drifts far from its prediction points at a sampling or windowing bug.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from itertools import product
@@ -32,17 +33,46 @@ def rel_err(emp: float, pred: float) -> float:
     return abs(emp - pred) / pred
 
 
+def run_count(text: str) -> int:
+    n = int(text)
+    if n < 100:
+        raise argparse.ArgumentTypeError(f"must be at least 100, got {n}")
+    return n
+
+
+def seed_value(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
+def positive_rate(text: str) -> float:
+    x = float(text)
+    # also false for NaN
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
+
+
+def jitter_sigma(text: str) -> float:
+    x = float(text)
+    if not 0 <= x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
+    return x
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--runs", type=int, default=200,
+    ap.add_argument("--runs", type=run_count, default=200,
                     help="Monte Carlo runs per cell (default 200; >=100)")
-    ap.add_argument("--seed", type=int, default=1,
+    ap.add_argument("--seed", type=seed_value, default=1,
                     help="master seed for the first cell (default 1)")
-    ap.add_argument("--gt-rate", type=float, default=5.0,
+    ap.add_argument("--gt-rate", type=positive_rate, default=5.0,
                     help="ground-truth sampling rate in Hz (default 5)")
-    ap.add_argument("--det-rate", type=float, default=5.0,
+    ap.add_argument("--det-rate", type=positive_rate, default=5.0,
                     help="detection reporting rate in Hz (default 5)")
-    ap.add_argument("--speed-jitter", type=float, default=0.2,
+    ap.add_argument("--speed-jitter", type=jitter_sigma, default=0.2,
                     help="per-pass speed jitter sigma in m/s (default 0.2)")
     args = ap.parse_args(argv)
 

@@ -6,7 +6,9 @@ Points grouped by time form a :class:`DataFrame`, and a
 :class:`TrajectorySet` holds a recording's frames in time order. Its
 trajectory view, points grouped by object id into :class:`Trajectory`, is
 built from the frames on first use: scoring reads frames only, and a
-detector without a tracker gives one trajectory per point.
+detector without a tracker gives one trajectory per point. A trajectory
+keeps its points' (time, lat, lon) rows as one array, and its slices are
+views of that array.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -104,10 +106,27 @@ class Trajectory:
 
     @cached_property
     def _geo(self) -> np.ndarray:
-        """(n, 3) rows of (timestamp_s, lat_deg, lon_deg), built on first use."""
+        """(n, 3) rows of (timestamp_s, lat_deg, lon_deg), built on first use.
+
+        Read-only, because slices share them.
+        """
         n = len(self.points)
         flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in self.points])
-        return np.fromiter(flat, dtype=float, count=3 * n).reshape(n, 3)
+        rows = np.fromiter(flat, dtype=float, count=3 * n).reshape(n, 3)
+        rows.flags.writeable = False
+        return rows
+
+
+def _trajectory(
+    object_id: str, category: str, points: tuple[DataPoint, ...], rows: np.ndarray
+) -> Trajectory:
+    """A Trajectory whose (timestamp_s, lat_deg, lon_deg) rows, one per
+    point, the caller already holds; they must equal what ``_geo`` derives.
+    They become read-only."""
+    rows.flags.writeable = False
+    traj = Trajectory(object_id, category, points)
+    traj.__dict__["_geo"] = rows
+    return traj
 
 
 @dataclass(frozen=True)
@@ -115,8 +134,9 @@ class TrajectorySet:
     """One recording: its frames in time order, and their points by object id.
 
     Invariant: both views contain exactly the same multiset of points
-    (empty frames add nothing to either side). It holds by construction,
-    because the trajectory view is grouped from the frames.
+    (empty frames add nothing to either side). It holds by construction:
+    the trajectory view is grouped from the frames, or handed over by a
+    builder that made both views from the same points.
     """
 
     frames: tuple[DataFrame, ...]
@@ -145,6 +165,13 @@ class TrajectorySet:
     def categories(self) -> frozenset[str]:
         """The categories that occur in the recording."""
         return frozenset(p.category for f in self.frames for p in f.points)
+
+    def _with_trajectories(self, trajectories: tuple[Trajectory, ...]) -> TrajectorySet:
+        """This set with its trajectory view supplied by a caller that built
+        the frames and the trajectories from the same points; the view must
+        equal the one grouped from the frames."""
+        self.__dict__["trajectories"] = trajectories
+        return self
 
     def all_points(self) -> list[DataPoint]:
         return [p for f in self.frames for p in f.points]
@@ -267,8 +294,16 @@ def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndar
 
 
 def slice_trajectory(traj: Trajectory, t0: float, t1: float) -> Trajectory | None:
-    """Sub-trajectory with timestamps in [t0, t1], or None when empty."""
-    pts = tuple(p for p in traj.points if t0 <= p.timestamp_s <= t1)
-    if not pts:
+    """Sub-trajectory with timestamps in [t0, t1], or None when empty.
+
+    A view: the bounds are found by bisection on the ascending times, and
+    the slice keeps the parent's rows for those points.
+    """
+    rows = traj._geo
+    times = rows[:, 0]
+    i = int(np.searchsorted(times, t0, "left"))
+    j = int(np.searchsorted(times, t1, "right"))
+    # a NaN t1 sorts after every time, yet no time is <= NaN
+    if i >= j or t1 != t1:
         return None
-    return Trajectory(traj.object_id, traj.category, pts)
+    return _trajectory(traj.object_id, traj.category, traj.points[i:j], rows[i:j])

@@ -224,6 +224,19 @@ def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:
     return order[starts[k] : ends[k]]
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(slope, intercept) of the least-squares line, bit for bit what
+    ``np.polyfit(x, y, 1)`` returns, without its per-call checks: columns
+    [x, 1] scaled to unit norm, lstsq at rcond = len(x)·eps, then unscaled.
+    """
+    lhs = np.empty((len(x), 2))
+    lhs[:, 0] = x
+    lhs[:, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return np.linalg.lstsq(lhs, y, len(x) * np.finfo(float).eps)[0] / scale
+
+
 def sample_tau(
     gt: Trajectory,
     det: Trajectory,
@@ -257,7 +270,7 @@ def sample_tau(
         raise InsufficientDataError("detection pass cluster too small to fit")
     td, sd = t_det[idx], s_det[idx]
 
-    slope, intercept = np.polyfit(td, sd, 1)
+    slope, intercept = _line_fit(td, sd)
     v0 = route.nominal_speed_mps
     if (slope > 0) != (sign > 0) or not (0.5 * v0 <= abs(slope) <= 2.0 * v0):
         raise InsufficientDataError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .core import (
     Trajectory,
     TrajectorySet,
     VEHICLE,
+    _trajectory,
     from_frames,
     make_projection,
     slice_trajectory,
@@ -377,17 +378,37 @@ def generate_scenario(
     else:  # pragma: no cover - ScenarioSpec already validates
         raise ScenarioError(f"unhandled template {spec.template!r}")
 
-    # tolist() yields native floats, so the points serialize as literals;
+    trajectories = tuple(
+        _bulk_trajectory(
+            oid,
+            cat,
+            times,
+            ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat,
+            ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon,
+        )
+        for oid, cat, xy in sorted(actors, key=lambda a: a[0])
+    )
     # every actor has a point at every tick, so frames zip the id-sorted series
-    times_f = times.tolist()
-    series = []
-    for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
-        lat = (ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat).tolist()
-        lon = (ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon).tolist()
-        geo = map(GeoPoint, lat, lon)
-        series.append(map(DataPoint, times_f, geo, repeat(cat), repeat(oid)))
-    frames = map(DataFrame, times_f, zip(*series))
-    return TrajectorySet(tuple(frames), "ground_truth")
+    series = zip(*(traj.points for traj in trajectories))
+    frames = map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), series))
+    return TrajectorySet(tuple(frames), "ground_truth")._with_trajectories(trajectories)
+
+
+def _bulk_trajectory(
+    oid: str, cat: str, t: np.ndarray, lat: np.ndarray, lon: np.ndarray
+) -> Trajectory:
+    """One actor's trajectory from equal-length arrays, with its rows.
+
+    tolist() yields native floats, so the points serialize as literals; the
+    named tuples are built with tuple.__new__, skipping their Python-level
+    constructors.
+    """
+    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat.tolist(), lon.tolist()))
+    fields = zip(t.tolist(), geo, repeat(cat), repeat(oid))
+    points = tuple(map(tuple.__new__, repeat(DataPoint), fields))
+    rows = np.empty((len(t), 3))
+    rows[:, 0], rows[:, 1], rows[:, 2] = t, lat, lon
+    return _trajectory(oid, cat, points, rows)
 
 
 # --- degradation -------------------------------------------------------------
@@ -453,6 +474,27 @@ def degrade(
         lat_deg = ctx.origin.lat_deg + y / ctx.meters_per_deg_lat
         lon_deg = ctx.origin.lon_deg + x / ctx.meters_per_deg_lon
         per_actor.append((traj.category, lat_deg, lon_deg, valid, missed))
+    order = sorted(range(len(actor_ids)), key=lambda a: actor_ids[a])
+
+    if model.id_switch_prob == 0 and model.clutter_rate == 0:
+        # hot path for repeated trials: identities never change, so each
+        # actor's kept ticks are its trajectory, and each frame collects
+        # the id-sorted actors' points at its tick
+        trajectories = []
+        slots: list[list[DataPoint]] = [[] for _ in range(n_ticks)]
+        for a in order:
+            cat, lat_deg, lon_deg, valid, missed = per_actor[a]
+            kept = np.flatnonzero(valid & ~missed)
+            if not kept.size:
+                continue
+            traj = _bulk_trajectory(
+                actor_ids[a], cat, ticks[kept], lat_deg[kept], lon_deg[kept]
+            )
+            trajectories.append(traj)
+            for k, p in zip(kept.tolist(), traj.points):
+                slots[k].append(p)
+        frames = map(tuple.__new__, repeat(DataFrame), zip(ticks.tolist(), map(tuple, slots)))
+        return from_frames(list(frames), "detection")._with_trajectories(tuple(trajectories))
 
     clutter_counts = (
         rng.poisson(model.clutter_rate, n_ticks)
@@ -466,10 +508,8 @@ def degrade(
     categories = sorted({traj.category for traj in gt.trajectories})
 
     swapping = model.id_switch_prob > 0
-    cluttering = model.clutter_rate > 0
     ticks_f = ticks.tolist()
     # id-sorted per-actor series as plain lists; tolist() yields native floats
-    order = sorted(range(len(actor_ids)), key=lambda a: actor_ids[a])
     cols = []
     for a in order:
         cat, lat_deg, lon_deg, valid, missed = per_actor[a]
@@ -479,18 +519,6 @@ def degrade(
         )
 
     frames = []
-    if not swapping and not cluttering:
-        # hot path for repeated trials: identities never change, so each
-        # frame is read straight off the id-sorted series
-        for k, t_k in enumerate(ticks_f):
-            pts = tuple(
-                DataPoint(t_k, GeoPoint(la[k], lo[k]), cat, oid)
-                for oid, cat, la, lo, _, keep in cols
-                if keep[k]
-            )
-            frames.append(DataFrame(t_k, pts))
-        return from_frames(frames, "detection")
-
     reported = list(range(len(cols)))  # column -> reported identity slot
     n_clutter = 0
     for k, t_k in enumerate(ticks_f):
@@ -563,7 +591,7 @@ def _constant_window_slice(
     speed even after the latency draw shifts the effective sample time.
     """
     margin = 4.0 * model.latency_std_s + 0.1 + 1.0 / model.det_rate_hz
-    pts: list[DataPoint] = []
+    parts: list[Trajectory] = []
     for w in find_constant_speed_windows(gt_traj, route, ctx):
         part = slice_trajectory(
             det_traj,
@@ -571,12 +599,14 @@ def _constant_window_slice(
             w.t_end_s + model.latency_mean_s - margin,
         )
         if part is not None:
-            pts.extend(part.points)
+            parts.append(part)
+    pts = tuple(chain.from_iterable(part.points for part in parts))
     if len(pts) < 10:
         raise InsufficientDataError(
             "too few detections inside constant-speed windows"
         )
-    return Trajectory(det_traj.object_id, det_traj.category, tuple(pts))
+    rows = np.concatenate([part._geo for part in parts])
+    return _trajectory(det_traj.object_id, det_traj.category, pts, rows)
 
 
 def monte_carlo_validate(

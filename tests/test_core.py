@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -189,6 +190,69 @@ class TestArraysAndSlicing:
         assert sorted(ts.all_points(), key=lambda p: (p.timestamp_s, p.object_id)) == sorted(
             pts, key=lambda p: (p.timestamp_s, p.object_id)
         )
+
+
+@st.composite
+def ascending_times_and_bounds(draw):
+    """Strictly ascending sample times and two pairs of slice bounds, each
+    bound at a sample time, between two, outside them all, NaN or any float."""
+    times = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True)))
+    mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    outside = [times[0] - 1.0, times[-1] + 1.0, -math.inf, math.inf, math.nan]
+    bound = st.sampled_from(times + mids + outside) | st.floats(allow_nan=True)
+    return times, [draw(bound) for _ in range(4)]
+
+
+def check_slice(ctx, parent, t0, t1):
+    """slice_trajectory keeps exactly what the filter t0 <= t <= t1 keeps,
+    with the arrays of a Trajectory built from those points alone."""
+    part = slice_trajectory(parent, t0, t1)
+    kept = tuple(p for p in parent.points if t0 <= p.timestamp_s <= t1)
+    if not kept:
+        assert part is None
+        return None
+    alone = Trajectory(parent.object_id, parent.category, kept)
+    assert part == alone
+    got, want = trajectory_arrays(part, ctx), trajectory_arrays(alone, ctx)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return part
+
+
+class TestSliceView:
+    @given(case=ascending_times_and_bounds())
+    def test_slice_equals_filter(self, ctx, case):
+        times, (t0, t1, u0, u1) = case
+        pts = tuple(
+            DataPoint(t, GeoPoint(ORIGIN.lat_deg + 1e-6 * k, ORIGIN.lon_deg - 1e-6 * k),
+                      "vehicle", "a")
+            for k, t in enumerate(times)
+        )
+        part = check_slice(ctx, Trajectory("a", "vehicle", pts), t0, t1)
+        if part is not None:
+            # a slice of a slice takes its rows from its parent's
+            check_slice(ctx, part, u0, u1)
+
+    def test_nan_and_reversed_bounds_give_none(self, ctx):
+        traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
+        assert slice_trajectory(traj, math.nan, 5.0) is None
+        assert slice_trajectory(traj, 2.0, math.nan) is None
+        assert slice_trajectory(traj, 5.0, 2.0) is None
+        assert slice_trajectory(traj, 3.0, 3.0).points == (traj.points[3],)
+        assert slice_trajectory(traj, -math.inf, math.inf).points == traj.points
+        assert np.array_equal(slice_trajectory(traj, 2.5, 4.0)._geo, traj._geo[3:5])
+
+    def test_shared_rows_are_read_only(self, ctx):
+        traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
+        part = slice_trajectory(traj, 2.0, 5.0)
+        with pytest.raises(ValueError):
+            part._geo[0, 0] = -1.0
+        # the arrays handed to callers are their own
+        times, xy = trajectory_arrays(part, ctx)
+        times[0] = -1.0
+        xy[0] = -1.0
+        assert traj._geo[2, 0] == 2.0
+        assert trajectory_arrays(traj, ctx)[1][2].tolist() != [-1.0, -1.0]
 
 
 # --- the eager grouping and filter, kept as oracles for the on-demand view ---

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from roadside_eval.core import LocalPoint, build_trajectory_set, make_projection
 from roadside_eval.errors import EvalError, InsufficientDataError, PairingError
 from roadside_eval.latency import (
+    _line_fit,
     LatencyEstimate,
     RouteLine,
     TauSample,
@@ -198,6 +199,20 @@ class TestSampleTau:
         gt = straight_run(ctx, n=30)  # spans x in [-50, -21]
         with pytest.raises(InsufficientDataError):
             sample_tau(gt, gt, ROUTE, [25.0], ctx)
+
+
+class TestLineFit:
+    @given(
+        t0=st.sampled_from([0.0, 1_700_000_000.0]),
+        steps=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=40),
+        slope=st.floats(-20.0, 20.0),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=41, max_size=41),
+    )
+    def test_same_bits_as_polyfit(self, t0, steps, slope, noise):
+        # tau sampling fits detection arc against epoch-scale times
+        x = t0 + np.cumsum([0.0, *steps])
+        y = slope * (x - x[0]) + np.array(noise[: len(x)])
+        assert _line_fit(x, y).tobytes() == np.polyfit(x, y, 1).tobytes()
 
 
 class TestEstimateLatency:

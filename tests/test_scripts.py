@@ -2,7 +2,8 @@
 
 solver_ladder.py exits non-zero when point_match or solve_assignment
 disagree with the reference it checks them against, so a change to their
-return values that the script was not ported to fails here.
+return values that the script was not ported to fails here. Bad arguments
+end in argparse's usage error, exit status 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -17,21 +18,45 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
         ("solver_ladder.py", ["--frames", "1"]),
         ("run_synthetic_benchmark.py", ["--duration", "30"]),
+        ("variance_grid.py", ["--runs", "100"]),
     ],
 )
 def test_script_exits_zero(script, args, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    out = run_script(script, args, tmp_path)
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--runs", "50"],
+        ["--seed", "-1"],
+        ["--gt-rate", "0"],
+        ["--det-rate", "-1"],
+        ["--det-rate", "nan"],
+        ["--speed-jitter", "-0.1"],
+    ],
+)
+def test_variance_grid_rejects_bad_arguments(args, tmp_path):
+    out = run_script("variance_grid.py", args, tmp_path)
+    assert out.returncode == 2, out.stdout[-2000:] + out.stderr[-2000:]
+    assert out.stderr.startswith("usage:")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""

@@ -9,6 +9,7 @@ import pytest
 
 from roadside_eval.core import (
     GeoPoint,
+    from_frames,
     make_projection,
     project,
     trajectory_arrays,
@@ -225,6 +226,40 @@ class TestDegrade:
         assert np.std(devs) == pytest.approx(0.3, rel=0.05)
 
 
+def assert_view_matches_grouping(ts):
+    """The trajectory view a builder handed over equals the one grouped
+    from the same frames: ids, categories, points and (t, lat, lon) rows."""
+    handed = ts.trajectories
+    grouped = from_frames(ts.frames, ts.source).trajectories
+    assert [(t.object_id, t.category) for t in handed] == [
+        (t.object_id, t.category) for t in grouped
+    ]
+    assert [t.points for t in handed] == [t.points for t in grouped]
+    for a, b in zip(handed, grouped):
+        assert a._geo.shape == b._geo.shape
+        assert a._geo.tobytes() == b._geo.tobytes()
+
+
+class TestHandedOverTrajectories:
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_generate_scenario(self, ctx, template):
+        gt = generate_scenario(spec_for(template=template, duration=40.0), ctx,
+                               speed_jitter_mps=0.3)
+        assert gt.trajectories
+        assert_view_matches_grouping(gt)
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    @pytest.mark.parametrize("miss_prob", [0.0, 0.3, 1.0])
+    def test_degrade(self, ctx, template, miss_prob):
+        gt = generate_scenario(spec_for(template=template, duration=40.0), ctx)
+        model = ErrorModel(latency_mean_s=0.4, latency_std_s=0.05,
+                           noise_sigma_m=0.2, miss_prob=miss_prob, det_rate_hz=7.0)
+        det = degrade(gt, model, ctx, rng=8)
+        assert len(det.frames) > 200
+        assert bool(det.trajectories) == (miss_prob < 1.0)
+        assert_view_matches_grouping(det)
+
+
 class TestSwapObjectIds:
     def test_swap_after_time(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
@@ -284,6 +319,24 @@ class TestMonteCarloValidate:
         cmp = monte_carlo_validate(model, route, n_runs=100)
         assert cmp.n_runs >= 90
         assert cmp.n_residual_samples >= 10 * cmp.n_runs
+
+    def test_mc_variance_cell_bits_pinned(self):
+        # the benchmark's mc_variance model at 100 runs; the values were
+        # recorded before trajectories carried their rows, so any change to
+        # how a run is built or estimated that moves one bit shows here
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=0.1,
+                           noise_sigma_m=0.2, speed_jitter_mps=0.2,
+                           det_rate_hz=5.0)
+        route = default_latency_route(5.0, window_m=20.0)
+        cmp = monte_carlo_validate(model, route, n_runs=100, master_seed=11,
+                                   gt_rate_hz=5.0)
+        assert cmp.empirical_var_tau.hex() == "0x1.80036feefae18p-7"
+        assert cmp.predicted_var_tau.hex() == "0x1.7c1bda5119ce2p-7"
+        assert cmp.empirical_var_ed.hex() == "0x1.2ccc516d4e6e7p-2"
+        assert cmp.predicted_var_ed.hex() == "0x1.28f5c28f5c290p-2"
+        assert cmp.n_runs == 98
+        assert cmp.n_tau_samples == 2156
+        assert cmp.n_residual_samples == 2550
 
     def test_small_n_runs_rejected(self):
         model = ErrorModel(latency_mean_s=0.1)
