@@ -3,7 +3,9 @@
 A refactor that keeps the reported numbers keeps stdout, report.json,
 metrics.csv and sweep.csv byte-identical on these cases. The inputs under
 tests/data/ are committed rather than generated per run, so the expected
-bytes do not depend on numpy's random stream. They were written by:
+bytes do not depend on numpy's random stream. They were written by the
+commands below, and test_inputs_regenerate checks that those commands still
+write them byte for byte (that check does depend on the random stream):
 
     roadside-eval synth --template two_vehicle_plus_pedestrian --duration 20 \
         --seed 1 --noise-sigma 0.2 --miss-prob 0.05 --clutter-rate 0.5 \
@@ -63,6 +65,33 @@ CASES = {
     "latency": ["latency", "--det", "lat_det_a.csv", "lat_det_b.csv",
                 "--gt", "lat_gt.csv", "--output-dir", "out"],
 }
+
+
+# the synth commands in the module docstring, by the detection file they write
+SYNTH = {
+    f"scene_det_{trial}.csv": ["--template", "two_vehicle_plus_pedestrian", "--duration", "20",
+                               "--seed", seed, "--noise-sigma", "0.2", "--miss-prob", "0.05",
+                               "--clutter-rate", "0.5", "--id-switch-prob", "0.01",
+                               "--out-gt", "scene_gt.csv"]
+    for trial, seed in (("a", "1"), ("b", "2"))
+} | {
+    f"lat_det_{trial}.csv": ["--template", "latency_run", "--duration", "31", "--seed", seed,
+                             "--latency-mean", "0.1", "--latency-std", "0.02",
+                             "--noise-sigma", "0.05", "--out-gt", "lat_gt.csv"]
+    for trial, seed in (("a", "42"), ("b", "43"))
+}
+
+
+@pytest.mark.parametrize("det", sorted(SYNTH))
+def test_inputs_regenerate(det, tmp_path, monkeypatch):
+    # swaps and clutter (scene_*) and latency jitter without them (lat_*);
+    # the bytes follow numpy's random stream, like the Monte Carlo bit pin
+    # in test_synth.py, so a numpy that changes the stream fails this too
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *SYNTH[det], "--out-det", det]) == 0
+    gt = SYNTH[det][-1]
+    assert (tmp_path / gt).read_bytes() == (DATA / gt).read_bytes()
+    assert (tmp_path / det).read_bytes() == (DATA / det).read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
