@@ -65,6 +65,11 @@ class RouteLine:
     nominal_speed_mps: float
 
     def __post_init__(self) -> None:
+        for name in ("window_start_m", "window_end_m", "nominal_speed_mps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.anchor)):
+            raise ValueError("anchor must be finite")
         if self.window_start_m >= self.window_end_m:
             raise ValueError("window_start_m must be below window_end_m")
         if self.nominal_speed_mps <= 0:

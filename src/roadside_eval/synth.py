@@ -19,7 +19,8 @@ import gc
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,12 +91,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown template {self.template!r}; choose from {TEMPLATES}"
             )
-        if self.duration_s <= 0:
-            raise ScenarioError("duration_s must be positive")
-        if self.gt_rate_hz <= 0:
-            raise ValueError("gt_rate_hz must be positive")
-        if not self.speeds_mps or any(v <= 0 for v in self.speeds_mps):
-            raise ValueError("speeds_mps must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ScenarioError("duration_s must be positive and finite")
+        if not 0 < self.gt_rate_hz < math.inf:
+            raise ValueError("gt_rate_hz must be positive and finite")
+        if not self.speeds_mps or not all(0 < v < math.inf for v in self.speeds_mps):
+            raise ValueError("speeds_mps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,17 @@ class ErrorModel:
     det_rate_hz: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.latency_mean_s < 0:
-            raise ValueError("latency_mean_s must be non-negative")
-        for name in ("latency_std_s", "noise_sigma_m", "speed_jitter_mps", "clutter_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("latency_mean_s", "latency_std_s", "noise_sigma_m", "speed_jitter_mps",
+                     "clutter_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not all(map(math.isfinite, self.offset_e1_m)):
+            raise ValueError("offset_e1_m must be finite")
         for name in ("miss_prob", "id_switch_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
-        if self.det_rate_hz <= 0:
-            raise ValueError("det_rate_hz must be positive")
+        if not 0 < self.det_rate_hz < math.inf:
+            raise ValueError("det_rate_hz must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -378,37 +380,31 @@ def generate_scenario(
     else:  # pragma: no cover - ScenarioSpec already validates
         raise ScenarioError(f"unhandled template {spec.template!r}")
 
-    trajectories = tuple(
-        _bulk_trajectory(
-            oid,
-            cat,
-            times,
-            ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat,
-            ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon,
-        )
-        for oid, cat, xy in sorted(actors, key=lambda a: a[0])
-    )
+    trajectories = []
+    for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
+        lat = ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat
+        lon = ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon
+        rows = np.array((times, lat, lon)).T
+        points = _bulk_points(rows, repeat(cat), repeat(oid))
+        trajectories.append(_trajectory(oid, cat, points, rows))
     # every actor has a point at every tick, so frames zip the id-sorted series
     series = zip(*(traj.points for traj in trajectories))
     frames = map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), series))
-    return TrajectorySet(tuple(frames), "ground_truth")._with_trajectories(trajectories)
+    return TrajectorySet(tuple(frames), "ground_truth")._with_trajectories(tuple(trajectories))
 
 
-def _bulk_trajectory(
-    oid: str, cat: str, t: np.ndarray, lat: np.ndarray, lon: np.ndarray
-) -> Trajectory:
-    """One actor's trajectory from equal-length arrays, with its rows.
+def _bulk_points(
+    rows: np.ndarray, categories: Iterable[str], ids: Iterable[str]
+) -> tuple[DataPoint, ...]:
+    """DataPoints from (t, lat, lon) rows and per-point categories and ids.
 
     tolist() yields native floats, so the points serialize as literals; the
     named tuples are built with tuple.__new__, skipping their Python-level
     constructors.
     """
-    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat.tolist(), lon.tolist()))
-    fields = zip(t.tolist(), geo, repeat(cat), repeat(oid))
-    points = tuple(map(tuple.__new__, repeat(DataPoint), fields))
-    rows = np.empty((len(t), 3))
-    rows[:, 0], rows[:, 1], rows[:, 2] = t, lat, lon
-    return _trajectory(oid, cat, points, rows)
+    t, lat, lon = rows.T.tolist()
+    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat, lon))
+    return tuple(map(tuple.__new__, repeat(DataPoint), zip(t, geo, categories, ids)))
 
 
 # --- degradation -------------------------------------------------------------
@@ -432,6 +428,11 @@ def degrade(
     directions with opposite signs and cancels in a paired mean. Id swaps
     are persistent from the frame they occur. Pass an int or Generator for
     reproducibility.
+
+    Every model takes one path: per-actor draws, then a loop over only the
+    ticks that draw a swap or clutter, then each actor's kept points built
+    in bulk with the id it reports at each tick. When no swap took place
+    and no clutter was drawn, the actors' trajectories are handed over too.
     """
     rng = np.random.default_rng(rng)
     if not gt.frames:
@@ -449,14 +450,14 @@ def degrade(
 
     e1_along, e1_cross = model.offset_e1_m
     norm = math.hypot(*route_direction)
-    if norm == 0:
-        raise ValueError("route_direction must be non-zero")
+    if not 0 < norm < math.inf:
+        raise ValueError("route_direction must be non-zero and finite")
     ux, uy = route_direction[0] / norm, route_direction[1] / norm
     e1_x = e1_along * ux - e1_cross * uy
     e1_y = e1_along * uy + e1_cross * ux
-    actor_ids = [traj.object_id for traj in gt.trajectories]
     query = ticks - lat
-    per_actor = []
+    actors = []  # (id, category, lat, lon, valid, kept ticks); gt trajectories are in id order
+    extent = []  # each actor's gt (x, y) minima and maxima; clutter falls near them
     for traj in gt.trajectories:
         t_a, xy_a = trajectory_arrays(traj, ctx)
         valid = (query >= t_a[0]) & (query <= t_a[-1]) if len(t_a) >= 2 else np.zeros(
@@ -471,108 +472,69 @@ def degrade(
         missed = rng.random(n_ticks) < model.miss_prob if model.miss_prob > 0 else (
             np.zeros(n_ticks, bool)
         )
+        if model.clutter_rate > 0 and len(xy_a):
+            extent += (xy_a.min(axis=0), xy_a.max(axis=0))
         lat_deg = ctx.origin.lat_deg + y / ctx.meters_per_deg_lat
         lon_deg = ctx.origin.lon_deg + x / ctx.meters_per_deg_lon
-        per_actor.append((traj.category, lat_deg, lon_deg, valid, missed))
-    order = sorted(range(len(actor_ids)), key=lambda a: actor_ids[a])
+        kept = np.flatnonzero(valid & ~missed)
+        actors.append((traj.object_id, traj.category, lat_deg, lon_deg, valid, kept))
 
-    if model.id_switch_prob == 0 and model.clutter_rate == 0:
-        # hot path for repeated trials: identities never change, so each
-        # actor's kept ticks are its trajectory, and each frame collects
-        # the id-sorted actors' points at its tick
-        trajectories = []
-        slots: list[list[DataPoint]] = [[] for _ in range(n_ticks)]
-        for a in order:
-            cat, lat_deg, lon_deg, valid, missed = per_actor[a]
-            kept = np.flatnonzero(valid & ~missed)
-            if not kept.size:
-                continue
-            traj = _bulk_trajectory(
-                actor_ids[a], cat, ticks[kept], lat_deg[kept], lon_deg[kept]
-            )
-            trajectories.append(traj)
-            for k, p in zip(kept.tolist(), traj.points):
-                slots[k].append(p)
-        frames = map(tuple.__new__, repeat(DataFrame), zip(ticks.tolist(), map(tuple, slots)))
-        return from_frames(list(frames), "detection")._with_trajectories(tuple(trajectories))
-
-    clutter_counts = (
-        rng.poisson(model.clutter_rate, n_ticks)
-        if model.clutter_rate > 0
-        else np.zeros(n_ticks, int)
+    clutter_counts = np.zeros(n_ticks, int)
+    if model.clutter_rate > 0:
+        clutter_counts = rng.poisson(model.clutter_rate, n_ticks)
+        box = np.array(extent or [(0.0, 0.0)])  # a gt without points: around the origin
+        box_lo, box_hi = box.min(axis=0) - _CLUTTER_MARGIN_M, box.max(axis=0) + _CLUTTER_MARGIN_M
+    swapped = rng.random(n_ticks) < model.id_switch_prob if model.id_switch_prob > 0 else (
+        np.zeros(n_ticks, bool)
     )
-    swap_draws = (
-        rng.random(n_ticks) if model.id_switch_prob > 0 else np.ones(n_ticks)
-    )
-    bbox = _clutter_bbox(gt, ctx) if model.clutter_rate > 0 else None
-    categories = sorted({traj.category for traj in gt.trajectories})
+    categories = sorted({actor[1] for actor in actors})
 
-    swapping = model.id_switch_prob > 0
-    ticks_f = ticks.tolist()
-    # id-sorted per-actor series as plain lists; tolist() yields native floats
-    cols = []
-    for a in order:
-        cat, lat_deg, lon_deg, valid, missed = per_actor[a]
-        cols.append(
-            (actor_ids[a], cat, lat_deg.tolist(), lon_deg.tolist(),
-             valid.tolist(), (valid & ~missed).tolist())
-        )
-
-    frames = []
-    reported = list(range(len(cols)))  # column -> reported identity slot
-    n_clutter = 0
-    for k, t_k in enumerate(ticks_f):
-        present = [a for a in range(len(cols)) if cols[a][4][k]]
-        if swapping and len(present) >= 2 and swap_draws[k] < model.id_switch_prob:
+    reported = [actor[0] for actor in actors]  # the id each actor reports
+    id_maps = [reported[:]]  # reported ids before the first swap and after each
+    swap_ticks: list[int] = []
+    clutter = []  # (tick, x, y, category) per clutter point, in draw order
+    for k in np.flatnonzero(swapped | (clutter_counts > 0)).tolist():
+        present = [a for a, actor in enumerate(actors) if actor[4][k]]
+        if swapped[k] and len(present) >= 2:
             a, b = rng.choice(present, size=2, replace=False)
             reported[a], reported[b] = reported[b], reported[a]
-        pts = []
-        for a in present:
-            oid, cat, la, lo, _, keep = cols[a]
-            if not keep[k]:
-                continue
-            pts.append(
-                DataPoint(
-                    t_k,
-                    GeoPoint(la[k], lo[k]),
-                    cat,
-                    cols[reported[a]][0],
-                )
-            )
-        for _ in range(int(clutter_counts[k])):
-            n_clutter += 1
-            cx = float(rng.uniform(bbox[0], bbox[1]))
-            cy = float(rng.uniform(bbox[2], bbox[3]))
+            swap_ticks.append(k)
+            id_maps.append(reported[:])
+        for _ in range(clutter_counts[k]):
+            cx = rng.uniform(box_lo[0], box_hi[0])
+            cy = rng.uniform(box_lo[1], box_hi[1])
             cat = categories[rng.integers(len(categories))] if categories else VEHICLE
-            pts.append(
-                DataPoint(
-                    t_k,
-                    unproject(LocalPoint(cx, cy), ctx),
-                    cat,
-                    f"clutter-{n_clutter:05d}",
-                )
-            )
-        pts.sort(key=lambda p: p.object_id)
-        frames.append(DataFrame(t_k, tuple(pts)))
-    return from_frames(frames, "detection")
+            clutter.append((k, cx, cy, cat))
 
-
-def _clutter_bbox(gt: TrajectorySet, ctx: ProjectionContext) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for traj in gt.trajectories:
-        _, xy = trajectory_arrays(traj, ctx)
-        if len(xy):
-            xs.extend((float(xy[:, 0].min()), float(xy[:, 0].max())))
-            ys.extend((float(xy[:, 1].min()), float(xy[:, 1].max())))
-    if not xs:
-        return (-_CLUTTER_MARGIN_M, _CLUTTER_MARGIN_M, -_CLUTTER_MARGIN_M, _CLUTTER_MARGIN_M)
-    return (
-        min(xs) - _CLUTTER_MARGIN_M,
-        max(xs) + _CLUTTER_MARGIN_M,
-        min(ys) - _CLUTTER_MARGIN_M,
-        max(ys) + _CLUTTER_MARGIN_M,
-    )
+    handover = not swap_ticks and not clutter
+    id_table = np.array(id_maps, dtype=object)
+    slots: list[list[DataPoint]] = [[] for _ in range(n_ticks)]
+    trajectories = []
+    for a, (oid, cat, lat_deg, lon_deg, _, kept) in enumerate(actors):
+        rows = np.array((ticks[kept], lat_deg[kept], lon_deg[kept])).T
+        ids = repeat(oid)
+        if swap_ticks:  # a swap at tick k already holds at tick k
+            ids = id_table[np.searchsorted(swap_ticks, kept, "right"), a].tolist()
+        points = _bulk_points(rows, repeat(cat), ids)
+        for k, p in zip(kept.tolist(), points):
+            slots[k].append(p)
+        if handover and points:
+            trajectories.append(_trajectory(oid, cat, points, rows))
+    if clutter:
+        ks, xs, ys, cats = zip(*clutter)
+        geo = unproject(LocalPoint(np.array(xs), np.array(ys)), ctx)
+        rows = np.array((ticks[list(ks)], geo.lat_deg, geo.lon_deg)).T
+        ids = [f"clutter-{n:05d}" for n in range(1, len(ks) + 1)]
+        for k, p in zip(ks, _bulk_points(rows, cats, ids)):
+            slots[k].append(p)
+    # actors fill each frame in id order; a swap can break that order in
+    # every later frame, clutter only in its own
+    first_swap = swap_ticks[0] if swap_ticks else n_ticks
+    for k in chain(range(first_swap, n_ticks), (c[0] for c in clutter)):
+        slots[k].sort(key=attrgetter("object_id"))
+    frames = map(tuple.__new__, repeat(DataFrame), zip(ticks.tolist(), map(tuple, slots)))
+    det = from_frames(list(frames), "detection")
+    return det._with_trajectories(tuple(trajectories)) if handover else det
 
 
 # --- Monte Carlo validation --------------------------------------------------

@@ -113,6 +113,25 @@ class TestSynthCommand:
             ])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--det-rate", "inf", "det_rate_hz"),
+        ("--duration", "inf", "duration_s"),
+        ("--gt-rate", "inf", "gt_rate_hz"),
+        ("--e1-along", "nan", "offset_e1_m"),
+        ("--latency-mean", "inf", "latency_mean_s"),
+        ("--noise-sigma", "nan", "noise_sigma_m"),
+    ])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, field):
+        rc = main([
+            "synth", "--template", "latency_run", "--duration", "60",
+            "--out-gt", str(tmp_path / "gt.csv"), "--out-det", str(tmp_path / "det.csv"),
+            flag, value,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "det.csv").exists()
+
 
 class TestLatencyCommand:
     def test_recovers_injected_latency(self, data_dir, tmp_path, capsys):
@@ -147,6 +166,22 @@ class TestLatencyCommand:
         ])
         assert rc == 1
         assert "no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--window-start", "window_start_m"), ("--window-end", "window_end_m"),
+        ("--speed", "nominal_speed_mps"),
+    ])
+    def test_non_finite_route_exits_one_naming_the_field(
+        self, data_dir, tmp_path, capsys, flag, field
+    ):
+        rc = main([
+            "latency", "--det", str(data_dir / "lat_det.csv"),
+            "--gt", str(data_dir / "lat_gt.csv"),
+            "--output-dir", str(tmp_path), flag, "nan",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be finite" in err and "Traceback" not in err
 
     def test_far_origin_exits_one_naming_the_point(self, data_dir, tmp_path, capsys):
         # about 55.6 km north of the data, with the route moved along, so

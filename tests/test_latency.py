@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -112,6 +113,19 @@ class TestWindowExtraction:
             find_constant_speed_windows(traj, ROUTE, ctx, speed_tol_frac=0.0)
         with pytest.raises(ValueError):
             find_constant_speed_windows(traj, ROUTE, ctx, speed_tol_frac=0.6)
+
+
+class TestRouteLineValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("anchor", LocalPoint(math.nan, 0.0)), ("anchor", LocalPoint(0.0, math.inf)),
+        ("window_start_m", math.nan), ("window_start_m", -math.inf),
+        ("window_end_m", math.nan), ("window_end_m", math.inf),
+        ("nominal_speed_mps", math.nan), ("nominal_speed_mps", math.inf),
+        ("direction", (math.nan, 0.0)), ("direction", (math.inf, 0.0)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(ROUTE, **{field: value})
 
 
 class TestSampleTau:

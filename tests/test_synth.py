@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from roadside_eval.core import (
+    DataFrame,
     GeoPoint,
     from_frames,
     make_projection,
@@ -98,6 +100,18 @@ class TestGenerateScenario:
         with pytest.raises(ScenarioError):
             ScenarioSpec("two_vehicle_plus_pedestrian", duration_s=0.0, rng_seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", math.inf), ("duration_s", math.nan),
+        ("gt_rate_hz", math.inf), ("gt_rate_hz", math.nan),
+        ("speeds_mps", (math.nan,)), ("speeds_mps", (10.0, math.inf)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        # constructor only: a NaN speed that got through never ended the
+        # trapezoid phase loop in generate_scenario
+        kw = {"duration_s": 10.0, "rng_seed": 1, field: value}
+        with pytest.raises((ValueError, ScenarioError), match=field):
+            ScenarioSpec("two_vehicle_plus_pedestrian", **kw)
+
     def test_unknown_template_rejected(self, ctx):
         with pytest.raises(ValueError, match="unknown template"):
             ScenarioSpec("parade", duration_s=10.0, rng_seed=1)
@@ -132,6 +146,19 @@ class TestErrorModelValidation:
             ErrorModel(clutter_rate=-1.0)
         with pytest.raises(ValueError):
             ErrorModel(det_rate_hz=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("latency_mean_s", math.inf), ("latency_mean_s", math.nan),
+        ("latency_std_s", math.inf), ("noise_sigma_m", math.nan),
+        ("speed_jitter_mps", math.inf), ("clutter_rate", math.nan),
+        ("clutter_rate", math.inf), ("miss_prob", math.nan),
+        ("id_switch_prob", math.nan), ("det_rate_hz", math.inf),
+        ("det_rate_hz", math.nan), ("offset_e1_m", (math.nan, 0.0)),
+        ("offset_e1_m", (0.0, -math.inf)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ErrorModel(**{field: value})
 
 
 class TestDegrade:
@@ -178,6 +205,12 @@ class TestDegrade:
         x_ref = np.interp(t_det[k] - 0.5, t_gt, xy_gt[:, 0])
         y_ref = np.interp(t_det[k] - 0.5, t_gt, xy_gt[:, 1])
         assert math.hypot(xy_det[k, 0] - x_ref, xy_det[k, 1] - y_ref) < 1e-6
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0)])
+    def test_bad_route_direction_rejected(self, ctx, direction):
+        gt = generate_scenario(spec_for(duration=5.0), ctx)
+        with pytest.raises(ValueError, match="route_direction"):
+            degrade(gt, ErrorModel(), ctx, rng=1, route_direction=direction)
 
     def test_miss_prob_thins_points(self, ctx):
         gt = generate_scenario(spec_for(duration=120.0), ctx)
@@ -248,16 +281,45 @@ class TestHandedOverTrajectories:
         assert gt.trajectories
         assert_view_matches_grouping(gt)
 
-    @pytest.mark.parametrize("template", TEMPLATES)
-    @pytest.mark.parametrize("miss_prob", [0.0, 0.3, 1.0])
-    def test_degrade(self, ctx, template, miss_prob):
+    @pytest.mark.parametrize("template, errors, handed", [
+        *(pytest.param(t, {"miss_prob": m}, True, id=f"{m}-{t}")
+          for m in (0.0, 0.3, 1.0) for t in TEMPLATES),
+        pytest.param("two_vehicle_plus_pedestrian", {"id_switch_prob": 0.05}, False, id="swaps"),
+        pytest.param("two_vehicle_plus_pedestrian", {"clutter_rate": 0.5}, False, id="clutter"),
+        # the W1 model: noise, misses, clutter and swaps
+        pytest.param("two_vehicle_plus_pedestrian",
+                     {"miss_prob": 0.05, "clutter_rate": 0.5, "id_switch_prob": 0.01}, False,
+                     id="w1"),
+        # one actor has nobody to swap with, so its trajectory is handed over
+        pytest.param("one_vehicle_maneuver", {"id_switch_prob": 0.5, "miss_prob": 0.3}, True,
+                     id="one_actor_swaps"),
+    ])
+    def test_degrade(self, ctx, template, errors, handed):
         gt = generate_scenario(spec_for(template=template, duration=40.0), ctx)
         model = ErrorModel(latency_mean_s=0.4, latency_std_s=0.05,
-                           noise_sigma_m=0.2, miss_prob=miss_prob, det_rate_hz=7.0)
+                           noise_sigma_m=0.2, det_rate_hz=7.0, **errors)
         det = degrade(gt, model, ctx, rng=8)
         assert len(det.frames) > 200
-        assert bool(det.trajectories) == (miss_prob < 1.0)
+        assert ("trajectories" in det.__dict__) == handed
+        assert bool(det.trajectories) == (errors.get("miss_prob", 0.0) < 1.0)
         assert_view_matches_grouping(det)
+
+    @pytest.mark.parametrize("model, digest", [
+        (ErrorModel(clutter_rate=0.8),
+         "02d3c2a23c644a54da6f1a4cd87bd9b5530486224923945cd794eec701fc38d5"),
+        (ErrorModel(clutter_rate=0.8, id_switch_prob=0.5),
+         "ce9d07bd5dcb612c16926f2db3a135ae71f6bf31725b64147914a74ddd34c3ea"),
+    ], ids=["clutter", "clutter_and_swaps"])
+    def test_degrade_gt_without_points(self, ctx, model, digest):
+        gt = from_frames([DataFrame(BASE_TIME_S + 0.1 * k, ()) for k in range(60)], "ground_truth")
+        det = degrade(gt, model, ctx, rng=5)
+        assert len(det.frames) == 60
+        assert all(p.object_id.startswith("clutter-") for p in det.all_points())
+        assert len(det.all_points()) == 47
+        assert_view_matches_grouping(det)
+        # the frames' repr, recorded from the per-tick builder that the one
+        # bulk path replaced; it depends on numpy's random stream
+        assert hashlib.sha256(repr(det.frames).encode()).hexdigest() == digest
 
 
 class TestSwapObjectIds:
