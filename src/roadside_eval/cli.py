@@ -36,6 +36,7 @@ from .core import (
     TrajectorySet,
     build_trajectory_set,
     make_projection,
+    paused_gc,
     validate_geo,
 )
 from .errors import ConsistencyError, EvalError, IntegrityError
@@ -837,6 +838,7 @@ def _apply_config_file(
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
+@paused_gc()
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()

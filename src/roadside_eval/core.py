@@ -22,13 +22,15 @@ results.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,3 +309,26 @@ def slice_trajectory(traj: Trajectory, t0: float, t1: float) -> Trajectory | Non
     if i >= j or t1 != t1:
         return None
     return _trajectory(traj.object_id, traj.category, traj.points[i:j], rows[i:j])
+
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore it.
+
+    Points, frames, trajectories, sets, match tuples and reports hold no
+    reference cycles, so reference counting frees every one of them. A
+    command or a Monte Carlo run still allocates them by the thousand, and
+    the allocations keep starting collector passes that find nothing to
+    free; the full passes scan the whole heap. Those passes took about an
+    eighth of an ``eval`` command, and about a tenth of the Monte Carlo loop
+    in a large process. The few cycles a block does leave (argparse's
+    parsers hold some) are collected as usual after it ends. A collector
+    that the caller had turned off stays off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

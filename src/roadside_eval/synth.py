@@ -15,7 +15,6 @@ explicit seed, and identical inputs produce identical outputs byte for byte.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -36,6 +35,7 @@ from .core import (
     _trajectory,
     from_frames,
     make_projection,
+    paused_gc,
     slice_trajectory,
     trajectory_arrays,
     unproject,
@@ -97,6 +97,8 @@ class ScenarioSpec:
             raise ValueError("gt_rate_hz must be positive and finite")
         if not self.speeds_mps or not all(0 < v < math.inf for v in self.speeds_mps):
             raise ValueError("speeds_mps must be positive and finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -599,13 +601,7 @@ def monte_carlo_validate(
     rms_acc: list[tuple[int, float]] = []
     n_residuals = 0
     children = np.random.SeedSequence(master_seed).spawn(n_runs)
-    # Each run allocates thousands of short-lived objects and no reference
-    # cycles, so reference counting frees all of them; the cyclic collector's
-    # full passes over the whole heap would find nothing, yet cost about a
-    # tenth of the loop in a large process. It is paused for the loop only.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         for child in children:
             ss_gen, ss_deg = child.spawn(2)
             spec = ScenarioSpec(
@@ -638,9 +634,6 @@ def monte_carlo_validate(
             estimates.append(est)
             rms_acc.append((pos.n_samples, pos.residual_rms_m))
             n_residuals += pos.n_samples
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
     if len(estimates) < max(n_runs // 2, 2):
         raise EvalError(

@@ -8,6 +8,7 @@ in the implementation cannot hide in its own test harness.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -38,6 +39,15 @@ ORIGIN = GeoPoint(42.3, -83.7)
 @pytest.fixture(scope="session")
 def ctx() -> ProjectionContext:
     return make_projection(ORIGIN)
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector_was(request):
+    """The cyclic collector switched on or off before the test, and restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import shutil
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import roadside_eval.cli as cli_mod
 from roadside_eval.cli import main
-from roadside_eval.errors import ConsistencyError
+from roadside_eval.core import paused_gc
+from roadside_eval.errors import ConsistencyError, EvalError
 from roadside_eval.synth import default_latency_route, min_round_trip_duration_s
 
 GT_HEADER = "timestamp,lat,lon,category,id\n"
@@ -120,6 +123,7 @@ class TestSynthCommand:
         ("--e1-along", "nan", "offset_e1_m"),
         ("--latency-mean", "inf", "latency_mean_s"),
         ("--noise-sigma", "nan", "noise_sigma_m"),
+        ("--seed", "-1", "rng_seed"),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, field):
         rc = main([
@@ -560,8 +564,6 @@ class TestConfigAndPlumbing:
 
     def test_internal_inconsistency_exits_two(self, data_dir, tmp_path, capsys,
                                               monkeypatch):
-        import roadside_eval.cli as cli_mod
-
         def boom(*args, **kwargs):
             raise ConsistencyError("fabricated invariant violation")
 
@@ -620,3 +622,56 @@ class TestInputDiagnostics:
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert b["inputs"][0]["n_rejected"] == 2
         assert a["reports"] == b["reports"]
+
+
+class TestCollectorPause:
+    """Every command runs with the cyclic collector paused and then restores it."""
+
+    def test_success_restores(self, collector_was, tmp_path, capsys):
+        assert main(["eval", *SCENE, "--output-dir", str(tmp_path)]) == 0
+        assert gc.isenabled() is collector_was
+
+    def test_usage_error_restores(self, collector_was, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert gc.isenabled() is collector_was
+
+    @pytest.mark.parametrize("error, code", [(EvalError, 1), (ConsistencyError, 2)])
+    def test_failure_restores(self, collector_was, tmp_path, capsys, monkeypatch,
+                              error, code):
+        seen = []
+
+        def boom(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise error("fabricated failure")
+
+        monkeypatch.setattr(cli_mod, "compute_report", boom)
+        assert main(["eval", *SCENE, "--output-dir", str(tmp_path)]) == code
+        assert seen == [False]
+        assert gc.isenabled() is collector_was
+
+    def test_cycles_do_not_grow_with_the_input(self, tmp_path, capsys):
+        # the pause is safe only while scoring makes no reference cycles: the
+        # cycles a command leaves (argparse's) must not depend on its input,
+        # so a per-point cycle shows here instead of as growing memory
+        long = [str(tmp_path / "long_det.csv"), str(tmp_path / "long_gt.csv")]
+        assert main([
+            "synth", "--template", "two_vehicle_plus_pedestrian", "--duration", "100",
+            "--seed", "1", "--noise-sigma", "0.2", "--miss-prob", "0.05",
+            "--clutter-rate", "0.5", "--id-switch-prob", "0.01",
+            "--out-det", long[0], "--out-gt", long[1],
+        ]) == 0
+        n_gt = len((DATA / "scene_gt.csv").read_text().splitlines())
+        assert len(Path(long[1]).read_text().splitlines()) > 4 * n_gt
+
+        def cycles_left(det: str, gt: str) -> int:
+            with paused_gc():
+                gc.collect()
+                assert main(["eval", "--det", det, "--gt", gt, "--formats",
+                             "table,csv,json", "--output-dir", str(tmp_path / "out")]) == 0
+                return gc.collect()
+
+        golden = [str(DATA / "scene_det_a.csv"), str(DATA / "scene_gt.csv")]
+        cycles_left(*golden)  # first-call imports and caches settle here
+        assert cycles_left(*golden) == cycles_left(*long) > 0

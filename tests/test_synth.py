@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 
@@ -16,7 +17,7 @@ from roadside_eval.core import (
     project,
     trajectory_arrays,
 )
-from roadside_eval.errors import ScenarioError
+from roadside_eval.errors import EvalError, ScenarioError
 from roadside_eval.ingest import write_points, read_points
 from roadside_eval.latency import route_arc_coordinates
 from roadside_eval.synth import (
@@ -104,6 +105,7 @@ class TestGenerateScenario:
         ("duration_s", math.inf), ("duration_s", math.nan),
         ("gt_rate_hz", math.inf), ("gt_rate_hz", math.nan),
         ("speeds_mps", (math.nan,)), ("speeds_mps", (10.0, math.inf)),
+        ("rng_seed", -1),
     ])
     def test_non_finite_rejected(self, field, value):
         # constructor only: a NaN speed that got through never ended the
@@ -381,6 +383,12 @@ class TestMonteCarloValidate:
         cmp = monte_carlo_validate(model, route, n_runs=100)
         assert cmp.n_runs >= 90
         assert cmp.n_residual_samples >= 10 * cmp.n_runs
+
+    def test_collector_restored_when_too_few_runs(self, collector_was):
+        with pytest.raises(EvalError, match="only 0 of 100 runs"):
+            monte_carlo_validate(ErrorModel(miss_prob=1.0),
+                                 default_latency_route(10.0), n_runs=100)
+        assert gc.isenabled() is collector_was
 
     def test_mc_variance_cell_bits_pinned(self):
         # the benchmark's mc_variance model at 100 runs; the values were
