@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,6 +54,7 @@ MAX_PROJECTION_RANGE_M = 10_000.0
 FRAME_BIN_S = 0.001
 
 _BY_TIME = attrgetter("timestamp_s")
+_CATEGORY = attrgetter("category")
 
 
 class GeoPoint(NamedTuple):
@@ -166,7 +167,26 @@ class TrajectorySet:
     @cached_property
     def categories(self) -> frozenset[str]:
         """The categories that occur in the recording."""
-        return frozenset(p.category for f in self.frames for p in f.points)
+        return frozenset(map(_CATEGORY, self.all_points()))
+
+    @cached_property
+    def _by_category(self) -> dict[str, TrajectorySet]:
+        """One set per category held, on the whole frame grid: one stable sort
+        on (category, frame) makes each category's frame one slice."""
+        names = sorted(self.categories)
+        points = self.all_points()
+        n = len(self.frames)
+        rank = {c: r for r, c in enumerate(names)}
+        key = np.fromiter(map(rank.__getitem__, map(_CATEGORY, points)), np.intp, len(points))
+        key = key * n + np.repeat(np.arange(n), [len(f.points) for f in self.frames])
+        order = np.argsort(key, kind="stable")
+        lined = [points[k] for k in order.tolist()]
+        bounds = np.searchsorted(key[order], np.arange(len(names) * n + 1)).tolist()
+        parts = [tuple(lined[a:b]) for a, b in zip(bounds, bounds[1:])]
+        stamps = list(map(_BY_TIME, self.frames)) * len(names)
+        frames = list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts)))
+        return {c: from_frames(frames[r * n : (r + 1) * n], self.source)
+                for r, c in enumerate(names)}
 
     def _with_trajectories(self, trajectories: tuple[Trajectory, ...]) -> TrajectorySet:
         """This set with its trajectory view supplied by a caller that built
@@ -238,29 +258,49 @@ def build_trajectory_set(
 
     Points whose timestamps fall into the same FRAME_BIN_S bin share a
     frame. The result is independent of input order: frames are ordered by
-    time, and points within a frame by object id.
+    time, and points within a frame by object id: one stable sort on (bin,
+    id) groups them. A frame's stamp is the fsum mean of its times.
 
     Raises IntegrityError when one object id occurs twice in one frame bin;
-    its ``records`` are the input positions of the two points.
+    its ``records`` are the input positions of the two points. Raises
+    ValueError, naming the record, for a time in no bin (not finite, or
+    whose bin number overflows).
     """
     pts = list(points)
-    by_bin: dict[int, dict[str, int]] = {}
-    for k, p in enumerate(pts):
-        frame = by_bin.setdefault(round(p.timestamp_s / FRAME_BIN_S), {})
-        first = frame.setdefault(p.object_id, k)
-        if first != k:
-            raise IntegrityError(
-                f"duplicate record for object {p.object_id!r} in frame bin "
-                f"around t={p.timestamp_s:.3f} s",
-                records=(first, k),
-            )
+    n = len(pts)
+    times = np.fromiter(map(_BY_TIME, pts), float, n)
+    # rint rounds half to even, as round() does
+    with np.errstate(over="ignore"):
+        bins = np.rint(times / FRAME_BIN_S)
+    if not np.isfinite(bins).all():
+        k = int(np.argmin(np.isfinite(bins)))
+        raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
+    ids = list(map(attrgetter("object_id"), pts))
+    rank = {oid: r for r, oid in enumerate(sorted(set(ids)))}
+    codes = np.fromiter(map(rank.__getitem__, ids), np.intp, n)
+    order = np.lexsort((codes, bins))
+    bins, codes = bins[order], codes[order]
+    # frame edges: before the first point, between bins, after the last
+    edge = np.diff(bins, prepend=-np.inf, append=np.inf) != 0
+    twice = np.flatnonzero(~edge[1:-1] & (codes[1:] == codes[:-1]))
+    if twice.size:
+        # the duplicate met first in input order, and the first record of its id
+        j = twice[np.argmin(order[twice + 1])]
+        first, k = int(order[j]), int(order[j + 1])
+        raise IntegrityError(
+            f"duplicate record for object {ids[k]!r} in frame bin "
+            f"around t={pts[k].timestamp_s:.3f} s",
+            records=(first, k),
+        )
 
-    frames = []
-    for b in sorted(by_bin):
-        members = [pts[k] for _, k in sorted(by_bin[b].items())]
-        stamp = math.fsum(m.timestamp_s for m in members) / len(members)
-        frames.append(DataFrame(stamp, tuple(members)))
-    return from_frames(frames, source)
+    members = [pts[k] for k in order.tolist()]
+    times = times[order].tolist()
+    bounds = np.flatnonzero(edge).tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    # fsum of one time is that time, with -0.0 made 0.0
+    stamps = [times[a] + 0.0 if b - a == 1 else math.fsum(times[a:b]) / (b - a) for a, b in spans]
+    parts = [tuple(members[a:b]) for a, b in spans]
+    return from_frames(list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts))), source)
 
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
@@ -274,15 +314,15 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     Frames are kept even when the filter empties them: the frame grid is the
     evaluation clock, and a tick on which a system reported only the other
     category still counts as a tick. A set that holds no other category is
-    returned as it is.
+    returned as it is. A mixed set is split into all of its categories at
+    once, on first use; a category it does not hold keeps only empty frames.
     """
     if ts.categories <= {category}:
         return ts
-    frames = tuple(
-        DataFrame(f.timestamp_s, tuple(p for p in f.points if p.category == category))
-        for f in ts.frames
-    )
-    return from_frames(frames, ts.source)
+    split = ts._by_category
+    if category in split:
+        return split[category]
+    return from_frames([f._replace(points=()) for f in ts.frames], ts.source)
 
 
 def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:

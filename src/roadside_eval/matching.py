@@ -475,38 +475,6 @@ def _distance_blocks(
     return _Blocks(live, points, start, rows, cols, cell, flat, cell_det, cell_gt, big)
 
 
-def _assigned(blocks: _Blocks) -> list[list[tuple[int, int, float]]]:
-    """solve_assignment's pairs of every live frame, each with its distance.
-
-    Small frames are grouped by shape and solved as one stack; only the
-    frames that _solve_small leaves open, and the larger ones, call
-    solve_assignment.
-    """
-    out: list[list[tuple[int, int, float]]] = [[] for _ in blocks.live]
-    small = np.flatnonzero((blocks.rows <= _SMALL) & (blocks.cols <= _SMALL))
-    shapes = blocks.rows[small] * (_SMALL + 1) + blocks.cols[small]
-    # a set, not np.unique: the latter imports numpy.ma on first use
-    for shape in sorted(set(shapes.tolist())):
-        n_rows, n_cols = divmod(shape, _SMALL + 1)
-        frames = small[shapes == shape]
-        index = blocks.cell[frames][:, None] + np.arange(n_rows * n_cols)
-        cost = blocks.flat[index].reshape(-1, n_rows, n_cols)
-        ok, rows, cols = _solve_small(cost)
-        dist = cost[np.arange(len(frames))[:, None], rows, cols]
-        for f, (k, good) in enumerate(zip(frames.tolist(), ok.tolist())):
-            if good:
-                out[k] = list(zip(rows[f].tolist(), cols[f].tolist(), dist[f].tolist()))
-            else:
-                out[k] = _solved(cost[f])
-    for k, block in blocks.big.items():
-        out[k] = _solved(block)
-    return out
-
-
-def _solved(cost: np.ndarray) -> list[tuple[int, int, float]]:
-    return [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost)]
-
-
 def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
     """(detection, gt) point counts that a pairing's rates are taken over.
 
@@ -544,14 +512,41 @@ def point_match(
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     blocks = _distance_blocks(pairs, ctx)
+    # every assigned pair as (live frame, detection row, gt column, distance)
+    parts: list[tuple[np.ndarray, ...]] = []
+    unsettled: list[tuple[int, np.ndarray]] = []
+    small = np.flatnonzero((blocks.rows <= _SMALL) & (blocks.cols <= _SMALL))
+    shapes = blocks.rows[small] * (_SMALL + 1) + blocks.cols[small]
+    # a set, not np.unique: the latter imports numpy.ma on first use
+    for shape in sorted(set(shapes.tolist())):
+        n_rows, n_cols = divmod(shape, _SMALL + 1)
+        frames = small[shapes == shape]
+        index = blocks.cell[frames][:, None] + np.arange(n_rows * n_cols)
+        cost = blocks.flat[index].reshape(-1, n_rows, n_cols)
+        ok, rows, cols = _solve_small(cost)
+        dist = cost[np.arange(len(frames))[:, None], rows, cols]
+        owner = np.broadcast_to(frames[:, None], rows.shape)
+        parts.append(tuple(a[ok].ravel() for a in (owner, rows, cols, dist)))
+        unsettled += [(frames[f], cost[f]) for f in np.flatnonzero(~ok).tolist()]
+    for f, cost in [*unsettled, *blocks.big.items()]:
+        rows, cols = np.array(solve_assignment(cost), dtype=np.intp).reshape(-1, 2).T
+        parts.append((np.full(len(rows), f), rows, cols, cost[rows, cols]))
+
     matches: list[tuple[tuple[str, str, float], ...]] = [()] * len(pairs)
-    for k, assigned in zip(blocks.live, _assigned(blocks)):
-        det, gt = pairs[k][0].points, pairs[k][1].points
-        matches[k] = tuple(
-            (det[i].object_id, gt[j].object_id, d)
-            for i, j, d in assigned
-            if d <= threshold_m and d < UNMATCHABLE_COST / 2
-        )
+    if not parts:
+        return matches
+    frame, rows, cols, dist = map(np.concatenate, zip(*parts))
+    keep = np.flatnonzero((dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2))
+    keep = keep[np.argsort(frame[keep], kind="stable")]
+    frame = frame[keep]
+    det = (blocks.start[frame] + rows[keep]).tolist()
+    gt = (blocks.start[frame] + blocks.rows[frame] + cols[keep]).tolist()
+    ids = [p.object_id for p in blocks.points]
+    tps = list(zip(map(ids.__getitem__, det), map(ids.__getitem__, gt), dist[keep].tolist()))
+    cuts = np.flatnonzero(np.diff(frame, prepend=-1, append=-1)).tolist()
+    frame = frame.tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        matches[blocks.live[frame[a]]] = tuple(tps[a:b])
     return matches
 
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
+import random
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roadside_eval.cli as cli_mod
 from roadside_eval.cli import main
@@ -622,6 +628,84 @@ class TestInputDiagnostics:
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert b["inputs"][0]["n_rejected"] == 2
         assert a["reports"] == b["reports"]
+
+
+class TestRowOrder:
+    """Scoring reads a file's records as a set: shuffled rows score the same."""
+
+    @staticmethod
+    def _run(directory: Path, command: list[str], monkeypatch) -> dict:
+        monkeypatch.chdir(directory)
+        assert main([*command, "--det", "scene_det_a.csv", "--gt", "scene_gt.csv",
+                     "--output-dir", "out"]) == 0
+        report = json.loads(Path("out/report.json").read_text())
+        for entry in report["inputs"]:
+            del entry["sha256"]
+        return report
+
+    @pytest.mark.parametrize("command", [
+        ["eval"],
+        ["sweep", "--category", "vehicle", "--thresholds", "0.5,1.5,3"],
+    ], ids=["eval", "sweep"])
+    def test_shuffled_rows_give_the_same_report(self, tmp_path, monkeypatch, capsys, command):
+        rng = random.Random(20240611)
+        for name in ("plain", "shuffled"):
+            (tmp_path / name).mkdir()
+        for file in ("scene_det_a.csv", "scene_gt.csv"):
+            header, *rows = (DATA / file).read_text().splitlines(keepends=True)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert shuffled != rows
+            (tmp_path / "plain" / file).write_text(header + "".join(rows))
+            (tmp_path / "shuffled" / file).write_text(header + "".join(shuffled))
+        plain = self._run(tmp_path / "plain", command, monkeypatch)
+        assert self._run(tmp_path / "shuffled", command, monkeypatch) == plain
+
+
+# per column of the wire format: values that load, and values that do not
+_GOOD = (["1700000000.0", "1700000000.1", "1700000000.2", "1700000000.0004"],
+         ["42.3", "42.30001", "42.29999"], ["-83.7", "-83.70002"],
+         ["vehicle", "pedestrian"], ["a", "b", "veh-01"])
+_BAD = (["1700000000100", "-0.0", "nan", "inf", "1e306", "", "t"],
+        ["42.4", "95", "nan", ""], ["-83.9", "200", "-inf", ""],
+        ["Vehicle", "cyclist", ""], ["", '"x,y"'])
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    """Arbitrary bytes, or CSV text of the wire format with well-formed rows
+    and rows whose every field may be malformed, sometimes with arbitrary
+    bytes appended."""
+    # the rare branches come last: generation favours the first choices
+    if draw(st.sampled_from([False] * 5 + [True])):
+        return draw(st.binary(max_size=64))
+    header = draw(st.sampled_from([GT_HEADER, "\ufeffTimestamp,LAT,lon,category,id,extra\n",
+                                   GT_HEADER, "timestamp,lat,lon\n", ""]))
+    good = st.tuples(*map(st.sampled_from, _GOOD))
+    mixed = st.tuples(*(st.sampled_from(g + b) for g, b in zip(_GOOD, _BAD)))
+    # rows unique by (time, id), so that duplicates do not end most runs
+    rows = draw(st.lists(good | good | mixed, min_size=1, max_size=12,
+                         unique_by=lambda r: (r[0], r[4])))
+    rows = [",".join(r) for r in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.binary(max_size=8)) if draw(st.sampled_from([False] * 3 + [True])) else b""
+    return (header + "".join(r + end for r in rows)).encode() + tail
+
+
+class TestLoadFuzz:
+    @settings(max_examples=60)
+    @given(det=csv_bytes(), gt=csv_bytes())
+    def test_any_bytes_exit_zero_or_one(self, det, gt):
+        with tempfile.TemporaryDirectory() as d:
+            paths = [Path(d) / "det.csv", Path(d) / "gt.csv"]
+            paths[0].write_bytes(det)
+            paths[1].write_bytes(gt)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["eval", "--det", str(paths[0]), "--gt", str(paths[1]),
+                           "--output-dir", str(Path(d) / "out")])
+        assert rc in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCollectorPause:

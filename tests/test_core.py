@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roadside_eval.core import (
+    FRAME_BIN_S,
     DataFrame,
     DataPoint,
     GeoPoint,
@@ -92,6 +93,82 @@ class TestProjection:
         validate_geo(GeoPoint(-90.0, 180.0))
 
 
+def reference_grouping(points, source="detection"):
+    """The dict-based grouping that build_trajectory_set replaced, verbatim."""
+    pts = list(points)
+    by_bin: dict[int, dict[str, int]] = {}
+    for k, p in enumerate(pts):
+        frame = by_bin.setdefault(round(p.timestamp_s / FRAME_BIN_S), {})
+        first = frame.setdefault(p.object_id, k)
+        if first != k:
+            raise IntegrityError(
+                f"duplicate record for object {p.object_id!r} in frame bin "
+                f"around t={p.timestamp_s:.3f} s",
+                records=(first, k),
+            )
+
+    frames = []
+    for b in sorted(by_bin):
+        members = [pts[k] for _, k in sorted(by_bin[b].items())]
+        stamp = math.fsum(m.timestamp_s for m in members) / len(members)
+        frames.append(DataFrame(stamp, tuple(members)))
+    return from_frames(frames, source)
+
+
+def check_against_reference(points):
+    """build_trajectory_set gives the reference's frames, stamps bit for bit,
+    or the reference's duplicate error."""
+    try:
+        want = reference_grouping(points)
+    except IntegrityError as exc:
+        with pytest.raises(IntegrityError) as got:
+            build_trajectory_set(points)
+        assert (str(got.value), got.value.records) == (str(exc), exc.records)
+        return
+    got = build_trajectory_set(points)
+    assert got == want
+    assert [f.timestamp_s.hex() for f in got.frames] == [f.timestamp_s.hex() for f in want.frames]
+
+
+def _ulps(t: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        t = math.nextafter(t, math.copysign(math.inf, steps))
+    return t
+
+
+BINS = [-2, -1, 0, 1, 2, 7, 1_700_000_000_122, 1_700_000_000_123]
+
+
+def _point(t: float, oid: str, category: str = "vehicle") -> DataPoint:
+    return DataPoint(t, ORIGIN, category, oid)
+
+
+@st.composite
+def grouping_inputs(draw):
+    """Points of a few ids and both categories, at times on, and a few ulps
+    around, half-bin boundaries, and at several distinct times inside one
+    bin. Duplicates of an id in a bin occur unless the draw drops them."""
+    bins = draw(st.lists(st.sampled_from(BINS), min_size=1, max_size=3, unique=True))
+    half = st.builds(lambda b, k: _ulps((b + 0.5) * FRAME_BIN_S, k),
+                     st.sampled_from(bins), st.integers(-3, 3))
+    inside = st.builds(lambda b, f: b * FRAME_BIN_S + f * FRAME_BIN_S,
+                       st.sampled_from(bins), st.floats(-0.45, 0.45))
+    time = half | inside | st.sampled_from([0.0, -0.0])
+    point = st.builds(_point, time, st.sampled_from(["a", "b", "B", "a0", "veh-1"]),
+                      st.sampled_from(["vehicle", "pedestrian"]))
+    pts = draw(st.lists(point, max_size=14))
+    if draw(st.booleans()):
+        seen = set()
+        kept = []
+        for p in pts:
+            key = (round(p.timestamp_s / FRAME_BIN_S), p.object_id)
+            if key not in seen:
+                seen.add(key)
+                kept.append(p)
+        pts = kept
+    return pts
+
+
 class TestBuildTrajectorySet:
     def test_empty_input(self):
         ts = build_trajectory_set([])
@@ -114,6 +191,42 @@ class TestBuildTrajectorySet:
         with pytest.raises(IntegrityError) as exc:
             build_trajectory_set(pts)
         assert "veh-01" in str(exc.value)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e306])
+    def test_time_in_no_bin_names_the_record(self, ctx, t):
+        pts = [dp(10.0, 0, 0, ctx), dp(t, 1, 0, ctx, object_id="b")]
+        with pytest.raises(ValueError, match="record 1: timestamp"):
+            build_trajectory_set(pts)
+
+    @given(case=grouping_inputs())
+    def test_matches_dict_grouping(self, case):
+        check_against_reference(case)
+
+    def test_half_bin_boundaries_round_half_to_even(self):
+        # at k = 0 the quotient is exactly b + 0.5; even and odd b round apart
+        pts = [_point(_ulps((b + 0.5) * FRAME_BIN_S, k), f"{b}/{k}")
+               for b in BINS for k in range(-3, 4)]
+        check_against_reference(pts)
+
+    def test_lone_negative_zero_stamps_positive_zero(self):
+        check_against_reference([_point(-0.0, "a"), _point(1.0, "a")])
+
+    def test_third_record_of_an_id_names_the_first_two(self, ctx):
+        pts = [dp(10.0, 0, 0, ctx, object_id="a"), dp(10.0, 1, 0, ctx, object_id="b"),
+               dp(10.0001, 2, 0, ctx, object_id="a"), dp(10.0002, 3, 0, ctx, object_id="a")]
+        with pytest.raises(IntegrityError) as exc:
+            build_trajectory_set(pts)
+        assert exc.value.records == (0, 2)
+        check_against_reference(pts)
+
+    def test_duplicate_met_first_in_input_order_is_named(self, ctx):
+        # the later bin's duplicate comes first in the file, so it is the one named
+        pts = [dp(20.0, 0, 0, ctx, object_id="x"), dp(10.0, 1, 0, ctx, object_id="y"),
+               dp(20.0, 2, 0, ctx, object_id="x"), dp(10.0, 3, 0, ctx, object_id="y")]
+        with pytest.raises(IntegrityError, match="'x'") as exc:
+            build_trajectory_set(pts)
+        assert exc.value.records == (0, 2)
+        check_against_reference(pts)
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_permutation_invariant(self, seed):
@@ -339,7 +452,7 @@ class TestFilterPassThrough:
         assert filter_category(ts, category) is ts
 
     @given(seed=st.integers(0, 2**32 - 1), per_frame_ids=st.booleans(),
-           category=st.sampled_from(["vehicle", "pedestrian"]))
+           category=st.sampled_from(["vehicle", "pedestrian", "cyclist"]))
     def test_mixed_set_equals_eager_rebuild(self, seed, per_frame_ids, category):
         ts = from_frames(_seeded_frames(seed, per_frame_ids, ["vehicle", "pedestrian"]),
                          "detection")
