@@ -264,7 +264,8 @@ def build_trajectory_set(
     Raises IntegrityError when one object id occurs twice in one frame bin;
     its ``records`` are the input positions of the two points. Raises
     ValueError, naming the record, for a time in no bin (not finite, or
-    whose bin number overflows).
+    whose bin number overflows). Either error names the first bad record
+    in input order.
     """
     pts = list(points)
     n = len(pts)
@@ -274,6 +275,7 @@ def build_trajectory_set(
         bins = np.rint(times / FRAME_BIN_S)
     if not np.isfinite(bins).all():
         k = int(np.argmin(np.isfinite(bins)))
+        build_trajectory_set(pts[:k], source)  # a duplicate before record k is met first
         raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
     ids = list(map(attrgetter("object_id"), pts))
     rank = {oid: r for r, oid in enumerate(sorted(set(ids)))}
@@ -297,8 +299,7 @@ def build_trajectory_set(
     times = times[order].tolist()
     bounds = np.flatnonzero(edge).tolist()
     spans = list(zip(bounds, bounds[1:]))
-    # fsum of one time is that time, with -0.0 made 0.0
-    stamps = [times[a] + 0.0 if b - a == 1 else math.fsum(times[a:b]) / (b - a) for a, b in spans]
+    stamps = [math.fsum(times[a:b]) / (b - a) for a, b in spans]
     parts = [tuple(members[a:b]) for a, b in spans]
     return from_frames(list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts))), source)
 

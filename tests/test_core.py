@@ -198,6 +198,16 @@ class TestBuildTrajectorySet:
         with pytest.raises(ValueError, match="record 1: timestamp"):
             build_trajectory_set(pts)
 
+    def test_first_bad_record_in_input_order_is_named(self, ctx):
+        # whichever of a duplicate and a time in no bin comes first is raised
+        a0, a1 = dp(10.0, 0, 0, ctx, object_id="a"), dp(10.0, 1, 0, ctx, object_id="a")
+        bad = dp(math.nan, 2, 0, ctx, object_id="b")
+        with pytest.raises(IntegrityError) as exc:
+            build_trajectory_set([a0, a1, bad])
+        assert exc.value.records == (0, 1)
+        with pytest.raises(ValueError, match="record 1: timestamp"):
+            build_trajectory_set([a0, bad, a1])
+
     @given(case=grouping_inputs())
     def test_matches_dict_grouping(self, case):
         check_against_reference(case)
