@@ -60,6 +60,7 @@ from .synth import (
     ErrorModel,
     ScenarioSpec,
     TEMPLATES,
+    default_latency_route,
     degrade,
     generate_scenario,
 )
@@ -210,6 +211,7 @@ def _route_from_args(args: argparse.Namespace) -> RouteLine | None:
     )
     if not given:
         return None
+    default = default_latency_route()
     if args.route is not None:
         vals = args.route.split(",")
         if len(vals) != 4:
@@ -219,10 +221,11 @@ def _route_from_args(args: argparse.Namespace) -> RouteLine | None:
         except ValueError:
             raise EvalError(f"route must be numeric, got {args.route!r}") from None
     else:
-        x0, y0, x1, y1 = 0.0, 0.0, 1.0, 0.0
-    ws = args.window_start if args.window_start is not None else -30.0
-    we = args.window_end if args.window_end is not None else 30.0
-    v0 = args.speed if args.speed is not None else 10.0
+        (x0, y0), (dx, dy) = default.anchor, default.direction
+        x1, y1 = x0 + dx, y0 + dy
+    ws = args.window_start if args.window_start is not None else default.window_start_m
+    we = args.window_end if args.window_end is not None else default.window_end_m
+    v0 = args.speed if args.speed is not None else default.nominal_speed_mps
     try:
         return make_route_line(LocalPoint(x0, y0), LocalPoint(x1, y1), ws, we, v0)
     except ValueError as exc:
@@ -624,6 +627,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _add_route_flags(p: argparse.ArgumentParser, with_defaults: bool) -> None:
+    default = default_latency_route()
     p.add_argument(
         "--route",
         default=None,
@@ -633,20 +637,20 @@ def _add_route_flags(p: argparse.ArgumentParser, with_defaults: bool) -> None:
     p.add_argument(
         "--window-start",
         type=float,
-        default=-30.0 if with_defaults else None,
-        help="constant-speed window start, arc meters (default -30)",
+        default=default.window_start_m if with_defaults else None,
+        help=f"constant-speed window start, arc meters (default {default.window_start_m:g})",
     )
     p.add_argument(
         "--window-end",
         type=float,
-        default=30.0 if with_defaults else None,
-        help="constant-speed window end, arc meters (default 30)",
+        default=default.window_end_m if with_defaults else None,
+        help=f"constant-speed window end, arc meters (default {default.window_end_m:g})",
     )
     p.add_argument(
         "--speed",
         type=float,
-        default=10.0 if with_defaults else None,
-        help="nominal constant speed v0 in m/s (default 10)",
+        default=default.nominal_speed_mps if with_defaults else None,
+        help=f"nominal constant speed v0 in m/s (default {default.nominal_speed_mps:g})",
     )
     p.add_argument(
         "--test-points",
@@ -854,7 +858,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"completed in {time.monotonic() - started:.2f} s", file=sys.stderr)

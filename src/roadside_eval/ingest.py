@@ -15,16 +15,14 @@ A malformed row never aborts a load; it is dropped and reported with its
 line number so a 1% logging glitch does not cost a whole trial. A malformed
 header is fatal because it means the file is not this format at all.
 
-Rows are parsed in chunks: ``csv`` splits the fields, numpy checks a whole
-chunk's numbers at once, and only rejected rows are worded one by one, by
-the same per-row rules. Line numbers count CSV records, the header being
-line 1.
+Rows are parsed in chunks: ``csv`` splits the fields, each row rule is one
+numpy mask over the chunk, and a rejected row is worded by the first rule
+it fails. Line numbers count CSV records, the header being line 1.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import itemgetter, truth
@@ -34,7 +32,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .core import CATEGORIES, DataPoint, GeoPoint
-from .errors import ConsistencyError, SchemaError
+from .errors import SchemaError
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "category", "id")
 
@@ -76,67 +74,43 @@ def _column_map(header: Sequence[str]) -> dict[str, int]:
     return seen
 
 
-def _parse_row(
-    row: Sequence[str], cols: dict[str, int]
-) -> tuple[DataPoint, bool]:
-    """Parse one data row. Raises ValueError with a human reason.
+# The row rules' reasons, in the order they are tried: _parse_chunk's masks
+# follow it. Fields are quoted as read, the timestamp ({t}) stripped.
+_REASONS = (
+    "expected at least {needed} fields, got {got}",
+    "timestamp {t!r} is not a number",
+    "timestamp {t!r} is not finite",
+    "timestamp {t!r} is not positive",
+    "lat/lon is not a number",
+    "latitude {lat!r} outside [-90, 90]",
+    "longitude {lon!r} outside [-180, 180]",
+    f"category {{category!r}} is not one of {'/'.join(CATEGORIES)}",
+    "empty object id",
+)
 
-    These are the row rules; _parse_chunk applies the same checks to a
-    whole chunk as masks and calls this only to word a rejected row.
-    """
-    needed = max(cols.values())
-    if len(row) <= needed:
-        raise ValueError(f"expected at least {needed + 1} fields, got {len(row)}")
 
-    raw_t = row[cols["timestamp"]].strip()
+def _reason(rule: int, row: Sequence[str], cols: dict[str, int]) -> str:
+    """Word a rejected row by the index in _REASONS of the first rule it fails."""
+    if rule == 0:  # too few fields to quote any
+        return _REASONS[0].format(needed=max(cols.values()) + 1, got=len(row))
+    fields = {name: row[i] for name, i in cols.items()}
+    return _REASONS[rule].format(t=fields["timestamp"].strip(), **fields)
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each text (NaN where float() fails) and where it parsed."""
     try:
-        t = float(raw_t)
+        return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
     except ValueError:
-        raise ValueError(f"timestamp {raw_t!r} is not a number") from None
-    if not math.isfinite(t):
-        raise ValueError(f"timestamp {raw_t!r} is not finite")
-    was_ms = t > _MS_THRESHOLD
-    if was_ms:
-        t /= 1000.0
-    if t <= 0:
-        raise ValueError(f"timestamp {raw_t!r} is not positive")
-
-    try:
-        lat = float(row[cols["lat"]])
-        lon = float(row[cols["lon"]])
-    except ValueError:
-        raise ValueError("lat/lon is not a number") from None
-    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-        raise ValueError(f"latitude {row[cols['lat']]!r} outside [-90, 90]")
-    if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-        raise ValueError(f"longitude {row[cols['lon']]!r} outside [-180, 180]")
-
-    category = row[cols["category"]].strip().lower()
-    if category not in CATEGORIES:
-        raise ValueError(
-            f"category {row[cols['category']]!r} is not one of {'/'.join(CATEGORIES)}"
-        )
-
-    object_id = row[cols["id"]].strip()
-    if not object_id:
-        raise ValueError("empty object id")
-
-    return DataPoint(t, GeoPoint(lat, lon), category, object_id), was_ms
+        values = list(map(_float_or_none, texts))
+        return np.array(values, float), np.array([v is not None for v in values], bool)
 
 
-def _floats(texts: list[str]) -> np.ndarray:
-    """float() of each text; NaN where float() fails (such rows are rejected)."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        return np.array([_float_or_nan(v) for v in texts], dtype=float)
-
-
-def _float_or_nan(text: str) -> float:
+def _float_or_none(text: str) -> float | None:
     try:
         return float(text)
     except ValueError:
-        return math.nan
+        return None
 
 
 def _categories(texts: list[str]) -> list[str | None]:
@@ -156,10 +130,10 @@ def _parse_chunk(
 ) -> tuple[np.ndarray, int]:
     """Parse consecutive rows, appending their points and rejections.
 
-    Applies _parse_row's checks to the whole chunk as masks, in its order;
-    rows that fail one are skipped when blank and otherwise worded by
-    _parse_row itself. Returns the accepted rows' line numbers and how many
-    of their timestamps were milliseconds.
+    Applies each row rule to the whole chunk as a mask; a row that fails
+    one is skipped when blank and otherwise worded by the first it fails.
+    Returns the accepted rows' line numbers and how many of their
+    timestamps were milliseconds.
     """
     n = len(rows)
     wide = np.fromiter(map(len, rows), int, n) > max(cols.values())
@@ -167,42 +141,38 @@ def _parse_chunk(
     raw_t, raw_lat, raw_lon, raw_cat, raw_id = (
         list(map(itemgetter(cols[name]), full)) for name in REQUIRED_COLUMNS
     )
-    t = _floats(raw_t)
-    finite = np.isfinite(t)
+    t, t_parsed = _floats(raw_t)
     was_ms = t > _MS_THRESHOLD
     t = np.where(was_ms, t / 1000.0, t)
-    lat = _floats(raw_lat)
-    lon = _floats(raw_lon)
+    lat, lat_parsed = _floats(raw_lat)
+    lon, lon_parsed = _floats(raw_lon)
     cats = _categories(raw_cat)
     ids = list(map(str.strip, raw_id))
-    # the range tests are False for NaN and infinities
-    ok = (
-        finite
-        & (t > 0)
-        & (-90.0 <= lat) & (lat <= 90.0)
-        & (-180.0 <= lon) & (lon <= 180.0)
-        & np.fromiter(map(truth, cats), bool, len(full))
-        & np.fromiter(map(truth, ids), bool, len(full))
-    )
+    # _REASONS[1:] in order; the range tests are False for NaN and infinities
+    failed = ~np.array([
+        t_parsed,
+        np.isfinite(t),
+        t > 0,
+        lat_parsed & lon_parsed,
+        (-90.0 <= lat) & (lat <= 90.0),
+        (-180.0 <= lon) & (lon <= 180.0),
+        np.fromiter(map(truth, cats), bool, len(full)),
+        np.fromiter(map(truth, ids), bool, len(full)),
+    ])
+    ok = ~failed.any(axis=0)
     keep = ok.tolist()
     geo = map(tuple.__new__, repeat(GeoPoint), zip(lat[ok].tolist(), lon[ok].tolist()))
     fields = zip(t[ok].tolist(), geo, compress(cats, keep), compress(ids, keep))
     points.extend(map(tuple.__new__, repeat(DataPoint), fields))
 
-    accepted = np.flatnonzero(wide)[ok]
-    dropped = np.ones(n, bool)
-    dropped[accepted] = False
-    for k in np.flatnonzero(dropped).tolist():
+    # each row's first failed rule as an index into _REASONS, -1 if none
+    rule = np.zeros(n, int)
+    rule[wide] = np.where(ok, -1, failed.argmax(axis=0) + 1)
+    for k in np.flatnonzero(rule >= 0).tolist():
         row = rows[k]
-        if not row or all(not f.strip() for f in row):
-            continue
-        try:
-            _parse_row(row, cols)
-        except ValueError as exc:
-            rejections.append((first_line + k, str(exc)))
-        else:
-            raise ConsistencyError(f"line {first_line + k}: bulk parse rejected a valid row")
-    return first_line + accepted, int(np.count_nonzero(was_ms & ok))
+        if any(map(str.strip, row)):  # blank rows are dropped silently
+            rejections.append((first_line + k, _reason(rule[k], row, cols)))
+    return first_line + np.flatnonzero(wide)[ok], int(np.count_nonzero(was_ms & ok))
 
 
 def parse_csv(stream: IO[str]) -> tuple[list[DataPoint], IngestReport]:

@@ -384,8 +384,7 @@ def generate_scenario(
 
     trajectories = []
     for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
-        lat = ctx.origin.lat_deg + xy[:, 1] / ctx.meters_per_deg_lat
-        lon = ctx.origin.lon_deg + xy[:, 0] / ctx.meters_per_deg_lon
+        lat, lon = unproject(LocalPoint(xy[:, 0], xy[:, 1]), ctx)
         rows = np.array((times, lat, lon)).T
         points = _bulk_points(rows, repeat(cat), repeat(oid))
         trajectories.append(_trajectory(oid, cat, points, rows))
@@ -476,8 +475,7 @@ def degrade(
         )
         if model.clutter_rate > 0 and len(xy_a):
             extent += (xy_a.min(axis=0), xy_a.max(axis=0))
-        lat_deg = ctx.origin.lat_deg + y / ctx.meters_per_deg_lat
-        lon_deg = ctx.origin.lon_deg + x / ctx.meters_per_deg_lon
+        lat_deg, lon_deg = unproject(LocalPoint(x, y), ctx)
         kept = np.flatnonzero(valid & ~missed)
         actors.append((traj.object_id, traj.category, lat_deg, lon_deg, valid, kept))
 

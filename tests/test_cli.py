@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -142,6 +143,22 @@ class TestSynthCommand:
         assert f"error: {field} must be" in err and "Traceback" not in err
         assert not (tmp_path / "det.csv").exists()
 
+    # sizes above 2**47 bytes, so the allocation fails at once on any machine
+    @pytest.mark.parametrize("flags", [
+        ["--gt-rate", "1e13"],
+        ["--det-rate", "1e13"],
+    ], ids=["gt-rate", "det-rate"])
+    def test_request_too_large_to_allocate_exits_one(self, tmp_path, capsys, flags):
+        rc = main([
+            "synth", "--template", "latency_run", "--duration", "30",
+            "--out-gt", str(tmp_path / "gt.csv"), "--out-det", str(tmp_path / "det.csv"),
+            *flags,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not (tmp_path / "det.csv").exists()
+
 
 class TestLatencyCommand:
     def test_recovers_injected_latency(self, data_dir, tmp_path, capsys):
@@ -192,6 +209,17 @@ class TestLatencyCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"error: {field} must be finite" in err and "Traceback" not in err
+
+    def test_too_many_test_points_exits_one(self, tmp_path, capsys):
+        # 1e14 test points need over 2**47 bytes, so the allocation fails at once
+        rc = main([
+            "latency", "--det", str(DATA / "lat_det_a.csv"), "--gt", str(DATA / "lat_gt.csv"),
+            "--output-dir", str(tmp_path), "--test-points", "100000000000000",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_far_origin_exits_one_naming_the_point(self, data_dir, tmp_path, capsys):
         # about 55.6 km north of the data, with the route moved along, so
@@ -660,6 +688,46 @@ class TestRowOrder:
             (tmp_path / "shuffled" / file).write_text(header + "".join(shuffled))
         plain = self._run(tmp_path / "plain", command, monkeypatch)
         assert self._run(tmp_path / "shuffled", command, monkeypatch) == plain
+
+
+class TestIdRenaming:
+    """Ids are only labels: renaming them one-to-one scores the same."""
+
+    @staticmethod
+    def _scores(directory: Path, det: str, monkeypatch) -> tuple:
+        monkeypatch.chdir(directory)
+        pair = ["--det", det, "--gt", "scene_gt.csv"]
+        assert main(["eval", "--trial-id", "t", *pair, "--output-dir", "eval"]) == 0
+        assert main(["sweep", "--category", "vehicle", "--thresholds", "0.5,1.5,3",
+                     *pair, "--output-dir", "sweep"]) == 0
+        return (json.loads(Path("eval/report.json").read_text())["reports"],
+                json.loads(Path("sweep/report.json").read_text())["sweep"])
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("det", ["scene_det_a.csv", "scene_det_b.csv",
+                                     "scene_det_perframe.csv"])
+    def test_renamed_ids_give_the_same_reports_and_sweep(
+        self, tmp_path, monkeypatch, capsys, det, order
+    ):
+        tables = {f: list(csv.reader((DATA / f).read_text().splitlines()))
+                  for f in (det, "scene_gt.csv")}
+        ids = sorted({row[4] for header, *rows in tables.values() for row in rows})
+        new = [f"obj-{k:05d}" for k in range(len(ids))]
+        if order == "reversed":
+            new.reverse()
+        else:
+            random.Random(20240611).shuffle(new)
+        names = dict(zip(ids, new))
+        for name in ("plain", "renamed"):
+            (tmp_path / name).mkdir()
+        for f, (header, *rows) in tables.items():
+            shutil.copy(DATA / f, tmp_path / "plain" / f)
+            with open(tmp_path / "renamed" / f, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    [header, *([*row[:4], names[row[4]]] for row in rows)]
+                )
+        plain = self._scores(tmp_path / "plain", det, monkeypatch)
+        assert self._scores(tmp_path / "renamed", det, monkeypatch) == plain
 
 
 # per column of the wire format: values that load, and values that do not

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from unittest import mock
 
@@ -296,6 +297,16 @@ class TestChunkedParseMatchesPerRowOracle:
         for k, values in enumerate(_BAD):
             for value in values:
                 rows += [good, [*good[:k], value, *good[k + 1:]]]
+        # two bad fields at once, each with its first and last bad value: the
+        # reason comes from the earlier rule, e.g. a lat out of range beside
+        # an unparseable lon reads "lat/lon is not a number"
+        ends = [(values[0], values[-1]) for values in _BAD]
+        for i, j in itertools.combinations(range(len(_BAD)), 2):
+            for a, b in itertools.product(ends[i], ends[j]):
+                bad = list(good)
+                bad[i], bad[j] = a, b
+                rows += [good, bad]
+        rows += [good, good[:3], good, [" ", "  ", "", "\t", " "]]  # narrow, blank
         text = HEADER + "".join(",".join(r) + "\n" for r in rows)
         expected = _oracle_parse(io.StringIO(text))
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
