@@ -579,17 +579,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     origin = _parse_origin(args.origin)
     ctx = make_projection(origin)
     speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip())
-    routes = ()
     route = _route_from_args(args)
-    if route is not None:
-        routes = (route,)
     spec = ScenarioSpec(
         template=args.template,
         duration_s=args.duration,
         rng_seed=args.seed,
         gt_rate_hz=args.gt_rate,
         speeds_mps=speeds or (10.0,),
-        routes=routes,
+        route=route,
     )
     model = ErrorModel(
         latency_mean_s=args.latency_mean,
@@ -603,14 +600,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         det_rate_hz=args.det_rate,
     )
     gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
+    # build both sets before writing either: a failed build leaves no file behind
+    if args.out_det is not None:
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(1,)))
+        direction = route.direction if route is not None else (1.0, 0.0)
+        det = degrade(gt, model, ctx, rng=rng, route_direction=direction)
     write_points(args.out_gt, gt.all_points())
     n_gt = sum(len(f.points) for f in gt.frames)
     print(f"wrote {args.out_gt}: {n_gt} points, {len(gt.frames)} frames")
 
     if args.out_det is not None:
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(1,)))
-        direction = route.direction if route is not None else (1.0, 0.0)
-        det = degrade(gt, model, ctx, rng=rng, route_direction=direction)
         write_points(args.out_det, det.all_points())
         n_det = sum(len(f.points) for f in det.frames)
         n_empty = sum(1 for f in det.frames if not f.points)

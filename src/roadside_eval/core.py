@@ -7,8 +7,8 @@ Points grouped by time form a :class:`DataFrame`, and a
 trajectory view, points grouped by object id into :class:`Trajectory`, is
 built from the frames on first use: scoring reads frames only, and a
 detector without a tracker gives one trajectory per point. A trajectory
-keeps its points' (time, lat, lon) rows as one array, and its slices are
-views of that array.
+keeps its points' (time, lat, lon) rows as one array; trajectory_arrays
+projects them into a plane track, which time_span cuts by index.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -111,7 +111,7 @@ class Trajectory:
     def _geo(self) -> np.ndarray:
         """(n, 3) rows of (timestamp_s, lat_deg, lon_deg), built on first use.
 
-        Read-only, because slices share them.
+        Read-only, like the trajectory that holds them.
         """
         n = len(self.points)
         flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in self.points])
@@ -336,20 +336,16 @@ def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndar
     return times, xy
 
 
-def slice_trajectory(traj: Trajectory, t0: float, t1: float) -> Trajectory | None:
-    """Sub-trajectory with timestamps in [t0, t1], or None when empty.
+def time_span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
+    """Index range ``[i, j)`` of the ascending ``times`` inside [t0, t1].
 
-    A view: the bounds are found by bisection on the ascending times, and
-    the slice keeps the parent's rows for those points.
+    The bounds are found by bisection. The range is empty (``i >= j``)
+    when no time lies within the bounds, and when either bound is NaN.
     """
-    rows = traj._geo
-    times = rows[:, 0]
     i = int(np.searchsorted(times, t0, "left"))
     j = int(np.searchsorted(times, t1, "right"))
     # a NaN t1 sorts after every time, yet no time is <= NaN
-    if i >= j or t1 != t1:
-        return None
-    return _trajectory(traj.object_id, traj.category, traj.points[i:j], rows[i:j])
+    return i, (j if t1 == t1 else i)
 
 
 @contextmanager

@@ -7,6 +7,8 @@ direction is biased by the detector's constant along-track offset (by
 -offset/v0 one way, +offset/v0 the other). Averaging the two directions
 cancels the offset and leaves the expected latency; re-projecting
 detections back by that latency then exposes the constant offset itself.
+The estimators take plane tracks: the (times, xy) arrays that
+core.trajectory_arrays gives for one trajectory, cut by index into passes.
 
 Crossing timing: the ground-truth crossing of a test point is linearly
 interpolated between bracketing samples (the gt trace is smooth and
@@ -33,10 +35,9 @@ from .core import (
     GeoPoint,
     LocalPoint,
     ProjectionContext,
-    Trajectory,
     TrajectorySet,
     project,
-    slice_trajectory,
+    time_span,
     trajectory_arrays,
 )
 from .errors import EvalError, InsufficientDataError, PairingError
@@ -163,9 +164,9 @@ def default_test_points(route: RouteLine, n: int = 11) -> np.ndarray:
 
 
 def find_constant_speed_windows(
-    traj: Trajectory,
+    times: np.ndarray,
+    xy: np.ndarray,
     route: RouteLine,
-    ctx: ProjectionContext,
     speed_tol_frac: float = 0.1,
 ) -> list[SpeedWindow]:
     """All maximal intervals holding nominal speed inside the arc window.
@@ -176,7 +177,6 @@ def find_constant_speed_windows(
     """
     if not (0 < speed_tol_frac <= 0.5):
         raise ValueError("speed_tol_frac must be in (0, 0.5]")
-    times, xy = trajectory_arrays(traj, ctx)
     if len(times) < 2:
         return []
     s = route_arc_coordinates(xy, route)
@@ -243,26 +243,25 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sample_tau(
-    gt: Trajectory,
-    det: Trajectory,
+    t_gt: np.ndarray,
+    xy_gt: np.ndarray,
+    t_det: np.ndarray,
+    xy_det: np.ndarray,
     route: RouteLine,
     test_points_m: Sequence[float],
-    ctx: ProjectionContext,
 ) -> list[TauSample]:
     """Tau samples for one pass: detection minus gt crossing time per point.
 
-    ``gt`` must be sliced to a single constant-speed pass; ``det`` may be
-    sliced generously in time (neighboring passes are filtered out by arc
-    and time clustering). Test points not crossed by both trajectories are
-    skipped; raises InsufficientDataError when nothing can be sampled.
+    The gt track must be cut to a single constant-speed pass; the detection
+    track may be cut generously in time (neighboring passes are filtered
+    out by arc and time clustering). Test points not crossed by both tracks
+    are skipped; raises InsufficientDataError when nothing can be sampled.
     """
-    t_gt, xy_gt = trajectory_arrays(gt, ctx)
     if len(t_gt) < 2:
         raise InsufficientDataError("ground-truth pass has fewer than 2 samples")
     s_gt = route_arc_coordinates(xy_gt, route)
     sign = 1 if s_gt[-1] >= s_gt[0] else -1
 
-    t_det, xy_det = trajectory_arrays(det, ctx)
     s_det = route_arc_coordinates(xy_det, route)
     mask = (s_det >= route.window_start_m) & (s_det <= route.window_end_m)
     if int(mask.sum()) < 2:
@@ -349,10 +348,11 @@ def combine_trials(estimates: Sequence[LatencyEstimate]) -> LatencyEstimate:
 
 
 def estimate_position_error(
-    det: Trajectory,
-    gt: Trajectory,
+    t_det: np.ndarray,
+    xy_det: np.ndarray,
+    t_gt: np.ndarray,
+    xy_gt: np.ndarray,
     latency: LatencyEstimate,
-    ctx: ProjectionContext,
 ) -> PositionErrorEstimate:
     """Constant-offset estimate: detection minus latency-shifted gt.
 
@@ -367,10 +367,8 @@ def estimate_position_error(
     jitter. Near-stationary stretches are skipped: the along direction is
     undefined without motion.
     """
-    t_gt, xy_gt = trajectory_arrays(gt, ctx)
     if len(t_gt) < 2:
         raise InsufficientDataError("ground truth too short to interpolate")
-    t_det, xy_det = trajectory_arrays(det, ctx)
     query = t_det - latency.mean_s
 
     dt = np.diff(t_gt)
@@ -443,25 +441,23 @@ def collect_tau_samples(
     test point, the crossing nearest in time to the gt crossing wins.
     """
     pts = default_test_points(route, n_test_points)
+    det_tracks = [(t.category, trajectory_arrays(t, ctx)) for t in det.trajectories]
     out: list[TauSample] = []
     for gt_traj in gt.trajectories:
-        windows = find_constant_speed_windows(gt_traj, route, ctx, speed_tol_frac)
-        det_candidates = [
-            t for t in det.trajectories if t.category == gt_traj.category
-        ]
-        for w in windows:
-            gt_slice = slice_trajectory(gt_traj, w.t_start_s, w.t_end_s)
-            if gt_slice is None or len(gt_slice.points) < 2:
-                continue
+        t_gt, xy_gt = trajectory_arrays(gt_traj, ctx)
+        candidates = [track for category, track in det_tracks if category == gt_traj.category]
+        for w in find_constant_speed_windows(t_gt, xy_gt, route, speed_tol_frac):
+            # a window starts and ends on samples, so its span holds two or more
+            i, j = time_span(t_gt, w.t_start_s, w.t_end_s)
             best: dict[float, TauSample] = {}
-            for det_traj in det_candidates:
-                det_slice = slice_trajectory(
-                    det_traj, w.t_start_s - _DET_SLACK_S, w.t_end_s + _DET_SLACK_S
-                )
-                if det_slice is None:
+            for t_det, xy_det in candidates:
+                a, b = time_span(t_det, w.t_start_s - _DET_SLACK_S, w.t_end_s + _DET_SLACK_S)
+                if a >= b:
                     continue
                 try:
-                    samples = sample_tau(gt_slice, det_slice, route, pts, ctx)
+                    samples = sample_tau(
+                        t_gt[i:j], xy_gt[i:j], t_det[a:b], xy_det[a:b], route, pts
+                    )
                 except InsufficientDataError:
                     continue
                 for s in samples:

@@ -29,14 +29,13 @@ from .core import (
     GeoPoint,
     PEDESTRIAN,
     ProjectionContext,
-    Trajectory,
     TrajectorySet,
     VEHICLE,
     _trajectory,
     from_frames,
     make_projection,
     paused_gc,
-    slice_trajectory,
+    time_span,
     trajectory_arrays,
     unproject,
     LocalPoint,
@@ -84,7 +83,7 @@ class ScenarioSpec:
     rng_seed: int
     gt_rate_hz: float = 10.0
     speeds_mps: tuple[float, ...] = (10.0,)
-    routes: tuple[RouteLine, ...] = ()
+    route: RouteLine | None = None
 
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
@@ -350,9 +349,7 @@ def generate_scenario(
 
     actors: list[tuple[str, str, np.ndarray]] = []  # (id, category, xy)
     if spec.template == "latency_run":
-        route = spec.routes[0] if spec.routes else default_latency_route(
-            spec.speeds_mps[0]
-        )
+        route = spec.route or default_latency_route(spec.speeds_mps[0])
         phases = _trapezoid_phases(route, spec.duration_s, rng, speed_jitter_mps)
         s = _eval_phases(phases, t_rel)
         ux, uy = route.direction
@@ -541,34 +538,25 @@ def degrade(
 
 
 def _constant_window_slice(
-    det_traj: Trajectory,
-    gt_traj: Trajectory,
+    t_det: np.ndarray,
+    t_gt: np.ndarray,
+    xy_gt: np.ndarray,
     route: RouteLine,
     model: ErrorModel,
-    ctx: ProjectionContext,
-) -> Trajectory:
-    """Detections whose queries land safely inside constant-speed windows.
+) -> np.ndarray:
+    """Mask of the detections whose queries land safely inside constant-speed windows.
 
     The margin keeps every residual's interpolation segment at the nominal
-    speed even after the latency draw shifts the effective sample time.
+    speed even after the latency draw shifts the effective sample time. Too
+    few detections inside are left to estimate_position_error to reject.
     """
+    lat = model.latency_mean_s
     margin = 4.0 * model.latency_std_s + 0.1 + 1.0 / model.det_rate_hz
-    parts: list[Trajectory] = []
-    for w in find_constant_speed_windows(gt_traj, route, ctx):
-        part = slice_trajectory(
-            det_traj,
-            w.t_start_s + model.latency_mean_s + margin,
-            w.t_end_s + model.latency_mean_s - margin,
-        )
-        if part is not None:
-            parts.append(part)
-    pts = tuple(chain.from_iterable(part.points for part in parts))
-    if len(pts) < 10:
-        raise InsufficientDataError(
-            "too few detections inside constant-speed windows"
-        )
-    rows = np.concatenate([part._geo for part in parts])
-    return _trajectory(det_traj.object_id, det_traj.category, pts, rows)
+    keep = np.zeros(len(t_det), bool)
+    for w in find_constant_speed_windows(t_gt, xy_gt, route):
+        i, j = time_span(t_det, w.t_start_s + lat + margin, w.t_end_s + lat - margin)
+        keep[i:j] = True
+    return keep
 
 
 def monte_carlo_validate(
@@ -608,7 +596,7 @@ def monte_carlo_validate(
                 rng_seed=int(ss_gen.generate_state(1)[0]),
                 gt_rate_hz=gt_rate_hz,
                 speeds_mps=(route.nominal_speed_mps,),
-                routes=(route,),
+                route=route,
             )
             gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
             det = degrade(
@@ -625,8 +613,10 @@ def monte_carlo_validate(
                 tracked = [t for t in det.trajectories if t.object_id == actor.object_id]
                 if not tracked:
                     raise InsufficientDataError("the actor was never detected")
-                part = _constant_window_slice(tracked[0], actor, route, model, ctx)
-                pos = estimate_position_error(part, actor, est, ctx)
+                t_gt, xy_gt = trajectory_arrays(actor, ctx)
+                t_det, xy_det = trajectory_arrays(tracked[0], ctx)
+                keep = _constant_window_slice(t_det, t_gt, xy_gt, route, model)
+                pos = estimate_position_error(t_det[keep], xy_det[keep], t_gt, xy_gt, est)
             except (InsufficientDataError, PairingError):
                 continue
             estimates.append(est)

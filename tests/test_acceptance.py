@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 from roadside_eval.cli import main
-from roadside_eval.core import GeoPoint, make_projection
+from roadside_eval.core import GeoPoint, make_projection, trajectory_arrays
 from roadside_eval.ingest import read_points, write_points
 from roadside_eval.latency import (
     LatencyEstimate,
@@ -103,7 +103,7 @@ def test_1_latency_recovery(ctx, capsys):
     estimates = []
     for i in range(10):
         spec = ScenarioSpec("latency_run", duration_s=duration,
-                            rng_seed=1000 + i, routes=(route,))
+                            rng_seed=1000 + i, route=route)
         gt = generate_scenario(spec, ctx)
         det = degrade(gt, model, ctx, rng=np.random.default_rng(2000 + i),
                       route_direction=route.direction)
@@ -133,13 +133,13 @@ def test_2_offset_estimator(ctx, capsys):
     known = LatencyEstimate(0.1, 0.0, 22, {1: 0.1, -1: 0.1})
 
     spec = ScenarioSpec("latency_run", duration_s=1000.0, rng_seed=201,
-                        routes=(route,))
+                        route=route)
     gt = generate_scenario(spec, ctx)
     det = degrade(gt, model, ctx, rng=np.random.default_rng(202),
                   route_direction=route.direction)
     n_det = len(det.all_points())
-    pos = estimate_position_error(det.trajectories[0], gt.trajectories[0],
-                                  known, ctx)
+    pos = estimate_position_error(*trajectory_arrays(det.trajectories[0], ctx),
+                                  *trajectory_arrays(gt.trajectories[0], ctx), known)
     bias_x = pos.mean_offset_m[0] - 0.5
     bias_y = pos.mean_offset_m[1]
     part_a = n_det >= 10_000 and abs(bias_x) <= 0.01 and abs(bias_y) <= 0.01
@@ -147,12 +147,12 @@ def test_2_offset_estimator(ctx, capsys):
     n_pos = 0
     for i in range(20):
         spec_i = ScenarioSpec("latency_run", duration_s=120.0,
-                              rng_seed=300 + i, routes=(route,))
+                              rng_seed=300 + i, route=route)
         gt_i = generate_scenario(spec_i, ctx)
         det_i = degrade(gt_i, model, ctx, rng=np.random.default_rng(400 + i),
                         route_direction=route.direction)
-        p_i = estimate_position_error(det_i.trajectories[0],
-                                      gt_i.trajectories[0], known, ctx)
+        p_i = estimate_position_error(*trajectory_arrays(det_i.trajectories[0], ctx),
+                                      *trajectory_arrays(gt_i.trajectories[0], ctx), known)
         n_pos += p_i.mean_offset_m[0] - 0.5 > 0
     pval = stats.binomtest(n_pos, 20, 0.5).pvalue
     part_b = pval > 0.01

@@ -155,9 +155,11 @@ class TestSynthCommand:
             *flags,
         ])
         assert rc == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "error: " in err and "Traceback" not in err
-        assert not (tmp_path / "det.csv").exists()
+        # both sets are built before either is written: no half pair is left
+        assert out == ""
+        assert not (tmp_path / "det.csv").exists() and not (tmp_path / "gt.csv").exists()
 
 
 class TestLatencyCommand:

@@ -22,7 +22,7 @@ from roadside_eval.core import (
     from_frames,
     make_projection,
     project,
-    slice_trajectory,
+    time_span,
     Trajectory,
     trajectory_arrays,
     unproject,
@@ -301,11 +301,12 @@ class TestArraysAndSlicing:
             assert xy[i, 0] == pytest.approx(local.x_m, abs=1e-9)
             assert xy[i, 1] == pytest.approx(local.y_m, abs=1e-9)
 
-    def test_slice_trajectory_bounds_inclusive(self, ctx):
-        traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
-        part = slice_trajectory(traj, 2.0, 5.0)
-        assert [p.timestamp_s for p in part.points] == [2.0, 3.0, 4.0, 5.0]
-        assert slice_trajectory(traj, 100.0, 200.0) is None
+    def test_time_span_bounds_inclusive(self):
+        times = np.arange(10.0)
+        i, j = time_span(times, 2.0, 5.0)
+        assert times[i:j].tolist() == [2.0, 3.0, 4.0, 5.0]
+        i, j = time_span(times, 100.0, 200.0)
+        assert i >= j
 
     def test_all_points_matches_frame_contents(self, ctx):
         pts = line_points(ctx, n=12) + line_points(ctx, n=12, object_id="z", y=3)
@@ -317,63 +318,52 @@ class TestArraysAndSlicing:
 
 @st.composite
 def ascending_times_and_bounds(draw):
-    """Strictly ascending sample times and two pairs of slice bounds, each
-    bound at a sample time, between two, outside them all, NaN or any float."""
+    """Strictly ascending sample times and a pair of span bounds, each at a
+    sample time, between two, outside them all, NaN or any float."""
     times = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True)))
     mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
     outside = [times[0] - 1.0, times[-1] + 1.0, -math.inf, math.inf, math.nan]
     bound = st.sampled_from(times + mids + outside) | st.floats(allow_nan=True)
-    return times, [draw(bound) for _ in range(4)]
-
-
-def check_slice(ctx, parent, t0, t1):
-    """slice_trajectory keeps exactly what the filter t0 <= t <= t1 keeps,
-    with the arrays of a Trajectory built from those points alone."""
-    part = slice_trajectory(parent, t0, t1)
-    kept = tuple(p for p in parent.points if t0 <= p.timestamp_s <= t1)
-    if not kept:
-        assert part is None
-        return None
-    alone = Trajectory(parent.object_id, parent.category, kept)
-    assert part == alone
-    got, want = trajectory_arrays(part, ctx), trajectory_arrays(alone, ctx)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    return part
+    return times, [draw(bound) for _ in range(2)]
 
 
 class TestSliceView:
     @given(case=ascending_times_and_bounds())
     def test_slice_equals_filter(self, ctx, case):
-        times, (t0, t1, u0, u1) = case
+        """time_span keeps exactly what the filter t0 <= t <= t1 keeps, and
+        the track cut by it equals the track of those points alone."""
+        times, (t0, t1) = case
         pts = tuple(
             DataPoint(t, GeoPoint(ORIGIN.lat_deg + 1e-6 * k, ORIGIN.lon_deg - 1e-6 * k),
                       "vehicle", "a")
             for k, t in enumerate(times)
         )
-        part = check_slice(ctx, Trajectory("a", "vehicle", pts), t0, t1)
-        if part is not None:
-            # a slice of a slice takes its rows from its parent's
-            check_slice(ctx, part, u0, u1)
+        t, xy = trajectory_arrays(Trajectory("a", "vehicle", pts), ctx)
+        i, j = time_span(t, t0, t1)
+        kept = tuple(p for p in pts if t0 <= p.timestamp_s <= t1)
+        assert pts[i:j] == kept
+        if kept:
+            want = trajectory_arrays(Trajectory("a", "vehicle", kept), ctx)
+            assert t[i:j].tobytes() == want[0].tobytes()
+            assert xy[i:j].tobytes() == want[1].tobytes()
 
-    def test_nan_and_reversed_bounds_give_none(self, ctx):
-        traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
-        assert slice_trajectory(traj, math.nan, 5.0) is None
-        assert slice_trajectory(traj, 2.0, math.nan) is None
-        assert slice_trajectory(traj, 5.0, 2.0) is None
-        assert slice_trajectory(traj, 3.0, 3.0).points == (traj.points[3],)
-        assert slice_trajectory(traj, -math.inf, math.inf).points == traj.points
-        assert np.array_equal(slice_trajectory(traj, 2.5, 4.0)._geo, traj._geo[3:5])
+    def test_nan_and_reversed_bounds_give_empty_span(self):
+        times = np.arange(10.0)
+        for t0, t1 in ((math.nan, 5.0), (2.0, math.nan), (5.0, 2.0)):
+            i, j = time_span(times, t0, t1)
+            assert i >= j and times[i:j].size == 0
+        assert time_span(times, 3.0, 3.0) == (3, 4)
+        assert time_span(times, -math.inf, math.inf) == (0, 10)
+        assert time_span(times, 2.5, 4.0) == (3, 5)
 
     def test_shared_rows_are_read_only(self, ctx):
         traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
-        part = slice_trajectory(traj, 2.0, 5.0)
         with pytest.raises(ValueError):
-            part._geo[0, 0] = -1.0
+            traj._geo[0, 0] = -1.0
         # the arrays handed to callers are their own
-        times, xy = trajectory_arrays(part, ctx)
-        times[0] = -1.0
-        xy[0] = -1.0
+        times, xy = trajectory_arrays(traj, ctx)
+        times[2] = -1.0
+        xy[2] = -1.0
         assert traj._geo[2, 0] == 2.0
         assert trajectory_arrays(traj, ctx)[1][2].tolist() != [-1.0, -1.0]
 

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roadside_eval.core import LocalPoint, build_trajectory_set, make_projection
+import roadside_eval.latency as latency_mod
+from roadside_eval.core import (
+    LocalPoint,
+    build_trajectory_set,
+    make_projection,
+    time_span,
+    trajectory_arrays,
+)
 from roadside_eval.errors import EvalError, InsufficientDataError, PairingError
 from roadside_eval.latency import (
     _line_fit,
@@ -56,10 +63,22 @@ def straight_run(
     return build_trajectory_set(pts, source="ground_truth").trajectories[0]
 
 
+def track(pts, ctx):
+    """Plane track of the one trajectory the points form."""
+    return trajectory_arrays(build_trajectory_set(pts).trajectories[0], ctx)
+
+
+def one_pass(gt, route):
+    """The gt track cut to its single constant-speed window."""
+    [w] = find_constant_speed_windows(*gt, route)
+    i, j = time_span(gt[0], w.t_start_s, w.t_end_s)
+    return gt[0][i:j], gt[1][i:j]
+
+
 class TestWindowExtraction:
     def test_constant_run_covers_full_window(self, ctx):
-        traj = straight_run(ctx)
-        [w] = find_constant_speed_windows(traj, ROUTE, ctx)
+        times, xy = trajectory_arrays(straight_run(ctx), ctx)
+        [w] = find_constant_speed_windows(times, xy, ROUTE)
         assert w.direction_sign == 1
         # crossing 60 m at 10 m/s: six seconds, give or take one sample tick
         assert (w.t_end_s - w.t_start_s) == pytest.approx(6.0, abs=0.21)
@@ -77,8 +96,7 @@ class TestWindowExtraction:
             else:
                 x = 10.0
             pts.append(dp(t0 + t, x, 0.0, ctx))
-        traj = build_trajectory_set(pts).trajectories[0]
-        [w] = find_constant_speed_windows(traj, ROUTE, ctx)
+        [w] = find_constant_speed_windows(*track(pts, ctx), ROUTE)
 
         # oracle: slowest qualifying per-sample step speed scan
         speeds = [
@@ -92,8 +110,7 @@ class TestWindowExtraction:
 
     def test_stationary_trajectory_fails(self, ctx):
         pts = [dp(1000.0 + k * 0.1, 0.0, 0.0, ctx) for k in range(50)]
-        traj = build_trajectory_set(pts).trajectories[0]
-        assert find_constant_speed_windows(traj, ROUTE, ctx) == []
+        assert find_constant_speed_windows(*track(pts, ctx), ROUTE) == []
 
     def test_direction_split(self, ctx):
         fwd = straight_run(ctx, t0=1000.0)
@@ -101,18 +118,17 @@ class TestWindowExtraction:
             dp(1020.0 + k * 0.1, 50.0 - 10.0 * k * 0.1, 0.0, ctx)
             for k in range(101)
         ]
-        both = build_trajectory_set(
-            list(fwd.points) + rev_pts, source="ground_truth"
-        ).trajectories[0]
-        windows = find_constant_speed_windows(both, ROUTE, ctx)
+        windows = find_constant_speed_windows(*track(list(fwd.points) + rev_pts, ctx), ROUTE)
         assert [w.direction_sign for w in windows] == [1, -1]
 
     def test_speed_tol_validation(self, ctx):
-        traj = straight_run(ctx)
+        times, xy = trajectory_arrays(straight_run(ctx), ctx)
         with pytest.raises(ValueError):
-            find_constant_speed_windows(traj, ROUTE, ctx, speed_tol_frac=0.0)
+            find_constant_speed_windows(times, xy, ROUTE, speed_tol_frac=0.0)
         with pytest.raises(ValueError):
-            find_constant_speed_windows(traj, ROUTE, ctx, speed_tol_frac=0.6)
+            find_constant_speed_windows(times, xy, ROUTE, speed_tol_frac=0.6)
+        # the same call with a valid tolerance reads the track
+        assert len(find_constant_speed_windows(times, xy, ROUTE, speed_tol_frac=0.5)) == 1
 
 
 class TestRouteLineValidation:
@@ -130,12 +146,8 @@ class TestRouteLineValidation:
 
 class TestSampleTau:
     def test_identity_zero_tau(self, ctx):
-        gt = straight_run(ctx)
-        [w] = find_constant_speed_windows(gt, ROUTE, ctx)
-        from roadside_eval.core import slice_trajectory
-
-        gt_slice = slice_trajectory(gt, w.t_start_s, w.t_end_s)
-        samples = sample_tau(gt_slice, gt, ROUTE, [-20.0, 0.0, 20.0], ctx)
+        gt = trajectory_arrays(straight_run(ctx), ctx)
+        samples = sample_tau(*one_pass(gt, ROUTE), *gt, ROUTE, [-20.0, 0.0, 20.0])
         assert len(samples) == 3
         for s in samples:
             assert abs(s.tau_s) < 1e-9
@@ -149,12 +161,8 @@ class TestSampleTau:
                -50.0 + 10.0 * k * 0.1, 0.0, ctx)
             for k in range(len(gt.points))
         ]
-        det = build_trajectory_set(det_pts).trajectories[0]
-        [w] = find_constant_speed_windows(gt, ROUTE, ctx)
-        from roadside_eval.core import slice_trajectory
-
-        gt_slice = slice_trajectory(gt, w.t_start_s, w.t_end_s)
-        samples = sample_tau(gt_slice, det, ROUTE, [-15.0, 5.0, 25.0], ctx)
+        gt_pass = one_pass(trajectory_arrays(gt, ctx), ROUTE)
+        samples = sample_tau(*gt_pass, *track(det_pts, ctx), ROUTE, [-15.0, 5.0, 25.0])
         for s in samples:
             assert s.tau_s == pytest.approx(0.100, abs=1e-9)
 
@@ -166,7 +174,7 @@ class TestSampleTau:
                            noise_sigma_m=0.1)
         dur = 6.0 * min_round_trip_duration_s(route, 0.0)
         spec = ScenarioSpec("latency_run", duration_s=dur, rng_seed=77,
-                            routes=(route,))
+                            route=route)
         gt = generate_scenario(spec, ctx)
         det = degrade(gt, model, ctx, rng=np.random.default_rng(78),
                       route_direction=route.direction)
@@ -199,20 +207,38 @@ class TestSampleTau:
                anchor.y_m + (-50.0 + k) * u[1], ctx)
             for k in range(101)
         ]
-        gt = build_trajectory_set(gt_pts).trajectories[0]
-        det = build_trajectory_set(det_pts).trajectories[0]
-        [w] = find_constant_speed_windows(gt, route, ctx)
-        from roadside_eval.core import slice_trajectory
-
-        gt_slice = slice_trajectory(gt, w.t_start_s, w.t_end_s)
-        samples = sample_tau(gt_slice, det, route, [-10.0, 0.0, 10.0], ctx)
+        gt_pass = one_pass(track(gt_pts, ctx), route)
+        samples = sample_tau(*gt_pass, *track(det_pts, ctx), route, [-10.0, 0.0, 10.0])
         for s in samples:
             assert s.tau_s == pytest.approx(0.100, abs=1e-6)
 
     def test_no_crossing_raises(self, ctx):
-        gt = straight_run(ctx, n=30)  # spans x in [-50, -21]
+        gt = trajectory_arrays(straight_run(ctx, n=30), ctx)  # spans x in [-50, -21]
         with pytest.raises(InsufficientDataError):
-            sample_tau(gt, gt, ROUTE, [25.0], ctx)
+            sample_tau(*gt, *gt, ROUTE, [25.0])
+
+
+class TestCollectTauSamples:
+    def test_projects_each_trajectory_once(self, ctx, monkeypatch):
+        # two round trips give four passes; clutter splits the detections
+        # into many ids, each tried against every pass
+        route = default_latency_route(10.0)
+        dur = 2.0 * min_round_trip_duration_s(route, 0.0)
+        gt = generate_scenario(ScenarioSpec("latency_run", duration_s=dur, rng_seed=5,
+                                            route=route), ctx)
+        model = ErrorModel(latency_mean_s=0.1, noise_sigma_m=0.05, clutter_rate=0.2)
+        det = degrade(gt, model, ctx, rng=6, route_direction=route.direction)
+        assert len(det.trajectories) > 10
+        projected = []
+
+        def counting(traj, c):
+            projected.append(id(traj))
+            return trajectory_arrays(traj, c)
+
+        monkeypatch.setattr(latency_mod, "trajectory_arrays", counting)
+        samples = collect_tau_samples(det, gt, route, ctx)
+        assert {s.direction_sign for s in samples} == {1, -1} and len(samples) >= 40
+        assert sorted(projected) == sorted(map(id, gt.trajectories + det.trajectories))
 
 
 class TestLineFit:
@@ -289,14 +315,13 @@ class TestCombineTrials:
 class TestEstimatePositionError:
     def test_exact_latency_shift_gives_zero(self, ctx):
         latency = 0.25
-        gt = straight_run(ctx, n=201)
+        gt = trajectory_arrays(straight_run(ctx, n=201), ctx)
         det_pts = [
             dp(1000.0 + k * 0.1 + latency, -50.0 + 10.0 * k * 0.1, 0.0, ctx)
             for k in range(201)
         ]
-        det = build_trajectory_set(det_pts).trajectories[0]
         est = LatencyEstimate(latency, 0.0, 4, {1: latency, -1: latency})
-        pos = estimate_position_error(det, gt, est, ctx)
+        pos = estimate_position_error(*track(det_pts, ctx), *gt, est)
         assert pos.mean_offset_m[0] == pytest.approx(0.0, abs=1e-9)
         assert pos.mean_offset_m[1] == pytest.approx(0.0, abs=1e-9)
         assert pos.residual_rms_m == pytest.approx(0.0, abs=1e-9)
@@ -315,10 +340,8 @@ class TestEstimatePositionError:
                0.0 + noise[k, 1], ctx)
             for k in range(n)
         ]
-        gt = build_trajectory_set(gt_pts).trajectories[0]
-        det = build_trajectory_set(det_pts).trajectories[0]
         est = LatencyEstimate(latency, 0.0, 4, {1: latency, -1: latency})
-        pos = estimate_position_error(det, gt, est, ctx)
+        pos = estimate_position_error(*track(det_pts, ctx), *track(gt_pts, ctx), est)
         assert pos.mean_offset_m[0] == pytest.approx(0.5, abs=0.01)
         assert pos.mean_offset_m[1] == pytest.approx(0.0, abs=0.01)
 
@@ -338,30 +361,25 @@ class TestEstimatePositionError:
             t = 1010.0 + k * 0.1
             true_x = -300.0 + v0 * (t - lat_draw[k] - 1000.0)
             det_pts.append(dp(t, true_x + noise[k, 0], noise[k, 1], ctx))
-        gt = build_trajectory_set(gt_pts).trajectories[0]
-        det = build_trajectory_set(det_pts).trajectories[0]
         est = LatencyEstimate(lat, 0.0, 4, {1: lat, -1: lat})
-        pos = estimate_position_error(det, gt, est, ctx)
+        pos = estimate_position_error(*track(det_pts, ctx), *track(gt_pts, ctx), est)
         predicted = predict_position_error_variance(sigma_l**2, sigma**2, v0)
         assert pos.residual_rms_m**2 == pytest.approx(predicted, rel=0.10)
 
     def test_too_few_samples_rejected(self, ctx):
-        gt = straight_run(ctx, n=101)
+        gt = trajectory_arrays(straight_run(ctx, n=101), ctx)
         det_pts = [dp(1000.5 + k * 0.1, -45.0 + k, 0.0, ctx) for k in range(5)]
-        det = build_trajectory_set(det_pts).trajectories[0]
         est = LatencyEstimate(0.0, 0.0, 4, {1: 0.0, -1: 0.0})
         with pytest.raises(InsufficientDataError):
-            estimate_position_error(det, gt, est, ctx)
+            estimate_position_error(*track(det_pts, ctx), *gt, est)
 
     def test_slow_motion_excluded(self, ctx):
         # stationary gt: every sample sits below the speed gate
         gt_pts = [dp(1000.0 + k * 0.1, 0.0, 0.0, ctx) for k in range(100)]
         det_pts = [dp(1000.0 + k * 0.1, 0.2, 0.0, ctx) for k in range(50)]
-        gt = build_trajectory_set(gt_pts).trajectories[0]
-        det = build_trajectory_set(det_pts).trajectories[0]
         est = LatencyEstimate(0.0, 0.0, 4, {1: 0.0, -1: 0.0})
         with pytest.raises(InsufficientDataError):
-            estimate_position_error(det, gt, est, ctx)
+            estimate_position_error(*track(det_pts, ctx), *track(gt_pts, ctx), est)
 
 
 class TestVariancePredictors:
@@ -400,7 +418,7 @@ class TestOffsetCancellationEndToEnd:
         model = ErrorModel(latency_mean_s=0.1, offset_e1_m=(0.7, -0.3))
         dur = min_round_trip_duration_s(route, 0.0)
         spec = ScenarioSpec("latency_run", duration_s=dur, rng_seed=4,
-                            routes=(route,))
+                            route=route)
         gt = generate_scenario(spec, ctx)
         det = degrade(gt, model, ctx, rng=5, route_direction=route.direction)
         est = estimate_latency(collect_tau_samples(det, gt, route, ctx, 11))

@@ -83,7 +83,7 @@ class TestGenerateScenario:
         route = default_latency_route(10.0)
         spec = ScenarioSpec("latency_run",
                             duration_s=min_round_trip_duration_s(route),
-                            rng_seed=3, routes=(route,))
+                            rng_seed=3, route=route)
         gt = generate_scenario(spec, ctx)
         traj = next(t for t in gt.trajectories if t.category == "vehicle")
         times, xy = trajectory_arrays(traj, ctx)
@@ -121,7 +121,7 @@ class TestGenerateScenario:
     def test_latency_run_too_short_rejected(self, ctx):
         route = default_latency_route(10.0)
         spec = ScenarioSpec("latency_run", duration_s=3.0, rng_seed=1,
-                            routes=(route,))
+                            route=route)
         with pytest.raises(ScenarioError):
             generate_scenario(spec, ctx)
 
@@ -437,7 +437,7 @@ class TestRoundTrip:
             dur = min_round_trip_duration_s(route, jitter)
             for seed in (1, 2, 3):
                 spec = ScenarioSpec("latency_run", duration_s=dur,
-                                    rng_seed=seed, routes=(route,))
+                                    rng_seed=seed, route=route)
                 gt = generate_scenario(spec, ctx)
                 traj = next(
                     t for t in gt.trajectories if t.category == "vehicle"
