@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     categories = sorted({traj.category for traj in gt.trajectories})
 
     print(f"scene: {spec.template}, {args.duration:.0f} s, "
-          f"{sum(len(traj.points) for traj in gt.trajectories)} gt points, "
+          f"{sum(len(traj.rows) for traj in gt.trajectories)} gt points, "
           f"threshold {args.threshold} m")
     print()
     header = "  ".join(c.rjust(8) if i > 1 else c.ljust(10)

@@ -453,10 +453,6 @@ def _resolve_trial_latency(
     return 0.0, _fixed_latency(0.0, "default")
 
 
-def _categories_present(gt: TrajectorySet) -> list[str]:
-    return sorted(gt.categories)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "det", "--det")
     _require(args, "gt", "--gt")
@@ -475,9 +471,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         inputs.extend(trial_inputs)
         latency_s, latency = _resolve_trial_latency(args, det, gt, ctx)
         latencies.append(latency)
-        categories = (
-            [args.category] if args.category is not None else _categories_present(gt)
-        )
+        categories = [args.category] if args.category is not None else sorted(gt.categories)
         if not categories:
             raise EvalError(f"ground truth {gt_path!r} contains no usable points")
         reports.extend(
@@ -513,7 +507,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _first_category(gt: TrajectorySet) -> str:
-    cats = _categories_present(gt)
+    cats = sorted(gt.categories)
     if not cats:
         raise EvalError("ground truth contains no usable points")
     if len(cats) > 1:
@@ -580,13 +574,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ctx = make_projection(origin)
     speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip())
     route = _route_from_args(args)
+    driven = args.template == "latency_run"
+    for flag in ("window_start", "window_end", "speed"):
+        if not driven and getattr(args, flag) is not None:
+            raise EvalError(f"--{flag.replace('_', '-')} applies to the latency_run template only")
     spec = ScenarioSpec(
         template=args.template,
         duration_s=args.duration,
         rng_seed=args.seed,
         gt_rate_hz=args.gt_rate,
         speeds_mps=speeds or (10.0,),
-        route=route,
+        route=route if driven else None,
     )
     model = ErrorModel(
         latency_mean_s=args.latency_mean,
@@ -772,7 +770,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument(
         "--route",
         default=None,
-        help="latency_run route override 'x0,y0,x1,y1' in local meters",
+        help="route 'x0,y0,x1,y1' in local meters: latency_run drives it; every "
+        "template takes its direction as the frame of --e1-along/--e1-cross",
     )
     p.add_argument("--window-start", type=float, default=None)
     p.add_argument("--window-end", type=float, default=None)

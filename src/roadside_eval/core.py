@@ -4,10 +4,10 @@ A recording from either a perception system or an RTK-GPS logger reduces to
 a list of :class:`DataPoint` (timestamp, position, category, object id).
 Points grouped by time form a :class:`DataFrame`, and a
 :class:`TrajectorySet` holds a recording's frames in time order. Its
-trajectory view, points grouped by object id into :class:`Trajectory`, is
-built from the frames on first use: scoring reads frames only, and a
-detector without a tracker gives one trajectory per point. A trajectory
-keeps its points' (time, lat, lon) rows as one array; trajectory_arrays
+trajectory view is built from the frames on first use, in one array pass:
+scoring reads frames only, and a detector without a tracker gives one
+trajectory per point. A :class:`Trajectory` is its rows: one object id's
+(time, lat, lon) in time order, as one read-only array. trajectory_arrays
 projects them into a plane track, which time_span cuts by index.
 
 All distances downstream are planar meters, so geographic coordinates are
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import gc
 import math
-from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +54,7 @@ FRAME_BIN_S = 0.001
 
 _BY_TIME = attrgetter("timestamp_s")
 _CATEGORY = attrgetter("category")
+_OBJECT_ID = attrgetter("object_id")
 
 
 class GeoPoint(NamedTuple):
@@ -99,47 +99,26 @@ class DataFrame(NamedTuple):
     points: tuple[DataPoint, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Points of one object id in strictly ascending time order."""
+    """One object id's (n, 3) rows of (timestamp_s, lat_deg, lon_deg) in time order."""
 
     object_id: str
     category: str
-    points: tuple[DataPoint, ...]
+    rows: np.ndarray
 
-    @cached_property
-    def _geo(self) -> np.ndarray:
-        """(n, 3) rows of (timestamp_s, lat_deg, lon_deg), built on first use.
-
-        Read-only, like the trajectory that holds them.
-        """
-        n = len(self.points)
-        flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in self.points])
-        rows = np.fromiter(flat, dtype=float, count=3 * n).reshape(n, 3)
-        rows.flags.writeable = False
-        return rows
-
-
-def _trajectory(
-    object_id: str, category: str, points: tuple[DataPoint, ...], rows: np.ndarray
-) -> Trajectory:
-    """A Trajectory whose (timestamp_s, lat_deg, lon_deg) rows, one per
-    point, the caller already holds; they must equal what ``_geo`` derives.
-    They become read-only."""
-    rows.flags.writeable = False
-    traj = Trajectory(object_id, category, points)
-    traj.__dict__["_geo"] = rows
-    return traj
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """One recording: its frames in time order, and their points by object id.
+    """One recording: its frames in time order, and their rows by object id.
 
-    Invariant: both views contain exactly the same multiset of points
-    (empty frames add nothing to either side). It holds by construction:
-    the trajectory view is grouped from the frames, or handed over by a
-    builder that made both views from the same points.
+    Invariant: each trajectory's rows are the (time, lat, lon) of exactly
+    the frames' points with its id (empty frames add nothing). It holds by
+    construction: the trajectory view is grouped from the frames, or handed
+    over by a builder that made the frames and the rows from the same data.
     """
 
     frames: tuple[DataFrame, ...]
@@ -150,19 +129,28 @@ class TrajectorySet:
         """One trajectory per object id, in id order, each in time order.
 
         A trajectory's category is the one most of its points carry; a tie
-        goes to the alphabetically first.
+        goes to the alphabetically first. One stable sort on (id, time) of
+        the rows in frame order makes each id one slice, and keeps points
+        of equal time in frame order.
         """
-        by_id: defaultdict[str, list[DataPoint]] = defaultdict(list)
-        for f in self.frames:
-            for p in f.points:
-                by_id[p.object_id].append(p)
-        trajectories = []
-        for oid in sorted(by_id):
-            pts = sorted(by_id[oid], key=_BY_TIME)
-            counts = Counter(map(attrgetter("category"), pts))
-            category = min(counts, key=lambda c: (-counts[c], c))
-            trajectories.append(Trajectory(oid, category, tuple(pts)))
-        return tuple(trajectories)
+        points = self.all_points()
+        if not points:
+            return ()
+        names, cats = sorted(set(map(_OBJECT_ID, points))), sorted(self.categories)
+        id_code = {oid: k for k, oid in enumerate(names)}
+        cat_code = {c: k for k, c in enumerate(cats)}
+        codes = np.array([(id_code[p.object_id], cat_code[p.category]) for p in points]).T
+        flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in points])
+        rows = np.fromiter(flat, float, 3 * len(points)).reshape(-1, 3)
+        order = np.lexsort((rows[:, 0], codes[0]))
+        rows = rows[order]
+        rows.flags.writeable = False
+        bounds = np.searchsorted(codes[0, order], np.arange(len(names) + 1)).tolist()
+        table = np.zeros((len(names), len(cats)), np.intp)
+        np.add.at(table, tuple(codes), 1)
+        majority = [cats[c] for c in table.argmax(axis=1).tolist()]
+        return tuple(Trajectory(oid, cat, rows[a:b])
+                     for oid, cat, a, b in zip(names, majority, bounds, bounds[1:]))
 
     @cached_property
     def categories(self) -> frozenset[str]:
@@ -277,7 +265,7 @@ def build_trajectory_set(
         k = int(np.argmin(np.isfinite(bins)))
         build_trajectory_set(pts[:k], source)  # a duplicate before record k is met first
         raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
-    ids = list(map(attrgetter("object_id"), pts))
+    ids = list(map(_OBJECT_ID, pts))
     rank = {oid: r for r, oid in enumerate(sorted(set(ids)))}
     codes = np.fromiter(map(rank.__getitem__, ids), np.intp, n)
     order = np.lexsort((codes, bins))
@@ -328,7 +316,7 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
 
 def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:
     """Extract (times, xy) arrays for vectorized geometry on a trajectory."""
-    raw = traj._geo
+    raw = traj.rows
     times = raw[:, 0].copy()
     xy = np.empty((len(raw), 2))
     xy[:, 0] = (raw[:, 2] - ctx.origin.lon_deg) * ctx.meters_per_deg_lon

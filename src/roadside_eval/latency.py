@@ -209,7 +209,7 @@ def find_constant_speed_windows(
 
 
 def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:
-    """Indices of the contiguous time cluster of samples nearest t_center.
+    """Indices of the contiguous time cluster nearest t_center; t holds 2+ samples.
 
     Arc-window masking can pull in samples from neighboring passes of a
     back-and-forth run; those sit seconds away while one pass's samples are
@@ -218,8 +218,6 @@ def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:
     """
     order = np.argsort(t, kind="stable")
     ts = t[order]
-    if len(ts) == 1:
-        return order
     steps = np.diff(ts)
     gap = max(5.0 * statistics.median(steps.tolist()), 0.5)
     breaks = (np.nonzero(steps > gap)[0] + 1).tolist()
@@ -452,7 +450,7 @@ def collect_tau_samples(
             best: dict[float, TauSample] = {}
             for t_det, xy_det in candidates:
                 a, b = time_span(t_det, w.t_start_s - _DET_SLACK_S, w.t_end_s + _DET_SLACK_S)
-                if a >= b:
+                if b - a < 2:
                     continue
                 try:
                     samples = sample_tau(

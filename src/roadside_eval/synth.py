@@ -29,9 +29,9 @@ from .core import (
     GeoPoint,
     PEDESTRIAN,
     ProjectionContext,
+    Trajectory,
     TrajectorySet,
     VEHICLE,
-    _trajectory,
     from_frames,
     make_projection,
     paused_gc,
@@ -98,6 +98,8 @@ class ScenarioSpec:
             raise ValueError("speeds_mps must be positive and finite")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        if self.route is not None and self.template != "latency_run":
+            raise ValueError(f"route drives the latency_run template only, not {self.template!r}")
 
 
 @dataclass(frozen=True)
@@ -379,15 +381,14 @@ def generate_scenario(
     else:  # pragma: no cover - ScenarioSpec already validates
         raise ScenarioError(f"unhandled template {spec.template!r}")
 
-    trajectories = []
+    trajectories, series = [], []
     for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
         lat, lon = unproject(LocalPoint(xy[:, 0], xy[:, 1]), ctx)
         rows = np.array((times, lat, lon)).T
-        points = _bulk_points(rows, repeat(cat), repeat(oid))
-        trajectories.append(_trajectory(oid, cat, points, rows))
+        series.append(_bulk_points(rows, repeat(cat), repeat(oid)))
+        trajectories.append(Trajectory(oid, cat, rows))
     # every actor has a point at every tick, so frames zip the id-sorted series
-    series = zip(*(traj.points for traj in trajectories))
-    frames = map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), series))
+    frames = map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), zip(*series)))
     return TrajectorySet(tuple(frames), "ground_truth")._with_trajectories(tuple(trajectories))
 
 
@@ -516,7 +517,7 @@ def degrade(
         for k, p in zip(kept.tolist(), points):
             slots[k].append(p)
         if handover and points:
-            trajectories.append(_trajectory(oid, cat, points, rows))
+            trajectories.append(Trajectory(oid, cat, rows))
     if clutter:
         ks, xs, ys, cats = zip(*clutter)
         geo = unproject(LocalPoint(np.array(xs), np.array(ys)), ctx)

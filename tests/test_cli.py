@@ -143,6 +143,27 @@ class TestSynthCommand:
         assert f"error: {field} must be" in err and "Traceback" not in err
         assert not (tmp_path / "det.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end", "--speed"])
+    def test_window_and_speed_flags_need_latency_run(self, tmp_path, capsys, flag):
+        rc = main([
+            "synth", "--template", "two_vehicle_plus_pedestrian", "--duration", "10",
+            "--out-gt", str(tmp_path / "gt.csv"), flag, "5",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and "Traceback" not in err
+        assert not (tmp_path / "gt.csv").exists()
+
+    def test_route_of_another_template_sets_only_the_offset_frame(self, tmp_path, capsys):
+        base = ["synth", "--template", "two_vehicle_plus_pedestrian", "--duration", "10",
+                "--seed", "4", "--e1-along", "1.0"]
+        for name, extra in (("east", []), ("north", ["--route", "0,0,0,1"])):
+            rc = main(base + extra + ["--out-gt", str(tmp_path / f"gt_{name}.csv"),
+                                      "--out-det", str(tmp_path / f"det_{name}.csv")])
+            assert rc == 0
+        assert (tmp_path / "gt_east.csv").read_bytes() == (tmp_path / "gt_north.csv").read_bytes()
+        assert (tmp_path / "det_east.csv").read_bytes() != (tmp_path / "det_north.csv").read_bytes()
+
     # sizes above 2**47 bytes, so the allocation fails at once on any machine
     @pytest.mark.parametrize("flags", [
         ["--gt-rate", "1e13"],

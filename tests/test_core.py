@@ -184,7 +184,7 @@ class TestBuildTrajectorySet:
         ts = build_trajectory_set(pts)
         assert len(ts.frames) == 2
         assert len(ts.trajectories) == 2
-        assert all(len(t.points) == 2 for t in ts.trajectories)
+        assert all(t.rows.shape == (2, 3) for t in ts.trajectories)
 
     def test_duplicate_id_in_bin_rejected(self, ctx):
         pts = [dp(10.0, 0, 0, ctx), dp(10.0, 1, 0, ctx)]
@@ -255,7 +255,7 @@ class TestBuildTrajectorySet:
         pts = line_points(ctx, n=30) + line_points(ctx, n=20, object_id="x", y=4)
         ts = build_trajectory_set(pts)
         via_frames = sum(len(f.points) for f in ts.frames)
-        via_trajs = sum(len(t.points) for t in ts.trajectories)
+        via_trajs = sum(len(t.rows) for t in ts.trajectories)
         assert via_frames == via_trajs == 50
 
 
@@ -295,7 +295,7 @@ class TestArraysAndSlicing:
         traj = build_trajectory_set(pts).trajectories[0]
         times, xy = trajectory_arrays(traj, ctx)
         assert times.shape == (40,) and xy.shape == (40, 2)
-        for i, p in enumerate(traj.points):
+        for i, p in enumerate(pts):
             local = project(p.position, ctx)
             assert times[i] == p.timestamp_s
             assert xy[i, 0] == pytest.approx(local.x_m, abs=1e-9)
@@ -338,12 +338,12 @@ class TestSliceView:
                       "vehicle", "a")
             for k, t in enumerate(times)
         )
-        t, xy = trajectory_arrays(Trajectory("a", "vehicle", pts), ctx)
+        t, xy = trajectory_arrays(Trajectory("a", "vehicle", _rows(pts)), ctx)
         i, j = time_span(t, t0, t1)
         kept = tuple(p for p in pts if t0 <= p.timestamp_s <= t1)
         assert pts[i:j] == kept
         if kept:
-            want = trajectory_arrays(Trajectory("a", "vehicle", kept), ctx)
+            want = trajectory_arrays(Trajectory("a", "vehicle", _rows(kept)), ctx)
             assert t[i:j].tobytes() == want[0].tobytes()
             assert xy[i:j].tobytes() == want[1].tobytes()
 
@@ -359,16 +359,25 @@ class TestSliceView:
     def test_shared_rows_are_read_only(self, ctx):
         traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
         with pytest.raises(ValueError):
-            traj._geo[0, 0] = -1.0
+            traj.rows[0, 0] = -1.0
         # the arrays handed to callers are their own
         times, xy = trajectory_arrays(traj, ctx)
         times[2] = -1.0
         xy[2] = -1.0
-        assert traj._geo[2, 0] == 2.0
+        assert traj.rows[2, 0] == 2.0
         assert trajectory_arrays(traj, ctx)[1][2].tolist() != [-1.0, -1.0]
 
 
 # --- the eager grouping and filter, kept as oracles for the on-demand view ---
+
+
+def _rows(points):
+    return np.array([(p.timestamp_s, *p.position) for p in points], float).reshape(-1, 3)
+
+
+def _keyed(trajectories):
+    """Trajectories as comparable tuples; a Trajectory compares by identity."""
+    return [(t.object_id, t.category, t.rows.shape, t.rows.tobytes()) for t in trajectories]
 
 
 def _oracle_trajectories(frames):
@@ -381,7 +390,7 @@ def _oracle_trajectories(frames):
         pts = sorted(by_id[oid], key=lambda p: p.timestamp_s)
         counts = Counter(p.category for p in pts)
         category = min(counts, key=lambda c: (-counts[c], c))
-        out.append(Trajectory(oid, category, tuple(pts)))
+        out.append(Trajectory(oid, category, _rows(pts)))
     return tuple(out)
 
 
@@ -419,7 +428,7 @@ class TestOnDemandTrajectories:
         categories = ["vehicle", "pedestrian"] if mixed else ["vehicle"]
         frames = _seeded_frames(seed, per_frame_ids, categories)
         ts = from_frames(frames, "detection")
-        assert ts.trajectories == _oracle_trajectories(frames)
+        assert _keyed(ts.trajectories) == _keyed(_oracle_trajectories(frames))
         assert ts.categories == {p.category for f in frames for p in f.points}
 
     def test_category_vote_tie_goes_to_first_name(self, ctx):
@@ -432,13 +441,22 @@ class TestOnDemandTrajectories:
         ]
         ts = from_frames(frames, "detection")
         assert [t.category for t in ts.trajectories] == ["pedestrian", "pedestrian"]
-        assert ts.trajectories == _oracle_trajectories(frames)
+        assert _keyed(ts.trajectories) == _keyed(_oracle_trajectories(frames))
 
     def test_per_frame_ids_give_one_point_tracks(self, ctx):
         pts = [dp(10.0 + 0.1 * k, k, 0, ctx, object_id=f"trk-{k}") for k in range(6)]
         ts = build_trajectory_set(pts)
-        assert [len(t.points) for t in ts.trajectories] == [1] * 6
-        assert ts.trajectories == _oracle_trajectories(ts.frames)
+        assert [len(t.rows) for t in ts.trajectories] == [1] * 6
+        assert _keyed(ts.trajectories) == _keyed(_oracle_trajectories(ts.frames))
+
+    def test_equal_times_keep_frame_order(self, ctx):
+        # two frames with equal stamps hold one id at equal times, apart
+        a, b = dp(1.0, 0, 0, ctx), dp(1.0, 5, 0, ctx)
+        for first, second in ((a, b), (b, a)):
+            frames = [DataFrame(1.0, (first,)), DataFrame(1.0, (second,))]
+            (traj,) = from_frames(frames, "detection").trajectories
+            assert traj.rows.tobytes() == _rows([first, second]).tobytes()
+            assert _keyed([traj]) == _keyed(_oracle_trajectories(frames))
 
     def test_empty_frames_only(self):
         ts = from_frames([DataFrame(2.0, ()), DataFrame(1.0, ())], "detection")
@@ -459,6 +477,6 @@ class TestFilterPassThrough:
         got = filter_category(ts, category)
         frames, trajectories = _oracle_filter(ts, category)
         assert got.frames == frames
-        assert got.trajectories == trajectories
+        assert _keyed(got.trajectories) == _keyed(trajectories)
         assert got.source == "detection"
         assert got.categories <= {category}

@@ -113,12 +113,12 @@ class TestWindowExtraction:
         assert find_constant_speed_windows(*track(pts, ctx), ROUTE) == []
 
     def test_direction_split(self, ctx):
-        fwd = straight_run(ctx, t0=1000.0)
+        fwd_pts = [dp(1000.0 + k * 0.1, -50.0 + 10.0 * k * 0.1, 0.0, ctx) for k in range(101)]
         rev_pts = [
             dp(1020.0 + k * 0.1, 50.0 - 10.0 * k * 0.1, 0.0, ctx)
             for k in range(101)
         ]
-        windows = find_constant_speed_windows(*track(list(fwd.points) + rev_pts, ctx), ROUTE)
+        windows = find_constant_speed_windows(*track(fwd_pts + rev_pts, ctx), ROUTE)
         assert [w.direction_sign for w in windows] == [1, -1]
 
     def test_speed_tol_validation(self, ctx):
@@ -157,9 +157,8 @@ class TestSampleTau:
         gt = straight_run(ctx)
         # same positions, timestamps shifted forward 100 ms
         det_pts = [
-            dp(gt.points[k].timestamp_s + 0.1,
-               -50.0 + 10.0 * k * 0.1, 0.0, ctx)
-            for k in range(len(gt.points))
+            dp(t + 0.1, -50.0 + 10.0 * k * 0.1, 0.0, ctx)
+            for k, t in enumerate(gt.rows[:, 0].tolist())
         ]
         gt_pass = one_pass(trajectory_arrays(gt, ctx), ROUTE)
         samples = sample_tau(*gt_pass, *track(det_pts, ctx), ROUTE, [-15.0, 5.0, 25.0])
@@ -239,6 +238,25 @@ class TestCollectTauSamples:
         samples = collect_tau_samples(det, gt, route, ctx)
         assert {s.direction_sign for s in samples} == {1, -1} and len(samples) >= 40
         assert sorted(projected) == sorted(map(id, gt.trajectories + det.trajectories))
+
+    def test_short_detection_slices_are_skipped(self, ctx, monkeypatch):
+        # clutter and misses leave one-point tracks, which sample_tau can only reject
+        route = default_latency_route(10.0)
+        gt = generate_scenario(ScenarioSpec("latency_run", duration_s=90.0, rng_seed=5,
+                                            route=route), ctx)
+        model = ErrorModel(latency_mean_s=0.1, noise_sigma_m=0.05, clutter_rate=0.3,
+                           id_switch_prob=0.01, miss_prob=0.1)
+        det = degrade(gt, model, ctx, rng=5, route_direction=route.direction)
+        assert any(len(t.rows) == 1 for t in det.trajectories)
+        sizes = []
+
+        def recording(t_gt, xy_gt, t_det, *rest):
+            sizes.append(len(t_det))
+            return sample_tau(t_gt, xy_gt, t_det, *rest)
+
+        monkeypatch.setattr(latency_mod, "sample_tau", recording)
+        assert collect_tau_samples(det, gt, route, ctx)
+        assert sizes and min(sizes) >= 2
 
 
 class TestLineFit:

@@ -157,11 +157,11 @@ def shifted_copy(gt, ctx, dx=0.0, dy=0.0):
 
     pts = []
     for traj in gt.trajectories:
-        for p in traj.points:
-            local = project(p.position, ctx)
+        for t, lat, lon in traj.rows.tolist():
+            local = project(GeoPoint(lat, lon), ctx)
             pts.append(
-                dp(p.timestamp_s, local.x_m + dx, local.y_m + dy, ctx,
-                   category=traj.category, object_id=p.object_id)
+                dp(t, local.x_m + dx, local.y_m + dy, ctx,
+                   category=traj.category, object_id=traj.object_id)
             )
     return build_trajectory_set(pts, source="detection")
 

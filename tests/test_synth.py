@@ -69,7 +69,7 @@ class TestGenerateScenario:
         for template in TEMPLATES:
             gt = generate_scenario(spec_for(template=template, duration=40.0), ctx)
             assert gt.trajectories
-            assert all(len(t.points) >= 2 for t in gt.trajectories)
+            assert all(len(t.rows) >= 2 for t in gt.trajectories)
 
     def test_timestamps_on_epoch_base_grid(self, ctx):
         gt = generate_scenario(spec_for(duration=10.0), ctx)
@@ -117,6 +117,11 @@ class TestGenerateScenario:
     def test_unknown_template_rejected(self, ctx):
         with pytest.raises(ValueError, match="unknown template"):
             ScenarioSpec("parade", duration_s=10.0, rng_seed=1)
+
+    @pytest.mark.parametrize("template", [t for t in TEMPLATES if t != "latency_run"])
+    def test_route_without_latency_run_rejected(self, template):
+        with pytest.raises(ValueError, match="route"):
+            ScenarioSpec(template, duration_s=10.0, rng_seed=1, route=default_latency_route())
 
     def test_latency_run_too_short_rejected(self, ctx):
         route = default_latency_route(10.0)
@@ -168,16 +173,16 @@ class TestDegrade:
         gt = generate_scenario(spec_for(duration=20.0), ctx)
         det = degrade(gt, ErrorModel(), ctx, rng=1)
         gt_by_key = {
-            (t.object_id, round(p.timestamp_s, 6)): p
-            for t in gt.trajectories for p in t.points
+            (t.object_id, round(time, 6)): GeoPoint(lat, lon)
+            for t in gt.trajectories for time, lat, lon in t.rows.tolist()
         }
         n_checked = 0
         for traj in det.trajectories:
-            for p in traj.points:
-                ref = gt_by_key.get((traj.object_id, round(p.timestamp_s, 6)))
+            for time, lat, lon in traj.rows.tolist():
+                ref = gt_by_key.get((traj.object_id, round(time, 6)))
                 if ref is None:
                     continue  # det tick between gt samples
-                a, b = project(p.position, ctx), project(ref.position, ctx)
+                a, b = project(GeoPoint(lat, lon), ctx), project(ref, ctx)
                 assert math.hypot(a.x_m - b.x_m, a.y_m - b.y_m) < 1e-9
                 n_checked += 1
         assert n_checked > 100
@@ -234,7 +239,7 @@ class TestDegrade:
         det = degrade(gt, ErrorModel(clutter_rate=0.4), ctx, rng=5)
         n_frames = len(det.frames)
         n_clutter = sum(
-            len(t.points) for t in det.trajectories
+            len(t.rows) for t in det.trajectories
             if t.object_id.startswith("clutter-")
         )
         assert n_clutter / n_frames == pytest.approx(0.4, abs=0.05)
@@ -263,16 +268,13 @@ class TestDegrade:
 
 def assert_view_matches_grouping(ts):
     """The trajectory view a builder handed over equals the one grouped
-    from the same frames: ids, categories, points and (t, lat, lon) rows."""
+    from the same frames: ids, categories and (t, lat, lon) rows, byte for
+    byte."""
     handed = ts.trajectories
     grouped = from_frames(ts.frames, ts.source).trajectories
-    assert [(t.object_id, t.category) for t in handed] == [
-        (t.object_id, t.category) for t in grouped
+    assert [(t.object_id, t.category, t.rows.shape, t.rows.tobytes()) for t in handed] == [
+        (t.object_id, t.category, t.rows.shape, t.rows.tobytes()) for t in grouped
     ]
-    assert [t.points for t in handed] == [t.points for t in grouped]
-    for a, b in zip(handed, grouped):
-        assert a._geo.shape == b._geo.shape
-        assert a._geo.tobytes() == b._geo.tobytes()
 
 
 class TestHandedOverTrajectories:
@@ -324,6 +326,17 @@ class TestHandedOverTrajectories:
         assert hashlib.sha256(repr(det.frames).encode()).hexdigest() == digest
 
 
+    def test_rows_are_read_only(self, ctx):
+        gt = generate_scenario(spec_for(duration=20.0), ctx)
+        det = degrade(gt, ErrorModel(), ctx, rng=1)
+        assert "trajectories" in det.__dict__
+        grouped = from_frames(gt.frames, gt.source).trajectories
+        for traj in (*gt.trajectories, *det.trajectories, *grouped):
+            assert not traj.rows.flags.writeable
+            with pytest.raises(ValueError):
+                traj.rows[0, 0] = 0.0
+
+
 class TestSwapObjectIds:
     def test_swap_after_time(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
@@ -333,12 +346,9 @@ class TestSwapObjectIds:
         swapped = swap_object_ids(gt, ids[0], ids[1], t_mid)
         orig = {t.object_id: t for t in gt.trajectories}
         new = {t.object_id: t for t in swapped.trajectories}
-        for p in new[ids[0]].points:
-            src = orig[ids[0]] if p.timestamp_s < t_mid else orig[ids[1]]
-            assert any(
-                q.timestamp_s == p.timestamp_s and q.position == p.position
-                for q in src.points
-            )
+        for row in new[ids[0]].rows:
+            src = orig[ids[0]] if row[0] < t_mid else orig[ids[1]]
+            assert (src.rows == row).all(axis=1).any()
 
     def test_identity_before_cutoff(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
