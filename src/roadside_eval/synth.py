@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     DataFrame,
     DataPoint,
     GeoPoint,
+    MAX_PROJECTION_RANGE_M,
     PEDESTRIAN,
     ProjectionContext,
     Trajectory,
@@ -180,6 +181,13 @@ def min_round_trip_duration_s(
 _Phase = tuple[float, float, float, float, float]
 
 
+def _jittered(v: float, rng: np.random.Generator, speed_jitter_mps: float) -> float:
+    """Nominal speed v with one normal jitter draw, floored at 0.3 v."""
+    if speed_jitter_mps <= 0:
+        return v
+    return max(v + rng.normal(0.0, speed_jitter_mps), 0.3 * v)
+
+
 def _trapezoid_phases(
     route: RouteLine,
     duration_s: float,
@@ -193,9 +201,7 @@ def _trapezoid_phases(
     sign = 1
     n_passes = 0
     while True:
-        v = route.nominal_speed_mps
-        if speed_jitter_mps > 0:
-            v = max(v + rng.normal(0.0, speed_jitter_mps), 0.3 * v)
+        v = _jittered(route.nominal_speed_mps, rng, speed_jitter_mps)
         d_acc = v * v / (2.0 * _ACCEL_MPS2)
         t_a = v / _ACCEL_MPS2
         t_c = (w1 - w0) / v
@@ -235,97 +241,30 @@ def _eval_phases(phases: Sequence[_Phase], t: np.ndarray) -> np.ndarray:
     return np.where((t >= t0[i]) & (t < t1[i]), s, s0[0])
 
 
-_PathFn = Callable[[np.ndarray], np.ndarray]
+def _right_turn(s: np.ndarray, v: float, duration_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y at arc length s: eastbound approach, right turn, southbound exit.
 
-
-def _path_from_segments(
-    segments: list[tuple[float, Callable[[np.ndarray], np.ndarray]]]
-) -> tuple[float, _PathFn]:
-    """Compose (length, eval) segments into one arc-length-addressed path."""
-    lengths = np.array([seg[0] for seg in segments])
-    cum = np.concatenate(([0.0], np.cumsum(lengths)))
-    total = float(cum[-1])
-
-    def at(s: np.ndarray) -> np.ndarray:
-        s = np.clip(s, 0.0, total)
-        out = np.empty((len(s), 2))
-        for i, (_, fn) in enumerate(segments):
-            m = (s >= cum[i]) & (s <= cum[i + 1]) if i == len(segments) - 1 else (
-                (s >= cum[i]) & (s < cum[i + 1])
-            )
-            if m.any():
-                out[m] = fn(s[m] - cum[i])
-        return out
-
-    return total, at
-
-
-def _line(p0: tuple[float, float], p1: tuple[float, float]):
-    length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    ux, uy = (p1[0] - p0[0]) / length, (p1[1] - p0[1]) / length
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.stack((p0[0] + ux * s, p0[1] + uy * s), axis=1)
-
-    return length, fn
-
-
-def _arc(center: tuple[float, float], radius: float, ang0: float, sweep: float):
-    length = abs(sweep) * radius
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        ang = ang0 + np.sign(sweep) * s / radius
-        return np.stack(
-            (center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)),
-            axis=1,
-        )
-
-    return length, fn
-
-
-def _right_turn_path(v: float, duration_s: float) -> _PathFn:
-    """Eastbound approach, right turn at the intersection, southbound exit."""
+    The approach and exit legs split what the quarter circle leaves of the
+    distance driven; the vehicle parks at the end of the exit leg.
+    """
     r = _TURN_RADIUS_M
-    arc_len = math.pi * r / 2.0
-    total = v * duration_s
-    leg = (total - arc_len) / 2.0
+    leg = (v * duration_s - math.pi * r / 2.0) / 2.0
     if leg <= 0:
         raise ScenarioError(
             f"duration {duration_s} s at {v} m/s is too short for the turn maneuver"
         )
-    y_in = -_LANE_OFFSET_M
-    x_out = _LANE_OFFSET_M
-    turn_in = (x_out - r, y_in)
-    segments = [
-        _line((turn_in[0] - leg, y_in), turn_in),
-        _arc((x_out - r, y_in - r), r, math.pi / 2.0, -math.pi / 2.0),
-        _line((x_out, y_in - r), (x_out, y_in - r - leg)),
-    ]
-    return _path_from_segments(segments)[1]
-
-
-def _straight_path(lane: float, axis: str, start: float) -> _PathFn:
-    def fn(s: np.ndarray) -> np.ndarray:
-        if axis == "x":
-            return np.stack((start + s, np.full_like(s, lane)), axis=1)
-        return np.stack((np.full_like(s, lane), start + s), axis=1)
-
-    return fn
-
-
-def _crosswalk_path(x: float, y0: float, y1: float) -> _PathFn:
-    span = abs(y1 - y0)
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        phase = np.mod(s, 2.0 * span)
-        y = np.where(phase <= span, phase, 2.0 * span - phase)
-        return np.stack((np.full_like(s, x), y0 + np.sign(y1 - y0) * y), axis=1)
-
-    return fn
-
-
-def _actor_speed(spec: ScenarioSpec, i: int, default: float) -> float:
-    return spec.speeds_mps[i] if i < len(spec.speeds_mps) else default
+    # the arc turns about (x_c, y_c), from (x_c, y_in) to (x_out, y_c)
+    x_out, y_in = _LANE_OFFSET_M, -_LANE_OFFSET_M
+    x_c, y_c = x_out - r, y_in - r
+    # each leg's length is its end points' difference, which can differ from
+    # leg in the last bit; the joints, and so every generated row, carry it
+    j1, j2, total = np.cumsum((x_c - (x_c - leg), math.pi / 2.0 * r, y_c - (y_c - leg)))
+    s = np.clip(s, 0.0, total)
+    ang = math.pi / 2.0 - (s - j1) / r
+    on_arc = s < j2
+    x = np.where(s < j1, x_c - leg + s, np.where(on_arc, x_c + r * np.cos(ang), x_out))
+    y = np.where(s < j1, y_in, np.where(on_arc, y_c + r * np.sin(ang), y_c - (s - j2)))
+    return x, y
 
 
 def generate_scenario(
@@ -337,53 +276,55 @@ def generate_scenario(
 
     speed_jitter_mps perturbs the nominal speed (one draw per pass of a
     latency run, one per actor otherwise); zero keeps constant-speed
-    stretches exactly constant.
+    stretches exactly constant. Raises ScenarioError when the template
+    cannot fit the duration, or when an actor strays farther than
+    MAX_PROJECTION_RANGE_M from the plane origin, where nothing could
+    score it.
     """
     rng = np.random.default_rng(spec.rng_seed)
     n_ticks = int(round(spec.duration_s * spec.gt_rate_hz)) + 1
     t_rel = np.arange(n_ticks) / spec.gt_rate_hz
     times = BASE_TIME_S + t_rel
 
-    def jittered(v: float) -> float:
-        if speed_jitter_mps <= 0:
-            return v
-        return max(v + rng.normal(0.0, speed_jitter_mps), 0.3 * v)
+    def speed(i: int, default: float = 10.0) -> float:
+        v = spec.speeds_mps[i] if i < len(spec.speeds_mps) else default
+        return _jittered(v, rng, speed_jitter_mps)
 
-    actors: list[tuple[str, str, np.ndarray]] = []  # (id, category, xy)
+    actors: list[tuple[str, str, np.ndarray, np.ndarray]] = []  # (id, category, x, y)
     if spec.template == "latency_run":
         route = spec.route or default_latency_route(spec.speeds_mps[0])
         phases = _trapezoid_phases(route, spec.duration_s, rng, speed_jitter_mps)
         s = _eval_phases(phases, t_rel)
         ux, uy = route.direction
-        xy = np.stack(
-            (route.anchor.x_m + s * ux, route.anchor.y_m + s * uy), axis=1
-        )
-        actors.append(("veh-01", VEHICLE, xy))
+        actors.append(("veh-01", VEHICLE, route.anchor.x_m + s * ux, route.anchor.y_m + s * uy))
     elif spec.template == "one_vehicle_maneuver":
-        v = jittered(_actor_speed(spec, 0, 10.0))
-        path = _right_turn_path(v, spec.duration_s)
-        actors.append(("veh-01", VEHICLE, path(v * t_rel)))
-    elif spec.template in ("vehicle_plus_pedestrian", "two_vehicle_plus_pedestrian"):
-        v1 = jittered(_actor_speed(spec, 0, 10.0))
-        length = v1 * spec.duration_s
-        path1 = _straight_path(-_LANE_OFFSET_M, "x", -length / 2.0)
-        actors.append(("veh-01", VEHICLE, path1(v1 * t_rel)))
-        ped_index = 1
+        v = speed(0)
+        actors.append(("veh-01", VEHICLE, *_right_turn(v * t_rel, v, spec.duration_s)))
+    else:
+        # eastbound through the intersection, centred on it over the trial
+        v1 = speed(0)
+        x1 = -v1 * spec.duration_s / 2.0 + v1 * t_rel
+        actors.append(("veh-01", VEHICLE, x1, np.full(n_ticks, -_LANE_OFFSET_M)))
         if spec.template == "two_vehicle_plus_pedestrian":
-            v2 = jittered(_actor_speed(spec, 1, 10.0))
-            # lag the second vehicle so the two never meet at the crossing
-            path2 = _straight_path(_LANE_OFFSET_M, "y", -v2 * spec.duration_s / 2.0 - 15.0)
-            actors.append(("veh-02", VEHICLE, path2(v2 * t_rel)))
-            ped_index = 2
-        v_ped = jittered(_actor_speed(spec, ped_index, _WALK_SPEED_MPS))
-        path_ped = _crosswalk_path(-10.0, -8.0, 8.0)
-        actors.append(("ped-01", PEDESTRIAN, path_ped(v_ped * t_rel)))
-    else:  # pragma: no cover - ScenarioSpec already validates
-        raise ScenarioError(f"unhandled template {spec.template!r}")
+            # northbound, lagged so the two vehicles never meet at the crossing
+            v2 = speed(1)
+            y2 = -v2 * spec.duration_s / 2.0 - 15.0 + v2 * t_rel
+            actors.append(("veh-02", VEHICLE, np.full(n_ticks, _LANE_OFFSET_M), y2))
+        # the pedestrian, whose speed follows the vehicles', paces the
+        # crosswalk at x = -10 m from y = -8 m to 8 m and back
+        phase = speed(len(actors), _WALK_SPEED_MPS) * t_rel % 32.0
+        y_ped = np.where(phase <= 16.0, phase, 32.0 - phase) - 8.0
+        actors.append(("ped-01", PEDESTRIAN, np.full(n_ticks, -10.0), y_ped))
 
     trajectories, series = [], []
-    for oid, cat, xy in sorted(actors, key=lambda a: a[0]):
-        lat, lon = unproject(LocalPoint(xy[:, 0], xy[:, 1]), ctx)
+    for oid, cat, x, y in sorted(actors, key=lambda a: a[0]):
+        reach = np.hypot(x, y).max()  # NaN if any position is NaN
+        if not reach <= MAX_PROJECTION_RANGE_M:
+            raise ScenarioError(
+                f"{spec.template}: {oid} reaches {reach:.0f} m from the projection origin; "
+                f"flat-plane validity ends at {MAX_PROJECTION_RANGE_M:.0f} m"
+            )
+        lat, lon = unproject(LocalPoint(x, y), ctx)
         rows = np.array((times, lat, lon)).T
         series.append(_bulk_points(rows, repeat(cat), repeat(oid)))
         trajectories.append(Trajectory(oid, cat, rows))

@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 from roadside_eval.cli import main
-from roadside_eval.core import GeoPoint, make_projection, trajectory_arrays
+from roadside_eval.core import make_projection, trajectory_arrays
 from roadside_eval.ingest import read_points, write_points
 from roadside_eval.latency import (
     LatencyEstimate,

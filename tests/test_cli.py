@@ -21,7 +21,7 @@ import roadside_eval.cli as cli_mod
 from roadside_eval.cli import main
 from roadside_eval.core import paused_gc
 from roadside_eval.errors import ConsistencyError, EvalError
-from roadside_eval.synth import default_latency_route, min_round_trip_duration_s
+from roadside_eval.synth import TEMPLATES, default_latency_route, min_round_trip_duration_s
 
 GT_HEADER = "timestamp,lat,lon,category,id\n"
 DATA = Path(__file__).parent / "data"
@@ -70,9 +70,10 @@ def table_rows(out: str) -> list[list[str]]:
 
 
 class TestSynthCommand:
-    def test_same_seed_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_same_seed_byte_identical(self, tmp_path, capsys, template):
         args = [
-            "synth", "--template", "two_vehicle_plus_pedestrian",
+            "synth", "--template", template,
             "--duration", "20", "--seed", "3", "--noise-sigma", "0.2",
             "--miss-prob", "0.1",
         ]
@@ -106,6 +107,24 @@ class TestSynthCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "empty detection frames" in out
+
+    # the overflowing speed warns on its way to NaN positions
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("template, duration, speed, reach", [
+        ("vehicle_plus_pedestrian", "600", "40", "12000"),
+        ("one_vehicle_maneuver", "100", "1e307", "nan"),
+    ])
+    def test_actor_beyond_projection_range_exits_one(
+        self, tmp_path, capsys, template, duration, speed, reach
+    ):
+        rc = main([
+            "synth", "--template", template, "--duration", duration,
+            "--speeds", speed, "--seed", "1",
+            "--out-gt", str(tmp_path / "gt.csv"), "--out-det", str(tmp_path / "det.csv"),
+        ])
+        assert rc == 1
+        assert f"error: {template}: veh-01 reaches {reach} m" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_zero_duration_fails(self, tmp_path, capsys):
         rc = main([

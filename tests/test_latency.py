@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ import roadside_eval.latency as latency_mod
 from roadside_eval.core import (
     LocalPoint,
     build_trajectory_set,
-    make_projection,
     time_span,
     trajectory_arrays,
 )
@@ -44,7 +42,7 @@ from roadside_eval.synth import (
     min_round_trip_duration_s,
 )
 
-from conftest import ORIGIN, dp
+from conftest import dp
 
 ROUTE = RouteLine(LocalPoint(0.0, 0.0), (1.0, 0.0), -30.0, 30.0, 10.0)
 

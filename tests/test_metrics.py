@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roadside_eval.core import GeoPoint, build_trajectory_set, make_projection
-from roadside_eval.errors import CategoryError, ConsistencyError
+from roadside_eval.errors import CategoryError
 from roadside_eval.matching import match_frames_by_time, point_match
 from roadside_eval.metrics import (
     CountSummary,

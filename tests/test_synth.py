@@ -131,6 +131,74 @@ class TestGenerateScenario:
             generate_scenario(spec, ctx)
 
 
+class TestRightTurn:
+    """one_vehicle_maneuver's path against a per-tick reference in math.
+
+    The 6 m turn joins the eastbound approach at y = -1.75 m to the
+    southbound exit at x = 1.75 m; the two legs split the distance the
+    quarter circle leaves. Positions are read back on a plane centred on
+    (0, 0), where the projection round trip is exact to well under 1e-9 m;
+    the comparison is a tolerance because numpy's sin and cos may differ
+    from math's in the last bit.
+    """
+
+    V, DURATION, RATE = 10.0, 8.0, 50.0
+    R, LANE = 6.0, 1.75
+    CENTRE = (LANE - R, -LANE - R)
+    ARC = math.pi / 2 * R
+    LEG = (V * DURATION - ARC) / 2
+
+    def reference(self, s):
+        s = min(s, 2 * self.LEG + self.ARC)
+        if s < self.LEG:
+            return self.CENTRE[0] - self.LEG + s, -self.LANE
+        if s < self.LEG + self.ARC:
+            ang = math.pi / 2 - (s - self.LEG) / self.R
+            return (self.CENTRE[0] + self.R * math.cos(ang),
+                    self.CENTRE[1] + self.R * math.sin(ang))
+        return self.LANE, self.CENTRE[1] - (s - self.LEG - self.ARC)
+
+    @pytest.fixture(scope="class")
+    def track(self):
+        spec = ScenarioSpec("one_vehicle_maneuver", self.DURATION, 0, self.RATE, (self.V,))
+        ctx0 = make_projection(GeoPoint(0.0, 0.0))
+        (traj,) = generate_scenario(spec, ctx0).trajectories
+        _, xy = trajectory_arrays(traj, ctx0)
+        # arc length from the tick index: the epoch-based stamps hold the
+        # time only to about 2e-7 s
+        return self.V * (np.arange(len(xy)) / self.RATE), xy
+
+    def test_matches_reference(self, track):
+        s, xy = track
+        ref = np.array([self.reference(v) for v in s.tolist()])
+        assert np.abs(xy - ref).max() <= 1e-9
+
+    def test_starts_a_leg_before_the_turn(self, track):
+        _, xy = track
+        assert np.allclose(xy[0], (self.LANE - self.R - self.LEG, -self.LANE), rtol=0, atol=1e-9)
+
+    def test_continuous_at_both_joints(self, track):
+        s, xy = track
+        steps = np.hypot(*np.diff(xy, axis=0).T)
+        for joint in (self.LEG, self.LEG + self.ARC):
+            k = np.searchsorted(s, joint)  # the step from tick k-1 to tick k spans the joint
+            assert 0 < s[k] - joint < self.V / self.RATE
+            # a chord of the path, no longer than the arc length between the ticks
+            assert self.V / self.RATE * 0.999 < steps[k - 1] <= self.V / self.RATE + 1e-9
+
+    def test_arc_and_legs(self, track):
+        s, xy = track
+        x, y = xy.T
+        approach, exit_leg = s < self.LEG, s > self.LEG + self.ARC
+        arc = ~approach & ~exit_leg
+        assert arc.sum() >= 40
+        radius = np.hypot(x[arc] - self.CENTRE[0], y[arc] - self.CENTRE[1])
+        assert np.abs(radius - self.R).max() <= 1e-9
+        assert np.abs(y[approach] + self.LANE).max() <= 1e-9
+        assert np.abs(x[exit_leg] - self.LANE).max() <= 1e-9
+        assert np.all(np.diff(y[exit_leg]) < 0)
+
+
 class TestErrorModelValidation:
     def test_defaults_are_noiseless(self):
         m = ErrorModel()
