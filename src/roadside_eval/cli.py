@@ -226,10 +226,7 @@ def _route_from_args(args: argparse.Namespace) -> RouteLine | None:
     ws = args.window_start if args.window_start is not None else default.window_start_m
     we = args.window_end if args.window_end is not None else default.window_end_m
     v0 = args.speed if args.speed is not None else default.nominal_speed_mps
-    try:
-        return make_route_line(LocalPoint(x0, y0), LocalPoint(x1, y1), ws, we, v0)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from None
+    return make_route_line(LocalPoint(x0, y0), LocalPoint(x1, y1), ws, we, v0)
 
 
 def _latency_dict(est: LatencyEstimate, source: str) -> dict[str, Any]:

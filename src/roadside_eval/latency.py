@@ -177,35 +177,20 @@ def find_constant_speed_windows(
     """
     if not (0 < speed_tol_frac <= 0.5):
         raise ValueError("speed_tol_frac must be in (0, 0.5]")
-    if len(times) < 2:
-        return []
     s = route_arc_coordinates(xy, route)
     dt = np.diff(times)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(dt > 0, np.diff(s) / dt, np.inf)
     v0 = route.nominal_speed_mps
     in_bounds = (s >= route.window_start_m) & (s <= route.window_end_m)
-    ok = (
-        (np.abs(np.abs(v) - v0) <= speed_tol_frac * v0)
-        & in_bounds[:-1]
-        & in_bounds[1:]
-    ).tolist()
-    forward = (v > 0).tolist()
-
-    windows: list[SpeedWindow] = []
-    i = 0
-    n = len(ok)
-    while i < n:
-        if not ok[i]:
-            i += 1
-            continue
-        sign = 1 if forward[i] else -1
-        j = i
-        while j + 1 < n and ok[j + 1] and forward[j + 1] == forward[i]:
-            j += 1
-        windows.append(SpeedWindow(float(times[i]), float(times[j + 1]), sign))
-        i = j + 1
-    return windows
+    ok = (np.abs(np.abs(v) - v0) <= speed_tol_frac * v0) & in_bounds[:-1] & in_bounds[1:]
+    # each step's travel direction where it qualifies, 0 elsewhere and at
+    # both ends; a window is one run of equal non-zero steps
+    step = np.zeros(len(times) + 1, dtype=np.int8)
+    step[1:-1] = np.copysign(ok, v)
+    cut = np.flatnonzero(step[1:] != step[:-1])
+    at, sign = times[cut].tolist(), step[cut + 1].tolist()
+    return [SpeedWindow(t0, t1, d) for t0, t1, d in zip(at, at[1:], sign) if d]
 
 
 def _pass_cluster(t: np.ndarray, t_center: float) -> np.ndarray:

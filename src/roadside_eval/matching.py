@@ -17,16 +17,13 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .core import DataFrame, DataPoint, GeoPoint, ProjectionContext, TrajectorySet, project
+from .core import DataFrame, GeoPoint, ProjectionContext, TrajectorySet, project
 from .errors import EvalError
-
-# Cost for forbidden (cross-category) pairs: large, finite, and far above any
-# feasible sum of real planar distances (bounded by the projection range).
-UNMATCHABLE_COST = 1e12
 
 # Absolute tolerance for "equal total cost" during tie-break refinement.
 # Costs are meter-scale distances; totals are compared via math.fsum, so
@@ -218,9 +215,8 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     n moves can hide that much; below −margin, the duals do not prove σ
     optimal at all.
 
-    Sums of large costs are too coarse to resolve _TIE_TOL (the
-    UNMATCHABLE_COST sentinel among them), and the refinement's own
-    rounding then decides; such matrices return None.
+    Sums of large costs are too coarse to resolve _TIE_TOL, and the
+    refinement's own rounding then decides; such matrices return None.
     """
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
@@ -270,7 +266,7 @@ def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _unique_optimum's margin plus a slack for naive summation; the slack
     is the rounding term again, far above the few eps · n · max|cost| by
     which a naive sum can miss math.fsum. The frames that are not ok
-    (near-ties, sentinel cells, non-finite costs) are the refinement's.
+    (near-ties, huge or non-finite costs) are the refinement's.
     """
     count, n_rows, n_cols = cost.shape
     ok = np.isfinite(cost).all(axis=(1, 2))
@@ -408,18 +404,15 @@ def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
 class _Blocks:
     """Distance blocks of the aligned frame pairs with points on both sides.
 
-    live[k] is such a pair's index in the pairing. Its rows[k] detection
-    points and then its cols[k] gt points sit in points from start[k]. A
-    frame of at most _SMALL points a side has its block in flat, row-major
-    from cell[k], with the cells' indices into points in cell_det and
-    cell_gt; a larger frame's block is big[k]. Cross-category cells hold
-    UNMATCHABLE_COST: large and finite, so the solver still accepts the
-    block, and callers drop such cells with cost < UNMATCHABLE_COST / 2 (a
-    finite threshold may exceed the sentinel).
+    live[k] is such a pair's index in the pairing. The object ids of its
+    rows[k] detection points and then its cols[k] gt points sit in ids from
+    start[k]. A frame of at most _SMALL points a side has its block in
+    flat, row-major from cell[k], with the cells' indices into ids in
+    cell_det and cell_gt; a larger frame's block is big[k].
     """
 
     live: list[int]
-    points: list[DataPoint]
+    ids: list[str]
     start: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -438,24 +431,17 @@ def _distance_blocks(
 
     Projecting in that order names the same far point as matching the
     pairs one by one would; points of a pair with an empty side are never
-    projected.
+    projected. Raises ValueError naming the categories when those points
+    hold more than one: matching scores one category per call.
     """
     live = [k for k, (df, gf) in enumerate(pairs) if df.points and gf.points]
     points = [p for k in live for f in pairs[k] for p in f.points]
+    categories = set(map(attrgetter("category"), points))
+    if len(categories) > 1:
+        raise ValueError(f"matching takes one category per call, got {sorted(categories)}")
     n = len(points)
     geo = np.fromiter(chain.from_iterable(p.position for p in points), float, 2 * n)
     x, y = project(GeoPoint(geo[0::2], geo[1::2]), ctx)
-    categories = [p.category for p in points]
-    codes = {c: k for k, c in enumerate(set(categories))}
-    # one category throughout, as after filter_category, needs no sentinel
-    cat = np.array([codes[c] for c in categories]) if len(codes) > 1 else None
-
-    def cells(di: np.ndarray, gi: np.ndarray) -> np.ndarray:
-        dist = np.hypot(x[di] - x[gi], y[di] - y[gi])
-        if cat is not None:
-            dist[cat[di] != cat[gi]] = UNMATCHABLE_COST
-        return dist
-
     rows = np.array([len(pairs[k][0].points) for k in live], dtype=np.intp)
     cols = np.array([len(pairs[k][1].points) for k in live], dtype=np.intp)
     start = np.cumsum(rows + cols) - (rows + cols)
@@ -470,9 +456,11 @@ def _distance_blocks(
     big = {}
     for f in np.flatnonzero(~small).tolist():
         s, r = start[f], rows[f]
-        big[f] = cells(s + np.arange(r)[:, None], s + r + np.arange(cols[f]))
-    flat = cells(cell_det, cell_gt)
-    return _Blocks(live, points, start, rows, cols, cell, flat, cell_det, cell_gt, big)
+        di, gi = s + np.arange(r)[:, None], s + r + np.arange(cols[f])
+        big[f] = np.hypot(x[di] - x[gi], y[di] - y[gi])
+    flat = np.hypot(x[cell_det] - x[cell_gt], y[cell_det] - y[cell_gt])
+    ids = [p.object_id for p in points]
+    return _Blocks(live, ids, start, rows, cols, cell, flat, cell_det, cell_gt, big)
 
 
 def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
@@ -505,9 +493,10 @@ def point_match(
     pair beyond the threshold contributes a FP and a FN (the detection
     placed nothing within range of that gt point, and vice versa), so a
     pair's FPs are its detections less its TPs, and likewise its FNs.
-    Points of different categories never match. All points are projected
-    in one call, and the frames of at most three points a side are solved
-    together.
+    The pairs hold one category's points, as metrics passes them after
+    filter_category; points of more than one category raise ValueError.
+    All points are projected in one call, and the frames of at most three
+    points a side are solved together.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
@@ -536,12 +525,12 @@ def point_match(
     if not parts:
         return matches
     frame, rows, cols, dist = map(np.concatenate, zip(*parts))
-    keep = np.flatnonzero((dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2))
+    keep = np.flatnonzero(dist <= threshold_m)
     keep = keep[np.argsort(frame[keep], kind="stable")]
     frame = frame[keep]
     det = (blocks.start[frame] + rows[keep]).tolist()
     gt = (blocks.start[frame] + blocks.rows[frame] + cols[keep]).tolist()
-    ids = [p.object_id for p in blocks.points]
+    ids = blocks.ids
     tps = list(zip(map(ids.__getitem__, det), map(ids.__getitem__, gt), dist[keep].tolist()))
     cuts = np.flatnonzero(np.diff(frame, prepend=-1, append=-1)).tolist()
     frame = frame.tolist()
@@ -578,23 +567,21 @@ def association_match(
     """Count points under the best fixed det-id to gt-id mapping.
 
     Per frame pair, each (det id, gt id) combination scores a candidate TP
-    when both are present, same-category, and within threshold; the global
-    one-to-one id association maximizing total candidate TPs is fixed by
-    the assignment solver, and tpa/fpa/fna are counted under it.
+    when both are present and within threshold; the global one-to-one id
+    association maximizing total candidate TPs is fixed by the assignment
+    solver, and tpa/fpa/fna are counted under it. Both sets hold one
+    category, as metrics passes them after filter_category; aligned frames
+    with points of more than one category raise ValueError.
     """
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
-
-    def within(dist: np.ndarray) -> np.ndarray:
-        return (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
-
     blocks = _distance_blocks(pairing.pairs, ctx)
-    hit = within(blocks.flat)
+    hit = blocks.flat <= threshold_m
     det_hits, gt_hits = [blocks.cell_det[hit]], [blocks.cell_gt[hit]]
     for k, block in blocks.big.items():
-        i, j = np.nonzero(within(block))
+        i, j = np.nonzero(block <= threshold_m)
         det_hits.append(blocks.start[k] + i)
         gt_hits.append(blocks.start[k] + blocks.rows[k] + j)
-    ids = [p.object_id for p in blocks.points]
+    ids = blocks.ids
     co_counts = Counter(
         (ids[i], ids[j])
         for i, j in zip(np.concatenate(det_hits).tolist(), np.concatenate(gt_hits).tolist())

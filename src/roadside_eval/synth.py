@@ -291,30 +291,33 @@ def generate_scenario(
         return _jittered(v, rng, speed_jitter_mps)
 
     actors: list[tuple[str, str, np.ndarray, np.ndarray]] = []  # (id, category, x, y)
-    if spec.template == "latency_run":
-        route = spec.route or default_latency_route(spec.speeds_mps[0])
-        phases = _trapezoid_phases(route, spec.duration_s, rng, speed_jitter_mps)
-        s = _eval_phases(phases, t_rel)
-        ux, uy = route.direction
-        actors.append(("veh-01", VEHICLE, route.anchor.x_m + s * ux, route.anchor.y_m + s * uy))
-    elif spec.template == "one_vehicle_maneuver":
-        v = speed(0)
-        actors.append(("veh-01", VEHICLE, *_right_turn(v * t_rel, v, spec.duration_s)))
-    else:
-        # eastbound through the intersection, centred on it over the trial
-        v1 = speed(0)
-        x1 = -v1 * spec.duration_s / 2.0 + v1 * t_rel
-        actors.append(("veh-01", VEHICLE, x1, np.full(n_ticks, -_LANE_OFFSET_M)))
-        if spec.template == "two_vehicle_plus_pedestrian":
-            # northbound, lagged so the two vehicles never meet at the crossing
-            v2 = speed(1)
-            y2 = -v2 * spec.duration_s / 2.0 - 15.0 + v2 * t_rel
-            actors.append(("veh-02", VEHICLE, np.full(n_ticks, _LANE_OFFSET_M), y2))
-        # the pedestrian, whose speed follows the vehicles', paces the
-        # crosswalk at x = -10 m from y = -8 m to 8 m and back
-        phase = speed(len(actors), _WALK_SPEED_MPS) * t_rel % 32.0
-        y_ped = np.where(phase <= 16.0, phase, 32.0 - phase) - 8.0
-        actors.append(("ped-01", PEDESTRIAN, np.full(n_ticks, -10.0), y_ped))
+    # an overflowing speed gives inf or NaN positions, which the range check
+    # below reports; numpy's warnings on the way would only come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.template == "latency_run":
+            route = spec.route or default_latency_route(spec.speeds_mps[0])
+            phases = _trapezoid_phases(route, spec.duration_s, rng, speed_jitter_mps)
+            s = _eval_phases(phases, t_rel)
+            ux, uy = route.direction
+            actors.append(("veh-01", VEHICLE, route.anchor.x_m + s * ux, route.anchor.y_m + s * uy))
+        elif spec.template == "one_vehicle_maneuver":
+            v = speed(0)
+            actors.append(("veh-01", VEHICLE, *_right_turn(v * t_rel, v, spec.duration_s)))
+        else:
+            # eastbound through the intersection, centred on it over the trial
+            v1 = speed(0)
+            x1 = -v1 * spec.duration_s / 2.0 + v1 * t_rel
+            actors.append(("veh-01", VEHICLE, x1, np.full(n_ticks, -_LANE_OFFSET_M)))
+            if spec.template == "two_vehicle_plus_pedestrian":
+                # northbound, lagged so the two vehicles never meet at the crossing
+                v2 = speed(1)
+                y2 = -v2 * spec.duration_s / 2.0 - 15.0 + v2 * t_rel
+                actors.append(("veh-02", VEHICLE, np.full(n_ticks, _LANE_OFFSET_M), y2))
+            # the pedestrian, whose speed follows the vehicles', paces the
+            # crosswalk at x = -10 m from y = -8 m to 8 m and back
+            phase = speed(len(actors), _WALK_SPEED_MPS) * t_rel % 32.0
+            y_ped = np.where(phase <= 16.0, phase, 32.0 - phase) - 8.0
+            actors.append(("ped-01", PEDESTRIAN, np.full(n_ticks, -10.0), y_ped))
 
     trajectories, series = [], []
     for oid, cat, x, y in sorted(actors, key=lambda a: a[0]):

@@ -108,11 +108,13 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         assert "empty detection frames" in out
 
-    # the overflowing speed warns on its way to NaN positions
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the overflowing speed reaches NaN positions without a numpy warning:
+    # the range error is the only report
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("template, duration, speed, reach", [
         ("vehicle_plus_pedestrian", "600", "40", "12000"),
         ("one_vehicle_maneuver", "100", "1e307", "nan"),
+        ("two_vehicle_plus_pedestrian", "100", "1e307", "nan"),
     ])
     def test_actor_beyond_projection_range_exits_one(
         self, tmp_path, capsys, template, duration, speed, reach
@@ -252,6 +254,15 @@ class TestLatencyCommand:
         err = capsys.readouterr().err
         assert f"error: {field} must be finite" in err and "Traceback" not in err
 
+    def test_coincident_route_endpoints_exit_one(self, tmp_path, capsys):
+        rc = main([
+            "latency", "--det", str(DATA / "lat_det_a.csv"), "--gt", str(DATA / "lat_gt.csv"),
+            "--output-dir", str(tmp_path), "--route", "1,2,1,2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: route endpoints coincide\n"
+        assert not list(tmp_path.iterdir())
+
     def test_too_many_test_points_exits_one(self, tmp_path, capsys):
         # 1e14 test points need over 2**47 bytes, so the allocation fails at once
         rc = main([
@@ -282,6 +293,15 @@ class TestLatencyCommand:
 
 
 class TestEvalCommand:
+    def test_inverted_window_exits_one(self, tmp_path, capsys):
+        rc = main([
+            "eval", *SCENE, "--output-dir", str(tmp_path),
+            "--window-start", "5", "--window-end", "1",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: window_start_m must be below window_end_m\n"
+        assert not list(tmp_path.iterdir())
+
     def test_perfect_detection_row(self, data_dir, tmp_path, capsys):
         gt = data_dir / "scene_gt.csv"
         rc = main([

@@ -1,10 +1,13 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used, and every private definition is referenced.
 
-No linter ships with the toolchain, so this is an ast-only check over the
-package, the tests and the scripts. A name counts as used when it appears
-as a name anywhere in its module, in a string annotation, or in
-``__all__``. The package's ``__init__.py`` is left out: its imports are
-re-exports.
+No linter ships with the toolchain, so these are ast-only checks. Over the
+package, the tests and the scripts, an imported name counts as used when it
+appears as a name anywhere in its module, in a string annotation, or in
+``__all__``; the package's ``__init__.py`` is left out, as its imports are
+re-exports. In the package, a module-level function, class or assignment,
+or a method, whose name has one leading underscore must be read somewhere
+in the package, as a name, an attribute or an import: tests alone do not
+keep one alive.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ MODULES = sorted(
     for path in ROOT.glob(pattern)
     if path.name != "__init__.py"
 )
+PACKAGE = sorted(ROOT.glob("src/roadside_eval/*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -62,3 +66,63 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Callable, Sequence\nx: 'Sequence[int]'\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Callable"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments, and methods, whose
+    names have one leading underscore, with the line of each."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs[name.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[method.name] = method.lineno
+    return {n: line for n, line in defs.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names read as names or attributes, imported, or named in a string."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                read |= read_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return read
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in PACKAGE}
+    read = set().union(*map(read_names, trees.values()))
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not unreferenced, f"private definitions nothing in the package reads: {unreferenced}"
+
+
+def test_finds_an_unreferenced_private_definition():
+    tree = ast.parse(
+        "_A = 1\n_B: int = 2\n_C = _A\n__all__ = ['_C']\n"
+        "def _f(): pass\n"
+        "class _K:\n    def _m(self): self._m2 = 1\n    def _n(self): return self._m()\n"
+        "def __getattr__(name): return _K\n"
+    )
+    assert set(private_definitions(tree)) - read_names(tree) == {"_B", "_f", "_n"}

@@ -73,7 +73,58 @@ def one_pass(gt, route):
     return gt[0][i:j], gt[1][i:j]
 
 
+def _windows_by_loop(times, xy, route, speed_tol_frac=0.1):
+    """The step-by-step scan that find_constant_speed_windows' run-length
+    pass replaced, kept here as its reference."""
+    s = latency_mod.route_arc_coordinates(xy, route)
+    dt = np.diff(times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(dt > 0, np.diff(s) / dt, np.inf)
+    v0 = route.nominal_speed_mps
+    in_bounds = (s >= route.window_start_m) & (s <= route.window_end_m)
+    ok = ((np.abs(np.abs(v) - v0) <= speed_tol_frac * v0) & in_bounds[:-1] & in_bounds[1:]).tolist()
+    forward = (v > 0).tolist()
+    windows = []
+    i, n = 0, len(ok)
+    while i < n:
+        if not ok[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and ok[j + 1] and forward[j + 1] == forward[i]:
+            j += 1
+        windows.append((float(times[i]), float(times[j + 1]), 1 if forward[i] else -1))
+        i = j + 1
+    return windows
+
+
 class TestWindowExtraction:
+    # legs of (dt, arc speed, steps): equal times, stops, direction flips,
+    # speeds within and beyond the tolerance, from a start that may lie
+    # outside the window, and excursions across its ends
+    @given(
+        st.floats(-45.0, 45.0),
+        st.lists(st.tuples(
+            st.sampled_from([0.1, 0.2, 0.0]),
+            st.sampled_from([10.0, -10.0, 0.0, 10.4, -9.3, 11.5, -8.0, 30.0]),
+            st.integers(1, 40),
+        ), max_size=8),
+        st.sampled_from([0.1, 0.05, 0.5]),
+    )
+    def test_runs_match_the_step_scan(self, s0, legs, tol):
+        n = [k for _, _, k in legs]
+        dt = np.repeat([d for d, _, _ in legs], n)
+        v = np.repeat([u for _, u, _ in legs], n)
+        times = 1000.0 + np.concatenate([[0.0], np.cumsum(dt)])
+        s = s0 + np.concatenate([[0.0], np.cumsum(dt * v)])
+        xy = np.stack([s, np.full_like(s, 0.3)], axis=1)
+        got = find_constant_speed_windows(times, xy, ROUTE, tol)
+        assert got == _windows_by_loop(times, xy, ROUTE, tol)
+        assert all(type(w.direction_sign) is int and type(w.t_start_s) is float for w in got)
+
+    def test_single_sample_has_no_window(self):
+        assert find_constant_speed_windows(np.array([1000.0]), np.zeros((1, 2)), ROUTE) == []
+
     def test_constant_run_covers_full_window(self, ctx):
         times, xy = trajectory_arrays(straight_run(ctx), ctx)
         [w] = find_constant_speed_windows(times, xy, ROUTE)

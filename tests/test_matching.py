@@ -17,12 +17,12 @@ from roadside_eval import matching
 from roadside_eval.core import (
     DataFrame,
     build_trajectory_set,
+    filter_category,
     from_frames,
     project,
 )
 from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.matching import (
-    UNMATCHABLE_COST,
     association_match,
     count_id_switches,
     match_frames_by_time,
@@ -31,6 +31,10 @@ from roadside_eval.matching import (
 )
 
 from conftest import brute_force_assignment, dp, line_points
+
+# A cost far above any sum of real planar distances, as a caller might give
+# a forbidden pair: the solver must still take matrices that hold it.
+_HUGE_COST = 1e12
 
 
 class TestSolveAssignment:
@@ -94,7 +98,7 @@ class TestLinearSumAssignment:
         if kind == "association":
             return -rng.integers(0, 4, shape).astype(float)
         cost = np.round(rng.uniform(0.0, 5.0, shape), 1)
-        cost[rng.random(shape) < 0.4] = UNMATCHABLE_COST
+        cost[rng.random(shape) < 0.4] = _HUGE_COST
         return cost
 
     @pytest.mark.parametrize(
@@ -213,7 +217,7 @@ class TestSolveAssignmentAgainstRefinement:
                 )
             else:
                 cost = np.round(rng.uniform(0.0, 5.0, shape), 1)
-                cost[rng.random(shape) < 0.4] = UNMATCHABLE_COST
+                cost[rng.random(shape) < 0.4] = _HUGE_COST
                 yield cost
 
     @pytest.mark.parametrize(
@@ -238,7 +242,7 @@ class TestSolveAssignmentAgainstRefinement:
         rng = np.random.default_rng(7)
         tied = np.round(rng.uniform(0.0, 2.0, shape), 1)
         gated = tied.copy()
-        gated[rng.random(shape) < 0.3] = UNMATCHABLE_COST
+        gated[rng.random(shape) < 0.3] = _HUGE_COST
         for cost in (tied, gated, -rng.integers(0, 3, shape).astype(float)):
             assert solve_assignment(cost) == _refinement_oracle(cost)
 
@@ -279,7 +283,7 @@ class TestSolveAssignmentAgainstRefinement:
         # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
         # own arithmetic decides, whatever the single solve would say
         cost = np.random.default_rng(8).uniform(0.0, 50.0, (6, 6))
-        cost[0, 1:] = UNMATCHABLE_COST
+        cost[0, 1:] = _HUGE_COST
         calls = self._count_solves(monkeypatch)
         got = solve_assignment(cost)
         assert len(calls) > 1
@@ -423,11 +427,7 @@ def _per_pair_distances(det, gt, ctx) -> np.ndarray:
     """One pair's distance matrix, projected point by point."""
     dxy = np.array([project(p.position, ctx) for p in det])
     gxy = np.array([project(p.position, ctx) for p in gt])
-    cost = np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
-    det_cat = np.array([p.category for p in det])
-    gt_cat = np.array([p.category for p in gt])
-    cost[det_cat[:, None] != gt_cat[None, :]] = UNMATCHABLE_COST
-    return cost
+    return np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
 
 
 def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> tuple:
@@ -442,7 +442,7 @@ def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> tuple:
         cost = _per_pair_distances(det, gt, ctx)
         for i, j in _refinement_oracle(cost):
             d = float(cost[i, j])
-            if d <= threshold_m and d < UNMATCHABLE_COST / 2:
+            if d <= threshold_m:
                 tp.append((det[i].object_id, gt[j].object_id, d))
     return tuple(tp)
 
@@ -454,8 +454,7 @@ def _random_pairs(ctx, seed: int, kind: str, count: int):
     totals tie; duplicate: a few shared positions; near_margin: gt on a
     0.5 m grid along one line and detections near the midpoints, nudged by
     about 5e-7 m, so that the best and second-best totals differ by about
-    _TIE_TOL, give or take 2e-8; mixed: rounded, with both categories, so
-    that cross-category cells hold the sentinel.
+    _TIE_TOL, give or take 2e-8.
     """
     rng = np.random.default_rng(seed)
 
@@ -472,11 +471,9 @@ def _random_pairs(ctx, seed: int, kind: str, count: int):
         return np.round(rng.uniform(-0.6, 0.6, 2), 1)
 
     def frame(t, n, side):
-        pts = []
-        for i in range(n):
-            category = rng.choice(["vehicle", "pedestrian"]) if kind == "mixed" else "vehicle"
-            pts.append(dp(t, *position(side), ctx, category=str(category), object_id=f"{side}{i}"))
-        return DataFrame(t, tuple(pts))
+        return DataFrame(t, tuple(
+            dp(t, *position(side), ctx, object_id=f"{side}{i}") for i in range(n)
+        ))
 
     pairs = []
     for k in range(count):
@@ -503,7 +500,7 @@ class TestBatchedPointMatch:
 
     @pytest.mark.parametrize(
         "seed, kind",
-        enumerate(["continuous", "rounded", "duplicate", "near_margin", "mixed"]),
+        enumerate(["continuous", "rounded", "duplicate", "near_margin"]),
     )
     def test_matches_per_pair_matcher(self, ctx, monkeypatch, seed, kind):
         pairs = _random_pairs(ctx, seed, kind, 700)
@@ -515,7 +512,7 @@ class TestBatchedPointMatch:
             got = point_match(pairs, threshold, ctx)
             assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
         # both ways through the small frames: the batch, and solve_assignment
-        # where only its own arithmetic can decide (near-ties, the sentinel)
+        # where only its own arithmetic can decide (near-ties)
         calls = self._count_solves(monkeypatch)
         point_match(pairs, 1.5, ctx)
         small = sum(
@@ -643,12 +640,19 @@ class TestPointMatch:
         assert res == ()
 
     def test_category_gating(self, ctx):
+        # matching scores one category per call; metrics splits the sets first
         det = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="pedestrian", object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="g1"),))
-        # no TP, so the detection is a FP and the gt point a FN
-        assert point_match([(det, gt)], 1.5, ctx) == [()]
-        # a finite threshold above the cross-category sentinel still gates
-        assert point_match([(det, gt)], 1e13, ctx) == [()]
+        named = r"\['pedestrian', 'vehicle'\]"
+        with pytest.raises(ValueError, match=named):
+            point_match([(det, gt)], 1.5, ctx)
+        with pytest.raises(ValueError, match=named):
+            association_match(
+                from_frames([det], "detection"), from_frames([gt], "ground_truth"), 0.0, 1.5, ctx
+            )
+        # a frame with an empty side is never matched, so its category is free
+        empty = DataFrame(1.0, ())
+        assert point_match([(det, empty), (empty, gt)], 1.5, ctx) == [(), ()]
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -816,8 +820,7 @@ class TestAssociationMatch:
             if not df.points or not gf.points:
                 continue
             dist = _per_pair_distances(df.points, gf.points, ctx)
-            hits = (dist <= threshold_m) & (dist < UNMATCHABLE_COST / 2)
-            for i, j in zip(*np.nonzero(hits)):
+            for i, j in zip(*np.nonzero(dist <= threshold_m)):
                 key = (df.points[i].object_id, gf.points[j].object_id)
                 co_counts[key] = co_counts.get(key, 0) + 1
         det_total, gt_total = matching.point_totals(pairing, gt)
@@ -837,7 +840,9 @@ class TestAssociationMatch:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_pair_counts(self, ctx, seed):
         # frames of 0 to 5 points a side, both categories, ids from small
-        # pools so that co-occurrences accumulate across frames
+        # pools so that co-occurrences accumulate across frames; each
+        # category is matched on its own, after filter_category, as metrics
+        # does
         rng = np.random.default_rng(seed)
         det_frames, gt_frames = [], []
         for k in range(80):
@@ -850,26 +855,29 @@ class TestAssociationMatch:
                        object_id=f"{prefix}{i}")
                     for i in sorted(ids.tolist())
                 )))
-        det = from_frames(det_frames, "detection")
-        gt = from_frames(gt_frames, "ground_truth")
-        # at a threshold equal to the farthest hit of a chosen id pair in
-        # frames of at most 3×3, that hit still counts
-        small = [
-            (df, gf) for df, gf in zip(det.frames, gt.frames)
-            if max(len(df.points), len(gf.points)) <= 3
-        ]
-
-        def hits(d_id, g_id):
-            return [
-                float(_per_pair_distances((p,), (q,), ctx)[0, 0])
-                for df, gf in small
-                for p in df.points if p.object_id == d_id
-                for q in gf.points if q.object_id == g_id
+        det_all = from_frames(det_frames, "detection")
+        gt_all = from_frames(gt_frames, "ground_truth")
+        for category in ("vehicle", "pedestrian"):
+            det = filter_category(det_all, category)
+            gt = filter_category(gt_all, category)
+            # at a threshold equal to the farthest hit of a chosen id pair in
+            # frames of at most 3×3, that hit still counts
+            small = [
+                (df, gf) for df, gf in zip(det.frames, gt.frames)
+                if max(len(df.points), len(gf.points)) <= 3
             ]
 
-        chosen = self._by_pairs(det, gt, 1.5, ctx)[0]
-        edge = max(d for pair in chosen for d in hits(*pair) if d <= 1.5)
-        for threshold in (edge, 0.5, 1.5, 1e13):
-            got = association_match(det, gt, 0.0, threshold, ctx)
-            want = self._by_pairs(det, gt, threshold, ctx)
-            assert (got.tpa, got.fpa, got.fna) == want[1:]
+            def hits(d_id, g_id):
+                return [
+                    float(_per_pair_distances((p,), (q,), ctx)[0, 0])
+                    for df, gf in small
+                    for p in df.points if p.object_id == d_id
+                    for q in gf.points if q.object_id == g_id
+                ]
+
+            chosen = self._by_pairs(det, gt, 1.5, ctx)[0]
+            edge = max(d for pair in chosen for d in hits(*pair) if d <= 1.5)
+            for threshold in (edge, 0.5, 1.5, 1e13):
+                got = association_match(det, gt, 0.0, threshold, ctx)
+                want = self._by_pairs(det, gt, threshold, ctx)
+                assert (got.tpa, got.fpa, got.fna) == want[1:]
