@@ -141,14 +141,14 @@ def small_frame_rows(n_frames: int, seed: int) -> None:
         solve_us = 1e6 * (time.perf_counter() - started) / n_frames
         started = time.perf_counter()
         # a threshold far above any distance keeps every assigned pair
-        results = matching.point_match(pairs, 1e6, ctx)
+        m = matching.point_match(pairs, 1e6, ctx)
         batch_us = 1e6 * (time.perf_counter() - started) / n_frames
-        for (df, gf), matches, want in zip(pairs, results, solved):
-            det_row = {p.object_id: i for i, p in enumerate(df.points)}
-            gt_col = {p.object_id: j for j, p in enumerate(gf.points)}
-            got = tuple((det_row[d], gt_col[g]) for d, g, _ in matches)
-            if got != want:
-                raise SystemExit(f"{shape}: point_match differs from solve_assignment")
+        got = [[] for _ in pairs]
+        for k, d, g in zip(m.pair.tolist(), m.det.tolist(), m.gt.tolist()):
+            # small_pairs names each point by its index in the frame
+            got[k].append((int(m.ids[d][1:]), int(m.ids[g][1:])))
+        if list(map(tuple, got)) != solved:
+            raise SystemExit(f"{shape}: point_match differs from solve_assignment")
         label = f"{shape[0]}x{shape[1]}"
         print(f"{label:>6}  {solve_us:>9.1f}  {batch_us:>9.1f}  {solve_us / batch_us:>7.1f}x")
 

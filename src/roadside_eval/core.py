@@ -340,7 +340,7 @@ def time_span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
 def paused_gc() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, then restore it.
 
-    Points, frames, trajectories, sets, match tuples and reports hold no
+    Points, frames, trajectories, sets, match tables and reports hold no
     reference cycles, so reference counting frees every one of them. A
     command or a Monte Carlo run still allocates them by the thousand, and
     the allocations keep starting collector passes that find nothing to

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, permutations
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,21 +478,30 @@ def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
     return det_total, gt_total
 
 
+class Matches(NamedTuple):
+    """point_match's true positives, one row each, in pair order and within
+    a pair in detection order: the frame pair's index, the detection's and
+    the gt point's positions in ids, and their distance in meters."""
+
+    pair: np.ndarray
+    det: np.ndarray
+    gt: np.ndarray
+    dist: np.ndarray
+    ids: list[str]
+
+
 def point_match(
     pairs: Sequence[tuple[DataFrame, DataFrame]],
     threshold_m: float,
     ctx: ProjectionContext,
-) -> list[tuple[tuple[str, str, float], ...]]:
+) -> Matches:
     """Optimal one-to-one point matching within each aligned frame pair.
 
-    Returns one entry per (detection frame, gt frame) pair, in order: the
-    pair's true positives as (detection id, gt id, distance in meters), in
-    detection order. The assignment minimizes total distance without regard
-    to the threshold; the threshold only classifies afterwards. An assigned
-    pair beyond the threshold contributes a FP and a FN (the detection
-    placed nothing within range of that gt point, and vice versa), so a
-    pair's FPs are its detections less its TPs, and likewise its FNs.
-    The pairs hold one category's points, as metrics passes them after
+    Returns the true positives as one Matches table. The assignment
+    minimizes total distance without regard to the threshold, which only
+    classifies afterwards: an assigned pair beyond it contributes a FP and
+    a FN, so a pair's FPs are its detections less its TPs, and likewise its
+    FNs. The pairs hold one category's points, as metrics passes them after
     filter_category; points of more than one category raise ValueError.
     All points are projected in one call, and the frames of at most three
     points a side are solved together.
@@ -502,7 +510,7 @@ def point_match(
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     blocks = _distance_blocks(pairs, ctx)
     # every assigned pair as (live frame, detection row, gt column, distance)
-    parts: list[tuple[np.ndarray, ...]] = []
+    parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]
     unsettled: list[tuple[int, np.ndarray]] = []
     small = np.flatnonzero((blocks.rows <= _SMALL) & (blocks.cols <= _SMALL))
     shapes = blocks.rows[small] * (_SMALL + 1) + blocks.cols[small]
@@ -521,39 +529,36 @@ def point_match(
         rows, cols = np.array(solve_assignment(cost), dtype=np.intp).reshape(-1, 2).T
         parts.append((np.full(len(rows), f), rows, cols, cost[rows, cols]))
 
-    matches: list[tuple[tuple[str, str, float], ...]] = [()] * len(pairs)
-    if not parts:
-        return matches
     frame, rows, cols, dist = map(np.concatenate, zip(*parts))
     keep = np.flatnonzero(dist <= threshold_m)
     keep = keep[np.argsort(frame[keep], kind="stable")]
     frame = frame[keep]
-    det = (blocks.start[frame] + rows[keep]).tolist()
-    gt = (blocks.start[frame] + blocks.rows[frame] + cols[keep]).tolist()
-    ids = blocks.ids
-    tps = list(zip(map(ids.__getitem__, det), map(ids.__getitem__, gt), dist[keep].tolist()))
-    cuts = np.flatnonzero(np.diff(frame, prepend=-1, append=-1)).tolist()
-    frame = frame.tolist()
-    for a, b in zip(cuts, cuts[1:]):
-        matches[blocks.live[frame[a]]] = tuple(tps[a:b])
-    return matches
+    det = blocks.start[frame] + rows[keep]
+    gt = blocks.start[frame] + blocks.rows[frame] + cols[keep]
+    pair = np.array(blocks.live, dtype=np.intp)[frame]
+    return Matches(pair, det, gt, dist[keep], blocks.ids)
 
 
-def count_id_switches(matches: Sequence[Sequence[tuple[str, str, float]]]) -> int:
+def _codes(ids: Sequence[str]) -> np.ndarray:
+    """Each id's index among the distinct ids in string order."""
+    # sorted(set()), not np.unique: the latter imports numpy.ma on first use
+    rank = {s: k for k, s in enumerate(sorted(set(ids)))}
+    return np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
+
+
+def count_id_switches(matches: Matches) -> int:
     """Count changes of the matched detection id per gt object over time.
 
-    Takes point_match's entries. Re-acquiring a previously used id after a
-    switch counts again (A,B,A is two switches). Input must be in
-    ascending frame-time order.
+    Takes point_match's table, whose pairs must be in ascending frame-time
+    order. Re-acquiring a previously used id after a switch counts again
+    (A,B,A is two switches). A stable sort by gt id keeps each gt object's
+    matches in time order, so a switch is two neighbours with the same gt
+    id and different detection ids.
     """
-    last_id: dict[str, str] = {}
-    switches = 0
-    for frame in matches:
-        for d, g, _ in frame:
-            if g in last_id and last_id[g] != d:
-                switches += 1
-            last_id[g] = d
-    return switches
+    codes = _codes(matches.ids)
+    order = np.argsort(codes[matches.gt], kind="stable")
+    gt, det = codes[matches.gt[order]], codes[matches.det[order]]
+    return int(np.count_nonzero((gt[1:] == gt[:-1]) & (det[1:] != det[:-1])))
 
 
 def association_match(
@@ -581,21 +586,12 @@ def association_match(
         i, j = np.nonzero(block <= threshold_m)
         det_hits.append(blocks.start[k] + i)
         gt_hits.append(blocks.start[k] + blocks.rows[k] + j)
+    # codes in string order keep the matrix's rows and columns sorted by id
     ids = blocks.ids
-    co_counts = Counter(
-        (ids[i], ids[j])
-        for i, j in zip(np.concatenate(det_hits).tolist(), np.concatenate(gt_hits).tolist())
-    )
+    rows = _codes([ids[k] for k in np.concatenate(det_hits).tolist()])
+    cols = _codes([ids[k] for k in np.concatenate(gt_hits).tolist()])
+    neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
+    np.subtract.at(neg, (rows, cols), 1)
+    tpa = -int(sum(neg[i, j] for i, j in solve_assignment(neg)))
     det_total, gt_total = point_totals(pairing, gt)
-
-    det_ids = sorted({d for d, _ in co_counts})
-    gt_ids = sorted({g for _, g in co_counts})
-    tpa = 0
-    if det_ids and gt_ids:
-        det_row = {d: i for i, d in enumerate(det_ids)}
-        gt_col = {g: j for j, g in enumerate(gt_ids)}
-        neg = np.zeros((len(det_ids), len(gt_ids)))
-        for (d, g), n in co_counts.items():
-            neg[det_row[d], gt_col[g]] = -n
-        tpa = sum(co_counts.get((det_ids[i], gt_ids[j]), 0) for i, j in solve_assignment(neg))
     return AssociationResult(tpa=tpa, fpa=det_total - tpa, fna=gt_total - tpa)

@@ -23,6 +23,7 @@ import numpy as np
 from .core import ProjectionContext, TrajectorySet, filter_category
 from .errors import CategoryError, ConsistencyError
 from .matching import (
+    Matches,
     association_match,
     count_id_switches,
     match_frames_by_time,
@@ -140,15 +141,14 @@ def _match_category(
     category: str,
     ctx: ProjectionContext,
     max_gap_s: float | None,
-) -> tuple[
-    TrajectorySet, TrajectorySet, list[tuple[tuple[str, str, float], ...]], int, int
-]:
+) -> tuple[TrajectorySet, TrajectorySet, Matches, int, int]:
     """One category's matching pass, shared by reports and sweeps.
 
-    Returns the category's detection and gt sets, point_match's per-frame
+    Returns the category's detection and gt sets, point_match's table of
     true positives at threshold_m, and the (detection, gt) point totals.
     Raises CategoryError when the ground truth has no points of the
-    category (nothing to normalize against).
+    category (nothing to normalize against), and point_match's ValueError
+    on a threshold that is not positive and finite.
     """
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
@@ -176,15 +176,13 @@ def compute_report(
     trajectory association. Raises CategoryError when the ground truth has
     no points of the requested category.
     """
-    if not 0 < threshold_m < math.inf:
-        raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
     det_c, gt_c, matches, det_total, gt_total = _match_category(
         det, gt, latency_s, threshold_m, category, ctx, max_gap_s
     )
-    tp = sum(map(len, matches))
+    tp = len(matches.dist)
     fp = det_total - tp
     fn = gt_total - tp
-    sum_d = math.fsum(d for frame in matches for _, _, d in frame)
+    sum_d = math.fsum(matches.dist.tolist())
     ids = count_id_switches(matches)
     assoc = association_match(det_c, gt_c, latency_s, threshold_m, ctx, max_gap_s)
 
@@ -253,7 +251,7 @@ def threshold_sweep(
     _, _, matches, det_total, gt_total = _match_category(
         det, gt, latency_s, thresholds[-1], category, ctx, max_gap_s
     )
-    dist = np.sort([d for frame in matches for _, _, d in frame])
+    dist = np.sort(matches.dist)
     tps = np.searchsorted(dist, thresholds, side="right").tolist()
     fp_rates = [_rate_pct(det_total - tp, gt_total) for tp in tps]
     fn_rates = [_rate_pct(gt_total - tp, gt_total) for tp in tps]

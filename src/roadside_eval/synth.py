@@ -357,7 +357,7 @@ def degrade(
     gt: TrajectorySet,
     model: ErrorModel,
     ctx: ProjectionContext,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
     route_direction: tuple[float, float] = (1.0, 0.0),
 ) -> TrajectorySet:
     """Detections for a ground-truth set under the error model.
@@ -369,8 +369,8 @@ def degrade(
     scene: offset_e1_m = (along, cross-left) relative to route_direction, so
     on a back-and-forth run its along-route component biases the two travel
     directions with opposite signs and cancels in a paired mean. Id swaps
-    are persistent from the frame they occur. Pass an int or Generator for
-    reproducibility.
+    are persistent from the frame they occur. rng is an int seed or a
+    Generator, so every call is reproducible.
 
     Every model takes one path: per-actor draws, then a loop over only the
     ticks that draw a swap or clutter, then each actor's kept points built

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from roadside_eval import matching
@@ -23,6 +25,7 @@ from roadside_eval.core import (
 )
 from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.matching import (
+    Matches,
     association_match,
     count_id_switches,
     match_frames_by_time,
@@ -447,6 +450,15 @@ def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> tuple:
     return tuple(tp)
 
 
+def _per_pair(m: Matches, n_pairs: int) -> list[tuple]:
+    """point_match's table grouped by frame pair, in the per-pair matcher's
+    shape: each pair's TPs as (detection id, gt id, distance), in order."""
+    out = [[] for _ in range(n_pairs)]
+    for k, d, g, dist in zip(m.pair.tolist(), m.det.tolist(), m.gt.tolist(), m.dist.tolist()):
+        out[k].append((m.ids[d], m.ids[g], dist))
+    return list(map(tuple, out))
+
+
 def _random_pairs(ctx, seed: int, kind: str, count: int):
     """Seeded aligned frame pairs of 0×0 up to 5×5 points, mostly at most 3×3.
 
@@ -506,10 +518,10 @@ class TestBatchedPointMatch:
         pairs = _random_pairs(ctx, seed, kind, 700)
         # 50 m keeps every assigned pair; the last threshold equals one
         # pair's distance, which then counts as a TP
-        tps = [d for frame in point_match(pairs, 50.0, ctx) for _, _, d in frame]
+        tps = point_match(pairs, 50.0, ctx).dist.tolist()
         edge = max(d for d in tps if 0 < d < 1.5)
         for threshold in (50.0, 1.5, edge):
-            got = point_match(pairs, threshold, ctx)
+            got = _per_pair(point_match(pairs, threshold, ctx), len(pairs))
             assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
         # both ways through the small frames: the batch, and solve_assignment
         # where only its own arithmetic can decide (near-ties)
@@ -560,7 +572,7 @@ class TestBatchedPointMatch:
                 pairs.append(tuple(sides))
             want = self._first_far_point(pairs, ctx)
             if want is None:
-                assert point_match(pairs, 1.5, ctx) == [
+                assert _per_pair(point_match(pairs, 1.5, ctx), len(pairs)) == [
                     _per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs
                 ]
                 continue
@@ -574,7 +586,8 @@ class TestBatchedPointMatch:
         far = DataFrame(1.0, (dp(1.0, 20_000.0, 0.0, ctx, object_id="d0"),))
         near = DataFrame(1.0, (dp(1.0, 0.0, 0.0, ctx, object_id="g0"),))
         empty = DataFrame(1.0, ())
-        det_far, gt_far, _ = point_match([(far, empty), (empty, far), (near, near)], 1.5, ctx)
+        m = point_match([(far, empty), (empty, far), (near, near)], 1.5, ctx)
+        det_far, gt_far, _ = _per_pair(m, 3)
         # no TPs, so the far detection is a FP and the far gt point a FN
         assert det_far == gt_far == ()
         assert len(far.points) - len(det_far) == 1
@@ -608,12 +621,14 @@ class TestBatchedPointMatch:
 
 class TestPointMatch:
     def test_both_empty(self, ctx):
-        assert point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx) == [()]
+        m = point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx)
+        assert _per_pair(m, 1) == [()]
+        assert [len(column) for column in m] == [0] * 5
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="g1"),))
-        [((det_id, gt_id, d),)] = point_match([(det, gt)], 1.5, ctx)
+        [((det_id, gt_id, d),)] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
         assert (det_id, gt_id) == ("d1", "g1")
         assert d == pytest.approx(0.0, abs=1e-9)
 
@@ -626,7 +641,7 @@ class TestPointMatch:
             dp(1.0, 0.4, 0, ctx, object_id="d1"),
             dp(1.0, 1.6, 0, ctx, object_id="d2"),
         ))
-        [res] = point_match([(det, gt)], 1.5, ctx)
+        [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
         # TPs in detection order; no FP (2 detections − 2 TPs), no FN (2 gt − 2)
         assert [(d, g) for d, g, _ in res] == [("d1", "g1"), ("d2", "g2")]
         total = sum(d for _, _, d in res)
@@ -635,7 +650,7 @@ class TestPointMatch:
     def test_over_threshold_counts_both_sides(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 10.0, 0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0.0, 0, ctx, object_id="g1"),))
-        [res] = point_match([(det, gt)], 1.5, ctx)
+        [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
         # no TP: FP = 1 detection − 0 TPs, FN = 1 gt − 0 TPs
         assert res == ()
 
@@ -652,7 +667,7 @@ class TestPointMatch:
             )
         # a frame with an empty side is never matched, so its category is free
         empty = DataFrame(1.0, ())
-        assert point_match([(det, empty), (empty, gt)], 1.5, ctx) == [(), ()]
+        assert _per_pair(point_match([(det, empty), (empty, gt)], 1.5, ctx), 2) == [(), ()]
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -668,7 +683,7 @@ class TestPointMatch:
                    object_id=f"g{i}")
                 for i in range(n_gt)
             ))
-            [res] = point_match([(det, gt)], 1.5, ctx)
+            [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
             # one-to-one: FP = n_det − TP and FN = n_gt − TP are never negative
             assert len({d for d, _, _ in res}) == len(res) <= n_det
             assert len({g for _, g, _ in res}) == len(res) <= n_gt
@@ -687,17 +702,46 @@ class TestPointMatch:
                 dp(1.0, x + shift, y + shift, ctx, object_id=f"g{i}")
                 for i, (x, y) in enumerate(gt_xy)
             ))
-            [res] = point_match([(det, gt)], 1.5, ctx)
+            [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
             # the TP id pairs fix the FPs and FNs: every other point
             return sorted((d, g) for d, g, _ in res)
 
         assert run(0.0) == run(40.0)
 
 
+def _table(frames: list[list[tuple[str, str]]]) -> Matches:
+    """A Matches table of frames of (detection id, gt id) matches, laid out
+    as point_match lays out ids: each frame's detections, then its gt."""
+    ids: list[str] = []
+    pair, det, gt = [], [], []
+    for k, frame in enumerate(frames):
+        n = len(frame)
+        pair += [k] * n
+        det += range(len(ids), len(ids) + n)
+        gt += range(len(ids) + n, len(ids) + 2 * n)
+        ids += [d for d, _ in frame] + [g for _, g in frame]
+    index = [np.array(a, dtype=np.intp) for a in (pair, det, gt)]
+    return Matches(*index, np.zeros(len(pair)), ids)
+
+
+def _switches_by_walk(m: Matches) -> int:
+    """count_id_switches as a walk over the chronological matches, keeping
+    each gt id's last detection id in a dict: the reference for the array
+    pass."""
+    last_id: dict[str, str] = {}
+    switches = 0
+    for d, g in zip(m.det.tolist(), m.gt.tolist()):
+        d, g = m.ids[d], m.ids[g]
+        if g in last_id and last_id[g] != d:
+            switches += 1
+        last_id[g] = d
+    return switches
+
+
 class TestIdSwitches:
     @staticmethod
-    def _frames(seq_by_gt: dict[str, list[str | None]]) -> list[tuple]:
-        """point_match's entries for frames where gt object g matches
+    def _frames(seq_by_gt: dict[str, list[str | None]]) -> Matches:
+        """point_match's table for frames where gt object g matches
         detection seq_by_gt[g][k] in frame k, or nothing where that is None."""
         out = []
         n = max(len(v) for v in seq_by_gt.values())
@@ -707,9 +751,9 @@ class TestIdSwitches:
                 det_id = seq[k] if k < len(seq) else None
                 if det_id is None:
                     continue
-                tp.append((det_id, gid, 0.0))
-            out.append(tuple(tp))
-        return out
+                tp.append((det_id, gid))
+            out.append(tp)
+        return _table(out)
 
     def test_constant_id_no_switch(self):
         frames = self._frames({"g": ["A", "A", "A", "A"]})
@@ -730,6 +774,21 @@ class TestIdSwitches:
     def test_independent_objects_sum(self):
         frames = self._frames({"g1": ["A", "B", "B"], "g2": ["C", "C", "D"]})
         assert count_id_switches(frames) == 2
+
+    def test_codes_follow_string_order(self):
+        assert matching._codes(["g2", "g10", "A", "g2"]).tolist() == [2, 1, 0, 2]
+
+    # frames of several interleaved gt ids, each matched at most once per
+    # frame in any order, with gaps and re-acquisitions (A, B, A); "x" is
+    # both a detection id and a gt id
+    @given(st.lists(st.dictionaries(
+        st.sampled_from(["g1", "g2", "g10", "x"]),
+        st.sampled_from(["A", "B", "C", "x"]),
+        max_size=4,
+    ), max_size=30))
+    def test_agrees_with_the_walk(self, frames):
+        m = _table([list(f.items()) for f in frames])
+        assert count_id_switches(m) == _switches_by_walk(m)
 
 
 class TestAssociationMatch:
@@ -789,7 +848,7 @@ class TestAssociationMatch:
         det = build_trajectory_set(det_pts, source="detection")
         gt = build_trajectory_set(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
-        per_frame_tp = sum(map(len, point_match(pairing.pairs, 1.5, ctx)))
+        per_frame_tp = len(point_match(pairing.pairs, 1.5, ctx).dist)
         res = association_match(det, gt, 0.0, 1.5, ctx)
         assert res.tpa <= per_frame_tp
 

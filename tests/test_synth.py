@@ -266,6 +266,12 @@ class TestDegrade:
         c = degrade(gt, model, ctx, rng=10)
         assert a != c
 
+    def test_seed_is_required(self, ctx):
+        # no draw from fresh OS entropy: every degradation names its seed
+        gt = generate_scenario(spec_for(duration=5.0), ctx)
+        with pytest.raises(TypeError, match="rng"):
+            degrade(gt, ErrorModel(), ctx)
+
     def test_pure_latency_shifts_crossings(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
         det = degrade(gt, ErrorModel(latency_mean_s=0.5), ctx, rng=2)
