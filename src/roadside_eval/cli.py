@@ -850,10 +850,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as exc:
+    except (EvalError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"completed in {time.monotonic() - started:.2f} s", file=sys.stderr)

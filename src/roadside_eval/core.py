@@ -157,25 +157,6 @@ class TrajectorySet:
         """The categories that occur in the recording."""
         return frozenset(map(_CATEGORY, self.all_points()))
 
-    @cached_property
-    def _by_category(self) -> dict[str, TrajectorySet]:
-        """One set per category held, on the whole frame grid: one stable sort
-        on (category, frame) makes each category's frame one slice."""
-        names = sorted(self.categories)
-        points = self.all_points()
-        n = len(self.frames)
-        rank = {c: r for r, c in enumerate(names)}
-        key = np.fromiter(map(rank.__getitem__, map(_CATEGORY, points)), np.intp, len(points))
-        key = key * n + np.repeat(np.arange(n), [len(f.points) for f in self.frames])
-        order = np.argsort(key, kind="stable")
-        lined = [points[k] for k in order.tolist()]
-        bounds = np.searchsorted(key[order], np.arange(len(names) * n + 1)).tolist()
-        parts = [tuple(lined[a:b]) for a, b in zip(bounds, bounds[1:])]
-        stamps = list(map(_BY_TIME, self.frames)) * len(names)
-        frames = list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts)))
-        return {c: from_frames(frames[r * n : (r + 1) * n], self.source)
-                for r, c in enumerate(names)}
-
     def _with_trajectories(self, trajectories: tuple[Trajectory, ...]) -> TrajectorySet:
         """This set with its trajectory view supplied by a caller that built
         the frames and the trajectories from the same points; the view must
@@ -303,15 +284,14 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     Frames are kept even when the filter empties them: the frame grid is the
     evaluation clock, and a tick on which a system reported only the other
     category still counts as a tick. A set that holds no other category is
-    returned as it is. A mixed set is split into all of its categories at
-    once, on first use; a category it does not hold keeps only empty frames.
+    returned as it is; otherwise each call filters every frame, in time
+    order, and caches nothing. A category the set lacks gives empty frames.
     """
     if ts.categories <= {category}:
         return ts
-    split = ts._by_category
-    if category in split:
-        return split[category]
-    return from_frames([f._replace(points=()) for f in ts.frames], ts.source)
+    kept = [(f.timestamp_s, tuple([p for p in f.points if p.category == category]))
+            for f in ts.frames]
+    return TrajectorySet(tuple(map(tuple.__new__, repeat(DataFrame), kept)), ts.source)
 
 
 def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ compensation, points inside each aligned pair are matched one-to-one by
 minimum total planar distance, and matched pairs beyond the distance
 threshold count against both sides. Trajectory-level association fixes a
 single global detection-id to gt-id mapping (the one maximizing true
-positives) and re-counts points under it; ID switches are counted from the
-chronological per-frame matches.
+positives) and counts the true positives under it; ID switches are counted
+from the chronological per-frame matches.
 """
 
 from __future__ import annotations
@@ -38,15 +38,6 @@ _ROUNDING_PER_TERM = 64 * np.finfo(float).eps
 # Frames with at most this many points a side are solved by listing every
 # assignment, and point_match solves them together.
 _SMALL = 3
-
-
-@dataclass(frozen=True)
-class AssociationResult:
-    """Point counts under the best fixed trajectory-level id mapping."""
-
-    tpa: int
-    fpa: int
-    fna: int
 
 
 @dataclass(frozen=True)
@@ -568,13 +559,14 @@ def association_match(
     threshold_m: float,
     ctx: ProjectionContext,
     max_gap_s: float | None = None,
-) -> AssociationResult:
-    """Count points under the best fixed det-id to gt-id mapping.
+) -> int:
+    """TPA: the true positives under the best fixed det-id to gt-id mapping.
 
     Per frame pair, each (det id, gt id) combination scores a candidate TP
     when both are present and within threshold; the global one-to-one id
     association maximizing total candidate TPs is fixed by the assignment
-    solver, and tpa/fpa/fna are counted under it. Both sets hold one
+    solver, and TPA is that maximum. FPA and FNA are the point totals of
+    the same alignment (point_totals) less TPA. Both sets hold one
     category, as metrics passes them after filter_category; aligned frames
     with points of more than one category raise ValueError.
     """
@@ -592,6 +584,4 @@ def association_match(
     cols = _codes([ids[k] for k in np.concatenate(gt_hits).tolist()])
     neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     np.subtract.at(neg, (rows, cols), 1)
-    tpa = -int(sum(neg[i, j] for i, j in solve_assignment(neg)))
-    det_total, gt_total = point_totals(pairing, gt)
-    return AssociationResult(tpa=tpa, fpa=det_total - tpa, fna=gt_total - tpa)
+    return -int(sum(neg[i, j] for i, j in solve_assignment(neg)))

@@ -150,10 +150,10 @@ def _match_category(
     category (nothing to normalize against), and point_match's ValueError
     on a threshold that is not positive and finite.
     """
+    if category not in gt.categories:
+        raise CategoryError(f"no ground truth in category {category!r}")
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
-    if not any(f.points for f in gt_c.frames):
-        raise CategoryError(f"no ground truth in category {category!r}")
     pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
     matches = point_match(pairing.pairs, threshold_m, ctx)
     det_total, gt_total = point_totals(pairing, gt_c)
@@ -184,16 +184,16 @@ def compute_report(
     fn = gt_total - tp
     sum_d = math.fsum(matches.dist.tolist())
     ids = count_id_switches(matches)
-    assoc = association_match(det_c, gt_c, latency_s, threshold_m, ctx, max_gap_s)
+    tpa = association_match(det_c, gt_c, latency_s, threshold_m, ctx, max_gap_s)
 
     counts = CountSummary(
         tp=tp,
         fp=fp,
         fn=fn,
         ids=ids,
-        tpa=assoc.tpa,
-        fpa=assoc.fpa,
-        fna=assoc.fna,
+        tpa=tpa,
+        fpa=det_total - tpa,
+        fna=gt_total - tpa,
         gt_total=gt_total,
         det_total=det_total,
         sum_tp_distance_m=sum_d,

@@ -4,7 +4,8 @@ No linter ships with the toolchain, so these are ast-only checks. Over the
 package, the tests and the scripts, an imported name counts as used when it
 appears as a name anywhere in its module, in a string annotation, or in
 ``__all__``; the package's ``__init__.py`` is left out, as its imports are
-re-exports. In the package, a module-level function, class or assignment,
+re-exports, and is checked instead to bind exactly the names ``__all__``
+lists, each once. In the package, a module-level function, class or assignment,
 or a method, whose name has one leading underscore must be read somewhere
 in the package, as a name, an attribute or an import: tests alone do not
 keep one alive.
@@ -66,6 +67,45 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Callable, Sequence\nx: 'Sequence[int]'\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Callable"}
+
+
+def export_lists(tree: ast.Module) -> tuple[set[str], list[str]]:
+    """The names a module's ``from .x import (...)`` statements bind, and
+    its ``__all__`` entries in order, less ``__version__``."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    listed = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    return imported, [name for name in listed if name != "__version__"]
+
+
+def test_all_lists_every_reexport_once():
+    path = ROOT / "src/roadside_eval/__init__.py"
+    imported, listed = export_lists(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    duplicates = sorted({name for name in listed if listed.count(name) > 1})
+    assert not duplicates, f"__all__ lists these names more than once: {duplicates}"
+    assert set(listed) == imported, (
+        f"imported but not in __all__: {sorted(imported - set(listed))}; "
+        f"in __all__ but not imported: {sorted(set(listed) - imported)}"
+    )
+
+
+def test_export_lists_reads_imports_and_all():
+    tree = ast.parse(
+        "__version__ = '0'\nfrom .m import A, B\nfrom .n import C as D\n"
+        "__all__ = ['__version__', 'A', 'B', 'D']\n"
+    )
+    assert export_lists(tree) == ({"A", "B", "D"}, ["A", "B", "D"])
+    tree = ast.parse("from .m import A\n__all__ = ['A', 'B', 'B']\n")
+    assert export_lists(tree) == ({"A"}, ["A", "B", "B"])
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:

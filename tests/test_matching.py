@@ -32,6 +32,7 @@ from roadside_eval.matching import (
     point_match,
     solve_assignment,
 )
+from roadside_eval.metrics import compute_report
 
 from conftest import brute_force_assignment, dp, line_points
 
@@ -791,19 +792,26 @@ class TestIdSwitches:
         assert count_id_switches(m) == _switches_by_walk(m)
 
 
+def _association_counts(det, gt, threshold_m, ctx, category="vehicle"):
+    """(tpa, fpa, fna): association_match's TPA, checked against the TPA of
+    compute_report's counts, whose FPA and FNA are the point totals less it."""
+    tpa = association_match(det, gt, 0.0, threshold_m, ctx)
+    counts = compute_report(det, gt, 0.0, threshold_m, category, ctx).counts
+    assert type(tpa) is int and tpa == counts.tpa
+    return tpa, counts.fpa, counts.fna
+
+
 class TestAssociationMatch:
     def test_identical_single_trajectory(self, ctx):
         pts = line_points(ctx, n=25)
         det = build_trajectory_set(pts, source="detection")
         gt = build_trajectory_set(pts, source="ground_truth")
-        res = association_match(det, gt, 0.0, 1.5, ctx)
-        assert res.tpa == 25 and res.fpa == 0 and res.fna == 0
+        assert _association_counts(det, gt, 1.5, ctx) == (25, 0, 0)
 
     def test_empty_detection_side(self, ctx):
         det = build_trajectory_set([], source="detection")
         gt = build_trajectory_set(line_points(ctx, n=10), source="ground_truth")
-        res = association_match(det, gt, 0.0, 1.5, ctx)
-        assert res.tpa == 0 and res.fpa == 0 and res.fna == 10
+        assert _association_counts(det, gt, 1.5, ctx) == (0, 0, 10)
 
     def test_swapped_second_half(self, ctx):
         # two parallel lanes; detection ids swap at half time
@@ -820,13 +828,13 @@ class TestAssociationMatch:
             det_pts.append(dp(t, 10.0 * k * 0.1, 8.0, ctx, object_id=b))
         det = build_trajectory_set(det_pts, source="detection")
         gt = build_trajectory_set(gt_pts, source="ground_truth")
-        res = association_match(det, gt, 0.0, 1.5, ctx)
+        tpa, fpa, fna = _association_counts(det, gt, 1.5, ctx)
         # each det id overlaps each gt trajectory for exactly half the run;
         # the fixed association keeps the first-half pairing, so the second
         # half of every trajectory is unmatched on both sides
-        assert res.tpa == 2 * half
-        assert res.fpa == 2 * (n - half)
-        assert res.fna == 2 * (n - half)
+        assert tpa == 2 * half
+        assert fpa == 2 * (n - half)
+        assert fna == 2 * (n - half)
 
     def test_association_never_beats_per_frame_matching(self, ctx):
         rng = random.Random(21)
@@ -849,8 +857,7 @@ class TestAssociationMatch:
         gt = build_trajectory_set(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
         per_frame_tp = len(point_match(pairing.pairs, 1.5, ctx).dist)
-        res = association_match(det, gt, 0.0, 1.5, ctx)
-        assert res.tpa <= per_frame_tp
+        assert association_match(det, gt, 0.0, 1.5, ctx) <= per_frame_tp
 
     def test_input_order_invariance(self, ctx):
         gt_pts = (
@@ -864,9 +871,9 @@ class TestAssociationMatch:
         det_fwd = build_trajectory_set(det_pts, source="detection")
         det_rev = build_trajectory_set(list(reversed(det_pts)), source="detection")
         gt = build_trajectory_set(gt_pts, source="ground_truth")
-        a = association_match(det_fwd, gt, 0.0, 1.5, ctx)
-        b = association_match(det_rev, gt, 0.0, 1.5, ctx)
-        assert (a.tpa, a.fpa, a.fna) == (b.tpa, b.fpa, b.fna)
+        a = _association_counts(det_fwd, gt, 1.5, ctx)
+        b = _association_counts(det_rev, gt, 1.5, ctx)
+        assert a == b
 
     @staticmethod
     def _by_pairs(det, gt, threshold_m, ctx):
@@ -937,6 +944,6 @@ class TestAssociationMatch:
             chosen = self._by_pairs(det, gt, 1.5, ctx)[0]
             edge = max(d for pair in chosen for d in hits(*pair) if d <= 1.5)
             for threshold in (edge, 0.5, 1.5, 1e13):
-                got = association_match(det, gt, 0.0, threshold, ctx)
+                got = _association_counts(det, gt, threshold, ctx, category)
                 want = self._by_pairs(det, gt, threshold, ctx)
-                assert (got.tpa, got.fpa, got.fna) == want[1:]
+                assert got == want[1:]

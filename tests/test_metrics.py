@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from roadside_eval.core import GeoPoint, build_trajectory_set, make_projection
+from roadside_eval.core import (
+    DataFrame,
+    GeoPoint,
+    build_trajectory_set,
+    from_frames,
+    make_projection,
+)
 from roadside_eval.errors import CategoryError
 from roadside_eval.matching import match_frames_by_time, point_match
 from roadside_eval.metrics import (
@@ -285,6 +292,69 @@ def noisy_scene():
     model = ErrorModel(noise_sigma_m=0.5, miss_prob=0.05, clutter_rate=0.2)
     det = degrade(gt, model, ctx, rng=32)
     return det, gt, ctx
+
+
+def reference_id_counts(det, gt, threshold_m):
+    """(IDTP, IDFP, IDFN) as Ristani et al. 2016 define them.
+
+    det and gt hold one {id: (x, y) in decimeters} dict per tick. Every
+    one-to-one mapping of detection ids to gt ids is tried; a mapped pair
+    counts one IDTP on each tick where both are present and within the
+    threshold, and the best mapping's count is IDTP. IDFP and IDFN are the
+    detection and gt point totals less IDTP.
+    """
+    det_ids = sorted(set().union(*det))
+    gt_ids = sorted(set().union(*gt))
+    # the ticks on which each (det id, gt id) pair would count, if mapped
+    hits = {(d, g): sum(d in df and g in gf and math.dist(df[d], gf[g]) / 10 <= threshold_m
+                        for df, gf in zip(det, gt))
+            for d in det_ids for g in gt_ids}
+    best = max(
+        sum(hits[pair] for pair in zip(ds, gs))
+        for k in range(min(len(det_ids), len(gt_ids)) + 1)
+        for ds in combinations(det_ids, k)
+        for gs in permutations(gt_ids, k)
+    )
+    return best, sum(map(len, det)) - best, sum(map(len, gt)) - best
+
+
+# up to 4 ids a tick, on a decimeter grid: with a threshold of a whole
+# number of decimeters plus 0.05 m, no distance lies within 1e-6 m of it
+_ID_FRAMES = st.dictionaries(
+    st.integers(0, 3), st.tuples(st.integers(-15, 15), st.integers(-15, 15)), max_size=4
+)
+
+
+class TestIdf1Reference:
+    @given(ticks=st.integers(1, 40).flatmap(
+               lambda n: st.tuples(*[st.tuples(_ID_FRAMES, _ID_FRAMES)] * n)),
+           threshold_m=st.sampled_from([0.55, 1.05, 1.55, 2.55]))
+    def test_counts_match_definition(self, ctx, ticks, threshold_m):
+        # a detection frame, possibly empty, at every gt tick: each pairs
+        # with its own tick, so none is dropped or scored all-FP
+        det, gt = map(list, zip(*ticks))
+        assume(any(gt))
+
+        def recording(frames, prefix, source):
+            return from_frames([
+                DataFrame(1000.0 + 0.1 * k, tuple(
+                    dp(1000.0 + 0.1 * k, x / 10, y / 10, ctx, object_id=f"{prefix}{i}")
+                    for i, (x, y) in sorted(frame.items())
+                ))
+                for k, frame in enumerate(frames)
+            ], source)
+
+        report = compute_report(recording(det, "d", "detection"),
+                                recording(gt, "g", "ground_truth"),
+                                0.0, threshold_m, "vehicle", ctx)
+        idtp, idfp, idfn = reference_id_counts(
+            [{f"d{i}": xy for i, xy in f.items()} for f in det],
+            [{f"g{i}": xy for i, xy in f.items()} for f in gt],
+            threshold_m,
+        )
+        c = report.counts
+        assert (c.tpa, c.fpa, c.fna) == (idtp, idfp, idfn)
+        assert report.idf1_pct == pytest.approx(200.0 * idtp / (2 * idtp + idfp + idfn))
 
 
 class TestReportIdentities:
