@@ -8,7 +8,8 @@ trajectory view is built from the frames on first use, in one array pass:
 scoring reads frames only, and a detector without a tracker gives one
 trajectory per point. A :class:`Trajectory` is its rows: one object id's
 (time, lat, lon) in time order, as one read-only array. trajectory_arrays
-projects them into a plane track, which time_span cuts by index.
+projects them into a plane track, which time_span cuts by index, one
+span or many at once.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -304,16 +305,41 @@ def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndar
     return times, xy
 
 
-def time_span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
-    """Index range ``[i, j)`` of the ascending ``times`` inside [t0, t1].
+def time_span(
+    times: np.ndarray,
+    t0: float | np.ndarray,
+    t1: float | np.ndarray,
+    lo: int | np.ndarray = 0,
+    hi: int | np.ndarray | None = None,
+) -> tuple:
+    """Index range ``[i, j)`` of the ascending ``times[lo:hi]`` inside [t0, t1].
 
     The bounds are found by bisection. The range is empty (``i >= j``)
     when no time lies within the bounds, and when either bound is NaN.
+    Array bounds and row limits (broadcast together) give one range per
+    entry, as two int arrays: many spans of tracks laid end to end, each
+    ascending within its rows, in one call. Scalars give two ints.
     """
-    i = int(np.searchsorted(times, t0, "left"))
-    j = int(np.searchsorted(times, t1, "right"))
-    # a NaN t1 sorts after every time, yet no time is <= NaN
-    return i, (j if t1 == t1 else i)
+    t0, t1, lo, hi = np.broadcast_arrays(t0, t1, lo, len(times) if hi is None else hi)
+    i = _first_false(lo, hi, lambda k: times[k] < t0)
+    j = _first_false(lo, hi, lambda k: times[k] <= t1)
+    # a NaN t0 sorts after every time, and no time is <= a NaN t1
+    i = np.where(t0 == t0, i, hi)
+    j = np.where(t1 == t1, j, i)
+    return (int(i), int(j)) if i.ndim == 0 else (i, j)
+
+
+def _first_false(lo: np.ndarray, hi: np.ndarray, before) -> np.ndarray:
+    """Per entry, the first index of ``lo:hi`` where ``before`` is False, or
+    hi; ``before(index)`` is True then False along each range."""
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    while (live := lo < hi).any():
+        mid = (lo + hi) >> 1
+        # a finished entry may sit one past the last row; any row will do
+        go = live & before(np.where(live, mid, 0))
+        lo = np.where(go, mid + 1, lo)
+        hi = np.where(live & ~go, mid, hi)
+    return lo
 
 
 @contextmanager

@@ -41,15 +41,19 @@ from .core import (
     unproject,
     LocalPoint,
 )
-from .errors import EvalError, InsufficientDataError, PairingError, ScenarioError
+from .errors import EvalError, PairingError, ScenarioError
 from .latency import (
     LatencyEstimate,
+    PositionErrorEstimate,
     RouteLine,
+    Tracks,
     collect_tau_samples,
     combine_trials,
+    default_test_points,
     estimate_latency,
     estimate_position_error,
     find_constant_speed_windows,
+    plane_tracks,
     predict_position_error_variance,
     predict_tau_variance,
 )
@@ -481,27 +485,100 @@ def degrade(
 
 # --- Monte Carlo validation --------------------------------------------------
 
+# Runs scored together: each scoring step is one array pass per block, and
+# only one block's seeds and tracks are held at a time.
+_MC_BLOCK_RUNS = 32
 
-def _constant_window_slice(
-    t_det: np.ndarray,
-    t_gt: np.ndarray,
-    xy_gt: np.ndarray,
+
+def _simulate_block(
+    children: Sequence[np.random.SeedSequence],
+    model: ErrorModel,
+    route: RouteLine,
+    ctx: ProjectionContext,
+    duration_s: float,
+    gt_rate_hz: float,
+) -> tuple[Tracks, Tracks, list[int | None]]:
+    """One generated and degraded latency run per seed, as plane tracks.
+
+    Returns the runs' gt and detection tracks, run i as trial i, and per
+    run the index among its detection tracks of the actor's first tracked
+    id (None when the actor was never detected). Only the runs'
+    trajectories are kept until the block is projected.
+    """
+    gt_runs, det_runs, tracked = [], [], []
+    for child in children:
+        ss_gen, ss_deg = child.spawn(2)
+        spec = ScenarioSpec(
+            template="latency_run",
+            duration_s=duration_s,
+            rng_seed=int(ss_gen.generate_state(1)[0]),
+            gt_rate_hz=gt_rate_hz,
+            speeds_mps=(route.nominal_speed_mps,),
+            route=route,
+        )
+        gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(ss_deg), route_direction=route.direction)
+        gt_runs.append(gt.trajectories)
+        det_runs.append(det.trajectories)
+        # clutter tracks sort ahead of the actor's; pick it by id
+        actor = gt.trajectories[0].object_id
+        tracked.append(next((k for k, t in enumerate(det.trajectories) if t.object_id == actor), None))
+    return plane_tracks(gt_runs, ctx), plane_tracks(det_runs, ctx), tracked
+
+
+def _score_block(
+    gt: Tracks,
+    det: Tracks,
+    tracked: Sequence[int | None],
     route: RouteLine,
     model: ErrorModel,
-) -> np.ndarray:
-    """Mask of the detections whose queries land safely inside constant-speed windows.
+    test_points: np.ndarray,
+) -> list[tuple[LatencyEstimate, PositionErrorEstimate]]:
+    """Latency and offset estimates of the runs of a block that give both.
 
-    The margin keeps every residual's interpolation segment at the nominal
-    speed even after the latency draw shifts the effective sample time. Too
-    few detections inside are left to estimate_position_error to reject.
+    Run i (see _simulate_block) has its actor's track first among its gt
+    tracks. The gt windows feed the tau samples and pick the detections of
+    the actor's tracked id for the offset fit: those whose queries land
+    safely inside a window. The margin keeps every residual's
+    interpolation segment at the nominal speed even after the latency draw
+    shifts the effective sample time.
     """
+    windows = find_constant_speed_windows(gt, route)
+    samples = collect_tau_samples(det, gt, windows, route, test_points)
+    runs = np.arange(len(tracked) + 1)
+    cuts = np.searchsorted(samples.trial, runs).tolist()
+    gt_first = np.searchsorted(gt.trial, runs).tolist()
+    det_first = np.searchsorted(det.trial, runs).tolist()
+    usable: list[tuple[int, int, LatencyEstimate]] = []
+    for run, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        try:
+            est = estimate_latency(samples.tau_s[a:b], samples.direction_sign[a:b])
+        except PairingError:
+            continue
+        if tracked[run] is not None:
+            usable.append((gt_first[run], det_first[run] + tracked[run], est))
+    if not usable:
+        return []
+
+    gt_track, det_track, ests = zip(*usable)
+    gt_track, det_track = np.array(gt_track), np.array(det_track)
+    # the usable runs' windows, and which of those runs each belongs to
+    track = gt.owner[windows.start]
+    at = np.flatnonzero(np.isin(track, gt_track))
+    run = np.searchsorted(gt_track, track[at])
+    d = det_track[run]
     lat = model.latency_mean_s
     margin = 4.0 * model.latency_std_s + 0.1 + 1.0 / model.det_rate_hz
-    keep = np.zeros(len(t_det), bool)
-    for w in find_constant_speed_windows(t_gt, xy_gt, route):
-        i, j = time_span(t_det, w.t_start_s + lat + margin, w.t_end_s + lat - margin)
-        keep[i:j] = True
-    return keep
+    t0, t1 = gt.times[windows.start[at]], gt.times[windows.stop[at] - 1]
+    i, j = time_span(det.times, t0 + lat + margin, t1 + lat - margin, det.bounds[d], det.bounds[d + 1])
+    # a run's windows are disjoint and in time order, so are their spans
+    kept = det.cut(i, j)
+    pos = estimate_position_error(
+        kept._replace(bounds=kept.bounds[np.searchsorted(run, np.arange(len(ests) + 1))]),
+        gt.cut(gt.bounds[gt_track], gt.bounds[gt_track + 1]),
+        [e.mean_s for e in ests],
+    )
+    return [(e, p) for e, p in zip(ests, pos) if p is not None]
 
 
 def monte_carlo_validate(
@@ -514,59 +591,38 @@ def monte_carlo_validate(
     """Empirical vs predicted variances over repeated synthetic trials.
 
     Each run generates a one-round-trip latency scenario on the
-    DEFAULT_ORIGIN plane, degrades it, and feeds the public estimators.
-    Var(tau) is pooled within direction across runs (via the estimator's
-    own pooled std); Var(e_d) pools the per-run along-track residual
-    spreads, restricted to detections that fall well inside the
-    constant-speed windows because that constant-speed regime is what the
-    closed-form predictors describe. For the predictors to apply,
-    latency_mean_s should also sit several latency_std_s above zero,
-    otherwise the clamp at zero genuinely reduces the realized jitter.
+    DEFAULT_ORIGIN plane from its own seeds, and degrades it; blocks of
+    runs are then fed to the public estimators together. Var(tau) is
+    pooled within direction across runs (via the estimator's own pooled
+    std); Var(e_d) pools the per-run along-track residual spreads,
+    restricted to detections that fall well inside the constant-speed
+    windows because that constant-speed regime is what the closed-form
+    predictors describe. For the predictors to apply, latency_mean_s
+    should also sit several latency_std_s above zero, otherwise the clamp
+    at zero genuinely reduces the realized jitter.
     """
     if n_runs < 100:
         raise ValueError("n_runs must be at least 100 for stable variances")
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
     ctx = make_projection(DEFAULT_ORIGIN)
     duration_s = min_round_trip_duration_s(route, model.speed_jitter_mps)
+    test_points = default_test_points(route)
 
     estimates: list[LatencyEstimate] = []
     rms_acc: list[tuple[int, float]] = []
     n_residuals = 0
-    children = np.random.SeedSequence(master_seed).spawn(n_runs)
+    seeds = np.random.SeedSequence(master_seed)
     with paused_gc():
-        for child in children:
-            ss_gen, ss_deg = child.spawn(2)
-            spec = ScenarioSpec(
-                template="latency_run",
-                duration_s=duration_s,
-                rng_seed=int(ss_gen.generate_state(1)[0]),
-                gt_rate_hz=gt_rate_hz,
-                speeds_mps=(route.nominal_speed_mps,),
-                route=route,
-            )
-            gt = generate_scenario(spec, ctx, speed_jitter_mps=model.speed_jitter_mps)
-            det = degrade(
-                gt,
-                model,
-                ctx,
-                rng=np.random.default_rng(ss_deg),
-                route_direction=route.direction,
-            )
-            try:
-                est = estimate_latency(collect_tau_samples(det, gt, route, ctx))
-                actor = gt.trajectories[0]
-                # clutter tracks sort ahead of the actor's; pick it by id
-                tracked = [t for t in det.trajectories if t.object_id == actor.object_id]
-                if not tracked:
-                    raise InsufficientDataError("the actor was never detected")
-                t_gt, xy_gt = trajectory_arrays(actor, ctx)
-                t_det, xy_det = trajectory_arrays(tracked[0], ctx)
-                keep = _constant_window_slice(t_det, t_gt, xy_gt, route, model)
-                pos = estimate_position_error(t_det[keep], xy_det[keep], t_gt, xy_gt, est)
-            except (InsufficientDataError, PairingError):
-                continue
-            estimates.append(est)
-            rms_acc.append((pos.n_samples, pos.residual_rms_m))
-            n_residuals += pos.n_samples
+        for first in range(0, n_runs, _MC_BLOCK_RUNS):
+            # successive spawns continue the children's numbering, so each
+            # run gets the child a single spawn of n_runs would give it
+            children = seeds.spawn(min(_MC_BLOCK_RUNS, n_runs - first))
+            gt, det, tracked = _simulate_block(children, model, route, ctx, duration_s, gt_rate_hz)
+            for est, pos in _score_block(gt, det, tracked, route, model, test_points):
+                estimates.append(est)
+                rms_acc.append((pos.n_samples, pos.residual_rms_m))
+                n_residuals += pos.n_samples
 
     if len(estimates) < max(n_runs // 2, 2):
         raise EvalError(

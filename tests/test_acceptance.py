@@ -17,15 +17,15 @@ import pytest
 from scipy import stats
 
 from roadside_eval.cli import main
-from roadside_eval.core import make_projection, trajectory_arrays
+from roadside_eval.core import make_projection
 from roadside_eval.ingest import read_points, write_points
 from roadside_eval.latency import (
     LatencyEstimate,
-    TauSample,
-    collect_tau_samples,
     combine_trials,
     estimate_latency,
+    estimate_latency_for_trial,
     estimate_position_error,
+    plane_tracks,
 )
 from roadside_eval.matching import solve_assignment
 from roadside_eval.metrics import MetricsReport, compute_report, threshold_sweep
@@ -107,8 +107,7 @@ def test_1_latency_recovery(ctx, capsys):
         gt = generate_scenario(spec, ctx)
         det = degrade(gt, model, ctx, rng=np.random.default_rng(2000 + i),
                       route_direction=route.direction)
-        samples = collect_tau_samples(det, gt, route, ctx, 11)
-        estimates.append(estimate_latency(samples))
+        estimates.append(estimate_latency_for_trial(det, gt, route, ctx, 11))
     combined = combine_trials(estimates)
     split = combined.per_direction_mean_s[-1] - combined.per_direction_mean_s[1]
     elapsed = time.monotonic() - t0
@@ -126,6 +125,13 @@ def test_1_latency_recovery(ctx, capsys):
     )
 
 
+def first_track_offset(det, gt, ctx, latency: LatencyEstimate):
+    """Offset of each set's first trajectory at the given latency."""
+    [pos] = estimate_position_error(plane_tracks([det.trajectories[:1]], ctx),
+                                    plane_tracks([gt.trajectories[:1]], ctx), [latency.mean_s])
+    return pos
+
+
 def test_2_offset_estimator(ctx, capsys):
     route = default_latency_route(10.0)
     model = ErrorModel(latency_mean_s=0.1, offset_e1_m=(0.5, 0.0),
@@ -138,8 +144,7 @@ def test_2_offset_estimator(ctx, capsys):
     det = degrade(gt, model, ctx, rng=np.random.default_rng(202),
                   route_direction=route.direction)
     n_det = len(det.all_points())
-    pos = estimate_position_error(*trajectory_arrays(det.trajectories[0], ctx),
-                                  *trajectory_arrays(gt.trajectories[0], ctx), known)
+    pos = first_track_offset(det, gt, ctx, known)
     bias_x = pos.mean_offset_m[0] - 0.5
     bias_y = pos.mean_offset_m[1]
     part_a = n_det >= 10_000 and abs(bias_x) <= 0.01 and abs(bias_y) <= 0.01
@@ -151,8 +156,7 @@ def test_2_offset_estimator(ctx, capsys):
         gt_i = generate_scenario(spec_i, ctx)
         det_i = degrade(gt_i, model, ctx, rng=np.random.default_rng(400 + i),
                         route_direction=route.direction)
-        p_i = estimate_position_error(*trajectory_arrays(det_i.trajectories[0], ctx),
-                                      *trajectory_arrays(gt_i.trajectories[0], ctx), known)
+        p_i = first_track_offset(det_i, gt_i, ctx, known)
         n_pos += p_i.mean_offset_m[0] - 0.5 > 0
     pval = stats.binomtest(n_pos, 20, 0.5).pvalue
     part_b = pval > 0.01
@@ -251,10 +255,7 @@ def test_5_metric_identities(metric_reports, capsys):
 
 def test_6_two_sample_means(capsys):
     def est(a: float, b: float) -> LatencyEstimate:
-        return estimate_latency([
-            TauSample(0.0, 0.0, a, a, 1),
-            TauSample(0.0, 0.0, b, b, -1),
-        ])
+        return estimate_latency([a, b], [1, -1])
 
     e1 = est(0.041, 0.054)
     e2 = est(1.740, 1.690)

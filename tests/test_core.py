@@ -356,6 +356,21 @@ class TestSliceView:
         assert time_span(times, -math.inf, math.inf) == (0, 10)
         assert time_span(times, 2.5, 4.0) == (3, 5)
 
+    @given(case=ascending_times_and_bounds(), cut=st.integers(0, 12), other=st.floats(-1e6, 1e6))
+    def test_many_spans_in_one_call(self, case, cut, other):
+        """Array bounds and row limits give, per entry, the span of that
+        entry's rows alone, shifted by its first row."""
+        times, (t0, t1) = case
+        cut = min(cut, len(times))
+        both = np.array(times[:cut] + sorted([other, *times[cut:]]))
+        lo = np.array([0, 0, cut, cut])
+        hi = np.array([cut, cut, len(both), len(both)])
+        t0s, t1s = np.array([t0, t1, t0, other]), np.array([t1, t0, t1, t1])
+        i, j = time_span(both, t0s, t1s, lo, hi)
+        for k in range(4):
+            a, b = time_span(both[lo[k]:hi[k]], t0s[k], t1s[k])
+            assert (i[k] - lo[k], j[k] - lo[k]) == (a, b)
+
     def test_shared_rows_are_read_only(self, ctx):
         traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
         with pytest.raises(ValueError):

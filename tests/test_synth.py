@@ -492,11 +492,66 @@ class TestMonteCarloValidate:
         assert cmp.n_tau_samples == 2156
         assert cmp.n_residual_samples == 2550
 
+    # float.hex of every MonteCarloComparison float, then n_runs, n_tau_samples
+    # and n_residual_samples, for each (v0, sigma_e2, sigma_l) cell of the
+    # acceptance grid (tests/test_acceptance.py::test_3) at 100 runs
+    GRID_BITS = [
+        (5.0, 0.05, 0.0, "0x1.a86d47fdf310bp-14", "0x1.a36e2eb1c432ep-14", "0x1.3e5d18aad5244p-9", "0x1.47ae147ae147cp-9", 95, 2090, 3257),
+        (5.0, 0.05, 0.02, "0x1.fcf03851e7444p-12", "0x1.0624dd2f1a9fcp-11", "0x1.8ba6f405bfa9fp-7", "0x1.999999999999ap-7", 94, 2068, 2842),
+        (5.0, 0.05, 0.1, "0x1.52f78e746647ep-7", "0x1.4af4f0d844d02p-7", "0x1.038d7321ae571p-2", "0x1.028f5c28f5c2ap-2", 97, 2134, 2529),
+        (5.0, 0.2, 0.0, "0x1.a5fd3ded2e24cp-10", "0x1.a36e2eb1c432ep-10", "0x1.460435cc9316dp-5", "0x1.47ae147ae147cp-5", 97, 2134, 3301),
+        (5.0, 0.2, 0.02, "0x1.fb483b517f25fp-10", "0x1.0624dd2f1a9fdp-9", "0x1.9ce19798343b4p-5", "0x1.999999999999bp-5", 97, 2134, 2913),
+        (5.0, 0.2, 0.1, "0x1.7df29e36d1560p-7", "0x1.7c1bda5119ce2p-7", "0x1.22b0616d81b25p-2", "0x1.28f5c28f5c290p-2", 96, 2112, 2486),
+        (10.0, 0.05, 0.0, "0x1.ab1eb35ff5f25p-16", "0x1.a36e2eb1c432ep-16", "0x1.433a91c2f535cp-9", "0x1.47ae147ae147cp-9", 100, 2200, 3464),
+        (10.0, 0.05, 0.02, "0x1.bcf7d0daff7cfp-12", "0x1.bda5119ce0760p-12", "0x1.508c6b5839a85p-5", "0x1.5c28f5c28f5c3p-5", 100, 2200, 3052),
+        (10.0, 0.05, 0.1, "0x1.3b67026b33168p-7", "0x1.487fcb923a29ep-7", "0x1.e6a54e8ec2606p-1", "0x1.00a3d70a3d70bp+0", 100, 2200, 2648),
+        (10.0, 0.2, 0.0, "0x1.a7559bf29cb7fp-12", "0x1.a36e2eb1c432ep-12", "0x1.4597bad09dfaap-5", "0x1.47ae147ae147cp-5", 100, 2200, 3441),
+        (10.0, 0.2, 0.02, "0x1.b835dde3aec75p-11", "0x1.a36e2eb1c432ep-11", "0x1.42875262a197fp-4", "0x1.47ae147ae147cp-4", 100, 2200, 3054),
+        (10.0, 0.2, 0.1, "0x1.55d33ebcc8fc5p-7", "0x1.54c985f06f695p-7", "0x1.0ceea37bc8879p+0", "0x1.0a3d70a3d70a5p+0", 100, 2200, 2663),
+        (15.0, 0.05, 0.0, "0x1.69a50b60a259cp-17", "0x1.74d3b7ba75829p-17", "0x1.362fa69241c93p-9", "0x1.47ae147ae147cp-9", 100, 2200, 3400),
+        (15.0, 0.05, 0.02, "0x1.c679eb5c3c824p-12", "0x1.af14cc6f97deep-12", "0x1.7fd8462db548bp-4", "0x1.7ae147ae147afp-4", 100, 2200, 2999),
+        (15.0, 0.05, 0.1, "0x1.36bd808934094p-7", "0x1.480b4968cfe52p-7", "0x1.0f3c81be2a00fp+1", "0x1.2051eb851eb86p+1", 100, 2200, 2597),
+        (15.0, 0.2, 0.0, "0x1.7c6ebec819c93p-13", "0x1.74d3b7ba75829p-13", "0x1.41506ab5393dep-5", "0x1.47ae147ae147cp-5", 100, 2200, 3406),
+        (15.0, 0.2, 0.02, "0x1.2c6acd03100bfp-11", "0x1.2eec05477f7a1p-11", "0x1.002f85d3ec3b9p-3", "0x1.0a3d70a3d70a4p-3", 100, 2200, 3003),
+        (15.0, 0.2, 0.1, "0x1.46b39fae53a09p-7", "0x1.4d816359cb1ddp-7", "0x1.2b4bf763375e7p+1", "0x1.251eb851eb853p+1", 100, 2200, 2582),
+    ]
+
+    @staticmethod
+    def _bits(cmp):
+        floats = (cmp.empirical_var_tau, cmp.predicted_var_tau, cmp.empirical_var_ed,
+                  cmp.predicted_var_ed)
+        return (*map(float.hex, floats), cmp.n_runs, cmp.n_tau_samples, cmp.n_residual_samples)
+
+    @pytest.mark.parametrize("seed", range(1, 19))
+    def test_variance_grid_bits_pinned(self, seed):
+        v0, sig_e2, sig_l, *expected = self.GRID_BITS[seed - 1]
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=sig_l, noise_sigma_m=sig_e2,
+                           speed_jitter_mps=0.2, det_rate_hz=5.0)
+        route = default_latency_route(v0, window_m=4.0 * v0)
+        cmp = monte_carlo_validate(model, route, n_runs=100, master_seed=seed, gt_rate_hz=5.0)
+        assert self._bits(cmp) == tuple(expected)
+
+    def test_clutter_cell_bits_pinned(self):
+        # 130 runs: not a whole number of blocks; clutter and misses on
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=0.02, noise_sigma_m=0.2,
+                           speed_jitter_mps=0.2, det_rate_hz=5.0, clutter_rate=0.2,
+                           miss_prob=0.05)
+        cmp = monte_carlo_validate(model, default_latency_route(10.0, 40.0), n_runs=130)
+        assert self._bits(cmp) == (
+            "0x1.9f85259000528p-11", "0x1.a36e2eb1c432ep-11", "0x1.44e78013e69f4p-4",
+            "0x1.47ae147ae147cp-4", 130, 2860, 3958,
+        )
+
     def test_small_n_runs_rejected(self):
         model = ErrorModel(latency_mean_s=0.1)
         route = default_latency_route(10.0)
         with pytest.raises(ValueError):
             monte_carlo_validate(model, route, n_runs=50)
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be non-negative"):
+            monte_carlo_validate(ErrorModel(latency_mean_s=0.1), default_latency_route(10.0),
+                                 n_runs=100, master_seed=-1)
 
 
 class TestRoundTrip:
