@@ -5,167 +5,17 @@ wire format), matching (frame alignment and optimal assignment), latency
 (paired-run delay and position-error estimation), metrics (MOTA/MOTP/IDF1/
 HOTA report assembly), synth (scenario generation and error models), cli
 (the `roadside-eval` command).
+
+The public API is these modules: import a name from the module that defines
+it (`from roadside_eval.metrics import compute_report`). The package itself
+binds only `__version__` and the seven library modules; no other name is
+importable from the top level.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    CATEGORIES,
-    DataFrame,
-    DataPoint,
-    GeoPoint,
-    LocalPoint,
-    PEDESTRIAN,
-    ProjectionContext,
-    Trajectory,
-    TrajectorySet,
-    VEHICLE,
-    build_trajectory_set,
-    filter_category,
-    from_frames,
-    make_projection,
-    project,
-    time_span,
-    trajectory_arrays,
-    unproject,
-)
-from .errors import (
-    CategoryError,
-    ConsistencyError,
-    EvalError,
-    InsufficientDataError,
-    IntegrityError,
-    PairingError,
-    ProjectionRangeError,
-    ScenarioError,
-    SchemaError,
-)
-from .ingest import (
-    IngestReport,
-    parse_csv,
-    read_points,
-    write_points,
-)
-from .latency import (
-    LatencyEstimate,
-    PositionErrorEstimate,
-    RouteLine,
-    SpeedWindows,
-    TauSamples,
-    Tracks,
-    collect_tau_samples,
-    combine_trials,
-    estimate_latency,
-    estimate_latency_for_trial,
-    estimate_position_error,
-    find_constant_speed_windows,
-    make_route_line,
-    plane_tracks,
-    predict_position_error_variance,
-    predict_tau_variance,
-    sample_tau,
-)
-from .matching import (
-    FramePairing,
-    association_match,
-    count_id_switches,
-    match_frames_by_time,
-    point_match,
-    solve_assignment,
-)
-from .metrics import (
-    CountSummary,
-    MetricsReport,
-    ThresholdSweep,
-    compute_hota,
-    compute_idf1,
-    compute_mota,
-    compute_motp,
-    compute_report,
-    threshold_sweep,
-)
-from .synth import (
-    ErrorModel,
-    MonteCarloComparison,
-    ScenarioSpec,
-    TEMPLATES,
-    default_latency_route,
-    degrade,
-    generate_scenario,
-    monte_carlo_validate,
-)
-
-__all__ = [
-    "__version__",
-    "CATEGORIES",
-    "PEDESTRIAN",
-    "VEHICLE",
-    "TEMPLATES",
-    "CategoryError",
-    "ConsistencyError",
-    "CountSummary",
-    "DataFrame",
-    "DataPoint",
-    "ErrorModel",
-    "EvalError",
-    "FramePairing",
-    "GeoPoint",
-    "IngestReport",
-    "InsufficientDataError",
-    "IntegrityError",
-    "LatencyEstimate",
-    "LocalPoint",
-    "MetricsReport",
-    "MonteCarloComparison",
-    "PairingError",
-    "PositionErrorEstimate",
-    "ProjectionContext",
-    "ProjectionRangeError",
-    "RouteLine",
-    "ScenarioError",
-    "ScenarioSpec",
-    "SchemaError",
-    "SpeedWindows",
-    "TauSamples",
-    "ThresholdSweep",
-    "Tracks",
-    "Trajectory",
-    "TrajectorySet",
-    "association_match",
-    "build_trajectory_set",
-    "collect_tau_samples",
-    "combine_trials",
-    "compute_hota",
-    "compute_idf1",
-    "compute_mota",
-    "compute_motp",
-    "compute_report",
-    "count_id_switches",
-    "default_latency_route",
-    "degrade",
-    "estimate_latency",
-    "estimate_latency_for_trial",
-    "estimate_position_error",
-    "filter_category",
-    "find_constant_speed_windows",
-    "from_frames",
-    "generate_scenario",
-    "make_projection",
-    "make_route_line",
-    "match_frames_by_time",
-    "monte_carlo_validate",
-    "parse_csv",
-    "plane_tracks",
-    "point_match",
-    "predict_position_error_variance",
-    "predict_tau_variance",
-    "project",
-    "read_points",
-    "sample_tau",
-    "solve_assignment",
-    "threshold_sweep",
-    "time_span",
-    "trajectory_arrays",
-    "unproject",
-    "write_points",
-]
+# Importing any module of the package loads all seven library modules (not
+# cli): the benchmark's tracer patches functions through sys.modules and needs
+# each traced module loaded. This line can go once the benchmark imports each
+# module it traces itself.
+from . import core, errors, ingest, latency, matching, metrics, synth  # noqa: F401

@@ -203,15 +203,18 @@ def _load_trial(
     return det, gt, _projection(args, gt), inputs
 
 
-def _route_from_args(args: argparse.Namespace) -> RouteLine | None:
-    """RouteLine from --route/--window-*/--speed; None when none are given."""
+def _route_from_args(
+    args: argparse.Namespace, default_speed_mps: float = 10.0
+) -> RouteLine | None:
+    """RouteLine from --route/--window-*/--speed; None when none are given.
+    Without --speed the route drives at default_speed_mps."""
     given = any(
         getattr(args, name, None) is not None
         for name in ("route", "speed", "window_start", "window_end")
     )
     if not given:
         return None
-    default = default_latency_route()
+    default = default_latency_route(default_speed_mps)
     if args.route is not None:
         vals = args.route.split(",")
         if len(vals) != 4:
@@ -569,8 +572,11 @@ def _emit(
 def cmd_synth(args: argparse.Namespace) -> int:
     origin = _parse_origin(args.origin)
     ctx = make_projection(origin)
-    speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip())
-    route = _route_from_args(args)
+    try:
+        speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip()) or (10.0,)
+    except ValueError:
+        raise EvalError(f"--speeds must be a comma list of numbers, got {args.speeds!r}") from None
+    route = _route_from_args(args, speeds[0])
     driven = args.template == "latency_run"
     for flag in ("window_start", "window_end", "speed"):
         if not driven and getattr(args, flag) is not None:
@@ -580,7 +586,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         rng_seed=args.seed,
         gt_rate_hz=args.gt_rate,
-        speeds_mps=speeds or (10.0,),
+        speeds_mps=speeds,
         route=route if driven else None,
     )
     model = ErrorModel(

@@ -152,6 +152,7 @@ class TestSynthCommand:
         ("--latency-mean", "inf", "latency_mean_s"),
         ("--noise-sigma", "nan", "noise_sigma_m"),
         ("--seed", "-1", "rng_seed"),
+        ("--speeds", "x", "--speeds"),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, field):
         rc = main([
@@ -184,6 +185,17 @@ class TestSynthCommand:
             assert rc == 0
         assert (tmp_path / "gt_east.csv").read_bytes() == (tmp_path / "gt_north.csv").read_bytes()
         assert (tmp_path / "det_east.csv").read_bytes() != (tmp_path / "det_north.csv").read_bytes()
+
+    # both flags restate the default route, so the gt must not change
+    @pytest.mark.parametrize("flags", [
+        ["--route", "0,0,1,0"],
+        ["--window-start", "-30"],
+    ], ids=["route", "window-start"])
+    def test_route_flags_drive_at_the_first_of_speeds(self, tmp_path, flags):
+        base = ["synth", "--template", "latency_run", "--duration", "60", "--speeds", "5"]
+        assert main(base + ["--out-gt", str(tmp_path / "plain.csv")]) == 0
+        assert main(base + flags + ["--out-gt", str(tmp_path / "routed.csv")]) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "routed.csv").read_bytes()
 
     # sizes above 2**47 bytes, so the allocation fails at once on any machine
     @pytest.mark.parametrize("flags", [

@@ -1,19 +1,24 @@
-"""Every imported name is used, and every private definition is referenced.
+"""Every imported name is used, every module-level definition and private
+method is referenced, and the package binds only its modules.
 
-No linter ships with the toolchain, so these are ast-only checks. Over the
-package, the tests and the scripts, an imported name counts as used when it
-appears as a name anywhere in its module, in a string annotation, or in
-``__all__``; the package's ``__init__.py`` is left out, as its imports are
-re-exports, and is checked instead to bind exactly the names ``__all__``
-lists, each once. In the package, a module-level function, class or assignment,
-or a method, whose name has one leading underscore must be read somewhere
-in the package, as a name, an attribute or an import: tests alone do not
-keep one alive.
+No linter ships with the toolchain, so the first checks are ast-only. Over
+the package, the tests and the scripts, an imported name counts as used when
+it appears as a name anywhere in its module or in a string annotation; the
+package's ``__init__.py`` is left out, as its one import binds the package's
+modules. In the package, a module-level function, class or assignment, or a
+method, whose name has one leading underscore must be read somewhere in the
+package, as a name, an attribute or an import: tests alone do not keep one
+alive. A public module-level function, class or assignment must be read
+somewhere in the package outside ``__init__.py``, or in the scripts.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,8 @@ MODULES = sorted(
     if path.name != "__init__.py"
 )
 PACKAGE = sorted(ROOT.glob("src/roadside_eval/*.py"))
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+LIBRARY_MODULES = ["core", "errors", "ingest", "latency", "matching", "metrics", "synth"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,7 +54,7 @@ def used_names(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # a string annotation, or an entry of __all__
+            # a string annotation
             try:
                 used |= used_names(ast.parse(node.value, mode="eval"))
             except SyntaxError:
@@ -69,48 +76,8 @@ def test_finds_an_unused_import():
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Callable"}
 
 
-def export_lists(tree: ast.Module) -> tuple[set[str], list[str]]:
-    """The names a module's ``from .x import (...)`` statements bind, and
-    its ``__all__`` entries in order, less ``__version__``."""
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-    }
-    listed = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    )
-    return imported, [name for name in listed if name != "__version__"]
-
-
-def test_all_lists_every_reexport_once():
-    path = ROOT / "src/roadside_eval/__init__.py"
-    imported, listed = export_lists(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    duplicates = sorted({name for name in listed if listed.count(name) > 1})
-    assert not duplicates, f"__all__ lists these names more than once: {duplicates}"
-    assert set(listed) == imported, (
-        f"imported but not in __all__: {sorted(imported - set(listed))}; "
-        f"in __all__ but not imported: {sorted(set(listed) - imported)}"
-    )
-
-
-def test_export_lists_reads_imports_and_all():
-    tree = ast.parse(
-        "__version__ = '0'\nfrom .m import A, B\nfrom .n import C as D\n"
-        "__all__ = ['__version__', 'A', 'B', 'D']\n"
-    )
-    assert export_lists(tree) == ({"A", "B", "D"}, ["A", "B", "D"])
-    tree = ast.parse("from .m import A\n__all__ = ['A', 'B', 'B']\n")
-    assert export_lists(tree) == ({"A"}, ["A", "B", "B"])
-
-
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level functions, classes and assignments, and methods, whose
-    names have one leading underscore, with the line of each."""
+def top_level_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments, with the line of each."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -121,11 +88,25 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defs[name.id] = node.lineno
+    return defs
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments, and methods, whose
+    names have one leading underscore, with the line of each."""
+    defs = top_level_definitions(tree)
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     defs[method.name] = method.lineno
     return {n: line for n, line in defs.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments whose names have no
+    leading underscore, with the line of each."""
+    return {n: line for n, line in top_level_definitions(tree).items() if not n.startswith("_")}
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -166,3 +147,53 @@ def test_finds_an_unreferenced_private_definition():
         "def __getattr__(name): return _K\n"
     )
     assert set(private_definitions(tree)) - read_names(tree) == {"_B", "_f", "_n"}
+
+
+def test_no_unreferenced_public_definitions():
+    """A public name must have a reader besides the tests; a re-export does
+    not count, so ``__init__.py`` is left out."""
+    package = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+               for path in PACKAGE if path.name != "__init__.py"}
+    scripts = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SCRIPTS]
+    read = set().union(*map(read_names, [*package.values(), *scripts]))
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in package.items()
+        for name, line in public_definitions(tree).items()
+        if name not in read
+    ]
+    assert not unreferenced, (
+        f"public definitions nothing in the package or the scripts reads: {unreferenced}"
+    )
+
+
+def test_finds_an_unreferenced_public_definition():
+    tree = ast.parse(
+        "A = 1\nB: int = 2\nC = A\n_D = C\n"
+        "def f(): pass\n"
+        "class K:\n    def m(self): return f\n"
+    )
+    assert set(public_definitions(tree)) - read_names(tree) == {"B", "K"}
+
+
+def test_package_binds_its_modules_and_version_only():
+    """One library module loads all seven and not the cli, and the package
+    binds nothing public but those modules."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys, roadside_eval.synth, roadside_eval as pkg; print(json.dumps(["
+        "sorted(m for m in sys.modules if m.startswith('roadside_eval.')), "
+        "sorted(n for n in vars(pkg) if not n.startswith('_')), pkg.__version__]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    loaded, bound, version = json.loads(out.stdout)
+    assert loaded == [f"roadside_eval.{m}" for m in LIBRARY_MODULES]
+    assert bound == LIBRARY_MODULES
+    assert isinstance(version, str) and version
