@@ -75,13 +75,13 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
     v = [0.0] * n_cols
     col4row = [-1] * n_rows
     row4col = [-1] * n_cols
-    for i, j in enumerate(c.argmin(axis=1).tolist()):
+    for i, j in enumerate(c.argmin(axis=1).tolist() if n_cols else []):  # 0×0: no argmin
         if row4col[j] < 0:
             row4col[j] = i
             col4row[i] = j
     for cur in [i for i, j in enumerate(col4row) if j < 0]:
         _augment(c, v, col4row, row4col, cur)
-    rows, cols, v = np.arange(n_rows), np.array(col4row), np.array(v)
+    rows, cols, v = np.arange(n_rows), np.array(col4row, dtype=np.intp), np.array(v)
     u = c[rows, cols] - v[cols]
     if tall:
         order = np.argsort(cols)
@@ -563,12 +563,14 @@ def association_match(
     """TPA: the true positives under the best fixed det-id to gt-id mapping.
 
     Per frame pair, each (det id, gt id) combination scores a candidate TP
-    when both are present and within threshold; the global one-to-one id
-    association maximizing total candidate TPs is fixed by the assignment
-    solver, and TPA is that maximum. FPA and FNA are the point totals of
-    the same alignment (point_totals) less TPA. Both sets hold one
-    category, as metrics passes them after filter_category; aligned frames
-    with points of more than one category raise ValueError.
+    when both are present and within threshold. TPA, the most candidate TPs
+    a one-to-one id association totals, comes from one plain
+    linear_sum_assignment of the co-count matrix. Only that total is read,
+    and a sum of integer counts is exact, so ties cannot change it; the
+    lexicographic tie rule is solve_assignment's, for point matching only.
+    FPA and FNA are the point totals of the same alignment (point_totals)
+    less TPA. Both sets hold one category, as metrics passes them after
+    filter_category; aligned frames mixing categories raise ValueError.
     """
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
     blocks = _distance_blocks(pairing.pairs, ctx)
@@ -578,10 +580,8 @@ def association_match(
         i, j = np.nonzero(block <= threshold_m)
         det_hits.append(blocks.start[k] + i)
         gt_hits.append(blocks.start[k] + blocks.rows[k] + j)
-    # codes in string order keep the matrix's rows and columns sorted by id
-    ids = blocks.ids
-    rows = _codes([ids[k] for k in np.concatenate(det_hits).tolist()])
-    cols = _codes([ids[k] for k in np.concatenate(gt_hits).tolist()])
+    rows = _codes([blocks.ids[k] for k in np.concatenate(det_hits).tolist()])
+    cols = _codes([blocks.ids[k] for k in np.concatenate(gt_hits).tolist()])
     neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     np.subtract.at(neg, (rows, cols), 1)
-    return -int(sum(neg[i, j] for i, j in solve_assignment(neg)))
+    return -int(neg[linear_sum_assignment(neg)[:2]].sum())

@@ -62,6 +62,9 @@ CASES = {
     "sweep_perframe_ids": ["sweep", "--det", "scene_det_perframe.csv",
                            "--gt", "scene_gt.csv", "--thresholds", "0.25,0.5,1.5,3.0",
                            "--category", "vehicle", "--latency", "0.05", *ALL_FORMATS],
+    # the same per-frame ids through eval: tie-heavy association matrices
+    "eval_perframe_ids": ["eval", "--det", "scene_det_perframe.csv", "--gt", "scene_gt.csv",
+                          *ALL_FORMATS],
     "latency": ["latency", "--det", "lat_det_a.csv", "lat_det_b.csv",
                 "--gt", "lat_gt.csv", "--output-dir", "out"],
 }

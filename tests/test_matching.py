@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -24,6 +25,7 @@ from roadside_eval.core import (
     project,
 )
 from roadside_eval.errors import EvalError, ProjectionRangeError
+from roadside_eval.ingest import read_points
 from roadside_eval.matching import (
     Matches,
     association_match,
@@ -134,6 +136,13 @@ class TestLinearSumAssignment:
             assert not np.delete(longer, paired).any()
             tall.add(shape[0] > shape[1])
         assert tall == {True, False}
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_side_gives_no_pairs(self, shape):
+        rows, cols, u, v = matching.linear_sum_assignment(np.zeros(shape))
+        assert rows.dtype == cols.dtype == np.intp
+        assert rows.shape == cols.shape == (0,)
+        assert (u.shape, v.shape) == ((shape[0],), (shape[1],))
 
     def test_package_imports_without_scipy(self):
         src = Path(matching.__file__).resolve().parents[1]
@@ -874,6 +883,34 @@ class TestAssociationMatch:
         a = _association_counts(det_fwd, gt, 1.5, ctx)
         b = _association_counts(det_rev, gt, 1.5, ctx)
         assert a == b
+
+    def test_no_cell_within_threshold(self, ctx):
+        # two lanes 10 m apart: every frame aligns, nothing is a hit, and
+        # the co-count matrix is 0×0
+        det = build_trajectory_set(line_points(ctx, n=12, y=10.0, object_id="d1"), source="detection")
+        gt = build_trajectory_set(line_points(ctx, n=12, object_id="g1"), source="ground_truth")
+        assert _association_counts(det, gt, 1.5, ctx) == (0, 12, 12)
+        assert compute_report(det, gt, 0.0, 1.5, "vehicle", ctx).idf1_pct == 0.0
+
+    @pytest.mark.parametrize("category", ["pedestrian", "vehicle"])
+    def test_per_frame_ids_take_one_plain_solve(self, ctx, monkeypatch, category):
+        # a detector without a tracker: every co-count is 0 or 1 and optima
+        # tie everywhere, yet only their common total is read
+        data = Path(__file__).parent / "data"
+        det, gt = (
+            filter_category(build_trajectory_set(read_points(data / name)[0], source=source), category)
+            for name, source in (("scene_det_perframe.csv", "detection"), ("scene_gt.csv", "ground_truth"))
+        )
+        calls = []
+        for name in ("linear_sum_assignment", "solve_assignment", "_refine_lexicographic"):
+            def counted(*args, _name=name, _fn=getattr(matching, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(matching, name, counted)
+        tpa = association_match(det, gt, 0.0, 1.5, ctx)
+        assert calls == ["linear_sum_assignment"]
+        golden = json.loads((data / "golden" / "eval_perframe_ids" / "report.json").read_text())
+        assert [r["counts"]["tpa"] for r in golden["reports"] if r["category"] == category] == [tpa]
 
     @staticmethod
     def _by_pairs(det, gt, threshold_m, ctx):
