@@ -16,7 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import chain, permutations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -395,29 +395,26 @@ class _Blocks:
     """Distance blocks of the aligned frame pairs with points on both sides.
 
     live[k] is such a pair's index in the pairing. The object ids of its
-    rows[k] detection points and then its cols[k] gt points sit in ids from
-    start[k]. A frame of at most _SMALL points a side has its block in
-    flat, row-major from cell[k], with the cells' indices into ids in
-    cell_det and cell_gt; a larger frame's block is big[k].
+    rows[k] detection points and then its gt points sit in ids from
+    start[k]. shapes maps each (rows, cols) that occurs to the indices k of
+    its frames, in pair order, and their blocks stacked as one (frames,
+    rows, cols) array: the one layout both point_match and
+    association_match read.
     """
 
     live: list[int]
     ids: list[str]
     start: np.ndarray
     rows: np.ndarray
-    cols: np.ndarray
-    cell: np.ndarray
-    flat: np.ndarray
-    cell_det: np.ndarray
-    cell_gt: np.ndarray
-    big: dict[int, np.ndarray]
+    shapes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _distance_blocks(
     pairs: Sequence[tuple[DataFrame, DataFrame]], ctx: ProjectionContext
 ) -> _Blocks:
     """Project the points of the pairs with points on both sides, in one
-    call and in pair order, detections first, and take their distances.
+    call and in pair order, detections first, and stack their distances
+    per frame shape.
 
     Projecting in that order names the same far point as matching the
     pairs one by one would; points of a pair with an empty side are never
@@ -429,28 +426,19 @@ def _distance_blocks(
     categories = set(map(attrgetter("category"), points))
     if len(categories) > 1:
         raise ValueError(f"matching takes one category per call, got {sorted(categories)}")
-    n = len(points)
-    geo = np.fromiter(chain.from_iterable(p.position for p in points), float, 2 * n)
+    geo = np.fromiter(chain.from_iterable(p.position for p in points), float, 2 * len(points))
     x, y = project(GeoPoint(geo[0::2], geo[1::2]), ctx)
     rows = np.array([len(pairs[k][0].points) for k in live], dtype=np.intp)
     cols = np.array([len(pairs[k][1].points) for k in live], dtype=np.intp)
     start = np.cumsum(rows + cols) - (rows + cols)
-    small = (rows <= _SMALL) & (cols <= _SMALL)
-    # one flat kernel over the small frames' cells, frame by frame
-    size = np.where(small, rows * cols, 0)
-    cell = np.cumsum(size) - size
-    local = np.arange(size.sum()) - np.repeat(cell, size)
-    width = np.repeat(cols, size)
-    cell_det = np.repeat(start, size) + local // width
-    cell_gt = np.repeat(start + rows, size) + local % width
-    big = {}
-    for f in np.flatnonzero(~small).tolist():
-        s, r = start[f], rows[f]
-        di, gi = s + np.arange(r)[:, None], s + r + np.arange(cols[f])
-        big[f] = np.hypot(x[di] - x[gi], y[di] - y[gi])
-    flat = np.hypot(x[cell_det] - x[cell_gt], y[cell_det] - y[cell_gt])
-    ids = [p.object_id for p in points]
-    return _Blocks(live, ids, start, rows, cols, cell, flat, cell_det, cell_gt, big)
+    shapes = {}
+    # a set, not np.unique: the latter imports numpy.ma on first use
+    for n_rows, n_cols in sorted(set(zip(rows.tolist(), cols.tolist()))):
+        frames = np.flatnonzero((rows == n_rows) & (cols == n_cols))
+        di = start[frames, None, None] + np.arange(n_rows)[:, None]
+        gi = start[frames, None, None] + n_rows + np.arange(n_cols)
+        shapes[n_rows, n_cols] = frames, np.hypot(x[di] - x[gi], y[di] - y[gi])
+    return _Blocks(live, [p.object_id for p in points], start, rows, shapes)
 
 
 def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
@@ -494,8 +482,8 @@ def point_match(
     a FN, so a pair's FPs are its detections less its TPs, and likewise its
     FNs. The pairs hold one category's points, as metrics passes them after
     filter_category; points of more than one category raise ValueError.
-    All points are projected in one call, and the frames of at most three
-    points a side are solved together.
+    A stack of frames of at most three points a side is solved at once;
+    larger frames and unsettled near-ties go to solve_assignment in pair order.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
@@ -503,20 +491,16 @@ def point_match(
     # every assigned pair as (live frame, detection row, gt column, distance)
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]
     unsettled: list[tuple[int, np.ndarray]] = []
-    small = np.flatnonzero((blocks.rows <= _SMALL) & (blocks.cols <= _SMALL))
-    shapes = blocks.rows[small] * (_SMALL + 1) + blocks.cols[small]
-    # a set, not np.unique: the latter imports numpy.ma on first use
-    for shape in sorted(set(shapes.tolist())):
-        n_rows, n_cols = divmod(shape, _SMALL + 1)
-        frames = small[shapes == shape]
-        index = blocks.cell[frames][:, None] + np.arange(n_rows * n_cols)
-        cost = blocks.flat[index].reshape(-1, n_rows, n_cols)
+    for frames, cost in blocks.shapes.values():
+        if max(cost.shape[1:]) > _SMALL:
+            unsettled += zip(frames.tolist(), cost)
+            continue
         ok, rows, cols = _solve_small(cost)
         dist = cost[np.arange(len(frames))[:, None], rows, cols]
         owner = np.broadcast_to(frames[:, None], rows.shape)
         parts.append(tuple(a[ok].ravel() for a in (owner, rows, cols, dist)))
-        unsettled += [(frames[f], cost[f]) for f in np.flatnonzero(~ok).tolist()]
-    for f, cost in [*unsettled, *blocks.big.items()]:
+        unsettled += zip(frames[~ok].tolist(), cost[~ok])
+    for f, cost in sorted(unsettled, key=itemgetter(0)):
         rows, cols = np.array(solve_assignment(cost), dtype=np.intp).reshape(-1, 2).T
         parts.append((np.full(len(rows), f), rows, cols, cost[rows, cols]))
 
@@ -563,7 +547,8 @@ def association_match(
     """TPA: the true positives under the best fixed det-id to gt-id mapping.
 
     Per frame pair, each (det id, gt id) combination scores a candidate TP
-    when both are present and within threshold. TPA, the most candidate TPs
+    when both are present and within threshold; one comparison per stack
+    of same-shape distance blocks finds them. TPA, the most candidate TPs
     a one-to-one id association totals, comes from one plain
     linear_sum_assignment of the co-count matrix. Only that total is read,
     and a sum of integer counts is exact, so ties cannot change it; the
@@ -574,14 +559,14 @@ def association_match(
     """
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
     blocks = _distance_blocks(pairing.pairs, ctx)
-    hit = blocks.flat <= threshold_m
-    det_hits, gt_hits = [blocks.cell_det[hit]], [blocks.cell_gt[hit]]
-    for k, block in blocks.big.items():
-        i, j = np.nonzero(block <= threshold_m)
-        det_hits.append(blocks.start[k] + i)
-        gt_hits.append(blocks.start[k] + blocks.rows[k] + j)
-    rows = _codes([blocks.ids[k] for k in np.concatenate(det_hits).tolist()])
-    cols = _codes([blocks.ids[k] for k in np.concatenate(gt_hits).tolist()])
+    hits = [np.empty((2, 0), np.intp)]
+    for frames, block in blocks.shapes.values():
+        f, i, j = np.nonzero(block <= threshold_m)
+        first = blocks.start[frames[f]]
+        hits.append(np.stack([first + i, first + block.shape[1] + j]))
+    det_hits, gt_hits = np.concatenate(hits, axis=1).tolist()
+    rows = _codes([blocks.ids[k] for k in det_hits])
+    cols = _codes([blocks.ids[k] for k in gt_hits])
     neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     np.subtract.at(neg, (rows, cols), 1)
     return -int(neg[linear_sum_assignment(neg)[:2]].sum())

@@ -99,6 +99,8 @@ class ScenarioSpec:
             raise ScenarioError("duration_s must be positive and finite")
         if not 0 < self.gt_rate_hz < math.inf:
             raise ValueError("gt_rate_hz must be positive and finite")
+        if not math.isfinite(self.duration_s * self.gt_rate_hz):
+            raise ScenarioError("duration_s * gt_rate_hz overflows: the tick count must be finite")
         if not self.speeds_mps or not all(0 < v < math.inf for v in self.speeds_mps):
             raise ValueError("speeds_mps must be positive and finite")
         if self.rng_seed < 0:
@@ -387,7 +389,10 @@ def degrade(
 
     t0 = gt.frames[0].timestamp_s
     t1 = gt.frames[-1].timestamp_s
-    n_ticks = max(int(math.floor((t1 - t0) * model.det_rate_hz)) + 1, 1)
+    span = (t1 - t0) * model.det_rate_hz
+    if not math.isfinite(span):
+        raise ValueError("gt time span * det_rate_hz overflows: the tick count must be finite")
+    n_ticks = max(int(math.floor(span)) + 1, 1)
     ticks = t0 + np.arange(n_ticks) / model.det_rate_hz
 
     lat_draw = rng.normal(model.latency_mean_s, model.latency_std_s, n_ticks)

@@ -215,6 +215,22 @@ class TestSynthCommand:
         assert out == ""
         assert not (tmp_path / "det.csv").exists() and not (tmp_path / "gt.csv").exists()
 
+    # finite flags whose tick count is not: int() of it would overflow
+    @pytest.mark.parametrize("flags, fields", [
+        (["--duration", "1e308"], "duration_s * gt_rate_hz"),
+        (["--det-rate", "1e308"], "gt time span * det_rate_hz"),
+    ], ids=["duration", "det-rate"])
+    def test_infinite_tick_count_exits_one(self, tmp_path, capsys, flags, fields):
+        rc = main([
+            "synth", "--template", "latency_run", "--duration", "60",
+            "--out-gt", str(tmp_path / "gt.csv"), "--out-det", str(tmp_path / "det.csv"),
+            *flags,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {fields} overflows" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestLatencyCommand:
     def test_recovers_injected_latency(self, data_dir, tmp_path, capsys):
