@@ -21,10 +21,12 @@ importable.
 
 A second table covers 2,000 small frames of an intersection scene for each
 shape (1×1, 2×2, 3×2 and 3×3 points): microseconds per frame through one
-``solve_assignment`` call per frame, on the distance matrices, and through
-one batched ``matching.point_match`` call over all the frame pairs, which
-also projects the points and returns its true positives as one
-``Matches`` table. It checks that both assign the same pairs.
+``solve_assignment`` call per frame on the distance matrices, one solve
+plus the uniqueness proof each, and through one batched
+``matching.point_match`` call over all the frame pairs, which settles them
+in its enumeration kernel, also projects the points and returns its true
+positives as one ``Matches`` table. It checks that both assign the same
+pairs.
 
 usage: PYTHONPATH=src python scripts/solver_ladder.py [--frames N] [--seed S]
 """

@@ -35,8 +35,8 @@ _TIE_TOL = 1e-6
 # costs' rounding along a cycle, and the refinement's own fsum comparisons.
 _ROUNDING_PER_TERM = 64 * np.finfo(float).eps
 
-# Frames with at most this many points a side are solved by listing every
-# assignment, and point_match solves them together.
+# Frames with one point on a side, or at most this many on both, are
+# settled by _solve_small, a stack of same-shape frames at once.
 _SMALL = 3
 
 
@@ -67,8 +67,11 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
     cheapest column if no earlier row did, and each row left free then
     augments along one Dijkstra shortest path of reduced costs. The matrix
     is never padded: zero dummy lines would be every row's cheapest.
+    Raises ValueError on non-finite costs.
     """
     cost = np.asarray(cost, dtype=float)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains non-finite values")
     tall = cost.shape[0] > cost.shape[1]
     c = cost.T if tall else cost
     n_rows, n_cols = c.shape
@@ -153,12 +156,11 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
 
     Among optima within _TIE_TOL of each other the lexicographically
     smallest pair list is returned, so output is deterministic and
-    order-stable for tests and re-runs. A single line, or a frame of at
-    most three rows and columns, is settled by _solve_small. For a larger
-    one, one solve settles almost every matrix: when no other assignment
-    comes near its total, that optimum is the answer (see
-    _unique_optimum). Only near-ties take the row-by-row refinement, which
-    re-solves O(n²) submatrices. Raises ValueError on non-finite costs.
+    order-stable for tests and re-runs. One solve settles almost every
+    matrix: when no other assignment comes near its total, that optimum is
+    the answer (see _unique_optimum). Only near-ties take the row-by-row
+    refinement, which re-solves O(n²) submatrices. Raises ValueError on
+    non-finite costs.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -167,15 +169,7 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
         return ()
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
-
-    if min(cost.shape) == 1 or max(cost.shape) <= _SMALL:
-        ok, rows, cols = _solve_small(cost[None])
-        pairs = list(zip(rows[0].tolist(), cols[0].tolist())) if ok[0] else None
-    else:
-        pairs = _unique_optimum(cost)
-    if pairs is None:
-        pairs = _refine_lexicographic(cost)
-    return tuple(pairs)
+    return tuple(_unique_optimum(cost) or _refine_lexicographic(cost))
 
 
 def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
@@ -247,7 +241,8 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
 
 def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The answer of the row-by-row refinement for a stack of same-shape
-    frames that are 1×n, n×1 or at most _SMALL × _SMALL, where it is plain.
+    frames that are 1×n, n×1 or at most _SMALL × _SMALL, where it is plain:
+    point_match's batch kernel.
 
     Returns (ok, rows, cols): each frame's pairs in row order, valid where
     ok. A 1×n or n×1 frame takes the refinement's rule in closed form: the
@@ -256,7 +251,7 @@ def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _unique_optimum's margin plus a slack for naive summation; the slack
     is the rounding term again, far above the few eps · n · max|cost| by
     which a naive sum can miss math.fsum. The frames that are not ok
-    (near-ties, huge or non-finite costs) are the refinement's.
+    (near-ties, huge or non-finite costs) are left to solve_assignment.
     """
     count, n_rows, n_cols = cost.shape
     ok = np.isfinite(cost).all(axis=(1, 2))
@@ -482,8 +477,10 @@ def point_match(
     a FN, so a pair's FPs are its detections less its TPs, and likewise its
     FNs. The pairs hold one category's points, as metrics passes them after
     filter_category; points of more than one category raise ValueError.
-    A stack of frames of at most three points a side is solved at once;
-    larger frames and unsettled near-ties go to solve_assignment in pair order.
+    _solve_small settles each stack of line frames (one point on a side)
+    or of frames of at most three points a side at once. The frames of the
+    other stacks, and the near-ties the kernel leaves, go to
+    solve_assignment in pair order.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
@@ -492,7 +489,7 @@ def point_match(
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]
     unsettled: list[tuple[int, np.ndarray]] = []
     for frames, cost in blocks.shapes.values():
-        if max(cost.shape[1:]) > _SMALL:
+        if min(cost.shape[1:]) > 1 and max(cost.shape[1:]) > _SMALL:
             unsettled += zip(frames.tolist(), cost)
             continue
         ok, rows, cols = _solve_small(cost)

@@ -43,6 +43,9 @@ from conftest import brute_force_assignment, dp, line_points
 # a forbidden pair: the solver must still take matrices that hold it.
 _HUGE_COST = 1e12
 
+# Lines and frames of at most 3×3: the shapes point_match's kernel settles.
+_SMALL_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
+
 
 class TestSolveAssignment:
     def test_symmetric_two_by_two(self):
@@ -144,6 +147,19 @@ class TestLinearSumAssignment:
         assert rows.dtype == cols.dtype == np.intp
         assert rows.shape == cols.shape == (0,)
         assert (u.shape, v.shape) == ((shape[0],), (shape[1],))
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            [[math.nan, math.nan], [math.nan, math.nan]],
+            [[math.inf, math.inf], [math.inf, math.inf]],
+            [[1.0, math.nan], [math.nan, math.nan]],
+            [[-math.inf, 0.0], [0.0, -math.inf]],
+        ],
+    )
+    def test_non_finite_cost_raises(self, cost):
+        with pytest.raises(ValueError, match="non-finite"):
+            matching.linear_sum_assignment(np.array(cost))
 
     def test_package_imports_without_scipy(self):
         src = Path(matching.__file__).resolve().parents[1]
@@ -287,11 +303,22 @@ class TestSolveAssignmentAgainstRefinement:
         solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
         assert calls == [shape]
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
-    def test_small_frames_need_no_solve(self, monkeypatch, shape):
+    @pytest.mark.parametrize("shape", _SMALL_SHAPES)
+    def test_small_frames_solve_once(self, monkeypatch, shape):
+        # solve_assignment has one path: lines and small frames take one
+        # solve too
         calls = self._count_solves(monkeypatch)
-        solve_assignment(np.random.default_rng(6).uniform(0.0, 50.0, shape))
-        assert calls == []
+        solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
+        assert calls == [shape]
+
+    @pytest.mark.parametrize("shape", _SMALL_SHAPES)
+    def test_small_frames_need_no_solve(self, monkeypatch, shape):
+        # point_match's batch kernel settles them as the refinement would
+        cost = np.random.default_rng(6).uniform(0.0, 50.0, shape)
+        calls = self._count_solves(monkeypatch)
+        ok, rows, cols = matching._solve_small(cost[None])
+        assert calls == [] and ok.all()
+        assert tuple(zip(rows[0].tolist(), cols[0].tolist())) == _refinement_oracle(cost)
 
     def test_unmatchable_cells_take_the_refinement(self, monkeypatch):
         # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
@@ -552,13 +579,14 @@ class TestBatchedPointMatch:
         else:
             assert 0 < len(small_calls) < small
 
-    def test_only_frames_beyond_three_by_three_call_the_solver(self, ctx, monkeypatch):
+    def test_lines_and_frames_up_to_3x3_stay_in_the_kernel(self, ctx, monkeypatch):
         pairs = _random_pairs(ctx, 11, "continuous", 400)
         calls = self._count_solves(monkeypatch)
         point_match(pairs, 1.5, ctx)
         shapes = [(len(df.points), len(gf.points)) for df, gf in pairs]
-        assert calls == [s for s in shapes if min(s) > 0 and max(s) > 3]
+        assert calls == [s for s in shapes if min(s) > 1 and max(s) > 3]
         assert any(min(s) > 0 and max(s) <= 3 for s in shapes)
+        assert any(min(s) == 1 and max(s) > 3 for s in shapes)
 
     @staticmethod
     def _first_far_point(pairs, ctx) -> str | None:
