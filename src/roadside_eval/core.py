@@ -3,13 +3,13 @@
 A recording from either a perception system or an RTK-GPS logger reduces to
 a list of :class:`DataPoint` (timestamp, position, category, object id).
 Points grouped by time form a :class:`DataFrame`, and a
-:class:`TrajectorySet` holds a recording's frames in time order. Its
-trajectory view is built from the frames on first use, in one array pass:
-scoring reads frames only, and a detector without a tracker gives one
-trajectory per point. A :class:`Trajectory` is its rows: one object id's
+:class:`TrajectorySet` holds a recording's frames in time order and its
+trajectories. Either view is given, and the other is grouped from it on
+first use: scoring reads frames only, and the Monte Carlo replay reads
+trajectories only. A :class:`Trajectory` is its rows: one object id's
 (time, lat, lon) in time order, as one read-only array. trajectory_arrays
-projects them into a plane track, which time_span cuts by index, one
-span or many at once.
+projects rows, of one trajectory or many laid end to end, into plane
+tracks, which time_span cuts by index, one span or many at once.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -116,14 +116,36 @@ class Trajectory:
 class TrajectorySet:
     """One recording: its frames in time order, and their rows by object id.
 
+    Either view is given, and the other is grouped from it on first use:
+    the constructor and from_frames take frames, from_trajectories takes
+    trajectories. Equality and hashing compare frames and source.
+
     Invariant: each trajectory's rows are the (time, lat, lon) of exactly
     the frames' points with its id (empty frames add nothing). It holds by
-    construction: the trajectory view is grouped from the frames, or handed
-    over by a builder that made the frames and the rows from the same data.
+    construction: one view is grouped from the other, or handed over by a
+    builder that made the frames and the rows from the same data.
     """
 
     frames: tuple[DataFrame, ...]
     source: str
+
+    def __getattr__(self, name: str) -> tuple[DataFrame, ...]:
+        """The frames of a set from from_trajectories, grouped on first
+        read: frame k holds row k of every trajectory, in id order."""
+        if name != "frames":
+            raise AttributeError(name)
+        series = (_bulk_points(t.rows, repeat(t.category), repeat(t.object_id))
+                  for t in self.trajectories)
+        frames = zip(self.frame_times.tolist(), zip(*series))
+        self.__dict__["frames"] = tuple(map(tuple.__new__, repeat(DataFrame), frames))
+        return self.frames
+
+    @cached_property
+    def frame_times(self) -> np.ndarray:
+        """The frames' timestamps in order, as one read-only array."""
+        times = np.fromiter(map(_BY_TIME, self.frames), float, len(self.frames))
+        times.flags.writeable = False
+        return times
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -279,6 +301,26 @@ def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
     return TrajectorySet(tuple(sorted(frames, key=_BY_TIME)), source)
 
 
+def from_trajectories(trajs: Sequence[Trajectory], times: np.ndarray, source: str) -> TrajectorySet:
+    """A TrajectorySet of trajectories in id order, each with one row per
+    tick of the ascending ``times``; its frames are grouped on first read."""
+    times.flags.writeable = False
+    ts = object.__new__(TrajectorySet)
+    ts.__dict__.update(trajectories=tuple(trajs), frame_times=times, source=source)
+    return ts
+
+
+def _bulk_points(
+    rows: np.ndarray, categories: Iterable[str], ids: Iterable[str]
+) -> tuple[DataPoint, ...]:
+    """DataPoints from (t, lat, lon) rows and per-point categories and ids:
+    native floats from tolist(), so they serialize as literals, in named
+    tuples built by tuple.__new__, past their Python-level constructors."""
+    t, lat, lon = rows.T.tolist()
+    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat, lon))
+    return tuple(map(tuple.__new__, repeat(DataPoint), zip(t, geo, categories, ids)))
+
+
 def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     """Keep only points of one category.
 
@@ -295,13 +337,12 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     return TrajectorySet(tuple(map(tuple.__new__, repeat(DataFrame), kept)), ts.source)
 
 
-def trajectory_arrays(traj: Trajectory, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (times, xy) arrays for vectorized geometry on a trajectory."""
-    raw = traj.rows
-    times = raw[:, 0].copy()
-    xy = np.empty((len(raw), 2))
-    xy[:, 0] = (raw[:, 2] - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
-    xy[:, 1] = (raw[:, 1] - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
+def trajectory_arrays(rows: np.ndarray, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:
+    """(times, xy) arrays of (n, 3) rows, of one trajectory or many laid end to end."""
+    times = rows[:, 0].copy()
+    xy = np.empty((len(rows), 2))
+    xy[:, 0] = (rows[:, 2] - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
+    xy[:, 1] = (rows[:, 1] - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
     return times, xy
 
 

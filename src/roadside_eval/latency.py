@@ -8,11 +8,11 @@ direction is biased by the detector's constant along-track offset (by
 cancels the offset and leaves the expected latency; re-projecting
 detections back by that latency then exposes the constant offset itself.
 The estimators take a batch of trials as plane tracks laid end to end
-(Tracks): the (times, xy) arrays core.trajectory_arrays gives per
-trajectory. The latency command scores a batch of one trial; the Monte
-Carlo replay scores a block of runs. Each step is one array pass over the
-batch; only each pass's line fit and gt crossing interpolation, and each
-trial's means and sums, run one call at a time, as their bits depend on it.
+(Tracks), which one core.trajectory_arrays call projects. The latency
+command scores a batch of one trial; the Monte Carlo replay scores a
+block of runs. Each step is one array pass over the batch; only each
+pass's line fit and gt crossing interpolation, and each trial's means
+and sums, run one call at a time, as their bits depend on it.
 
 Crossing timing: the ground-truth crossing of a test point is linearly
 interpolated between bracketing samples (the gt trace is smooth and
@@ -436,8 +436,8 @@ def estimate_position_error(
     than 2 samples or fewer than 10 of its detections are usable.
 
     The residuals of all pairs are computed in array passes; each pair's
-    means and sums run on its own contiguous slice, as numpy's pairwise
-    summation rounds by length.
+    means and sums are ndarray reductions on its own contiguous slice, as
+    numpy's pairwise summation rounds by length.
     """
     pair = det.owner
     query = det.times - np.asarray(latency_s, dtype=float)[pair]
@@ -483,10 +483,10 @@ def estimate_position_error(
         dof = 0
         for grp in (along[a:f], along[f : a + k]):
             if len(grp) >= 2:
-                sq_sum += float(np.sum((grp - grp.mean()) ** 2))
+                sq_sum += float(((grp - grp.mean()) ** 2).sum())
                 dof += len(grp) - 1
         out.append(PositionErrorEstimate(
-            mean_offset_m=(float(np.mean(rx[a : a + k])), float(np.mean(ry[a : a + k]))),
+            mean_offset_m=(float(rx[a : a + k].mean()), float(ry[a : a + k].mean())),
             residual_rms_m=math.sqrt(sq_sum / dof) if dof > 0 else 0.0,
             n_samples=k,
         ))
@@ -512,13 +512,11 @@ def predict_position_error_variance(
 
 
 def plane_tracks(trials: Sequence[Sequence[Trajectory]], ctx: ProjectionContext) -> Tracks:
-    """Every trajectory of each trial, projected once by trajectory_arrays,
-    laid end to end as one batch: trials[i] comes i-th and is trial i."""
+    """Every trajectory of each trial laid end to end as one batch, projected
+    in one trajectory_arrays call: trials[i] comes i-th and is trial i."""
     trajs = [traj for trial in trials for traj in trial]
     bounds = np.cumsum([0, *(len(traj.rows) for traj in trajs)])
-    times, xy = np.empty(bounds[-1]), np.empty((bounds[-1], 2))
-    for traj, a, b in zip(trajs, bounds.tolist(), bounds[1:].tolist()):
-        times[a:b], xy[a:b] = trajectory_arrays(traj, ctx)
+    times, xy = trajectory_arrays(np.concatenate([np.empty((0, 3)), *(t.rows for t in trajs)]), ctx)
     return Tracks(
         times,
         xy,

@@ -160,7 +160,8 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
     matrix: when no other assignment comes near its total, that optimum is
     the answer (see _unique_optimum). Only near-ties take the row-by-row
     refinement, which re-solves O(n²) submatrices. Raises ValueError on
-    non-finite costs.
+    non-finite costs, and on costs whose assignment totals can overflow:
+    min(rows, cols) · max|cost| not finite.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -169,6 +170,8 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
         return ()
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
+    if not math.isfinite(min(cost.shape) * float(np.abs(cost).max())):
+        raise ValueError("cost matrix totals overflow: min(shape) * max|cost| is not finite")
     return tuple(_unique_optimum(cost) or _refine_lexicographic(cost))
 
 
@@ -361,8 +364,8 @@ def match_frames_by_time(
     if not 0 < max_gap_s < math.inf:
         raise ValueError(f"max_gap_s must be positive and finite, got {max_gap_s}")
 
-    gt_times = np.array([f.timestamp_s for f in gt.frames])
-    target = np.array([f.timestamp_s for f in det.frames], dtype=float) - latency_s
+    gt_times = gt.frame_times
+    target = det.frame_times - latency_s
     i = np.searchsorted(gt_times, target)
     last = len(gt_times) - 1
     before = gt_times[np.maximum(i - 1, 0)]
@@ -378,7 +381,7 @@ def match_frames_by_time(
 
 def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     for ts in (det, gt):
-        times = [f.timestamp_s for f in ts.frames]
+        times = ts.frame_times.tolist()
         if len(times) >= 2:
             # statistics.median, not np.median: the latter imports numpy.ma
             return 0.5 * statistics.median(b - a for a, b in zip(times, times[1:]))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from .core import (
     Trajectory,
     TrajectorySet,
     VEHICLE,
+    _bulk_points,
     from_frames,
+    from_trajectories,
     make_projection,
     paused_gc,
     time_span,
@@ -325,7 +327,7 @@ def generate_scenario(
             y_ped = np.where(phase <= 16.0, phase, 32.0 - phase) - 8.0
             actors.append(("ped-01", PEDESTRIAN, np.full(n_ticks, -10.0), y_ped))
 
-    trajectories, series = [], []
+    trajectories = []
     for oid, cat, x, y in sorted(actors, key=lambda a: a[0]):
         reach = np.hypot(x, y).max()  # NaN if any position is NaN
         if not reach <= MAX_PROJECTION_RANGE_M:
@@ -334,26 +336,8 @@ def generate_scenario(
                 f"flat-plane validity ends at {MAX_PROJECTION_RANGE_M:.0f} m"
             )
         lat, lon = unproject(LocalPoint(x, y), ctx)
-        rows = np.array((times, lat, lon)).T
-        series.append(_bulk_points(rows, repeat(cat), repeat(oid)))
-        trajectories.append(Trajectory(oid, cat, rows))
-    # every actor has a point at every tick, so frames zip the id-sorted series
-    frames = map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), zip(*series)))
-    return TrajectorySet(tuple(frames), "ground_truth")._with_trajectories(tuple(trajectories))
-
-
-def _bulk_points(
-    rows: np.ndarray, categories: Iterable[str], ids: Iterable[str]
-) -> tuple[DataPoint, ...]:
-    """DataPoints from (t, lat, lon) rows and per-point categories and ids.
-
-    tolist() yields native floats, so the points serialize as literals; the
-    named tuples are built with tuple.__new__, skipping their Python-level
-    constructors.
-    """
-    t, lat, lon = rows.T.tolist()
-    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat, lon))
-    return tuple(map(tuple.__new__, repeat(DataPoint), zip(t, geo, categories, ids)))
+        trajectories.append(Trajectory(oid, cat, np.array((times, lat, lon)).T))
+    return from_trajectories(trajectories, times, "ground_truth")
 
 
 # --- degradation -------------------------------------------------------------
@@ -384,11 +368,10 @@ def degrade(
     and no clutter was drawn, the actors' trajectories are handed over too.
     """
     rng = np.random.default_rng(rng)
-    if not gt.frames:
+    if not len(gt.frame_times):
         return TrajectorySet((), "detection")
 
-    t0 = gt.frames[0].timestamp_s
-    t1 = gt.frames[-1].timestamp_s
+    t0, t1 = gt.frame_times[[0, -1]].tolist()
     span = (t1 - t0) * model.det_rate_hz
     if not math.isfinite(span):
         raise ValueError("gt time span * det_rate_hz overflows: the tick count must be finite")
@@ -411,7 +394,7 @@ def degrade(
     actors = []  # (id, category, lat, lon, valid, kept ticks); gt trajectories are in id order
     extent = []  # each actor's gt (x, y) minima and maxima; clutter falls near them
     for traj in gt.trajectories:
-        t_a, xy_a = trajectory_arrays(traj, ctx)
+        t_a, xy_a = trajectory_arrays(traj.rows, ctx)
         valid = (query >= t_a[0]) & (query <= t_a[-1]) if len(t_a) >= 2 else np.zeros(
             n_ticks, bool
         )

@@ -293,7 +293,7 @@ class TestArraysAndSlicing:
     def test_trajectory_arrays_match_pointwise_projection(self, ctx):
         pts = line_points(ctx, n=40, vx=3.3, y=5.5)
         traj = build_trajectory_set(pts).trajectories[0]
-        times, xy = trajectory_arrays(traj, ctx)
+        times, xy = trajectory_arrays(traj.rows, ctx)
         assert times.shape == (40,) and xy.shape == (40, 2)
         for i, p in enumerate(pts):
             local = project(p.position, ctx)
@@ -338,12 +338,12 @@ class TestSliceView:
                       "vehicle", "a")
             for k, t in enumerate(times)
         )
-        t, xy = trajectory_arrays(Trajectory("a", "vehicle", _rows(pts)), ctx)
+        t, xy = trajectory_arrays(_rows(pts), ctx)
         i, j = time_span(t, t0, t1)
         kept = tuple(p for p in pts if t0 <= p.timestamp_s <= t1)
         assert pts[i:j] == kept
         if kept:
-            want = trajectory_arrays(Trajectory("a", "vehicle", _rows(kept)), ctx)
+            want = trajectory_arrays(_rows(kept), ctx)
             assert t[i:j].tobytes() == want[0].tobytes()
             assert xy[i:j].tobytes() == want[1].tobytes()
 
@@ -376,11 +376,11 @@ class TestSliceView:
         with pytest.raises(ValueError):
             traj.rows[0, 0] = -1.0
         # the arrays handed to callers are their own
-        times, xy = trajectory_arrays(traj, ctx)
+        times, xy = trajectory_arrays(traj.rows, ctx)
         times[2] = -1.0
         xy[2] = -1.0
         assert traj.rows[2, 0] == 2.0
-        assert trajectory_arrays(traj, ctx)[1][2].tolist() != [-1.0, -1.0]
+        assert trajectory_arrays(traj.rows, ctx)[1][2].tolist() != [-1.0, -1.0]
 
 
 # --- the eager grouping and filter, kept as oracles for the on-demand view ---

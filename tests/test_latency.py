@@ -171,7 +171,7 @@ class TestWindowExtraction:
         assert windows_of(np.array([1000.0]), np.zeros((1, 2)), ROUTE) == []
 
     def test_constant_run_covers_full_window(self, ctx):
-        times, xy = trajectory_arrays(straight_run(ctx), ctx)
+        times, xy = trajectory_arrays(straight_run(ctx).rows, ctx)
         [w] = windows_of(times, xy, ROUTE)
         assert w.direction_sign == 1
         # crossing 60 m at 10 m/s: six seconds, give or take one sample tick
@@ -216,7 +216,7 @@ class TestWindowExtraction:
         assert [w.direction_sign for w in windows] == [1, -1]
 
     def test_speed_tol_validation(self, ctx):
-        times, xy = trajectory_arrays(straight_run(ctx), ctx)
+        times, xy = trajectory_arrays(straight_run(ctx).rows, ctx)
         with pytest.raises(ValueError):
             windows_of(times, xy, ROUTE, speed_tol_frac=0.0)
         with pytest.raises(ValueError):
@@ -398,12 +398,12 @@ class TestSampleTauBatch:
             gt = generate_scenario(ScenarioSpec("latency_run", duration_s=dur, rng_seed=seed,
                                                 route=route), ctx)
             det = degrade(gt, model, ctx, rng=50 + seed, route_direction=route.direction)
-            t_gt, xy_gt = trajectory_arrays(gt.trajectories[0], ctx)
+            t_gt, xy_gt = trajectory_arrays(gt.trajectories[0].rows, ctx)
             w = find_constant_speed_windows(one_track(t_gt, xy_gt), route)
             for a, b in zip(w.start.tolist(), w.stop.tolist()):
                 for shift in (0.0, 4.0):
                     for traj in det.trajectories:
-                        t_det, xy_det = trajectory_arrays(traj, ctx)
+                        t_det, xy_det = trajectory_arrays(traj.rows, ctx)
                         i, j = time_span(t_det, t_gt[a] - 5.0 + shift, t_gt[b - 1] + 5.0 + shift)
                         gt_passes.append((t_gt[a:b], xy_gt[a:b]))
                         det_passes.append((t_det[i:j], xy_det[i:j]))
@@ -516,14 +516,17 @@ class TestCollectTauSamples:
         assert len(det.trajectories) > 10
         projected = []
 
-        def counting(traj, c):
-            projected.append(id(traj))
-            return trajectory_arrays(traj, c)
+        def counting(rows, c):
+            projected.append(rows.tobytes())
+            return trajectory_arrays(rows, c)
 
         monkeypatch.setattr(latency_mod, "trajectory_arrays", counting)
         samples = collect(det, gt, route, ctx)
         assert set(samples.direction_sign.tolist()) == {1, -1} and len(samples) >= 40
-        assert sorted(projected) == sorted(map(id, gt.trajectories + det.trajectories))
+        # one call per batch, on every row of its trajectories once, in order
+        assert sorted(projected) == sorted(
+            np.concatenate([t.rows for t in ts.trajectories]).tobytes() for ts in (gt, det)
+        )
 
     def test_short_detection_slices_are_skipped(self, ctx, monkeypatch):
         # clutter and misses leave one-point tracks, which sample_tau can only reject

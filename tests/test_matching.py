@@ -95,6 +95,16 @@ class TestSolveAssignment:
         with pytest.raises(ValueError):
             solve_assignment([[float("nan")]])
 
+    @pytest.mark.parametrize("shape, value", [((2, 2), 1e308), ((3, 2), 9e307)])
+    def test_overflowing_totals_rejected(self, shape, value):
+        # finite costs whose two-pair totals overflow
+        with pytest.raises(ValueError, match="overflow"):
+            solve_assignment(np.full(shape, value))
+
+    def test_line_frame_of_huge_costs_is_solved(self):
+        # one pair per assignment: its total is one finite cost
+        assert solve_assignment(np.full((2, 1), 1e308)) == ((0, 0),)
+
 
 class TestLinearSumAssignment:
     """The in-module solver, with scipy's as a test-only oracle."""

@@ -11,8 +11,11 @@ import pytest
 
 from roadside_eval.core import (
     DataFrame,
+    DataPoint,
     GeoPoint,
+    TrajectorySet,
     from_frames,
+    from_trajectories,
     make_projection,
     project,
     trajectory_arrays,
@@ -20,8 +23,10 @@ from roadside_eval.core import (
 from roadside_eval.errors import EvalError, ScenarioError
 from roadside_eval.ingest import write_points, read_points
 from roadside_eval.latency import route_arc_coordinates
+from roadside_eval import synth as synth_mod
 from roadside_eval.synth import (
     BASE_TIME_S,
+    DEFAULT_ORIGIN,
     TEMPLATES,
     ErrorModel,
     ScenarioSpec,
@@ -86,7 +91,7 @@ class TestGenerateScenario:
                             rng_seed=3, route=route)
         gt = generate_scenario(spec, ctx)
         traj = next(t for t in gt.trajectories if t.category == "vehicle")
-        times, xy = trajectory_arrays(traj, ctx)
+        times, xy = trajectory_arrays(traj.rows, ctx)
         s = route_arc_coordinates(xy, route)
         inside = (s >= route.window_start_m + 1.0) & (s <= route.window_end_m - 1.0)
         # within the constant window every consecutive step moves v0*dt
@@ -163,7 +168,7 @@ class TestRightTurn:
         spec = ScenarioSpec("one_vehicle_maneuver", self.DURATION, 0, self.RATE, (self.V,))
         ctx0 = make_projection(GeoPoint(0.0, 0.0))
         (traj,) = generate_scenario(spec, ctx0).trajectories
-        _, xy = trajectory_arrays(traj, ctx0)
+        _, xy = trajectory_arrays(traj.rows, ctx0)
         # arc length from the tick index: the epoch-based stamps hold the
         # time only to about 2e-7 s
         return self.V * (np.arange(len(xy)) / self.RATE), xy
@@ -280,8 +285,8 @@ class TestDegrade:
         traj_det = next(
             t for t in det.trajectories if t.object_id == traj_gt.object_id
         )
-        t_gt, xy_gt = trajectory_arrays(traj_gt, ctx)
-        t_det, xy_det = trajectory_arrays(traj_det, ctx)
+        t_gt, xy_gt = trajectory_arrays(traj_gt.rows, ctx)
+        t_det, xy_det = trajectory_arrays(traj_det.rows, ctx)
         k = len(t_det) // 2
         x_ref = np.interp(t_det[k] - 0.5, t_gt, xy_gt[:, 0])
         y_ref = np.interp(t_det[k] - 0.5, t_gt, xy_gt[:, 1])
@@ -331,8 +336,8 @@ class TestDegrade:
         devs = []
         for traj in det.trajectories:
             ref = gt_traj[traj.object_id]
-            t_ref, xy_ref = trajectory_arrays(ref, ctx)
-            t_d, xy_d = trajectory_arrays(traj, ctx)
+            t_ref, xy_ref = trajectory_arrays(ref.rows, ctx)
+            t_d, xy_d = trajectory_arrays(traj.rows, ctx)
             x_i = np.interp(t_d, t_ref, xy_ref[:, 0])
             y_i = np.interp(t_d, t_ref, xy_ref[:, 1])
             devs.extend((xy_d[:, 0] - x_i).tolist())
@@ -409,6 +414,61 @@ class TestHandedOverTrajectories:
             assert not traj.rows.flags.writeable
             with pytest.raises(ValueError):
                 traj.rows[0, 0] = 0.0
+
+
+class TestFramesGroupedOnFirstRead:
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_generate_scenario(self, ctx, template, jitter):
+        gt = generate_scenario(spec_for(template=template, duration=40.0), ctx,
+                               speed_jitter_mps=jitter)
+        assert "frames" not in gt.__dict__
+        trajs = gt.trajectories
+        assert [t.object_id for t in trajs] == sorted(t.object_id for t in trajs)
+        # the frames as generate_scenario used to build them: each actor's
+        # points in id order, zipped tick by tick
+        series = [[DataPoint(t, GeoPoint(lat, lon), tr.category, tr.object_id)
+                   for t, lat, lon in tr.rows.tolist()] for tr in trajs]
+        ticks = trajs[0].rows[:, 0].tolist()
+        want = tuple(DataFrame(t, tuple(pts)) for t, pts in zip(ticks, zip(*series)))
+        assert gt.frames == want
+        assert gt.frame_times.tolist() == ticks
+        assert gt.all_points() == [p for f in want for p in f.points]
+        assert gt.categories == frozenset(p.category for f in want for p in f.points)
+        rebuilt = from_frames(gt.frames, gt.source)
+        assert gt == rebuilt and hash(gt) == hash(rebuilt)
+        fresh = generate_scenario(spec_for(template=template, duration=40.0), ctx,
+                                  speed_jitter_mps=jitter)
+        assert rebuilt == fresh and hash(fresh) == hash(rebuilt)
+        with pytest.raises(AttributeError):
+            fresh.frames = ()
+        assert not gt.frame_times.flags.writeable
+
+    @pytest.mark.parametrize("gt", [
+        TrajectorySet((), "ground_truth"),
+        from_trajectories((), np.empty(0), "ground_truth"),
+    ], ids=["frames", "trajectories"])
+    def test_degrade_empty_truth(self, ctx, gt):
+        det = degrade(gt, ErrorModel(clutter_rate=0.5), ctx, rng=1)
+        assert det == TrajectorySet((), "detection")
+
+    def test_monte_carlo_block_builds_no_truth_point(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(generate_scenario(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(synth_mod, "generate_scenario", recording)
+        route = default_latency_route(5.0, window_m=20.0)
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=0.1, noise_sigma_m=0.2,
+                           det_rate_hz=5.0)
+        gt, det, tracked = synth_mod._simulate_block(
+            np.random.SeedSequence(1).spawn(2), model, route,
+            make_projection(DEFAULT_ORIGIN), min_round_trip_duration_s(route), 5.0,
+        )
+        assert len(made) == 2 and tracked == [0, 0] and len(gt.bounds) == 3
+        assert not any("frames" in g.__dict__ for g in made)
 
 
 class TestSwapObjectIds:
@@ -581,7 +641,7 @@ class TestRoundTrip:
                 traj = next(
                     t for t in gt.trajectories if t.category == "vehicle"
                 )
-                _, xy = trajectory_arrays(traj, ctx)
+                _, xy = trajectory_arrays(traj.rows, ctx)
                 s = route_arc_coordinates(xy, route)
                 # the vehicle must fully cross the window both ways
                 assert s.max() > route.window_end_m
