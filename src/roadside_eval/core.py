@@ -159,10 +159,9 @@ class TrajectorySet:
         points = self.all_points()
         if not points:
             return ()
-        names, cats = sorted(set(map(_OBJECT_ID, points))), sorted(self.categories)
-        id_code = {oid: k for k, oid in enumerate(names)}
-        cat_code = {c: k for k, c in enumerate(cats)}
-        codes = np.array([(id_code[p.object_id], cat_code[p.category]) for p in points]).T
+        ids = list(map(_OBJECT_ID, points))
+        names, cats = sorted(set(ids)), sorted(self.categories)
+        codes = np.stack([string_codes(ids), string_codes(list(map(_CATEGORY, points)))])
         flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in points])
         rows = np.fromiter(flat, float, 3 * len(points)).reshape(-1, 3)
         order = np.lexsort((rows[:, 0], codes[0]))
@@ -242,6 +241,13 @@ def unproject(p: LocalPoint, ctx: ProjectionContext) -> GeoPoint:
     )
 
 
+def string_codes(names: Sequence[str]) -> np.ndarray:
+    """Each name's index among the distinct names in string order."""
+    # sorted(set()), not np.unique: the latter imports numpy.ma on first use
+    rank = {s: k for k, s in enumerate(sorted(set(names)))}
+    return np.fromiter(map(rank.__getitem__, names), np.intp, len(names))
+
+
 def build_trajectory_set(
     points: Iterable[DataPoint],
     source: str = SOURCE_DETECTION,
@@ -270,8 +276,7 @@ def build_trajectory_set(
         build_trajectory_set(pts[:k], source)  # a duplicate before record k is met first
         raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
     ids = list(map(_OBJECT_ID, pts))
-    rank = {oid: r for r, oid in enumerate(sorted(set(ids)))}
-    codes = np.fromiter(map(rank.__getitem__, ids), np.intp, n)
+    codes = string_codes(ids)
     order = np.lexsort((codes, bins))
     bins, codes = bins[order], codes[order]
     # frame edges: before the first point, between bins, after the last

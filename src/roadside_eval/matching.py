@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DataFrame, GeoPoint, ProjectionContext, TrajectorySet, project
+from .core import DataFrame, GeoPoint, ProjectionContext, TrajectorySet, project, string_codes
 from .errors import EvalError
 
 # Absolute tolerance for "equal total cost" during tie-break refinement.
@@ -186,7 +186,7 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     The proof works on the matrix turned to have no more lines (rows)
     than columns, as a square one: dummy lines of zeros fill it, each
     paired with one of the columns σ leaves free. Moving line i from
-    column σ(i) to column σ(k) costs c[i, σ(k)] − c[i, σ(i)], and every
+    column σ(i) to column σ(j) costs c[i, σ(j)] − c[i, σ(i)], and every
     other assignment is σ plus disjoint cycles of such moves, costing the
     sum of their weights more. The solver's column duals v make every
     reduced weight c[i, j] − c[i, σ(i)] + v[σ(i)] − v[j] = c[i, j] − u[i]
@@ -197,10 +197,11 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     is feasible because v ≤ 0 with v = 0 on free columns: a dummy line
     moves to column j at reduced weight −v[j]. Moves between two dummy
     lines only reshuffle padding, so the dummies are one node, entered by
-    a move to any free column. Reduced weights that rounding leaves below
-    zero widen the tight test by n times their depth, as a cycle of up to
-    n moves can hide that much; below −margin, the duals do not prove σ
-    optimal at all.
+    a move to any free column. When no line can move onto one (a square
+    matrix has none), that node has no in-edge and lies on no cycle.
+    Reduced weights that rounding leaves below zero widen the tight test
+    by n times their depth, as a cycle of up to n moves can hide that
+    much; below −margin, the duals do not prove σ optimal at all.
 
     Sums of large costs are too coarse to resolve _TIE_TOL, and the
     refinement's own rounding then decides; such matrices return None.
@@ -221,23 +222,16 @@ def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
     if low < -margin:
         return None
     limit = margin - n * low
-    # the move graph over lines: line i moves to the column of line k
+    # the move graph over the k lines and node k, the dummy lines
+    k = len(sigma)
     tight = reduced <= limit
-    moves = tight[:, sigma]
-    np.fill_diagonal(moves, False)
-    if len(v) > len(sigma):
-        # dummy lines on the free columns act as one more node; it is on no
-        # cycle unless some line moves onto a free column
-        tight[:, sigma] = False
-        into = tight.any(axis=1)
-        if into.any():
-            k = len(sigma)
-            graph = np.zeros((k + 1, k + 1), dtype=bool)
-            graph[:k, :k] = moves
-            graph[:k, k] = into
-            graph[k, :k] = v[sigma] >= -limit
-            moves = graph
-    if _has_cycle(moves):
+    graph = np.zeros((k + 1, k + 1), dtype=bool)
+    graph[:k, :k] = tight[:, sigma]
+    np.fill_diagonal(graph, False)
+    tight[:, sigma] = False
+    graph[:k, k] = tight.any(axis=1)
+    graph[k, :k] = v[sigma] >= -limit
+    if _has_cycle(graph):
         return None
     return list(zip(rows.tolist(), cols.tolist()))
 
@@ -248,21 +242,17 @@ def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point_match's batch kernel.
 
     Returns (ok, rows, cols): each frame's pairs in row order, valid where
-    ok. A 1×n or n×1 frame takes the refinement's rule in closed form: the
-    first index within _TIE_TOL of the minimum. Any other frame lists
-    every assignment and is ok when its best beats the rest by more than
-    _unique_optimum's margin plus a slack for naive summation; the slack
-    is the rounding term again, far above the few eps · n · max|cost| by
-    which a naive sum can miss math.fsum. The frames that are not ok
-    (near-ties, huge or non-finite costs) are left to solve_assignment.
+    ok. Every frame lists its assignments, a line's being its entries, and
+    is ok when its best beats the runner-up by more than
+    _unique_optimum's margin plus a slack for naive summation; a 1×1
+    frame's runner-up is +inf. The slack is the rounding term again, far
+    above the few eps · n · max|cost| by which a naive sum can miss
+    math.fsum. The frames that are not ok (near-ties, huge or non-finite
+    costs) are left to solve_assignment, whose refinement takes a tied
+    line's first entry within _TIE_TOL of the minimum.
     """
-    count, n_rows, n_cols = cost.shape
+    n_rows, n_cols = cost.shape[1:]
     ok = np.isfinite(cost).all(axis=(1, 2))
-    if n_rows == 1 or n_cols == 1:
-        line = cost.reshape(count, -1)
-        k = np.argmax(line <= line.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)[:, None]
-        zero = np.zeros_like(k)
-        return (ok, zero, k) if n_rows == 1 else (ok, k, zero)
     tall = n_rows > n_cols
     lines = cost.transpose(0, 2, 1) if tall else cost
     n_lines, width = lines.shape[1:]
@@ -271,7 +261,9 @@ def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in range(1, n_lines):
         totals = totals + lines[:, i, perms[:, i]]
     order = np.argsort(totals, axis=1)
-    best = np.take_along_axis(totals, order[:, :2], axis=1)
+    # the best and runner-up totals; a 1×1 frame's runner-up stays +inf
+    best = np.full((len(totals), 2), np.inf)
+    best[:, : totals.shape[1]] = np.take_along_axis(totals, order[:, :2], axis=1)
     n = max(n_rows, n_cols)
     rounding = _ROUNDING_PER_TERM * n * n * np.abs(cost).max(axis=(1, 2))
     ok &= (rounding <= _TIE_TOL) & (best[:, 1] - best[:, 0] > _TIE_TOL + 2 * rounding)
@@ -481,9 +473,9 @@ def point_match(
     FNs. The pairs hold one category's points, as metrics passes them after
     filter_category; points of more than one category raise ValueError.
     _solve_small settles each stack of line frames (one point on a side)
-    or of frames of at most three points a side at once. The frames of the
-    other stacks, and the near-ties the kernel leaves, go to
-    solve_assignment in pair order.
+    or of frames of at most three points a side at once, by one rule for
+    both. The frames of the other stacks, and the near-ties the kernel
+    leaves, tied lines among them, go to solve_assignment in pair order.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
@@ -514,13 +506,6 @@ def point_match(
     return Matches(pair, det, gt, dist[keep], blocks.ids)
 
 
-def _codes(ids: Sequence[str]) -> np.ndarray:
-    """Each id's index among the distinct ids in string order."""
-    # sorted(set()), not np.unique: the latter imports numpy.ma on first use
-    rank = {s: k for k, s in enumerate(sorted(set(ids)))}
-    return np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids))
-
-
 def count_id_switches(matches: Matches) -> int:
     """Count changes of the matched detection id per gt object over time.
 
@@ -530,7 +515,7 @@ def count_id_switches(matches: Matches) -> int:
     matches in time order, so a switch is two neighbours with the same gt
     id and different detection ids.
     """
-    codes = _codes(matches.ids)
+    codes = string_codes(matches.ids)
     order = np.argsort(codes[matches.gt], kind="stable")
     gt, det = codes[matches.gt[order]], codes[matches.det[order]]
     return int(np.count_nonzero((gt[1:] == gt[:-1]) & (det[1:] != det[:-1])))
@@ -565,8 +550,8 @@ def association_match(
         first = blocks.start[frames[f]]
         hits.append(np.stack([first + i, first + block.shape[1] + j]))
     det_hits, gt_hits = np.concatenate(hits, axis=1).tolist()
-    rows = _codes([blocks.ids[k] for k in det_hits])
-    cols = _codes([blocks.ids[k] for k in gt_hits])
+    rows = string_codes([blocks.ids[k] for k in det_hits])
+    cols = string_codes([blocks.ids[k] for k in gt_hits])
     neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     np.subtract.at(neg, (rows, cols), 1)
     return -int(neg[linear_sum_assignment(neg)[:2]].sum())

@@ -378,10 +378,7 @@ def degrade(
     n_ticks = max(int(math.floor(span)) + 1, 1)
     ticks = t0 + np.arange(n_ticks) / model.det_rate_hz
 
-    lat_draw = rng.normal(model.latency_mean_s, model.latency_std_s, n_ticks)
-    lat = np.maximum(lat_draw, 0.0) if model.latency_std_s > 0 else np.full(
-        n_ticks, model.latency_mean_s
-    )
+    lat = np.maximum(rng.normal(model.latency_mean_s, model.latency_std_s, n_ticks), 0.0)
 
     e1_along, e1_cross = model.offset_e1_m
     norm = math.hypot(*route_direction)

@@ -24,6 +24,7 @@ from roadside_eval.core import (
     filter_category,
     from_frames,
     project,
+    string_codes,
 )
 from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.ingest import read_points
@@ -323,12 +324,33 @@ class TestSolveAssignmentAgainstRefinement:
 
     @pytest.mark.parametrize("shape", _SMALL_SHAPES)
     def test_small_frames_need_no_solve(self, monkeypatch, shape):
-        # point_match's batch kernel settles them as the refinement would
-        cost = np.random.default_rng(6).uniform(0.0, 50.0, shape)
+        # point_match's batch kernel settles a stack of them as the
+        # refinement would; a 1×1 frame's missing runner-up counts as +inf
+        stack = np.random.default_rng(6).uniform(0.0, 50.0, (4, *shape))
         calls = self._count_solves(monkeypatch)
-        ok, rows, cols = matching._solve_small(cost[None])
+        ok, rows, cols = matching._solve_small(stack)
         assert calls == [] and ok.all()
-        assert tuple(zip(rows[0].tolist(), cols[0].tolist())) == _refinement_oracle(cost)
+        for cost, r, c in zip(stack, rows.tolist(), cols.tolist()):
+            assert tuple(zip(r, c)) == _refinement_oracle(cost)
+
+    def test_tied_lines_leave_the_kernel(self, ctx):
+        # a line takes the enumeration's rule too: a near-tie is not settled
+        # there, and solve_assignment's refinement pairs the first tied entry
+        wide = np.array([[[2.0, 1.0, 1.0]], [[3.0, 0.5, 2.0]]])
+        for stack in (wide, wide.transpose(0, 2, 1)):
+            ok, rows, cols = matching._solve_small(stack)
+            assert ok.tolist() == [False, True]
+            assert tuple(zip(rows[1].tolist(), cols[1].tolist())) == _refinement_oracle(stack[1])
+            assert solve_assignment(stack[0]) == _refinement_oracle(stack[0])
+        t = 1000.0
+        one = DataFrame(t, (dp(t, 0.0, 0.0, ctx, object_id="a"),))
+        three = DataFrame(t, tuple(
+            dp(t, x, 0.0, ctx, object_id=f"b{i}") for i, x in enumerate([2.0, -1.0, 1.0])
+        ))
+        pairs = [(one, three), (three, one)]
+        got = _per_pair(point_match(pairs, 1.5, ctx), len(pairs))
+        assert got == [_per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs]
+        assert [tp[0][:2] for tp in got] == [("a", "b1"), ("b1", "a")]
 
     def test_unmatchable_cells_take_the_refinement(self, monkeypatch):
         # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
@@ -829,7 +851,7 @@ class TestIdSwitches:
         assert count_id_switches(frames) == 2
 
     def test_codes_follow_string_order(self):
-        assert matching._codes(["g2", "g10", "A", "g2"]).tolist() == [2, 1, 0, 2]
+        assert string_codes(["g2", "g10", "A", "g2"]).tolist() == [2, 1, 0, 2]
 
     # frames of several interleaved gt ids, each matched at most once per
     # frame in any order, with gaps and re-acquisitions (A, B, A); "x" is

@@ -1,9 +1,8 @@
 """The scripts under scripts/ run to completion on the library as it is.
 
-solver_ladder.py exits non-zero when point_match or solve_assignment
-disagree with the reference it checks them against, so a change to their
-return values that the script was not ported to fails here. Bad arguments
-end in argparse's usage error, exit status 2, never a traceback.
+Every script has a run check here, and every run check names a script
+that exists. Bad arguments end in argparse's usage error, exit status 2,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -30,16 +29,20 @@ def run_script(script, args, cwd):
     )
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("solver_ladder.py", ["--frames", "1"]),
-        ("run_synthetic_benchmark.py", ["--duration", "30"]),
-        ("variance_grid.py", ["--runs", "100"]),
-    ],
-)
-def test_script_exits_zero(script, args, tmp_path):
-    out = run_script(script, args, tmp_path)
+# each script's run-check arguments; a case's id is the script's name
+RUNS = {
+    "run_synthetic_benchmark.py": ["--duration", "30"],
+    "variance_grid.py": ["--runs", "100"],
+}
+
+
+def test_every_script_has_a_run_check():
+    assert sorted(RUNS) == sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", RUNS)
+def test_script_exits_zero(script, tmp_path):
+    out = run_script(script, RUNS[script], tmp_path)
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
 
 
