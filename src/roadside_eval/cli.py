@@ -719,7 +719,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--max-gap",
         type=float,
         default=None,
-        help="frame alignment gap in s (default: half the detection tick)",
+        help="frame alignment gap in s (default: half the median detection tick; "
+        "the gt tick when under two detection frames, 0.5 s when neither side has two)",
     )
     p.add_argument(
         "--formats",

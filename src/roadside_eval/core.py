@@ -5,11 +5,14 @@ a list of :class:`DataPoint` (timestamp, position, category, object id).
 Points grouped by time form a :class:`DataFrame`, and a
 :class:`TrajectorySet` holds a recording's frames in time order and its
 trajectories. Either view is given, and the other is grouped from it on
-first use: scoring reads frames only, and the Monte Carlo replay reads
-trajectories only. A :class:`Trajectory` is its rows: one object id's
-(time, lat, lon) in time order, as one read-only array. trajectory_arrays
-projects rows, of one trajectory or many laid end to end, into plane
-tracks, which time_span cuts by index, one span or many at once.
+first use. Scoring reads a third view, built from the frames on first use:
+the points' :class:`PointColumns`, whose per-frame offsets let
+filter_category mask rows and matching gather points by index. The Monte
+Carlo replay reads trajectories only, so it never builds columns. A
+:class:`Trajectory` is its rows: one object id's (time, lat, lon) in time
+order, as one read-only array. trajectory_arrays projects rows, of one
+trajectory or many laid end to end, into plane tracks, which time_span
+cuts by index, one span or many at once.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -27,9 +30,9 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter
+from functools import cached_property, partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +59,8 @@ FRAME_BIN_S = 0.001
 _BY_TIME = attrgetter("timestamp_s")
 _CATEGORY = attrgetter("category")
 _OBJECT_ID = attrgetter("object_id")
+_POSITION = attrgetter("position")
+_POINTS = attrgetter("points")
 
 
 class GeoPoint(NamedTuple):
@@ -100,6 +105,21 @@ class DataFrame(NamedTuple):
     points: tuple[DataPoint, ...]
 
 
+class PointColumns(NamedTuple):
+    """A set's points in frame order, one array per field: frame k's points
+    are rows offsets[k]:offsets[k + 1]. Each point's category and object id
+    are codes into categories and ids, the distinct names among the points
+    in string order."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    category: np.ndarray
+    categories: list[str]
+    ident: np.ndarray
+    ids: list[str]
+    offsets: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One object id's (n, 3) rows of (timestamp_s, lat_deg, lon_deg) in time order."""
@@ -118,7 +138,9 @@ class TrajectorySet:
 
     Either view is given, and the other is grouped from it on first use:
     the constructor and from_frames take frames, from_trajectories takes
-    trajectories. Equality and hashing compare frames and source.
+    trajectories. The columns are built from the frames on first read,
+    with the id codes build_trajectory_set grouped by, or given by
+    filter_category. Equality and hashing compare frames and source.
 
     Invariant: each trajectory's rows are the (time, lat, lon) of exactly
     the frames' points with its id (empty frames add nothing). It holds by
@@ -130,14 +152,11 @@ class TrajectorySet:
     source: str
 
     def __getattr__(self, name: str) -> tuple[DataFrame, ...]:
-        """The frames of a set from from_trajectories, grouped on first
-        read: frame k holds row k of every trajectory, in id order."""
+        """The frames of a set from from_trajectories or filter_category,
+        grouped on first read by the function that built the set left."""
         if name != "frames":
             raise AttributeError(name)
-        series = (_bulk_points(t.rows, repeat(t.category), repeat(t.object_id))
-                  for t in self.trajectories)
-        frames = zip(self.frame_times.tolist(), zip(*series))
-        self.__dict__["frames"] = tuple(map(tuple.__new__, repeat(DataFrame), frames))
+        self.__dict__["frames"] = self.__dict__["_grouping"]()
         return self.frames
 
     @cached_property
@@ -148,6 +167,23 @@ class TrajectorySet:
         return times
 
     @cached_property
+    def columns(self) -> PointColumns:
+        """The points in frame order as read-only columns, from one pass
+        over the frames."""
+        points = self.all_points()
+        geo = np.fromiter(chain.from_iterable(map(_POSITION, points)), float, 2 * len(points))
+        category, categories = string_codes(list(map(_CATEGORY, points)))
+        offsets = np.cumsum([0, *map(len, map(_POINTS, self.frames))])
+        return _read_only(PointColumns(geo[0::2], geo[1::2], category, categories, *self._id_codes,
+                                       offsets))
+
+    @cached_property
+    def _id_codes(self) -> tuple[np.ndarray, list[str]]:
+        """string_codes of the points' object ids in frame order, unless
+        build_trajectory_set handed over the codes it grouped by."""
+        return string_codes(list(map(_OBJECT_ID, self.all_points())))
+
+    @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
         """One trajectory per object id, in id order, each in time order.
 
@@ -156,28 +192,24 @@ class TrajectorySet:
         the rows in frame order makes each id one slice, and keeps points
         of equal time in frame order.
         """
-        points = self.all_points()
-        if not points:
+        cols = self.columns
+        if not cols.ids:
             return ()
-        ids = list(map(_OBJECT_ID, points))
-        names, cats = sorted(set(ids)), sorted(self.categories)
-        codes = np.stack([string_codes(ids), string_codes(list(map(_CATEGORY, points)))])
-        flat = chain.from_iterable([(p.timestamp_s, *p.position) for p in points])
-        rows = np.fromiter(flat, float, 3 * len(points)).reshape(-1, 3)
-        order = np.lexsort((rows[:, 0], codes[0]))
-        rows = rows[order]
+        times = np.fromiter(map(_BY_TIME, self.all_points()), float, len(cols.ident))
+        order = np.lexsort((times, cols.ident))
+        rows = np.stack([times, cols.lat, cols.lon], axis=1)[order]
         rows.flags.writeable = False
-        bounds = np.searchsorted(codes[0, order], np.arange(len(names) + 1)).tolist()
-        table = np.zeros((len(names), len(cats)), np.intp)
-        np.add.at(table, tuple(codes), 1)
-        majority = [cats[c] for c in table.argmax(axis=1).tolist()]
+        bounds = np.searchsorted(cols.ident[order], np.arange(len(cols.ids) + 1)).tolist()
+        table = np.zeros((len(cols.ids), len(cols.categories)), np.intp)
+        np.add.at(table, (cols.ident, cols.category), 1)
+        majority = [cols.categories[c] for c in table.argmax(axis=1).tolist()]
         return tuple(Trajectory(oid, cat, rows[a:b])
-                     for oid, cat, a, b in zip(names, majority, bounds, bounds[1:]))
+                     for oid, cat, a, b in zip(cols.ids, majority, bounds, bounds[1:]))
 
     @cached_property
     def categories(self) -> frozenset[str]:
         """The categories that occur in the recording."""
-        return frozenset(map(_CATEGORY, self.all_points()))
+        return frozenset(self.columns.categories)
 
     def _with_trajectories(self, trajectories: tuple[Trajectory, ...]) -> TrajectorySet:
         """This set with its trajectory view supplied by a caller that built
@@ -241,11 +273,28 @@ def unproject(p: LocalPoint, ctx: ProjectionContext) -> GeoPoint:
     )
 
 
-def string_codes(names: Sequence[str]) -> np.ndarray:
-    """Each name's index among the distinct names in string order."""
+def string_codes(names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Each name's index among the distinct names in string order, and
+    those names."""
     # sorted(set()), not np.unique: the latter imports numpy.ma on first use
-    rank = {s: k for k, s in enumerate(sorted(set(names)))}
-    return np.fromiter(map(rank.__getitem__, names), np.intp, len(names))
+    distinct = sorted(set(names))
+    rank = {s: k for k, s in enumerate(distinct)}
+    return np.fromiter(map(rank.__getitem__, names), np.intp, len(names)), distinct
+
+
+def recode(codes: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes into names renumbered over the names they use, in order, and
+    those names."""
+    used = np.zeros(len(names), bool)
+    used[codes] = True
+    return (np.cumsum(used) - 1)[codes], [names[k] for k in np.flatnonzero(used).tolist()]
+
+
+def _read_only(cols: PointColumns) -> PointColumns:
+    for field in cols:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return cols
 
 
 def build_trajectory_set(
@@ -276,7 +325,7 @@ def build_trajectory_set(
         build_trajectory_set(pts[:k], source)  # a duplicate before record k is met first
         raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
     ids = list(map(_OBJECT_ID, pts))
-    codes = string_codes(ids)
+    codes, names = string_codes(ids)
     order = np.lexsort((codes, bins))
     bins, codes = bins[order], codes[order]
     # frame edges: before the first point, between bins, after the last
@@ -298,7 +347,13 @@ def build_trajectory_set(
     spans = list(zip(bounds, bounds[1:]))
     stamps = [math.fsum(times[a:b]) / (b - a) for a, b in spans]
     parts = [tuple(members[a:b]) for a, b in spans]
-    return from_frames(list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts))), source)
+    frames = list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts)))
+    ts = from_frames(frames, source)
+    # the id codes in bin order are the columns' unless from_frames's sort
+    # by stamp moved a frame (a mean stamp rounded past the next one's)
+    if all(map(is_, ts.frames, frames)):
+        ts.__dict__["_id_codes"] = codes, names
+    return ts
 
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
@@ -308,11 +363,24 @@ def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
 
 def from_trajectories(trajs: Sequence[Trajectory], times: np.ndarray, source: str) -> TrajectorySet:
     """A TrajectorySet of trajectories in id order, each with one row per
-    tick of the ascending ``times``; its frames are grouped on first read."""
-    times.flags.writeable = False
+    tick of the ascending ``times``; its frames are grouped on first read:
+    frame k holds row k of every trajectory, in id order."""
+    trajs = tuple(trajs)
+    return _lazy_set(source, times, partial(_frames_of, trajs, times), trajectories=trajs)
+
+
+def _lazy_set(source: str, frame_times: np.ndarray, grouping, **views) -> TrajectorySet:
+    """A set whose frames grouping() groups on first read, with its frame
+    times and the given views; grouping holds no reference to the set."""
+    frame_times.flags.writeable = False
     ts = object.__new__(TrajectorySet)
-    ts.__dict__.update(trajectories=tuple(trajs), frame_times=times, source=source)
+    ts.__dict__.update(views, source=source, frame_times=frame_times, _grouping=grouping)
     return ts
+
+
+def _frames_of(trajs: tuple[Trajectory, ...], times: np.ndarray) -> tuple[DataFrame, ...]:
+    series = (_bulk_points(t.rows, repeat(t.category), repeat(t.object_id)) for t in trajs)
+    return tuple(map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), zip(*series))))
 
 
 def _bulk_points(
@@ -332,14 +400,29 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     Frames are kept even when the filter empties them: the frame grid is the
     evaluation clock, and a tick on which a system reported only the other
     category still counts as a tick. A set that holds no other category is
-    returned as it is; otherwise each call filters every frame, in time
-    order, and caches nothing. A category the set lacks gives empty frames.
+    returned as it is. Otherwise the result masks the set's columns and
+    shares its frame times; its frames are grouped from the set's points
+    only when something reads them. A category the set lacks gives empty
+    frames.
     """
     if ts.categories <= {category}:
         return ts
-    kept = [(f.timestamp_s, tuple([p for p in f.points if p.category == category]))
-            for f in ts.frames]
-    return TrajectorySet(tuple(map(tuple.__new__, repeat(DataFrame), kept)), ts.source)
+    cols = ts.columns
+    keep = cols.category == (cols.categories.index(category) if category in cols.categories else -1)
+    offsets = np.concatenate([[0], np.cumsum(keep)])[cols.offsets]
+    kept = PointColumns(cols.lat[keep], cols.lon[keep], *recode(cols.category[keep], cols.categories),
+                        *recode(cols.ident[keep], cols.ids), offsets)
+    grouping = partial(_kept_frames, ts, keep, offsets)
+    return _lazy_set(ts.source, ts.frame_times, grouping, columns=_read_only(kept))
+
+
+def _kept_frames(ts: TrajectorySet, keep: np.ndarray, offsets: np.ndarray) -> tuple[DataFrame, ...]:
+    """ts's frames holding only its points where keep is set, which fall
+    into frames at offsets."""
+    points = list(compress(ts.all_points(), keep.tolist()))
+    bounds = offsets.tolist()
+    parts = [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tuple(map(tuple.__new__, repeat(DataFrame), zip(ts.frame_times.tolist(), parts)))
 
 
 def trajectory_arrays(rows: np.ndarray, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:

@@ -593,8 +593,7 @@ def estimate_latency_for_trial(
         x, y = tr.xy[:, 0], tr.xy[:, 1]
         # the tracks hold project's arithmetic; only the frames know the order
         if (x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M).any():
-            geo = np.array([p.position for p in ts.all_points()], dtype=float)
-            project(GeoPoint(geo[:, 0], geo[:, 1]), ctx)
+            project(GeoPoint(ts.columns.lat, ts.columns.lon), ctx)
         tracks.append(tr)
     det_tracks, gt_tracks = tracks
     test_points = default_test_points(route, n_test_points)

@@ -13,15 +13,15 @@ from the chronological per-frame matches.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from itertools import chain, permutations
-from operator import attrgetter, itemgetter
+from itertools import permutations
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DataFrame, GeoPoint, ProjectionContext, TrajectorySet, project, string_codes
+from .core import (SOURCE_DETECTION, SOURCE_GROUND_TRUTH, DataFrame, GeoPoint, ProjectionContext,
+                   TrajectorySet, project, recode)
 from .errors import EvalError
 
 # Absolute tolerance for "equal total cost" during tie-break refinement.
@@ -40,18 +40,37 @@ _ROUNDING_PER_TERM = 64 * np.finfo(float).eps
 _SMALL = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePairing:
-    """Detection frames aligned to gt frames, plus the leftovers.
+    """Detection frames aligned to gt frames, plus the leftovers, as frame
+    indices into the two sets.
 
-    fp_only holds detection frames with no gt frame within max_gap but one
-    within 2x max_gap (scored as all false positives); n_dropped counts
-    detection frames outside gt coverage entirely.
+    Detection frame det_frames[k] pairs with gt frame gt_frames[k], in
+    ascending detection order. fp_frames are the detection frames with no
+    gt frame within max_gap but one within 2x max_gap (scored as all false
+    positives); n_dropped counts detection frames outside gt coverage
+    entirely. pairs and fp_only give the frames themselves.
     """
 
-    pairs: tuple[tuple[DataFrame, DataFrame], ...]
-    fp_only: tuple[DataFrame, ...]
-    n_dropped: int
+    det: TrajectorySet
+    gt: TrajectorySet
+    det_frames: np.ndarray
+    gt_frames: np.ndarray
+    fp_frames: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[DataFrame, DataFrame], ...]:
+        det, gt = self.det.frames, self.gt.frames
+        index = zip(self.det_frames.tolist(), self.gt_frames.tolist())
+        return tuple((det[k], gt[j]) for k, j in index)
+
+    @property
+    def fp_only(self) -> tuple[DataFrame, ...]:
+        return tuple(self.det.frames[k] for k in self.fp_frames.tolist())
+
+    @property
+    def n_dropped(self) -> int:
+        return len(self.det.frame_times) - len(self.det_frames) - len(self.fp_frames)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -342,12 +361,14 @@ def match_frames_by_time(
     """Align each detection frame with the gt frame nearest (t − latency).
 
     Equidistant gt frames go to the earlier one. max_gap_s defaults to half
-    the median detection frame interval. A detection frame whose nearest gt
-    frame is farther than max_gap but within twice of it is kept as an
-    all-FP frame (boundary raggedness); anything farther lies outside the
-    trial window and is dropped. Raises ValueError on a non-finite latency.
+    the median detection frame interval; with fewer than two detection
+    frames, half the median gt frame interval, and 0.5 s when neither side
+    has two frames. A detection frame whose nearest gt frame is farther
+    than max_gap but within twice of it is kept as an all-FP frame
+    (boundary raggedness); anything farther lies outside the trial window
+    and is dropped. Raises ValueError on a non-finite latency.
     """
-    if not gt.frames:
+    if not len(gt.frame_times):
         raise EvalError("ground truth contains no frames")
     if not math.isfinite(latency_s):
         raise ValueError(f"latency_s must be finite, got {latency_s}")
@@ -364,19 +385,29 @@ def match_frames_by_time(
     after = gt_times[np.minimum(i, last)]
     i -= (i > 0) & ((i > last) | (target - before <= after - target))
     gap = np.abs(gt_times[i] - target)
-    paired = np.flatnonzero(gap <= max_gap_s).tolist()
-    near = np.flatnonzero((gap > max_gap_s) & (gap <= 2.0 * max_gap_s)).tolist()
-    pairs = tuple((det.frames[k], gt.frames[j]) for k, j in zip(paired, i[paired].tolist()))
-    fp_only = tuple(det.frames[k] for k in near)
-    return FramePairing(pairs, fp_only, len(det.frames) - len(pairs) - len(fp_only))
+    paired = np.flatnonzero(gap <= max_gap_s)
+    near = np.flatnonzero((gap > max_gap_s) & (gap <= 2.0 * max_gap_s))
+    return FramePairing(det, gt, paired, i[paired], near)
+
+
+def _as_pairing(pairs: FramePairing | Sequence[tuple[DataFrame, DataFrame]]) -> FramePairing:
+    """A pairing as it is, or explicit frame pairs as a pairing of two sets
+    of those frames, frame k with frame k."""
+    if isinstance(pairs, FramePairing):
+        return pairs
+    det = TrajectorySet(tuple(df for df, _ in pairs), SOURCE_DETECTION)
+    gt = TrajectorySet(tuple(gf for _, gf in pairs), SOURCE_GROUND_TRUTH)
+    k = np.arange(len(pairs))
+    return FramePairing(det, gt, k, k, k[:0])
 
 
 def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     for ts in (det, gt):
-        times = ts.frame_times.tolist()
-        if len(times) >= 2:
-            # statistics.median, not np.median: the latter imports numpy.ma
-            return 0.5 * statistics.median(b - a for a, b in zip(times, times[1:]))
+        if len(ts.frame_times) >= 2:
+            # half the median by a sort, as statistics.median takes it; not
+            # np.median, which imports numpy.ma
+            gaps = np.sort(np.diff(ts.frame_times))
+            return 0.25 * float(gaps[(len(gaps) - 1) // 2] + gaps[len(gaps) // 2])
     return 0.5
 
 
@@ -384,43 +415,52 @@ def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
 class _Blocks:
     """Distance blocks of the aligned frame pairs with points on both sides.
 
-    live[k] is such a pair's index in the pairing. The object ids of its
-    rows[k] detection points and then its gt points sit in ids from
-    start[k]. shapes maps each (rows, cols) that occurs to the indices k of
-    its frames, in pair order, and their blocks stacked as one (frames,
-    rows, cols) array: the one layout both point_match and
+    live[k] is such a pair's index in the pairing. The object id codes of
+    its rows[k] detection points and then its gt points sit in ident from
+    start[k], detection codes into the detection set's ids and gt codes
+    into the gt set's. shapes maps each (rows, cols) that occurs to the
+    indices k of its frames, in pair order, and their blocks stacked as one
+    (frames, rows, cols) array: the one layout both point_match and
     association_match read.
     """
 
-    live: list[int]
-    ids: list[str]
+    live: np.ndarray
+    ident: np.ndarray
     start: np.ndarray
     rows: np.ndarray
     shapes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
-def _distance_blocks(
-    pairs: Sequence[tuple[DataFrame, DataFrame]], ctx: ProjectionContext
-) -> _Blocks:
-    """Project the points of the pairs with points on both sides, in one
-    call and in pair order, detections first, and stack their distances
-    per frame shape.
+def _distance_blocks(pairing: FramePairing, ctx: ProjectionContext) -> _Blocks:
+    """Gather the points of the pairs with points on both sides from the
+    sets' columns, in pair order, detections first, project them in one
+    call, and stack their distances per frame shape.
 
     Projecting in that order names the same far point as matching the
-    pairs one by one would; points of a pair with an empty side are never
-    projected. Raises ValueError naming the categories when those points
-    hold more than one: matching scores one category per call.
+    pairs one by one would; points of a pair with an empty side, and of
+    frames no pair holds, are never projected. Raises ValueError naming the
+    categories when those points hold more than one: matching scores one
+    category per call.
     """
-    live = [k for k, (df, gf) in enumerate(pairs) if df.points and gf.points]
-    points = [p for k in live for f in pairs[k] for p in f.points]
-    categories = set(map(attrgetter("category"), points))
-    if len(categories) > 1:
-        raise ValueError(f"matching takes one category per call, got {sorted(categories)}")
-    geo = np.fromiter(chain.from_iterable(p.position for p in points), float, 2 * len(points))
-    x, y = project(GeoPoint(geo[0::2], geo[1::2]), ctx)
-    rows = np.array([len(pairs[k][0].points) for k in live], dtype=np.intp)
-    cols = np.array([len(pairs[k][1].points) for k in live], dtype=np.intp)
-    start = np.cumsum(rows + cols) - (rows + cols)
+    det, gt = pairing.det.columns, pairing.gt.columns
+    d0, g0 = det.offsets[pairing.det_frames], gt.offsets[pairing.gt_frames]
+    d_n, g_n = det.offsets[pairing.det_frames + 1] - d0, gt.offsets[pairing.gt_frames + 1] - g0
+    live = np.flatnonzero((d_n > 0) & (g_n > 0))
+    rows, cols = d_n[live], g_n[live]
+    # each live pair's detection rows, then its gt rows, in the columns of
+    # both sets laid end to end
+    size = np.stack([rows, cols], axis=1).ravel()
+    first = np.stack([d0[live], g0[live] + len(det.lat)], axis=1).ravel()
+    end = np.cumsum(size)
+    index = np.arange(size.sum()) + np.repeat(first - end + size, size)
+    category = np.concatenate([det.category, gt.category + len(det.categories)])[index]
+    present = set(recode(category, det.categories + gt.categories)[1])
+    if len(present) > 1:
+        raise ValueError(f"matching takes one category per call, got {sorted(present)}")
+    pairs = (det.lat, gt.lat), (det.lon, gt.lon), (det.ident, gt.ident)
+    lat, lon, ident = (np.concatenate(pair)[index] for pair in pairs)
+    x, y = project(GeoPoint(lat, lon), ctx)
+    start = end[0::2] - rows
     shapes = {}
     # a set, not np.unique: the latter imports numpy.ma on first use
     for n_rows, n_cols in sorted(set(zip(rows.tolist(), cols.tolist()))):
@@ -428,50 +468,52 @@ def _distance_blocks(
         di = start[frames, None, None] + np.arange(n_rows)[:, None]
         gi = start[frames, None, None] + n_rows + np.arange(n_cols)
         shapes[n_rows, n_cols] = frames, np.hypot(x[di] - x[gi], y[di] - y[gi])
-    return _Blocks(live, [p.object_id for p in points], start, rows, shapes)
+    return _Blocks(live, ident, start, rows, shapes)
 
 
-def point_totals(pairing: FramePairing, gt: TrajectorySet) -> tuple[int, int]:
+def point_totals(pairing: FramePairing) -> tuple[int, int]:
     """(detection, gt) point counts that a pairing's rates are taken over.
 
     Detections count in paired and FP-only frames. Gt counts in paired
     frames only, or in full when nothing pairs: detections that never
     overlap the trial window leave every gt point unexplained.
     """
-    det_total = sum(len(df.points) for df, _ in pairing.pairs)
-    det_total += sum(len(df.points) for df in pairing.fp_only)
-    if pairing.pairs:
-        gt_total = sum(len(gf.points) for _, gf in pairing.pairs)
-    else:
-        gt_total = sum(len(f.points) for f in gt.frames)
-    return det_total, gt_total
+    det_n = np.diff(pairing.det.columns.offsets)
+    gt_n = np.diff(pairing.gt.columns.offsets)
+    det_total = det_n[pairing.det_frames].sum() + det_n[pairing.fp_frames].sum()
+    gt_total = gt_n[pairing.gt_frames].sum() if len(pairing.gt_frames) else gt_n.sum()
+    return int(det_total), int(gt_total)
 
 
 class Matches(NamedTuple):
     """point_match's true positives, one row each, in pair order and within
     a pair in detection order: the frame pair's index, the detection's and
-    the gt point's positions in ids, and their distance in meters."""
+    the gt point's object id codes, and their distance in meters. The codes
+    index det_ids and gt_ids, which are in string order."""
 
     pair: np.ndarray
     det: np.ndarray
     gt: np.ndarray
     dist: np.ndarray
-    ids: list[str]
+    det_ids: list[str]
+    gt_ids: list[str]
 
 
 def point_match(
-    pairs: Sequence[tuple[DataFrame, DataFrame]],
+    pairs: FramePairing | Sequence[tuple[DataFrame, DataFrame]],
     threshold_m: float,
     ctx: ProjectionContext,
 ) -> Matches:
     """Optimal one-to-one point matching within each aligned frame pair.
 
-    Returns the true positives as one Matches table. The assignment
-    minimizes total distance without regard to the threshold, which only
-    classifies afterwards: an assigned pair beyond it contributes a FP and
-    a FN, so a pair's FPs are its detections less its TPs, and likewise its
-    FNs. The pairs hold one category's points, as metrics passes them after
-    filter_category; points of more than one category raise ValueError.
+    Takes match_frames_by_time's pairing, or explicit (detection, gt)
+    frame pairs. Returns the true positives as one Matches table. The
+    assignment minimizes total distance without regard to the threshold,
+    which only classifies afterwards: an assigned pair beyond it
+    contributes a FP and a FN, so a pair's FPs are its detections less its
+    TPs, and likewise its FNs. The pairs hold one category's points, as
+    metrics passes them after filter_category; points of more than one
+    category raise ValueError.
     _solve_small settles each stack of line frames (one point on a side)
     or of frames of at most three points a side at once, by one rule for
     both. The frames of the other stacks, and the near-ties the kernel
@@ -479,7 +521,8 @@ def point_match(
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    blocks = _distance_blocks(pairs, ctx)
+    pairing = _as_pairing(pairs)
+    blocks = _distance_blocks(pairing, ctx)
     # every assigned pair as (live frame, detection row, gt column, distance)
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]
     unsettled: list[tuple[int, np.ndarray]] = []
@@ -500,10 +543,10 @@ def point_match(
     keep = np.flatnonzero(dist <= threshold_m)
     keep = keep[np.argsort(frame[keep], kind="stable")]
     frame = frame[keep]
-    det = blocks.start[frame] + rows[keep]
-    gt = blocks.start[frame] + blocks.rows[frame] + cols[keep]
-    pair = np.array(blocks.live, dtype=np.intp)[frame]
-    return Matches(pair, det, gt, dist[keep], blocks.ids)
+    det = blocks.ident[blocks.start[frame] + rows[keep]]
+    gt = blocks.ident[blocks.start[frame] + blocks.rows[frame] + cols[keep]]
+    ids = pairing.det.columns.ids, pairing.gt.columns.ids
+    return Matches(blocks.live[frame], det, gt, dist[keep], *ids)
 
 
 def count_id_switches(matches: Matches) -> int:
@@ -511,13 +554,12 @@ def count_id_switches(matches: Matches) -> int:
 
     Takes point_match's table, whose pairs must be in ascending frame-time
     order. Re-acquiring a previously used id after a switch counts again
-    (A,B,A is two switches). A stable sort by gt id keeps each gt object's
-    matches in time order, so a switch is two neighbours with the same gt
-    id and different detection ids.
+    (A,B,A is two switches). A stable sort by gt id code keeps each gt
+    object's matches in time order, so a switch is two neighbours with the
+    same gt id and different detection ids.
     """
-    codes = string_codes(matches.ids)
-    order = np.argsort(codes[matches.gt], kind="stable")
-    gt, det = codes[matches.gt[order]], codes[matches.det[order]]
+    order = np.argsort(matches.gt, kind="stable")
+    gt, det = matches.gt[order], matches.det[order]
     return int(np.count_nonzero((gt[1:] == gt[:-1]) & (det[1:] != det[:-1])))
 
 
@@ -543,15 +585,16 @@ def association_match(
     filter_category; aligned frames mixing categories raise ValueError.
     """
     pairing = match_frames_by_time(det, gt, latency_s, max_gap_s)
-    blocks = _distance_blocks(pairing.pairs, ctx)
+    blocks = _distance_blocks(pairing, ctx)
     hits = [np.empty((2, 0), np.intp)]
     for frames, block in blocks.shapes.values():
         f, i, j = np.nonzero(block <= threshold_m)
         first = blocks.start[frames[f]]
         hits.append(np.stack([first + i, first + block.shape[1] + j]))
-    det_hits, gt_hits = np.concatenate(hits, axis=1).tolist()
-    rows = string_codes([blocks.ids[k] for k in det_hits])
-    cols = string_codes([blocks.ids[k] for k in gt_hits])
+    det_hits, gt_hits = blocks.ident[np.concatenate(hits, axis=1)]
+    # the co-count matrix has a line for each id with a hit, in id order
+    rows = recode(det_hits, det.columns.ids)[0]
+    cols = recode(gt_hits, gt.columns.ids)[0]
     neg = np.zeros((rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     np.subtract.at(neg, (rows, cols), 1)
     return -int(neg[linear_sum_assignment(neg)[:2]].sum())

@@ -155,8 +155,8 @@ def _match_category(
     det_c = filter_category(det, category)
     gt_c = filter_category(gt, category)
     pairing = match_frames_by_time(det_c, gt_c, latency_s, max_gap_s)
-    matches = point_match(pairing.pairs, threshold_m, ctx)
-    det_total, gt_total = point_totals(pairing, gt_c)
+    matches = point_match(pairing, threshold_m, ctx)
+    det_total, gt_total = point_totals(pairing)
     return det_c, gt_c, matches, det_total, gt_total
 
 

@@ -24,10 +24,12 @@ from roadside_eval.core import (
     project,
     time_span,
     Trajectory,
+    TrajectorySet,
     trajectory_arrays,
     unproject,
     validate_geo,
 )
+from roadside_eval import core as core_mod
 from roadside_eval.errors import IntegrityError, ProjectionRangeError
 
 from conftest import ORIGIN, dp, haversine_m, line_points
@@ -434,6 +436,42 @@ def _seeded_frames(seed, per_frame_ids, categories):
         frames.append(DataFrame(t, tuple(sorted(pts, key=lambda p: p.object_id))))
     rng.shuffle(frames)
     return frames
+
+
+def _columns_equal(a, b) -> bool:
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
+    )
+
+
+class TestColumns:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_grouping_codes_equal_a_pass_over_the_frames(self, seed):
+        # build_trajectory_set hands over the id codes it grouped by
+        points = [p for f in _seeded_frames(seed, True, ["vehicle", "pedestrian"])
+                  for p in f.points]
+        points += [DataPoint(50.0 + 0.1 * k, ORIGIN, "vehicle", f"obj-{k % 3}") for k in range(9)]
+        random.Random(seed).shuffle(points)
+        ts = build_trajectory_set(points)
+        rebuilt = from_frames(ts.frames, "detection")
+        assert "_id_codes" in ts.__dict__ and "_id_codes" not in rebuilt.__dict__
+        assert _columns_equal(ts.columns, rebuilt.columns)
+        cols = ts.columns
+        assert cols.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
+        assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
+        assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
+        assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
+
+    def test_codes_stay_with_points_the_frame_sort_moves(self, ctx, monkeypatch):
+        # were from_frames to reorder the frames, the grouping's codes would
+        # no longer be in frame order, and are not handed over
+        def reversed_frames(frames, source):
+            return TrajectorySet(tuple(reversed(frames)), source)
+
+        monkeypatch.setattr(core_mod, "from_frames", reversed_frames)
+        ts = build_trajectory_set([dp(1.0, 0, 0, ctx, object_id="b"), dp(2.0, 0, 0, ctx, object_id="a")])
+        assert "_id_codes" not in ts.__dict__
+        assert [ts.columns.ids[k] for k in ts.columns.ident] == ["a", "b"]
 
 
 class TestOnDemandTrajectories:

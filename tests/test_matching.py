@@ -6,9 +6,11 @@ import json
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from scipy.optimize import linear_sum_assignment as scipy_assignment
 from roadside_eval import matching
 from roadside_eval.core import (
     DataFrame,
+    DataPoint,
+    GeoPoint,
     build_trajectory_set,
     filter_category,
     from_frames,
@@ -446,6 +450,16 @@ def _aligned_by_loop(det, gt, latency_s, max_gap_s):
     return tuple(pairs), tuple(fp_only), n_dropped
 
 
+def _default_gap(det, gt) -> float:
+    """The documented default max_gap: half the median detection frame
+    interval, else half the median gt one, else 0.5 s."""
+    for ts in (det, gt):
+        times = [f.timestamp_s for f in ts.frames]
+        if len(times) >= 2:
+            return 0.5 * statistics.median(b - a for a, b in zip(times, times[1:]))
+    return 0.5
+
+
 class TestAlignmentAgainstLoop:
     """match_frames_by_time must pair exactly as the per-frame loop did."""
 
@@ -489,11 +503,60 @@ class TestAlignmentAgainstLoop:
     def test_default_gap_and_empty_detections_match_loop(self, ctx):
         for det, gt, latency, _ in self._grids(18, 100):
             got = match_frames_by_time(det, gt, latency)
-            want = _aligned_by_loop(det, gt, latency, matching._default_max_gap(det, gt))
+            want = _aligned_by_loop(det, gt, latency, _default_gap(det, gt))
             assert (got.pairs, got.fp_only, got.n_dropped) == want
         gt = build_trajectory_set(line_points(ctx, n=5), source="ground_truth")
         empty = match_frames_by_time(from_frames([], "detection"), gt, 0.0)
         assert (empty.pairs, empty.fp_only, empty.n_dropped) == ((), (), 0)
+
+
+def _side_frames(prefix: str):
+    """Frames on a 0.125 s grid of up to four points, each a vehicle or a
+    pedestrian: empty frames, frames of one category and mixed ones."""
+    point = st.tuples(st.integers(0, 5), st.sampled_from(["vehicle", "pedestrian"]))
+    frame = st.tuples(st.integers(0, 16), st.lists(point, max_size=4, unique_by=itemgetter(0)))
+
+    def build(frames):
+        return from_frames([
+            DataFrame(1000.0 + 0.125 * tick, tuple(
+                DataPoint(1000.0 + 0.125 * tick, GeoPoint(42.3 + 1e-5 * i, -83.7), cat, f"{prefix}{i}")
+                for i, cat in sorted(points)
+            ))
+            for tick, points in frames
+        ], "detection" if prefix == "d" else "ground_truth")
+
+    return st.lists(frame, max_size=10, unique_by=itemgetter(0)).map(build)
+
+
+class TestColumnarSets:
+    """filter_category and match_frames_by_time read a set's columns; their
+    frames must be what the per-frame loops give."""
+
+    @given(det=_side_frames("d"), gt=_side_frames("g"),
+           category=st.sampled_from(["vehicle", "pedestrian", "cyclist"]),
+           latency=st.sampled_from([0.0, 0.125, -0.25]),
+           max_gap=st.sampled_from([None, 0.0625, 0.125]))
+    def test_filter_and_alignment_match_the_loops(self, det, gt, category, latency, max_gap):
+        kept = {}
+        for ts in (det, gt):
+            got = filter_category(ts, category)
+            if ts.categories <= {category}:
+                assert got is ts
+            assert filter_category(got, category) is got
+            # the alignment reads the filtered sets before their frames exist
+            kept[ts.source] = got
+        det_c, gt_c = kept["detection"], kept["ground_truth"]
+        if gt_c.frames:
+            got = match_frames_by_time(det_c, gt_c, latency, max_gap)
+            gap = _default_gap(det_c, gt_c) if max_gap is None else max_gap
+            want = _aligned_by_loop(det_c, gt_c, latency, gap)
+            assert (got.pairs, got.fp_only, got.n_dropped) == want
+        for ts, got in ((det, det_c), (gt, gt_c)):
+            want = tuple(
+                DataFrame(f.timestamp_s, tuple([p for p in f.points if p.category == category]))
+                for f in ts.frames
+            )
+            assert got.frames == want
 
 
 def _per_pair_distances(det, gt, ctx) -> np.ndarray:
@@ -525,7 +588,7 @@ def _per_pair(m: Matches, n_pairs: int) -> list[tuple]:
     shape: each pair's TPs as (detection id, gt id, distance), in order."""
     out = [[] for _ in range(n_pairs)]
     for k, d, g, dist in zip(m.pair.tolist(), m.det.tolist(), m.gt.tolist(), m.dist.tolist()):
-        out[k].append((m.ids[d], m.ids[g], dist))
+        out[k].append((m.det_ids[d], m.gt_ids[g], dist))
     return list(map(tuple, out))
 
 
@@ -694,11 +757,49 @@ class TestBatchedPointMatch:
         assert out.stderr.splitlines()[-1] == "False"
 
 
+class TestFarPointsThroughReports:
+    """compute_report projects only the points of frame pairs with points
+    on both sides, in pair order, detections first."""
+
+    @staticmethod
+    def _trial(ctx, far_paired):
+        # gt frame 5 holds only a pedestrian, so the vehicle filter empties it
+        gt = []
+        for k in range(10):
+            t = 1000.0 + 0.1 * k
+            point = dp(t, k, 0.0, ctx, "pedestrian", "p1") if k == 5 else dp(t, k, 0.0, ctx, object_id="g1")
+            gt.append(DataFrame(t, (point,)))
+        det = [DataFrame(f.timestamp_s, (dp(f.timestamp_s, k + 0.1, 0.0, ctx, object_id="d1"),))
+               for k, f in enumerate(gt) if k != 5]
+        # 20 km away: one-sided (paired with the emptied frame), FP-only
+        # (0.08 s past the last gt frame) and dropped
+        for t in (1000.5, 1000.98, 1010.0):
+            det.append(DataFrame(t, (dp(t, 20_000.0, 0.0, ctx, object_id="d9"),)))
+        for k, x, oid in far_paired:
+            det[k] = DataFrame(det[k].timestamp_s, det[k].points + (
+                dp(det[k].timestamp_s, x, 0.0, ctx, object_id=oid),))
+        return from_frames(det, "detection"), from_frames(gt, "ground_truth")
+
+    def test_unscored_far_points_never_raise(self, ctx):
+        det, gt = self._trial(ctx, [])
+        report = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx, max_gap_s=0.05)
+        # 9 paired detections, and the one-sided and FP-only far ones
+        assert (report.counts.tp, report.counts.det_total) == (9, 11)
+
+    def test_paired_far_point_raises_naming_the_first(self, ctx):
+        det, gt = self._trial(ctx, [(3, -15_000.0, "d7"), (6, 12_000.0, "d8")])
+        with pytest.raises(ProjectionRangeError) as want:
+            project(det.frames[3].points[1].position, ctx)
+        with pytest.raises(ProjectionRangeError) as got:
+            compute_report(det, gt, 0.0, 1.5, "vehicle", ctx, max_gap_s=0.05)
+        assert str(got.value) == str(want.value)
+
+
 class TestPointMatch:
     def test_both_empty(self, ctx):
         m = point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx)
         assert _per_pair(m, 1) == [()]
-        assert [len(column) for column in m] == [0] * 5
+        assert [len(column) for column in m] == [0] * 6
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
@@ -740,6 +841,11 @@ class TestPointMatch:
             association_match(
                 from_frames([det], "detection"), from_frames([gt], "ground_truth"), 0.0, 1.5, ctx
             )
+        # one frame mixing categories against one of either
+        mixed = DataFrame(1.0, det.points + (dp(1.0, 1, 0, ctx, object_id="d2"),))
+        for pairs in ([(mixed, gt)], [(gt, mixed)]):
+            with pytest.raises(ValueError, match=named):
+                point_match(pairs, 1.5, ctx)
         # a frame with an empty side is never matched, so its category is free
         empty = DataFrame(1.0, ())
         assert _per_pair(point_match([(det, empty), (empty, gt)], 1.5, ctx), 2) == [(), ()]
@@ -785,18 +891,12 @@ class TestPointMatch:
 
 
 def _table(frames: list[list[tuple[str, str]]]) -> Matches:
-    """A Matches table of frames of (detection id, gt id) matches, laid out
-    as point_match lays out ids: each frame's detections, then its gt."""
-    ids: list[str] = []
-    pair, det, gt = [], [], []
-    for k, frame in enumerate(frames):
-        n = len(frame)
-        pair += [k] * n
-        det += range(len(ids), len(ids) + n)
-        gt += range(len(ids) + n, len(ids) + 2 * n)
-        ids += [d for d, _ in frame] + [g for _, g in frame]
-    index = [np.array(a, dtype=np.intp) for a in (pair, det, gt)]
-    return Matches(*index, np.zeros(len(pair)), ids)
+    """A Matches table of frames of (detection id, gt id) matches, with the
+    ids coded in string order as point_match codes them."""
+    pair = [k for k, frame in enumerate(frames) for _ in frame]
+    det, det_ids = string_codes([d for frame in frames for d, _ in frame])
+    gt, gt_ids = string_codes([g for frame in frames for _, g in frame])
+    return Matches(np.array(pair, dtype=np.intp), det, gt, np.zeros(len(pair)), det_ids, gt_ids)
 
 
 def _switches_by_walk(m: Matches) -> int:
@@ -806,7 +906,7 @@ def _switches_by_walk(m: Matches) -> int:
     last_id: dict[str, str] = {}
     switches = 0
     for d, g in zip(m.det.tolist(), m.gt.tolist()):
-        d, g = m.ids[d], m.ids[g]
+        d, g = m.det_ids[d], m.gt_ids[g]
         if g in last_id and last_id[g] != d:
             switches += 1
         last_id[g] = d
@@ -851,7 +951,8 @@ class TestIdSwitches:
         assert count_id_switches(frames) == 2
 
     def test_codes_follow_string_order(self):
-        assert string_codes(["g2", "g10", "A", "g2"]).tolist() == [2, 1, 0, 2]
+        codes, names = string_codes(["g2", "g10", "A", "g2"])
+        assert codes.tolist() == [2, 1, 0, 2] and names == ["A", "g10", "g2"]
 
     # frames of several interleaved gt ids, each matched at most once per
     # frame in any order, with gaps and re-acquisitions (A, B, A); "x" is
@@ -991,7 +1092,7 @@ class TestAssociationMatch:
             for i, j in zip(*np.nonzero(dist <= threshold_m)):
                 key = (df.points[i].object_id, gf.points[j].object_id)
                 co_counts[key] = co_counts.get(key, 0) + 1
-        det_total, gt_total = matching.point_totals(pairing, gt)
+        det_total, gt_total = matching.point_totals(pairing)
         det_ids = sorted({d for d, _ in co_counts})
         gt_ids = sorted({g for _, g in co_counts})
         neg = np.zeros((len(det_ids), len(gt_ids)))

@@ -470,6 +470,22 @@ class TestFramesGroupedOnFirstRead:
         assert len(made) == 2 and tracked == [0, 0] and len(gt.bounds) == 3
         assert not any("frames" in g.__dict__ for g in made)
 
+    def test_monte_carlo_and_degrade_build_no_columns(self, ctx, monkeypatch):
+        # scoring's columnar view is built on a set's first read of it; the
+        # replay reads trajectories only, so none of its sets builds one
+        built = []
+        monkeypatch.setattr(TrajectorySet, "columns", property(built.append))
+        model = ErrorModel(latency_mean_s=0.5, latency_std_s=0.1, noise_sigma_m=0.2,
+                           det_rate_hz=5.0)
+        monte_carlo_validate(model, default_latency_route(5.0, window_m=20.0), n_runs=100,
+                             master_seed=1, gt_rate_hz=5.0)
+        gt = generate_scenario(spec_for(duration=20.0), ctx)
+        noisy = ErrorModel(noise_sigma_m=0.2, miss_prob=0.05, clutter_rate=0.5,
+                           id_switch_prob=0.01)
+        for model in (noisy, ErrorModel(noise_sigma_m=0.2)):
+            degrade(gt, model, ctx, rng=3)
+        assert built == []
+
 
 class TestSwapObjectIds:
     def test_swap_after_time(self, ctx):
