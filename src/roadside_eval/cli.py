@@ -126,9 +126,9 @@ def _sha256(path: str) -> str:
 
 
 def _load_set(path: str, source: str) -> tuple[TrajectorySet, IngestReport]:
-    points, report = read_points(path)
+    rec, report = read_points(path)
     try:
-        return build_trajectory_set(points, source=source), report
+        return build_trajectory_set(rec, source=source), report
     except IntegrityError as exc:
         lines = " and ".join(str(report.point_lines[k]) for k in exc.records)
         raise IntegrityError(f"{path}: {exc} (lines {lines})") from None
@@ -168,13 +168,12 @@ def _parse_origin(text: str) -> GeoPoint:
 
 
 def _default_origin(gt: TrajectorySet) -> GeoPoint:
-    """First ground-truth point, rounded to 0.01 degrees (about 1 km)."""
-    for frame in gt.frames:
-        for p in frame.points:
-            return GeoPoint(
-                round(p.position.lat_deg, 2), round(p.position.lon_deg, 2)
-            )
-    raise EvalError("ground truth contains no usable points")
+    """First ground-truth point, rounded to 0.01 degrees (about 1 km): row 0
+    of the columns, which hold the points in frame order."""
+    cols = gt.columns
+    if not len(cols.t):
+        raise EvalError("ground truth contains no usable points")
+    return GeoPoint(round(cols.lat[0].item(), 2), round(cols.lon[0].item(), 2))
 
 
 def _projection(args: argparse.Namespace, gt: TrajectorySet) -> ProjectionContext:

@@ -1,18 +1,21 @@
 """Core data model: points, frames, trajectories, and a local tangent plane.
 
-A recording from either a perception system or an RTK-GPS logger reduces to
-a list of :class:`DataPoint` (timestamp, position, category, object id).
-Points grouped by time form a :class:`DataFrame`, and a
-:class:`TrajectorySet` holds a recording's frames in time order and its
-trajectories. Either view is given, and the other is grouped from it on
-first use. Scoring reads a third view, built from the frames on first use:
-the points' :class:`PointColumns`, whose per-frame offsets let
-filter_category mask rows and matching gather points by index. The Monte
-Carlo replay reads trajectories only, so it never builds columns. A
-:class:`Trajectory` is its rows: one object id's (time, lat, lon) in time
-order, as one read-only array. trajectory_arrays projects rows, of one
-trajectory or many laid end to end, into plane tracks, which time_span
-cuts by index, one span or many at once.
+A recording from either a perception system or an RTK-GPS logger is a
+:class:`Recording`: its rows' (timestamp, lat, lon, category, object id)
+in record order, one array per field. build_trajectory_set groups it by
+time into frames (:class:`DataFrame`, each a tuple of :class:`DataPoint`),
+and a :class:`TrajectorySet` holds a recording's frames in time order and
+its trajectories. Either view is given, and the other is grouped from it
+on first use. Scoring reads a third view: the points' :class:`PointColumns`,
+whose per-frame offsets let filter_category mask rows and matching gather
+points by index. build_trajectory_set hands over the sorted rows it
+grouped as the columns; a set built from explicit frames builds them from
+its frames on first use. The Monte Carlo replay reads trajectories only,
+so it never builds columns. A :class:`Trajectory` is its rows: one object
+id's (time, lat, lon) in time order, as one read-only array.
+trajectory_arrays projects rows, of one trajectory or many laid end to
+end, into plane tracks, which time_span cuts by index, one span or many
+at once.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -105,12 +108,51 @@ class DataFrame(NamedTuple):
     points: tuple[DataPoint, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Recording:
+    """A recording's rows in record order, one array per field: each row's
+    time, lat and lon, and its category and object id as codes into
+    categories and ids, the distinct names among the rows in string order.
+    len() counts the rows."""
+
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    category: np.ndarray
+    categories: list[str]
+    ident: np.ndarray
+    ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, index: np.ndarray) -> Recording:
+        """The rows at index, in its order, coded into the same names."""
+        return Recording(self.t[index], self.lat[index], self.lon[index], self.category[index],
+                         self.categories, self.ident[index], self.ids)
+
+    def points(self) -> list[DataPoint]:
+        """The rows as DataPoints, in order."""
+        # names gathered as objects: the name strings themselves, in one pass
+        return list(_bulk_points(np.stack((self.t, self.lat, self.lon), axis=1),
+                                 np.array(self.categories, object)[self.category].tolist(),
+                                 np.array(self.ids, object)[self.ident].tolist()))
+
+
+def _as_recording(points: Sequence[DataPoint]) -> Recording:
+    geo = np.fromiter(chain.from_iterable(map(_POSITION, points)), float, 2 * len(points))
+    return Recording(np.fromiter(map(_BY_TIME, points), float, len(points)), geo[0::2], geo[1::2],
+                     *string_codes(list(map(_CATEGORY, points))),
+                     *string_codes(list(map(_OBJECT_ID, points))))
+
+
 class PointColumns(NamedTuple):
     """A set's points in frame order, one array per field: frame k's points
     are rows offsets[k]:offsets[k + 1]. Each point's category and object id
     are codes into categories and ids, the distinct names among the points
     in string order."""
 
+    t: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
     category: np.ndarray
@@ -138,9 +180,10 @@ class TrajectorySet:
 
     Either view is given, and the other is grouped from it on first use:
     the constructor and from_frames take frames, from_trajectories takes
-    trajectories. The columns are built from the frames on first read,
-    with the id codes build_trajectory_set grouped by, or given by
-    filter_category. Equality and hashing compare frames and source.
+    trajectories. The columns are handed over whole by
+    build_trajectory_set or filter_category, or else built from the
+    frames on first read; so are the frame times. Equality and hashing
+    compare frames and source.
 
     Invariant: each trajectory's rows are the (time, lat, lon) of exactly
     the frames' points with its id (empty frames add nothing). It holds by
@@ -170,18 +213,8 @@ class TrajectorySet:
     def columns(self) -> PointColumns:
         """The points in frame order as read-only columns, from one pass
         over the frames."""
-        points = self.all_points()
-        geo = np.fromiter(chain.from_iterable(map(_POSITION, points)), float, 2 * len(points))
-        category, categories = string_codes(list(map(_CATEGORY, points)))
         offsets = np.cumsum([0, *map(len, map(_POINTS, self.frames))])
-        return _read_only(PointColumns(geo[0::2], geo[1::2], category, categories, *self._id_codes,
-                                       offsets))
-
-    @cached_property
-    def _id_codes(self) -> tuple[np.ndarray, list[str]]:
-        """string_codes of the points' object ids in frame order, unless
-        build_trajectory_set handed over the codes it grouped by."""
-        return string_codes(list(map(_OBJECT_ID, self.all_points())))
+        return _columns(_as_recording(self.all_points()), offsets)
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -195,9 +228,8 @@ class TrajectorySet:
         cols = self.columns
         if not cols.ids:
             return ()
-        times = np.fromiter(map(_BY_TIME, self.all_points()), float, len(cols.ident))
-        order = np.lexsort((times, cols.ident))
-        rows = np.stack([times, cols.lat, cols.lon], axis=1)[order]
+        order = np.lexsort((cols.t, cols.ident))
+        rows = np.stack([cols.t, cols.lat, cols.lon], axis=1)[order]
         rows.flags.writeable = False
         bounds = np.searchsorted(cols.ident[order], np.arange(len(cols.ids) + 1)).tolist()
         table = np.zeros((len(cols.ids), len(cols.categories)), np.intp)
@@ -297,37 +329,41 @@ def _read_only(cols: PointColumns) -> PointColumns:
     return cols
 
 
+def _columns(rec: Recording, offsets: np.ndarray) -> PointColumns:
+    """Read-only columns of rows in frame order, which fall into frames at offsets."""
+    return _read_only(PointColumns(rec.t, rec.lat, rec.lon, rec.category, rec.categories,
+                                   rec.ident, rec.ids, offsets))
+
+
 def build_trajectory_set(
-    points: Iterable[DataPoint],
+    records: Recording | Sequence[DataPoint],
     source: str = SOURCE_DETECTION,
 ) -> TrajectorySet:
-    """Group points by time into frames.
+    """Group a recording's rows, or points, by time into frames.
 
-    Points whose timestamps fall into the same FRAME_BIN_S bin share a
+    Rows whose timestamps fall into the same FRAME_BIN_S bin share a
     frame. The result is independent of input order: frames are ordered by
     time, and points within a frame by object id: one stable sort on (bin,
-    id) groups them. A frame's stamp is the fsum mean of its times.
+    id) groups them. A frame's stamp is the fsum mean of its times. The
+    frames are built in one pass over the sorted rows, which are the set's
+    columns as they stand.
 
     Raises IntegrityError when one object id occurs twice in one frame bin;
-    its ``records`` are the input positions of the two points. Raises
+    its ``records`` are the input positions of the two rows. Raises
     ValueError, naming the record, for a time in no bin (not finite, or
     whose bin number overflows). Either error names the first bad record
     in input order.
     """
-    pts = list(points)
-    n = len(pts)
-    times = np.fromiter(map(_BY_TIME, pts), float, n)
+    rec = records if isinstance(records, Recording) else _as_recording(list(records))
     # rint rounds half to even, as round() does
     with np.errstate(over="ignore"):
-        bins = np.rint(times / FRAME_BIN_S)
-    if not np.isfinite(bins).all():
-        k = int(np.argmin(np.isfinite(bins)))
-        build_trajectory_set(pts[:k], source)  # a duplicate before record k is met first
-        raise ValueError(f"record {k}: timestamp {pts[k].timestamp_s!r} s falls in no frame bin")
-    ids = list(map(_OBJECT_ID, pts))
-    codes, names = string_codes(ids)
-    order = np.lexsort((codes, bins))
-    bins, codes = bins[order], codes[order]
+        bins = np.rint(rec.t / FRAME_BIN_S)
+    finite = np.isfinite(bins)
+    # rows before the first time in no bin are grouped, so that a duplicate
+    # among them is met first
+    n = len(bins) if finite.all() else int(np.argmin(finite))
+    order = np.lexsort((rec.ident[:n], bins[:n]))
+    bins, codes = bins[order], rec.ident[order]
     # frame edges: before the first point, between bins, after the last
     edge = np.diff(bins, prepend=-np.inf, append=np.inf) != 0
     twice = np.flatnonzero(~edge[1:-1] & (codes[1:] == codes[:-1]))
@@ -336,23 +372,28 @@ def build_trajectory_set(
         j = twice[np.argmin(order[twice + 1])]
         first, k = int(order[j]), int(order[j + 1])
         raise IntegrityError(
-            f"duplicate record for object {ids[k]!r} in frame bin "
-            f"around t={pts[k].timestamp_s:.3f} s",
+            f"duplicate record for object {rec.ids[rec.ident[k]]!r} in frame bin "
+            f"around t={rec.t[k]:.3f} s",
             records=(first, k),
         )
+    if n < len(rec):
+        raise ValueError(f"record {n}: timestamp {rec.t[n].item()!r} s falls in no frame bin")
 
-    members = [pts[k] for k in order.tolist()]
-    times = times[order].tolist()
-    bounds = np.flatnonzero(edge).tolist()
+    rows, offsets = rec.take(order), np.flatnonzero(edge)
+    times = rows.t.tolist()
+    bounds = offsets.tolist()
     spans = list(zip(bounds, bounds[1:]))
     stamps = [math.fsum(times[a:b]) / (b - a) for a, b in spans]
+    members = rows.points()
     parts = [tuple(members[a:b]) for a, b in spans]
     frames = list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts)))
     ts = from_frames(frames, source)
-    # the id codes in bin order are the columns' unless from_frames's sort
-    # by stamp moved a frame (a mean stamp rounded past the next one's)
+    # the rows in bin order are the columns, and the stamps the frame
+    # times, unless from_frames's sort by stamp moved a frame (a mean stamp
+    # rounded past the next one's)
     if all(map(is_, ts.frames, frames)):
-        ts.__dict__["_id_codes"] = codes, names
+        ts.__dict__.update(columns=_columns(rows, offsets), frame_times=np.array(stamps))
+        ts.frame_times.flags.writeable = False
     return ts
 
 
@@ -410,7 +451,8 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     cols = ts.columns
     keep = cols.category == (cols.categories.index(category) if category in cols.categories else -1)
     offsets = np.concatenate([[0], np.cumsum(keep)])[cols.offsets]
-    kept = PointColumns(cols.lat[keep], cols.lon[keep], *recode(cols.category[keep], cols.categories),
+    kept = PointColumns(cols.t[keep], cols.lat[keep], cols.lon[keep],
+                        *recode(cols.category[keep], cols.categories),
                         *recode(cols.ident[keep], cols.ids), offsets)
     grouping = partial(_kept_frames, ts, keep, offsets)
     return _lazy_set(ts.source, ts.frame_times, grouping, columns=_read_only(kept))

@@ -17,21 +17,23 @@ header is fatal because it means the file is not this format at all.
 
 Rows are parsed in chunks: ``csv`` splits the fields, each row rule is one
 numpy mask over the chunk, and a rejected row is worded by the first rule
-it fails. Line numbers count CSV records, the header being line 1.
+it fails. Line numbers count CSV records, the header being line 1. The
+accepted rows come back as one columnar :class:`~.core.Recording` in record
+order, which build_trajectory_set groups as it stands.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import itemgetter, truth
+from itertools import chain, compress, islice
+from operator import truth
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import CATEGORIES, DataPoint, GeoPoint
+from .core import CATEGORIES, DataPoint, Recording, recode, string_codes
 from .errors import SchemaError
 
 REQUIRED_COLUMNS = ("timestamp", "lat", "lon", "category", "id")
@@ -44,8 +46,9 @@ _MS_THRESHOLD = 1e12
 # enough that a chunk's field lists stay a small part of peak memory.
 _CHUNK_ROWS = 1024
 
-# A category already in canonical form maps to the shared constant.
-_CANONICAL = {c: c for c in CATEGORIES}
+# The shared category constants in string order, and each one's code there.
+_CATEGORY_NAMES = sorted(CATEGORIES)
+_CATEGORY_CODES = {c: k for k, c in enumerate(_CATEGORY_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class IngestReport:
     n_accepted: int
     rejections: tuple[tuple[int, str], ...]
     n_ms_converted: int
-    # line number of each accepted point, in point order
+    # line number of each accepted row, in record order
     point_lines: np.ndarray = field(compare=False, repr=False)
 
 
@@ -97,7 +100,7 @@ def _reason(rule: int, row: Sequence[str], cols: dict[str, int]) -> str:
     return _REASONS[rule].format(t=fields["timestamp"].strip(), **fields)
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """float() of each text (NaN where float() fails) and where it parsed."""
     try:
         return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
@@ -113,34 +116,34 @@ def _float_or_none(text: str) -> float | None:
         return None
 
 
-def _categories(texts: list[str]) -> list[str | None]:
-    """Canonical category of each text, or None where it names none."""
-    cats = list(map(_CANONICAL.get, texts))
-    if None in cats:
-        cats = [c or _CANONICAL.get(v.strip().lower()) for c, v in zip(cats, texts)]
-    return cats
+def _categories(texts: Sequence[str]) -> np.ndarray:
+    """Each text's category code into _CATEGORY_NAMES, -1 where it names none."""
+    codes = list(map(_CATEGORY_CODES.get, texts))
+    if None in codes:
+        codes = [_CATEGORY_CODES.get(v.strip().lower(), -1) if c is None else c
+                 for c, v in zip(codes, texts)]
+    return np.array(codes, np.intp)
 
 
 def _parse_chunk(
     rows: list[list[str]],
     first_line: int,
     cols: dict[str, int],
-    points: list[DataPoint],
     rejections: list[tuple[int, str]],
-) -> tuple[np.ndarray, int]:
-    """Parse consecutive rows, appending their points and rejections.
+) -> tuple[tuple, int]:
+    """Parse consecutive rows, appending their rejections.
 
     Applies each row rule to the whole chunk as a mask; a row that fails
     one is skipped when blank and otherwise worded by the first it fails.
-    Returns the accepted rows' line numbers and how many of their
-    timestamps were milliseconds.
+    Returns the accepted rows' fields (t, lat, lon, category codes, ids)
+    and line numbers, and how many of their timestamps were milliseconds.
     """
     n = len(rows)
-    wide = np.fromiter(map(len, rows), int, n) > max(cols.values())
+    width = max(cols.values()) + 1
+    wide = np.fromiter(map(len, rows), int, n) >= width
     full = rows if wide.all() else list(compress(rows, wide.tolist()))
-    raw_t, raw_lat, raw_lon, raw_cat, raw_id = (
-        list(map(itemgetter(cols[name]), full)) for name in REQUIRED_COLUMNS
-    )
+    fields = list(zip(*full)) or [()] * width
+    raw_t, raw_lat, raw_lon, raw_cat, raw_id = (fields[cols[name]] for name in REQUIRED_COLUMNS)
     t, t_parsed = _floats(raw_t)
     was_ms = t > _MS_THRESHOLD
     t = np.where(was_ms, t / 1000.0, t)
@@ -156,14 +159,10 @@ def _parse_chunk(
         lat_parsed & lon_parsed,
         (-90.0 <= lat) & (lat <= 90.0),
         (-180.0 <= lon) & (lon <= 180.0),
-        np.fromiter(map(truth, cats), bool, len(full)),
+        cats >= 0,
         np.fromiter(map(truth, ids), bool, len(full)),
     ])
     ok = ~failed.any(axis=0)
-    keep = ok.tolist()
-    geo = map(tuple.__new__, repeat(GeoPoint), zip(lat[ok].tolist(), lon[ok].tolist()))
-    fields = zip(t[ok].tolist(), geo, compress(cats, keep), compress(ids, keep))
-    points.extend(map(tuple.__new__, repeat(DataPoint), fields))
 
     # each row's first failed rule as an index into _REASONS, -1 if none
     rule = np.zeros(n, int)
@@ -172,15 +171,18 @@ def _parse_chunk(
         row = rows[k]
         if any(map(str.strip, row)):  # blank rows are dropped silently
             rejections.append((first_line + k, _reason(rule[k], row, cols)))
-    return first_line + np.flatnonzero(wide)[ok], int(np.count_nonzero(was_ms & ok))
+    lines = first_line + np.flatnonzero(wide)[ok]
+    accepted = t[ok], lat[ok], lon[ok], cats[ok], list(compress(ids, ok.tolist())), lines
+    return accepted, int(np.count_nonzero(was_ms & ok))
 
 
-def parse_csv(stream: IO[str]) -> tuple[list[DataPoint], IngestReport]:
+def parse_csv(stream: IO[str]) -> tuple[Recording, IngestReport]:
     """Parse an open text stream of the wire format.
 
-    Returns the accepted points in file order plus an IngestReport listing
-    rejected (line_number, reason) pairs. Raises SchemaError when the header
-    itself is unusable, or when ``csv`` cannot split a line into fields.
+    Returns the accepted rows as a Recording in record order, plus an
+    IngestReport listing rejected (line_number, reason) pairs. Raises
+    SchemaError when the header itself is unusable, or when ``csv`` cannot
+    split a line into fields.
     """
     reader = csv.reader(stream)
     try:
@@ -189,24 +191,26 @@ def parse_csv(stream: IO[str]) -> tuple[list[DataPoint], IngestReport]:
         raise SchemaError("file is empty, no header row") from None
     cols = _column_map(header)
 
-    points: list[DataPoint] = []
     rejections: list[tuple[int, str]] = []
-    lines = [np.empty(0, int)]
+    pieces = [(np.empty(0), np.empty(0), np.empty(0), np.empty(0, np.intp), [], np.empty(0, int))]
     n_ms = 0
     line_no = 2
     try:
         while chunk := list(islice(reader, _CHUNK_ROWS)):
-            chunk_lines, chunk_ms = _parse_chunk(chunk, line_no, cols, points, rejections)
-            lines.append(chunk_lines)
+            accepted, chunk_ms = _parse_chunk(chunk, line_no, cols, rejections)
+            pieces.append(accepted)
             n_ms += chunk_ms
             line_no += len(chunk)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    report = IngestReport(len(points), tuple(rejections), n_ms, np.concatenate(lines))
-    return points, report
+    t, lat, lon, cats, ids, lines = zip(*pieces)
+    rec = Recording(np.concatenate(t), np.concatenate(lat), np.concatenate(lon),
+                    *recode(np.concatenate(cats), _CATEGORY_NAMES),
+                    *string_codes(list(chain.from_iterable(ids))))
+    return rec, IngestReport(len(rec), tuple(rejections), n_ms, np.concatenate(lines))
 
 
-def read_points(path: str | Path) -> tuple[list[DataPoint], IngestReport]:
+def read_points(path: str | Path) -> tuple[Recording, IngestReport]:
     """Load a CSV file of recorded points. See :func:`parse_csv`.
 
     A SchemaError names the file; so does the one raised for bytes that

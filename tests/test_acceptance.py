@@ -350,9 +350,9 @@ def test_9_deterministic_reproduction(ctx, tmp_path, capsys):
     for ts in (gt, det):
         path = tmp_path / "rt.csv"
         write_points(path, ts.all_points())
-        points, report = read_points(path)
+        rec, report = read_points(path)
         round_trip_ok &= not report.rejections
-        round_trip_ok &= points == list(ts.all_points())
+        round_trip_ok &= rec.points() == list(ts.all_points())
 
     ok = files_equal and reports_equal and round_trip_ok
     verdict(

@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 import roadside_eval.cli as cli_mod
 from roadside_eval.cli import main
-from roadside_eval.core import paused_gc
+from roadside_eval.core import (
+    DataFrame,
+    DataPoint,
+    GeoPoint,
+    build_trajectory_set,
+    from_frames,
+    paused_gc,
+)
+from roadside_eval.ingest import read_points
 from roadside_eval.errors import ConsistencyError, EvalError
 from roadside_eval.synth import TEMPLATES, default_latency_route, min_round_trip_duration_s
 
@@ -469,6 +477,27 @@ class TestEvalCommand:
         assert rc == 1
         assert "unique" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_default_origin_is_the_first_point_in_frame_order(self, tmp_path):
+        # the file's first row is not its first in time: the origin comes
+        # from the frame walk's first point, row 0 of the columns
+        gt = tmp_path / "gt.csv"
+        gt.write_text(GT_HEADER + "1700000001.0,42.316,-83.724,vehicle,v1\n"
+                      "1700000000.0,42.294,-83.736,vehicle,v1\n"
+                      "1700000000.0,42.307,-83.712,pedestrian,p1\n")
+        assert main(["eval", "--det", str(gt), "--gt", str(gt),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        ts = build_trajectory_set(read_points(gt)[0], source="ground_truth")
+        first = next(p.position for f in ts.frames for p in f.points)
+        walked = f"{round(first.lat_deg, 2)},{round(first.lon_deg, 2)}"
+        assert strict_json(tmp_path / "out" / "report.json")["config"]["origin"] == walked == "42.31,-83.71"
+
+    def test_default_origin_skips_empty_frames(self):
+        p = DataPoint(1.0, GeoPoint(42.316, -83.724), "vehicle", "v1")
+        ts = from_frames([DataFrame(0.5, ()), DataFrame(1.0, (p,))], "ground_truth")
+        assert cli_mod._default_origin(ts) == GeoPoint(42.32, -83.72)
+        with pytest.raises(EvalError, match="no usable points"):
+            cli_mod._default_origin(from_frames([DataFrame(0.5, ())], "ground_truth"))
 
     def test_far_origin_exits_one_without_traceback(self, tmp_path, capsys):
         rc = main(["eval", *SCENE, "--origin", "0,0", "--output-dir", str(tmp_path)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from roadside_eval.core import (
     DataPoint,
     GeoPoint,
     LocalPoint,
+    Recording,
     build_trajectory_set,
     filter_category,
     from_frames,
@@ -117,19 +119,34 @@ def reference_grouping(points, source="detection"):
     return from_frames(frames, source)
 
 
+def recorded(points) -> Recording:
+    """The points as a Recording, coded here rather than by the library."""
+    cats = sorted({p.category for p in points})
+    ids = sorted({p.object_id for p in points})
+    t, lat, lon = (np.array(v, float) for v in (
+        [p.timestamp_s for p in points],
+        [p.position.lat_deg for p in points],
+        [p.position.lon_deg for p in points],
+    ))
+    return Recording(t, lat, lon, np.array([cats.index(p.category) for p in points], np.intp), cats,
+                     np.array([ids.index(p.object_id) for p in points], np.intp), ids)
+
+
 def check_against_reference(points):
     """build_trajectory_set gives the reference's frames, stamps bit for bit,
-    or the reference's duplicate error."""
-    try:
-        want = reference_grouping(points)
-    except IntegrityError as exc:
-        with pytest.raises(IntegrityError) as got:
-            build_trajectory_set(points)
-        assert (str(got.value), got.value.records) == (str(exc), exc.records)
-        return
-    got = build_trajectory_set(points)
-    assert got == want
-    assert [f.timestamp_s.hex() for f in got.frames] == [f.timestamp_s.hex() for f in want.frames]
+    or the reference's duplicate error, from the points and from a
+    recording of them."""
+    for given_as in (list, recorded):
+        try:
+            want = reference_grouping(points)
+        except IntegrityError as exc:
+            with pytest.raises(IntegrityError) as got:
+                build_trajectory_set(given_as(points))
+            assert (str(got.value), got.value.records) == (str(exc), exc.records)
+            continue
+        got = build_trajectory_set(given_as(points))
+        assert got == want
+        assert [f.timestamp_s.hex() for f in got.frames] == [f.timestamp_s.hex() for f in want.frames]
 
 
 def _ulps(t: float, steps: int) -> float:
@@ -197,18 +214,22 @@ class TestBuildTrajectorySet:
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e306])
     def test_time_in_no_bin_names_the_record(self, ctx, t):
         pts = [dp(10.0, 0, 0, ctx), dp(t, 1, 0, ctx, object_id="b")]
-        with pytest.raises(ValueError, match="record 1: timestamp"):
-            build_trajectory_set(pts)
+        # a plain float repr, not numpy's np.float64(...)
+        message = f"^record 1: timestamp {re.escape(repr(t))} s falls in no frame bin$"
+        for given_as in (list, recorded):
+            with pytest.raises(ValueError, match=message):
+                build_trajectory_set(given_as(pts))
 
     def test_first_bad_record_in_input_order_is_named(self, ctx):
         # whichever of a duplicate and a time in no bin comes first is raised
         a0, a1 = dp(10.0, 0, 0, ctx, object_id="a"), dp(10.0, 1, 0, ctx, object_id="a")
         bad = dp(math.nan, 2, 0, ctx, object_id="b")
-        with pytest.raises(IntegrityError) as exc:
-            build_trajectory_set([a0, a1, bad])
-        assert exc.value.records == (0, 1)
-        with pytest.raises(ValueError, match="record 1: timestamp"):
-            build_trajectory_set([a0, bad, a1])
+        for given_as in (list, recorded):
+            with pytest.raises(IntegrityError) as exc:
+                build_trajectory_set(given_as([a0, a1, bad]))
+            assert exc.value.records == (0, 1)
+            with pytest.raises(ValueError, match="record 1: timestamp"):
+                build_trajectory_set(given_as([a0, bad, a1]))
 
     @given(case=grouping_inputs())
     def test_matches_dict_grouping(self, case):
@@ -235,9 +256,10 @@ class TestBuildTrajectorySet:
         # the later bin's duplicate comes first in the file, so it is the one named
         pts = [dp(20.0, 0, 0, ctx, object_id="x"), dp(10.0, 1, 0, ctx, object_id="y"),
                dp(20.0, 2, 0, ctx, object_id="x"), dp(10.0, 3, 0, ctx, object_id="y")]
-        with pytest.raises(IntegrityError, match="'x'") as exc:
-            build_trajectory_set(pts)
-        assert exc.value.records == (0, 2)
+        for given_as in (list, recorded):
+            with pytest.raises(IntegrityError, match="'x'") as exc:
+                build_trajectory_set(given_as(pts))
+            assert exc.value.records == (0, 2)
         check_against_reference(pts)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -252,6 +274,7 @@ class TestBuildTrajectorySet:
         shuffled = list(base)
         random.Random(seed).shuffle(shuffled)
         assert build_trajectory_set(shuffled) == build_trajectory_set(base)
+        assert build_trajectory_set(recorded(shuffled)) == build_trajectory_set(base)
 
     def test_frame_trajectory_duality(self, ctx):
         pts = line_points(ctx, n=30) + line_points(ctx, n=20, object_id="x", y=4)
@@ -447,31 +470,39 @@ def _columns_equal(a, b) -> bool:
 class TestColumns:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_grouping_codes_equal_a_pass_over_the_frames(self, seed):
-        # build_trajectory_set hands over the id codes it grouped by
+        # build_trajectory_set hands over its sorted rows, codes and all, as
+        # the columns
         points = [p for f in _seeded_frames(seed, True, ["vehicle", "pedestrian"])
                   for p in f.points]
         points += [DataPoint(50.0 + 0.1 * k, ORIGIN, "vehicle", f"obj-{k % 3}") for k in range(9)]
         random.Random(seed).shuffle(points)
-        ts = build_trajectory_set(points)
-        rebuilt = from_frames(ts.frames, "detection")
-        assert "_id_codes" in ts.__dict__ and "_id_codes" not in rebuilt.__dict__
-        assert _columns_equal(ts.columns, rebuilt.columns)
-        cols = ts.columns
-        assert cols.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
-        assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
-        assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
-        assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
+        for given_as in (list, recorded):
+            ts = build_trajectory_set(given_as(points))
+            rebuilt = from_frames(ts.frames, "detection")
+            for view in ("columns", "frame_times"):
+                assert view in ts.__dict__ and view not in rebuilt.__dict__
+            assert _columns_equal(ts.columns, rebuilt.columns)
+            assert ts.frame_times.tobytes() == rebuilt.frame_times.tobytes()
+            assert not ts.frame_times.flags.writeable
+            cols = ts.columns
+            assert cols.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
+            assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
+            assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
+            assert cols.t.tolist() == [p.timestamp_s for p in ts.all_points()]
+            assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
+            assert all(not c.flags.writeable for c in cols if isinstance(c, np.ndarray))
 
     def test_codes_stay_with_points_the_frame_sort_moves(self, ctx, monkeypatch):
-        # were from_frames to reorder the frames, the grouping's codes would
+        # were from_frames to reorder the frames, the grouping's rows would
         # no longer be in frame order, and are not handed over
         def reversed_frames(frames, source):
             return TrajectorySet(tuple(reversed(frames)), source)
 
         monkeypatch.setattr(core_mod, "from_frames", reversed_frames)
         ts = build_trajectory_set([dp(1.0, 0, 0, ctx, object_id="b"), dp(2.0, 0, 0, ctx, object_id="a")])
-        assert "_id_codes" not in ts.__dict__
+        assert "columns" not in ts.__dict__ and "frame_times" not in ts.__dict__
         assert [ts.columns.ids[k] for k in ts.columns.ident] == ["a", "b"]
+        assert ts.columns.t.tolist() == [2.0, 1.0]
 
 
 class TestOnDemandTrajectories:

@@ -29,11 +29,13 @@ the inputs: stdout goes to stdout.txt, the files under out/ next to it.
 from __future__ import annotations
 
 import shutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from roadside_eval.cli import main
+from roadside_eval.core import TrajectorySet
 
 DATA = Path(__file__).parent / "data"
 INPUTS = (
@@ -99,6 +101,25 @@ def test_inputs_regenerate(det, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden(case, tmp_path, monkeypatch, capsys):
+    check_golden(case, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("case", ["eval", "sweep"])
+def test_scoring_reads_parsed_columns_only(case, tmp_path, monkeypatch, capsys):
+    # eval and sweep score the columns and frame times the grouping handed
+    # over: no pass over a set's frames or points after loading
+    def refuse(*args):
+        raise AssertionError("a pass over a set's frames")
+
+    monkeypatch.setattr(TrajectorySet, "all_points", refuse)
+    for name in ("columns", "frame_times"):
+        view = cached_property(refuse)
+        view.__set_name__(TrajectorySet, name)
+        monkeypatch.setattr(TrajectorySet, name, view)
+    check_golden(case, tmp_path, monkeypatch, capsys)
+
+
+def check_golden(case, tmp_path, monkeypatch, capsys):
     for name in INPUTS:
         shutil.copy(DATA / name, tmp_path / name)
     monkeypatch.chdir(tmp_path)

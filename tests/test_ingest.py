@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadside_eval import ingest
-from roadside_eval.core import DataPoint, GeoPoint
+from roadside_eval.core import CATEGORIES, DataPoint, GeoPoint
 from roadside_eval.errors import SchemaError
 from roadside_eval.ingest import parse_csv, read_points, write_points
 
@@ -21,7 +21,9 @@ HEADER = "timestamp,lat,lon,category,id\n"
 
 
 def parse(text: str):
-    return parse_csv(io.StringIO(text))
+    """The parse of text, its recording given as DataPoints."""
+    rec, rep = parse_csv(io.StringIO(text))
+    return rec.points(), rep
 
 
 class TestHeader:
@@ -120,7 +122,7 @@ class TestRoundTrip:
         path = tmp_path / "out.csv"
         write_points(path, pts)
         again, rep = read_points(path)
-        assert again == pts
+        assert again.points() == pts
         assert rep.rejections == ()
 
     @given(
@@ -143,8 +145,8 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "pts.csv"
         write_points(path, pts)
         again, rep = read_points(path)
-        assert again == pts
-        assert rep.n_accepted == len(pts)
+        assert again.points() == pts
+        assert rep.n_accepted == len(again) == len(pts)
 
     def test_written_file_is_wire_format(self, tmp_path, ctx):
         pts, _ = parse(HEADER + "100,42.3,-83.7,vehicle,v1\n")
@@ -282,13 +284,26 @@ class TestChunkedParseMatchesPerRowOracle:
 
         expected = _oracle_parse(io.StringIO(raw.removeprefix("\ufeff"), newline=""))
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
-            got, rep = parse_csv(io.StringIO(raw, newline=""))
+            rec, rep = parse_csv(io.StringIO(raw, newline=""))
+        got = rec.points()
         assert got == expected[0]
         assert [type(p) for p in got] == [DataPoint] * len(got)
         assert rep.point_lines.tolist() == expected[1]
         assert list(rep.rejections) == expected[2]
         assert rep.n_ms_converted == expected[3]
-        assert rep.n_accepted == len(expected[0])
+        assert rep.n_accepted == len(rec) == len(expected[0])
+        # the recording's columns hold the per-row float() values bit for bit
+        want = expected[0]
+        for column, values in ((rec.t, [p.timestamp_s for p in want]),
+                               (rec.lat, [p.position.lat_deg for p in want]),
+                               (rec.lon, [p.position.lon_deg for p in want])):
+            assert list(map(float.hex, column.tolist())) == list(map(float.hex, values))
+        # categories are the shared constants, ids stripped, both coded in string order
+        assert [rec.categories[k] for k in rec.category] == [p.category for p in want]
+        assert all(any(c is k for k in CATEGORIES) for c in rec.categories)
+        assert rec.categories == sorted({p.category for p in want})
+        assert [rec.ids[k] for k in rec.ident] == [p.object_id for p in want]
+        assert rec.ids == sorted({p.object_id for p in want})
 
     @pytest.mark.parametrize("chunk", [1, 2, 1024])
     def test_every_bad_field_value(self, chunk):
@@ -333,7 +348,7 @@ class TestChunkedParseMatchesPerRowOracle:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             expected = _oracle_parse(fh)
         got, rep = read_points(path)
-        assert got == expected[0]
+        assert got.points() == expected[0]
         assert rep.point_lines.tolist() == expected[1]
         assert list(rep.rejections) == expected[2]
         assert rep.n_ms_converted == expected[3] > 0

@@ -642,9 +642,9 @@ class TestRoundTrip:
             path = tmp_path / name
             pts = ts.all_points()
             write_points(path, pts)
-            points, report = read_points(path)
+            rec, report = read_points(path)
             assert not report.rejections
-            assert points == list(pts)
+            assert rec.points() == list(pts)
 
     def test_min_duration_fits_round_trip(self, ctx):
         for jitter in (0.0, 0.2):
