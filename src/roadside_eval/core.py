@@ -1,18 +1,20 @@
 """Core data model: points, frames, trajectories, and a local tangent plane.
 
 A recording from either a perception system or an RTK-GPS logger is a
-:class:`Recording`: its rows' (timestamp, lat, lon, category, object id)
-in record order, one array per field. build_trajectory_set groups it by
-time into frames (:class:`DataFrame`, each a tuple of :class:`DataPoint`),
-and a :class:`TrajectorySet` holds a recording's frames in time order and
-its trajectories. Either view is given, and the other is grouped from it
-on first use. Scoring reads a third view: the points' :class:`PointColumns`,
-whose per-frame offsets let filter_category mask rows and matching gather
-points by index. build_trajectory_set hands over the sorted rows it
-grouped as the columns; a set built from explicit frames builds them from
-its frames on first use. The Monte Carlo replay reads trajectories only,
-so it never builds columns. A :class:`Trajectory` is its rows: one object
-id's (time, lat, lon) in time order, as one read-only array.
+:class:`Recording`: its rows' (timestamp, lat, lon, category, object id),
+one read-only array per field. build_trajectory_set groups it by time into
+frames (:class:`DataFrame`, each a tuple of :class:`DataPoint`), and a
+:class:`TrajectorySet` holds a recording's frames in time order and its
+trajectories. Either view is given, and the other is grouped from it on
+first use. Scoring reads a third view: the set's columns, a Recording of
+its points in frame order, which its offsets cut into frames, so that
+filter_category masks rows and matching gathers points by index.
+build_trajectory_set hands over the sorted rows it grouped as the columns;
+a filtered set groups its frames from its own columns on first read; a
+set built from explicit frames builds its columns from them on first use.
+The Monte Carlo replay reads trajectories only, so it never builds
+columns. A :class:`Trajectory` is its rows: one object id's (time, lat,
+lon) in time order, as one read-only array.
 trajectory_arrays projects rows, of one trajectory or many laid end to
 end, into plane tracks, which time_span cuts by index, one span or many
 at once.
@@ -34,7 +36,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter, is_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -110,10 +112,9 @@ class DataFrame(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Recording:
-    """A recording's rows in record order, one array per field: each row's
-    time, lat and lon, and its category and object id as codes into
-    categories and ids, the distinct names among the rows in string order.
-    len() counts the rows."""
+    """Rows, one read-only array per field: each row's time, lat and lon,
+    and its category and object id as codes into categories and ids, the
+    distinct names among the rows in string order. len() counts the rows."""
 
     t: np.ndarray
     lat: np.ndarray
@@ -123,6 +124,10 @@ class Recording:
     ident: np.ndarray
     ids: list[str]
 
+    def __post_init__(self) -> None:
+        for column in (self.t, self.lat, self.lon, self.category, self.ident):
+            column.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.t)
 
@@ -130,6 +135,13 @@ class Recording:
         """The rows at index, in its order, coded into the same names."""
         return Recording(self.t[index], self.lat[index], self.lon[index], self.category[index],
                          self.categories, self.ident[index], self.ids)
+
+    def where(self, keep: np.ndarray) -> Recording:
+        """The rows where keep is set, in order, with the codes renumbered
+        over the names they use."""
+        return Recording(self.t[keep], self.lat[keep], self.lon[keep],
+                         *recode(self.category[keep], self.categories),
+                         *recode(self.ident[keep], self.ids))
 
     def points(self) -> list[DataPoint]:
         """The rows as DataPoints, in order."""
@@ -144,22 +156,6 @@ def _as_recording(points: Sequence[DataPoint]) -> Recording:
     return Recording(np.fromiter(map(_BY_TIME, points), float, len(points)), geo[0::2], geo[1::2],
                      *string_codes(list(map(_CATEGORY, points))),
                      *string_codes(list(map(_OBJECT_ID, points))))
-
-
-class PointColumns(NamedTuple):
-    """A set's points in frame order, one array per field: frame k's points
-    are rows offsets[k]:offsets[k + 1]. Each point's category and object id
-    are codes into categories and ids, the distinct names among the points
-    in string order."""
-
-    t: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    category: np.ndarray
-    categories: list[str]
-    ident: np.ndarray
-    ids: list[str]
-    offsets: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +176,7 @@ class TrajectorySet:
 
     Either view is given, and the other is grouped from it on first use:
     the constructor and from_frames take frames, from_trajectories takes
-    trajectories. The columns are handed over whole by
+    trajectories. The columns and their offsets are handed over whole by
     build_trajectory_set or filter_category, or else built from the
     frames on first read; so are the frame times. Equality and hashing
     compare frames and source.
@@ -210,11 +206,17 @@ class TrajectorySet:
         return times
 
     @cached_property
-    def columns(self) -> PointColumns:
-        """The points in frame order as read-only columns, from one pass
-        over the frames."""
+    def offsets(self) -> np.ndarray:
+        """Frame k's points are rows offsets[k]:offsets[k + 1] of the
+        columns, as one read-only array."""
         offsets = np.cumsum([0, *map(len, map(_POINTS, self.frames))])
-        return _columns(_as_recording(self.all_points()), offsets)
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def columns(self) -> Recording:
+        """The points in frame order, from one pass over the frames."""
+        return _as_recording(self.all_points())
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -243,11 +245,14 @@ class TrajectorySet:
         """The categories that occur in the recording."""
         return frozenset(self.columns.categories)
 
-    def _with_trajectories(self, trajectories: tuple[Trajectory, ...]) -> TrajectorySet:
-        """This set with its trajectory view supplied by a caller that built
-        the frames and the trajectories from the same points; the view must
-        equal the one grouped from the frames."""
-        self.__dict__["trajectories"] = trajectories
+    def _with_views(self, **views) -> TrajectorySet:
+        """This set with views supplied by a caller that built them and the
+        frames from the same points; each must equal the one grouped from
+        the frames. Their arrays become read-only."""
+        for view in views.values():
+            if isinstance(view, np.ndarray):
+                view.flags.writeable = False
+        self.__dict__.update(views)
         return self
 
     def all_points(self) -> list[DataPoint]:
@@ -322,19 +327,6 @@ def recode(codes: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, list[st
     return (np.cumsum(used) - 1)[codes], [names[k] for k in np.flatnonzero(used).tolist()]
 
 
-def _read_only(cols: PointColumns) -> PointColumns:
-    for field in cols:
-        if isinstance(field, np.ndarray):
-            field.flags.writeable = False
-    return cols
-
-
-def _columns(rec: Recording, offsets: np.ndarray) -> PointColumns:
-    """Read-only columns of rows in frame order, which fall into frames at offsets."""
-    return _read_only(PointColumns(rec.t, rec.lat, rec.lon, rec.category, rec.categories,
-                                   rec.ident, rec.ids, offsets))
-
-
 def build_trajectory_set(
     records: Recording | Sequence[DataPoint],
     source: str = SOURCE_DETECTION,
@@ -380,21 +372,23 @@ def build_trajectory_set(
         raise ValueError(f"record {n}: timestamp {rec.t[n].item()!r} s falls in no frame bin")
 
     rows, offsets = rec.take(order), np.flatnonzero(edge)
-    times = rows.t.tolist()
-    bounds = offsets.tolist()
-    spans = list(zip(bounds, bounds[1:]))
-    stamps = [math.fsum(times[a:b]) / (b - a) for a, b in spans]
-    members = rows.points()
-    parts = [tuple(members[a:b]) for a, b in spans]
-    frames = list(map(tuple.__new__, repeat(DataFrame), zip(stamps, parts)))
+    t, bounds = rows.t.tolist(), offsets.tolist()
+    stamps = np.array([math.fsum(t[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])])
+    frames = _frames(rows, offsets, stamps)
     ts = from_frames(frames, source)
     # the rows in bin order are the columns, and the stamps the frame
     # times, unless from_frames's sort by stamp moved a frame (a mean stamp
     # rounded past the next one's)
     if all(map(is_, ts.frames, frames)):
-        ts.__dict__.update(columns=_columns(rows, offsets), frame_times=np.array(stamps))
-        ts.frame_times.flags.writeable = False
+        ts._with_views(columns=rows, offsets=offsets, frame_times=stamps)
     return ts
+
+
+def _frames(rows: Recording, offsets: np.ndarray, times: np.ndarray) -> tuple[DataFrame, ...]:
+    """Frames at the given times, frame k holding rows offsets[k]:offsets[k + 1]."""
+    points, bounds = rows.points(), offsets.tolist()
+    parts = [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return tuple(map(tuple.__new__, repeat(DataFrame), zip(times.tolist(), parts)))
 
 
 def from_frames(frames: Sequence[DataFrame], source: str) -> TrajectorySet:
@@ -407,16 +401,15 @@ def from_trajectories(trajs: Sequence[Trajectory], times: np.ndarray, source: st
     tick of the ascending ``times``; its frames are grouped on first read:
     frame k holds row k of every trajectory, in id order."""
     trajs = tuple(trajs)
-    return _lazy_set(source, times, partial(_frames_of, trajs, times), trajectories=trajs)
+    return _lazy_set(source, partial(_frames_of, trajs, times), frame_times=times, trajectories=trajs)
 
 
-def _lazy_set(source: str, frame_times: np.ndarray, grouping, **views) -> TrajectorySet:
-    """A set whose frames grouping() groups on first read, with its frame
-    times and the given views; grouping holds no reference to the set."""
-    frame_times.flags.writeable = False
+def _lazy_set(source: str, grouping, **views) -> TrajectorySet:
+    """A set whose frames grouping() groups on first read, with the given
+    views; grouping holds no reference to the set."""
     ts = object.__new__(TrajectorySet)
-    ts.__dict__.update(views, source=source, frame_times=frame_times, _grouping=grouping)
-    return ts
+    ts.__dict__.update(source=source, _grouping=grouping)
+    return ts._with_views(**views)
 
 
 def _frames_of(trajs: tuple[Trajectory, ...], times: np.ndarray) -> tuple[DataFrame, ...]:
@@ -442,7 +435,7 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
     evaluation clock, and a tick on which a system reported only the other
     category still counts as a tick. A set that holds no other category is
     returned as it is. Otherwise the result masks the set's columns and
-    shares its frame times; its frames are grouped from the set's points
+    shares its frame times; its frames are grouped from its own columns
     only when something reads them. A category the set lacks gives empty
     frames.
     """
@@ -450,21 +443,10 @@ def filter_category(ts: TrajectorySet, category: str) -> TrajectorySet:
         return ts
     cols = ts.columns
     keep = cols.category == (cols.categories.index(category) if category in cols.categories else -1)
-    offsets = np.concatenate([[0], np.cumsum(keep)])[cols.offsets]
-    kept = PointColumns(cols.t[keep], cols.lat[keep], cols.lon[keep],
-                        *recode(cols.category[keep], cols.categories),
-                        *recode(cols.ident[keep], cols.ids), offsets)
-    grouping = partial(_kept_frames, ts, keep, offsets)
-    return _lazy_set(ts.source, ts.frame_times, grouping, columns=_read_only(kept))
-
-
-def _kept_frames(ts: TrajectorySet, keep: np.ndarray, offsets: np.ndarray) -> tuple[DataFrame, ...]:
-    """ts's frames holding only its points where keep is set, which fall
-    into frames at offsets."""
-    points = list(compress(ts.all_points(), keep.tolist()))
-    bounds = offsets.tolist()
-    parts = [tuple(points[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return tuple(map(tuple.__new__, repeat(DataFrame), zip(ts.frame_times.tolist(), parts)))
+    kept, times = cols.where(keep), ts.frame_times
+    offsets = np.concatenate([[0], np.cumsum(keep)])[ts.offsets]
+    return _lazy_set(ts.source, partial(_frames, kept, offsets, times),
+                     columns=kept, offsets=offsets, frame_times=times)
 
 
 def trajectory_arrays(rows: np.ndarray, ctx: ProjectionContext) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    MAX_PROJECTION_RANGE_M,
     GeoPoint,
     LocalPoint,
     ProjectionContext,
@@ -585,17 +584,12 @@ def estimate_latency_for_trial(
 
     Raises ProjectionRangeError, naming the first such point in frame
     order, when a point of either set (detections first) lies beyond
-    project's range; trajectory_arrays does not check it.
+    project's range; trajectory_arrays does not check it, so each set's
+    columns, which hold its points in frame order, are projected first.
     """
-    tracks = []
     for ts in (det, gt):
-        tr = plane_tracks([ts.trajectories], ctx)
-        x, y = tr.xy[:, 0], tr.xy[:, 1]
-        # the tracks hold project's arithmetic; only the frames know the order
-        if (x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M).any():
-            project(GeoPoint(ts.columns.lat, ts.columns.lon), ctx)
-        tracks.append(tr)
-    det_tracks, gt_tracks = tracks
+        project(GeoPoint(ts.columns.lat, ts.columns.lon), ctx)
+    det_tracks, gt_tracks = (plane_tracks([ts.trajectories], ctx) for ts in (det, gt))
     test_points = default_test_points(route, n_test_points)
     windows = find_constant_speed_windows(gt_tracks, route, speed_tol_frac)
     samples = collect_tau_samples(det_tracks, gt_tracks, windows, route, test_points)

@@ -443,8 +443,9 @@ def _distance_blocks(pairing: FramePairing, ctx: ProjectionContext) -> _Blocks:
     category per call.
     """
     det, gt = pairing.det.columns, pairing.gt.columns
-    d0, g0 = det.offsets[pairing.det_frames], gt.offsets[pairing.gt_frames]
-    d_n, g_n = det.offsets[pairing.det_frames + 1] - d0, gt.offsets[pairing.gt_frames + 1] - g0
+    det_at, gt_at = pairing.det.offsets, pairing.gt.offsets
+    d0, g0 = det_at[pairing.det_frames], gt_at[pairing.gt_frames]
+    d_n, g_n = det_at[pairing.det_frames + 1] - d0, gt_at[pairing.gt_frames + 1] - g0
     live = np.flatnonzero((d_n > 0) & (g_n > 0))
     rows, cols = d_n[live], g_n[live]
     # each live pair's detection rows, then its gt rows, in the columns of
@@ -478,8 +479,8 @@ def point_totals(pairing: FramePairing) -> tuple[int, int]:
     frames only, or in full when nothing pairs: detections that never
     overlap the trial window leave every gt point unexplained.
     """
-    det_n = np.diff(pairing.det.columns.offsets)
-    gt_n = np.diff(pairing.gt.columns.offsets)
+    det_n = np.diff(pairing.det.offsets)
+    gt_n = np.diff(pairing.gt.offsets)
     det_total = det_n[pairing.det_frames].sum() + det_n[pairing.fp_frames].sum()
     gt_total = gt_n[pairing.gt_frames].sum() if len(pairing.gt_frames) else gt_n.sum()
     return int(det_total), int(gt_total)

@@ -465,7 +465,7 @@ def degrade(
         slots[k].sort(key=attrgetter("object_id"))
     frames = map(tuple.__new__, repeat(DataFrame), zip(ticks.tolist(), map(tuple, slots)))
     det = from_frames(list(frames), "detection")
-    return det._with_trajectories(tuple(trajectories)) if handover else det
+    return det._with_views(trajectories=tuple(trajectories)) if handover else det
 
 
 # --- Monte Carlo validation --------------------------------------------------

@@ -33,6 +33,7 @@ from roadside_eval.core import (
 )
 from roadside_eval import core as core_mod
 from roadside_eval.errors import IntegrityError, ProjectionRangeError
+from roadside_eval.synth import ScenarioSpec, generate_scenario
 
 from conftest import ORIGIN, dp, haversine_m, line_points
 
@@ -461,10 +462,19 @@ def _seeded_frames(seed, per_frame_ids, categories):
     return frames
 
 
+_ARRAYS = ("t", "lat", "lon", "category", "ident")
+
+
 def _columns_equal(a, b) -> bool:
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
+    return (a.categories, a.ids) == (b.categories, b.ids) and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in _ARRAYS
     )
+
+
+def _views_read_only(ts) -> bool:
+    """The set's columns, offsets and frame times are all read-only."""
+    arrays = [getattr(ts.columns, f) for f in _ARRAYS] + [ts.offsets, ts.frame_times]
+    return not any(a.flags.writeable for a in arrays)
 
 
 class TestColumns:
@@ -479,18 +489,19 @@ class TestColumns:
         for given_as in (list, recorded):
             ts = build_trajectory_set(given_as(points))
             rebuilt = from_frames(ts.frames, "detection")
-            for view in ("columns", "frame_times"):
+            for view in ("columns", "offsets", "frame_times"):
                 assert view in ts.__dict__ and view not in rebuilt.__dict__
             assert _columns_equal(ts.columns, rebuilt.columns)
+            assert ts.offsets.tobytes() == rebuilt.offsets.tobytes()
             assert ts.frame_times.tobytes() == rebuilt.frame_times.tobytes()
             assert not ts.frame_times.flags.writeable
             cols = ts.columns
-            assert cols.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
+            assert ts.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
             assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
             assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
             assert cols.t.tolist() == [p.timestamp_s for p in ts.all_points()]
             assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
-            assert all(not c.flags.writeable for c in cols if isinstance(c, np.ndarray))
+            assert _views_read_only(ts) and _views_read_only(rebuilt)
 
     def test_codes_stay_with_points_the_frame_sort_moves(self, ctx, monkeypatch):
         # were from_frames to reorder the frames, the grouping's rows would
@@ -500,7 +511,7 @@ class TestColumns:
 
         monkeypatch.setattr(core_mod, "from_frames", reversed_frames)
         ts = build_trajectory_set([dp(1.0, 0, 0, ctx, object_id="b"), dp(2.0, 0, 0, ctx, object_id="a")])
-        assert "columns" not in ts.__dict__ and "frame_times" not in ts.__dict__
+        assert not {"columns", "offsets", "frame_times"} & ts.__dict__.keys()
         assert [ts.columns.ids[k] for k in ts.columns.ident] == ["a", "b"]
         assert ts.columns.t.tolist() == [2.0, 1.0]
 
@@ -556,11 +567,18 @@ class TestFilterPassThrough:
     @given(seed=st.integers(0, 2**32 - 1), per_frame_ids=st.booleans(),
            category=st.sampled_from(["vehicle", "pedestrian", "cyclist"]))
     def test_mixed_set_equals_eager_rebuild(self, seed, per_frame_ids, category):
-        ts = from_frames(_seeded_frames(seed, per_frame_ids, ["vehicle", "pedestrian"]),
-                         "detection")
-        got = filter_category(ts, category)
-        frames, trajectories = _oracle_filter(ts, category)
-        assert got.frames == frames
-        assert _keyed(got.trajectories) == _keyed(trajectories)
-        assert got.source == "detection"
-        assert got.categories <= {category}
+        parents = (
+            from_frames(_seeded_frames(seed, per_frame_ids, ["vehicle", "pedestrian"]),
+                        "detection"),
+            # a from_trajectories set: vehicles and a pedestrian, frames not yet grouped
+            generate_scenario(ScenarioSpec("two_vehicle_plus_pedestrian", 5.0, seed),
+                              make_projection(ORIGIN)),
+        )
+        for ts, source in zip(parents, ("detection", "ground_truth")):
+            got = filter_category(ts, category)
+            frames, trajectories = _oracle_filter(ts, category)
+            assert got.frames == frames
+            assert _keyed(got.trajectories) == _keyed(trajectories)
+            assert got.source == source
+            assert got.categories <= {category}
+            assert _views_read_only(ts) and _views_read_only(got)

@@ -106,13 +106,13 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", ["eval", "sweep"])
 def test_scoring_reads_parsed_columns_only(case, tmp_path, monkeypatch, capsys):
-    # eval and sweep score the columns and frame times the grouping handed
-    # over: no pass over a set's frames or points after loading
+    # eval and sweep score the columns, offsets and frame times the grouping
+    # handed over: no pass over a set's frames or points after loading
     def refuse(*args):
         raise AssertionError("a pass over a set's frames")
 
     monkeypatch.setattr(TrajectorySet, "all_points", refuse)
-    for name in ("columns", "frame_times"):
+    for name in ("columns", "offsets", "frame_times"):
         view = cached_property(refuse)
         view.__set_name__(TrajectorySet, name)
         monkeypatch.setattr(TrajectorySet, name, view)

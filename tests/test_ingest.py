@@ -124,6 +124,10 @@ class TestRoundTrip:
         again, rep = read_points(path)
         assert again.points() == pts
         assert rep.rejections == ()
+        for column in (again.t, again.lat, again.lon, again.category, again.ident):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     @given(
         st.lists(

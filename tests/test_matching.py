@@ -537,26 +537,29 @@ class TestColumnarSets:
            latency=st.sampled_from([0.0, 0.125, -0.25]),
            max_gap=st.sampled_from([None, 0.0625, 0.125]))
     def test_filter_and_alignment_match_the_loops(self, det, gt, category, latency, max_gap):
-        kept = {}
-        for ts in (det, gt):
-            got = filter_category(ts, category)
-            if ts.categories <= {category}:
-                assert got is ts
-            assert filter_category(got, category) is got
-            # the alignment reads the filtered sets before their frames exist
-            kept[ts.source] = got
-        det_c, gt_c = kept["detection"], kept["ground_truth"]
-        if gt_c.frames:
-            got = match_frames_by_time(det_c, gt_c, latency, max_gap)
-            gap = _default_gap(det_c, gt_c) if max_gap is None else max_gap
-            want = _aligned_by_loop(det_c, gt_c, latency, gap)
-            assert (got.pairs, got.fp_only, got.n_dropped) == want
-        for ts, got in ((det, det_c), (gt, gt_c)):
-            want = tuple(
-                DataFrame(f.timestamp_s, tuple([p for p in f.points if p.category == category]))
-                for f in ts.frames
-            )
-            assert got.frames == want
+        # each side as explicit frames, and grouped from the same points
+        grouped = (build_trajectory_set(ts.all_points(), ts.source) for ts in (det, gt))
+        for det, gt in ((det, gt), tuple(grouped)):
+            kept = {}
+            for ts in (det, gt):
+                got = filter_category(ts, category)
+                if ts.categories <= {category}:
+                    assert got is ts
+                assert filter_category(got, category) is got
+                # the alignment reads the filtered sets before their frames exist
+                kept[ts.source] = got
+            det_c, gt_c = kept["detection"], kept["ground_truth"]
+            if gt_c.frames:
+                got = match_frames_by_time(det_c, gt_c, latency, max_gap)
+                gap = _default_gap(det_c, gt_c) if max_gap is None else max_gap
+                want = _aligned_by_loop(det_c, gt_c, latency, gap)
+                assert (got.pairs, got.fp_only, got.n_dropped) == want
+            for ts, got in ((det, det_c), (gt, gt_c)):
+                want = tuple(
+                    DataFrame(f.timestamp_s, tuple([p for p in f.points if p.category == category]))
+                    for f in ts.frames
+                )
+                assert got.frames == want
 
 
 def _per_pair_distances(det, gt, ctx) -> np.ndarray:
