@@ -677,25 +677,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(
-        prog=TOOL_NAME,
-        description="Evaluate roadside perception output against RTK-GPS ground truth.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    p = sub.add_parser(
-        "latency", help="estimate reporting latency from paired constant-speed runs"
-    )
+def _add_latency_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--det", nargs="+", default=None, help="detection CSV file(s)")
     p.add_argument("--gt", nargs="+", default=None, help="ground-truth CSV file(s)")
     _add_route_flags(p, with_defaults=True)
     _add_common_flags(p)
     p.set_defaults(func=cmd_latency)
-    subparsers["latency"] = p
 
-    p = sub.add_parser("eval", help="compute tracking metrics for trial file pairs")
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--det", nargs="+", default=None, help="detection CSV file(s)")
     p.add_argument(
         "--gt",
@@ -729,9 +719,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_route_flags(p, with_defaults=False)
     _add_common_flags(p)
     p.set_defaults(func=cmd_eval)
-    subparsers["eval"] = p
 
-    p = sub.add_parser("sweep", help="FP/FN rates over a threshold list")
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--det", default=None, help="detection CSV file")
     p.add_argument("--gt", default=None, help="ground-truth CSV file")
     p.add_argument(
@@ -748,9 +738,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_route_flags(p, with_defaults=False)
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)
-    subparsers["sweep"] = p
 
-    p = sub.add_parser("synth", help="write synthetic ground-truth/detection files")
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--template", choices=TEMPLATES, required=True)
     p.add_argument("--duration", type=float, required=True, help="trial length in s")
     p.add_argument("--seed", type=int, default=0)
@@ -785,8 +775,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="projection origin 'lat,lon'",
     )
     p.set_defaults(func=cmd_synth)
-    subparsers["synth"] = p
 
+
+_COMMANDS = {
+    "latency": ("estimate reporting latency from paired constant-speed runs", _add_latency_flags),
+    "eval": ("compute tracking metrics for trial file pairs", _add_eval_flags),
+    "sweep": ("FP/FN rates over a threshold list", _add_sweep_flags),
+    "synth": ("write synthetic ground-truth/detection files", _add_synth_flags),
+}
+
+
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands', with only the named one's arguments
+    (all when None): top-level help and errors read names and help alone."""
+    parser = _Parser(
+        prog=TOOL_NAME,
+        description="Evaluate roadside perception output against RTK-GPS ground truth.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    for name, (_, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(subparsers[name])
     return parser, subparsers
 
 
@@ -846,7 +858,8 @@ def _apply_config_file(
 @paused_gc()
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    # the command is the first token without a leading "-", as argparse reads it
+    parser, subparsers = build_parser(next((a for a in argv if a[:1] != "-"), ""))
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)

@@ -94,7 +94,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
     tall = cost.shape[0] > cost.shape[1]
     c = cost.T if tall else cost
     n_rows, n_cols = c.shape
-    v = [0.0] * n_cols
+    v = np.zeros(n_cols)
     col4row = [-1] * n_rows
     row4col = [-1] * n_cols
     for i, j in enumerate(c.argmin(axis=1).tolist() if n_cols else []):  # 0×0: no argmin
@@ -103,7 +103,7 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
             col4row[i] = j
     for cur in [i for i, j in enumerate(col4row) if j < 0]:
         _augment(c, v, col4row, row4col, cur)
-    rows, cols, v = np.arange(n_rows), np.array(col4row, dtype=np.intp), np.array(v)
+    rows, cols = np.arange(n_rows), np.array(col4row, dtype=np.intp)
     u = c[rows, cols] - v[cols]
     if tall:
         order = np.argsort(cols)
@@ -111,20 +111,20 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, ...]:
     return rows, cols, u, v
 
 
-def _augment(c, v: list, col4row: list, row4col: list, cur: int) -> None:
+def _augment(c, v: np.ndarray, col4row: list, row4col: list, cur: int) -> None:
     """Pair free row cur along a shortest augmenting path, lowering the
     column duals so that reduced costs stay non-negative and the pairs tight.
 
     Dijkstra over columns: row i reaches column j at reduced cost
     c[i, j] − u[i] − v[j], and a paired column leads on to its row at no
     cost. A paired row's u is its pair's c − v, so only v is kept; the free
-    row's u counts as 0, which shifts every distance alike. path[j] is the
-    row that last shortened column j's distance. The search stops at the
-    first free column it closes, the sink, and among columns tied at the
-    minimum it takes a free one. A closed column's costs read +inf from
-    then on.
+    row's u counts as 0, which shifts every distance alike; a row's reduced
+    costs are taken when the search reaches it. path[j] is the row that
+    last shortened column j's distance. The search stops at the first free
+    column it closes, the sink, preferring a free one among ties. A closed
+    column's dual in shift is −inf, so its costs read +inf from then on.
     """
-    reduced = c - v
+    shift = v.copy()
     dist = np.full(len(v), np.inf)
     reach = np.empty(len(v))
     path = np.empty(len(v), dtype=np.intp)
@@ -133,7 +133,8 @@ def _augment(c, v: list, col4row: list, row4col: list, cur: int) -> None:
     closed_dist: list[float] = []
     i, offset = cur, 0.0  # offset: row i's distance less its u
     while True:
-        np.add(reduced[i], offset, out=reach)
+        np.subtract(c[i], shift, out=reach)
+        reach += offset
         path[reach < dist] = i
         np.minimum(dist, reach, out=dist)
         j = int(dist.argmin())
@@ -148,8 +149,8 @@ def _augment(c, v: list, col4row: list, row4col: list, cur: int) -> None:
             break
         closed.append(j)
         closed_dist.append(low)
-        offset = low - reduced.item(i, j)
-        dist[j] = reduced[:, j] = np.inf
+        offset = low - (c.item(i, j) - v.item(j))
+        dist[j], shift[j] = np.inf, -np.inf
 
     while True:
         i = path.item(j)
@@ -157,9 +158,8 @@ def _augment(c, v: list, col4row: list, row4col: list, cur: int) -> None:
         j, col4row[i] = col4row[i], j
         if i == cur:
             break
-    for j, d in zip(closed, closed_dist):
-        if d < low:  # closed before the sink, so no farther, up to rounding
-            v[j] -= low - d
+    # columns closed before the sink are no farther, up to rounding
+    v[closed] -= np.maximum(low - np.array(closed_dist), 0.0)
 
 
 def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> float:
@@ -175,12 +175,13 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
 
     Among optima within _TIE_TOL of each other the lexicographically
     smallest pair list is returned, so output is deterministic and
-    order-stable for tests and re-runs. One solve settles almost every
-    matrix: when no other assignment comes near its total, that optimum is
-    the answer (see _unique_optimum). Only near-ties take the row-by-row
-    refinement, which re-solves O(n²) submatrices. Raises ValueError on
-    non-finite costs, and on costs whose assignment totals can overflow:
-    min(rows, cols) · max|cost| not finite.
+    order-stable for tests and re-runs. Most matrices settle without the
+    row-by-row refinement, which re-solves O(n²) submatrices: distinct,
+    clear row minima with no solve (_row_minima), else one solve and its
+    uniqueness proof (_unique_optimum). Near-ties take the refinement, and
+    so do costs whose sums are too coarse to resolve _TIE_TOL. Raises
+    ValueError on non-finite costs, and on costs whose assignment totals
+    can overflow: min(rows, cols) · max|cost| not finite.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -189,70 +190,76 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
         return ()
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite values")
-    if not math.isfinite(min(cost.shape) * float(np.abs(cost).max())):
+    top = float(np.abs(cost).max())
+    if not math.isfinite(min(cost.shape) * top):
         raise ValueError("cost matrix totals overflow: min(shape) * max|cost| is not finite")
-    return tuple(_unique_optimum(cost) or _refine_lexicographic(cost))
+    rounding = _ROUNDING_PER_TERM * max(cost.shape) ** 2 * top
+    resolved = rounding <= _TIE_TOL  # else sums are too coarse to resolve _TIE_TOL
+    pairs = resolved and (_row_minima(cost, rounding) or _unique_optimum(cost, rounding))
+    return tuple(pairs or _refine_lexicographic(cost))
 
 
-def _unique_optimum(cost: np.ndarray) -> list[tuple[int, int]] | None:
-    """The optimum when every other assignment costs more than a margin.
+def _row_minima(cost: np.ndarray, rounding: float) -> list[tuple[int, int]] | None:
+    """The optimum without a solve, when the lines (of the matrix turned to
+    have no more lines than columns) have their minima in distinct columns,
+    each below its runner-up by more than _solve_small's margin: any other
+    assignment moves a line off its minimum. Else None."""
+    tall = cost.shape[0] > cost.shape[1]
+    lines = cost.T if tall else cost
+    best = lines.argmin(axis=1)
+    if len(set(best.tolist())) < len(best):
+        return None
+    picked = np.arange(len(best)), best
+    rest = lines.copy()
+    rest[picked] = np.inf  # a lone entry's runner-up is +inf
+    if not (rest.min(axis=1) - lines[picked] > _TIE_TOL + 2 * rounding).all():
+        return None
+    return sorted(zip(best.tolist(), range(len(best)))) if tall else list(enumerate(best.tolist()))
 
-    Solves the matrix once (optimum σ) and proves that every other
-    assignment costs more than _TIE_TOL plus a rounding margin above it.
-    The row-by-row refinement would then place σ's pairs one by one, so σ
-    is its answer. Returns None when the proof fails.
 
-    The proof works on the matrix turned to have no more lines (rows)
-    than columns, as a square one: dummy lines of zeros fill it, each
-    paired with one of the columns σ leaves free. Moving line i from
-    column σ(i) to column σ(j) costs c[i, σ(j)] − c[i, σ(i)], and every
-    other assignment is σ plus disjoint cycles of such moves, costing the
-    sum of their weights more. The solver's column duals v make every
-    reduced weight c[i, j] − c[i, σ(i)] + v[σ(i)] − v[j] = c[i, j] − u[i]
-    − v[j] non-negative, and a cycle's reduced weights sum to its true
-    weight. So an assignment within the margin of σ needs a cycle of
-    "tight" moves, each with reduced weight at most the margin; a tight
-    graph without cycles rules one out. The dummy lines get dual 0, which
-    is feasible because v ≤ 0 with v = 0 on free columns: a dummy line
-    moves to column j at reduced weight −v[j]. Moves between two dummy
-    lines only reshuffle padding, so the dummies are one node, entered by
-    a move to any free column. When no line can move onto one (a square
-    matrix has none), that node has no in-edge and lies on no cycle.
+def _unique_optimum(cost: np.ndarray, rounding: float) -> list[tuple[int, int]] | None:
+    """The optimum σ of one solve, when every other assignment costs more
+    than margin = _TIE_TOL + rounding above it: the row-by-row refinement
+    would then place σ's pairs one by one. Else None.
+
+    On the matrix turned to have no more lines than columns, padded square
+    by dummy lines of zeros paired with the columns σ leaves free, every
+    other assignment is σ plus disjoint cycles of moves: line i from
+    column σ(i) to σ(j) costs c[i, σ(j)] − c[i, σ(i)] more. The solver's
+    duals make each move's reduced weight c[i, j] − u[i] − v[j]
+    non-negative, and a cycle's reduced weights sum to its true weight, so
+    an assignment within the margin needs a cycle of tight moves (reduced
+    weight ≤ the margin); an acyclic tight graph rules one out. Dummy
+    lines get dual 0, feasible as v ≤ 0 with v = 0 on free columns, and
+    are one node, as moves among them only reshuffle padding: it moves to
+    column j at reduced weight −v[j], and a move to any free column enters
+    it (a square matrix has none).
     Reduced weights that rounding leaves below zero widen the tight test
     by n times their depth, as a cycle of up to n moves can hide that
-    much; below −margin, the duals do not prove σ optimal at all.
-
-    Sums of large costs are too coarse to resolve _TIE_TOL, and the
-    refinement's own rounding then decides; such matrices return None.
+    much; below −margin, the duals prove nothing. The graph is an edge
+    list: a tight entry points at its column's line.
     """
-    n_rows, n_cols = cost.shape
-    n = max(n_rows, n_cols)
-    rounding = _ROUNDING_PER_TERM * n * n * float(np.abs(cost).max())
-    if rounding > _TIE_TOL:
-        return None
     margin = _TIE_TOL + rounding
     rows, cols, u, v = linear_sum_assignment(cost)
     reduced = cost - u[:, None] - v
     # one line per pair, in pair order; sigma[k] is line k's column
     sigma = cols
-    if n_rows > n_cols:
+    if cost.shape[0] > cost.shape[1]:
         reduced, v, sigma = reduced.T[cols], u, rows
     low = min(float(reduced.min()), 0.0)
     if low < -margin:
         return None
-    limit = margin - n * low
-    # the move graph over the k lines and node k, the dummy lines
+    limit = margin - max(cost.shape) * low
+    # the move graph's edges over the k lines and node k, the dummy lines
     k = len(sigma)
-    tight = reduced <= limit
-    graph = np.zeros((k + 1, k + 1), dtype=bool)
-    graph[:k, :k] = tight[:, sigma]
-    np.fill_diagonal(graph, False)
-    tight[:, sigma] = False
-    graph[:k, k] = tight.any(axis=1)
-    graph[k, :k] = v[sigma] >= -limit
-    if _has_cycle(graph):
-        return None
-    return list(zip(rows.tolist(), cols.tolist()))
+    owner = np.full(reduced.shape[1], k)
+    owner[sigma] = np.arange(k)
+    line, col = np.nonzero(reduced <= limit)
+    moved = owner[col] != line
+    entered = np.flatnonzero(v[sigma] >= -limit)
+    src = np.concatenate([line[moved], np.full(len(entered), k)])
+    dst = np.concatenate([owner[col[moved]], entered])
+    return None if _has_cycle(src, dst, k + 1) else list(zip(rows.tolist(), cols.tolist()))
 
 
 def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,20 +301,20 @@ def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, np.broadcast_to(np.arange(n_lines), chosen.shape), chosen
 
 
-def _has_cycle(adj: np.ndarray) -> bool:
-    """Whether the directed graph with boolean adjacency adj has a cycle.
-
-    Peels off nodes without an out-edge or an in-edge among the nodes
-    left; a cycle's nodes are never peeled.
-    """
-    live = adj.any(axis=1) & adj.any(axis=0)
-    while live.any():
-        sub = adj[np.ix_(live, live)]
-        keep = sub.any(axis=1) & sub.any(axis=0)
-        if keep.all():
-            return True
-        live[live] = keep
-    return False
+def _has_cycle(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
+    """Whether the graph of edges src → dst over nodes 0..n−1 has a cycle.
+    Kahn's peel takes nodes with no in-edge left; a cycle's are never taken."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        succ[i].append(j)
+    indeg = np.bincount(dst, minlength=n).tolist()
+    peeled = [i for i, d in enumerate(indeg) if not d]
+    for i in peeled:  # grows as the loop runs
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                peeled.append(j)
+    return len(peeled) < n
 
 
 def _refine_lexicographic(cost: np.ndarray) -> list[tuple[int, int]]:

@@ -730,6 +730,50 @@ class TestConfigAndPlumbing:
         assert "fabricated invariant violation" in capsys.readouterr().err
 
 
+class TestPerCommandParser:
+    """main gives arguments only to the invoked subcommand's parser; what
+    a user sees must be what a parser with every subcommand filled shows."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([name, "--help"] for name in cli_mod._COMMANDS),
+        ["bogus"],
+        [],
+        ["eval", "--bogus"],
+        ["--bogus", "sweep"],
+    ])
+    def test_output_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        lean = self._run(argv, capsys)
+        full = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full())
+        assert self._run(argv, capsys) == lean
+        code, out, err = lean
+        assert code in (0, 1) and (out or err)
+
+    def test_only_the_invoked_command_gets_arguments(self, capsys, monkeypatch):
+        built = []
+        lean = cli_mod.build_parser
+
+        def spy(command=None):
+            parser, subparsers = lean(command)
+            built.append({name: len(p._actions) for name, p in subparsers.items()})
+            return parser, subparsers
+
+        monkeypatch.setattr(cli_mod, "build_parser", spy)
+        self._run(["sweep", "--help"], capsys)
+        assert built[0]["sweep"] > 1
+        assert [n for n, actions in built[0].items() if actions > 1] == ["sweep"]
+
+
 class TestInputDiagnostics:
     """Input errors name their file; dropped rows are reported on stderr."""
 

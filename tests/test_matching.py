@@ -303,28 +303,109 @@ class TestSolveAssignmentAgainstRefinement:
         monkeypatch.setattr(matching, "linear_sum_assignment", counted)
         return calls
 
+    @staticmethod
+    def _count_refinements(monkeypatch) -> list:
+        calls = []
+        refine = matching._refine_lexicographic
+
+        def counted(cost):
+            calls.append(np.shape(cost))
+            return refine(cost)
+
+        monkeypatch.setattr(matching, "_refine_lexicographic", counted)
+        return calls
+
+    @staticmethod
+    def _contested(cost: np.ndarray) -> bool:
+        """Whether two lines (of the side with fewer) share a minimum column."""
+        lines = cost.T if cost.shape[0] > cost.shape[1] else cost
+        best = lines.argmin(axis=1)
+        return len(set(best.tolist())) < len(best)
+
+    def _assert_solves(self, monkeypatch, frames) -> set:
+        """Each frame takes no solve when its row minima are distinct and
+        exactly one when a column is contested, and none is refined; returns
+        the solve counts seen."""
+        solves = self._count_solves(monkeypatch)
+        refined = self._count_refinements(monkeypatch)
+        seen = set()
+        for cost in frames:
+            solves.clear()
+            assert solve_assignment(cost) == _refinement_oracle(cost)
+            assert solves == ([cost.shape] if self._contested(cost) else [])
+            seen.add(len(solves))
+        assert refined == []
+        return seen
+
     def test_generic_frame_solves_once(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
-        cost = _crowd_frame(np.random.default_rng(41), 41, 40)
-        assert cost.shape == (40, 41)
-        solve_assignment(cost)
-        assert calls == [(40, 41)]
+        # crowd frames settle by their row minima, or else by one solve
+        frames = [
+            _crowd_frame(np.random.default_rng(seed), 41, 40 + seed % 3) for seed in range(20)
+        ]
+        assert self._assert_solves(monkeypatch, frames) == {0, 1}
 
     @pytest.mark.parametrize("shape", [(41, 40), (12, 30), (30, 12)])
     def test_padding_does_not_force_refinement(self, monkeypatch, shape):
         # the proof's dummy lines can swap among themselves at no cost; that
         # alone is no tie between real assignments
-        calls = self._count_solves(monkeypatch)
-        solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
-        assert calls == [shape]
+        rng = np.random.default_rng(5)
+        frames = [rng.uniform(0.0, 50.0, shape) for _ in range(20)]
+        assert 1 in self._assert_solves(monkeypatch, frames)
 
     @pytest.mark.parametrize("shape", _SMALL_SHAPES)
     def test_small_frames_solve_once(self, monkeypatch, shape):
-        # solve_assignment has one path: lines and small frames take one
-        # solve too
-        calls = self._count_solves(monkeypatch)
-        solve_assignment(np.random.default_rng(5).uniform(0.0, 50.0, shape))
-        assert calls == [shape]
+        # solve_assignment has one path: lines and small frames take at most
+        # one solve too, and a line (one row or column) never needs one
+        rng = np.random.default_rng(5)
+        frames = [rng.uniform(0.0, 50.0, shape) for _ in range(20)]
+        seen = self._assert_solves(monkeypatch, frames)
+        assert seen == ({0} if min(shape) == 1 else {0, 1})
+
+    def test_tight_cycle_takes_the_refinement(self, monkeypatch):
+        # both rows prefer column 0 and the two assignments tie: the tight
+        # move graph holds the swap's cycle, and the refinement decides
+        cost = np.array([[1.0, 2.0, 9.0], [1.0, 2.0, 9.0], [9.0, 9.0, 0.0]])
+        solves = self._count_solves(monkeypatch)
+        refined = self._count_refinements(monkeypatch)
+        assert solve_assignment(cost) == _refinement_oracle(cost) == ((0, 0), (1, 1), (2, 2))
+        assert refined == [(3, 3)] and len(solves) > 1
+
+    def test_acyclic_tight_graph_settles_with_one_solve(self, monkeypatch):
+        # both rows prefer column 0; row 0 moving onto it is a tight move
+        # (reduced weight 0), but no tight move leads back, so one solve
+        # settles the frame
+        cost = np.array([[0.0, 1.0], [0.0, 5.0]])
+        rows, cols, u, v = matching.linear_sum_assignment(cost)
+        reduced = cost - u[:, None] - v
+        reduced[rows, cols] = np.inf
+        assert (reduced <= 1e-6).any()
+        solves = self._count_solves(monkeypatch)
+        refined = self._count_refinements(monkeypatch)
+        assert solve_assignment(cost) == _refinement_oracle(cost) == ((0, 1), (1, 0))
+        assert solves == [(2, 2)] and refined == []
+
+    @given(data=st.data())
+    def test_row_minima_at_the_margin_match_refinement(self, data):
+        # runner-up gaps drawn about the certificate's margin, _TIE_TOL +
+        # 2 · rounding, with max|cost| pinned at 10 so that margin is known;
+        # optionally two lines share a minimum column; either orientation
+        n_lines = data.draw(st.integers(1, 4))
+        width = data.draw(st.integers(max(3, n_lines), 6))
+        rounding = matching._ROUNDING_PER_TERM * width**2 * 10.0
+        margin = matching._TIE_TOL + 2 * rounding
+        cost = np.full((n_lines, width), 10.0)
+        columns = data.draw(st.permutations(range(width)))
+        if n_lines > 1 and data.draw(st.booleans()):
+            columns[1] = columns[0]
+        for i in range(n_lines):
+            low = data.draw(st.floats(0.0, 5.0))
+            factor = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
+            second = data.draw(st.sampled_from([j for j in range(width) if j != columns[i]]))
+            cost[i, second] = low + factor * margin
+            cost[i, columns[i]] = low
+        if data.draw(st.booleans()):
+            cost = cost.T
+        assert solve_assignment(cost) == _refinement_oracle(cost)
 
     @pytest.mark.parametrize("shape", _SMALL_SHAPES)
     def test_small_frames_need_no_solve(self, monkeypatch, shape):
