@@ -703,22 +703,27 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="latency in seconds; omit to estimate (needs route flags) or assume 0",
     )
+    _add_scoring_flags(p)
+    _add_route_flags(p, with_defaults=False)
+    _add_common_flags(p)
+    p.set_defaults(func=cmd_eval)
+
+
+def _add_scoring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--category", choices=CATEGORIES, default=None)
     p.add_argument(
         "--max-gap",
         type=float,
         default=None,
         help="frame alignment gap in s (default: half the median detection tick; "
-        "the gt tick when under two detection frames, 0.5 s when neither side has two)",
+        "half the median gt tick when under two detection frames, 0.5 s when "
+        "neither side has two)",
     )
     p.add_argument(
         "--formats",
         default="table,json",
         help="comma list from table,csv,json (default table,json)",
     )
-    _add_route_flags(p, with_defaults=False)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_eval)
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -732,9 +737,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--latency", type=float, default=None, help="latency in seconds (see eval)"
     )
-    p.add_argument("--category", choices=CATEGORIES, default=None)
-    p.add_argument("--max-gap", type=float, default=None)
-    p.add_argument("--formats", default="table,json")
+    _add_scoring_flags(p)
     _add_route_flags(p, with_defaults=False)
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,8 +34,8 @@ _TIE_TOL = 1e-6
 # costs' rounding along a cycle, and the refinement's own fsum comparisons.
 _ROUNDING_PER_TERM = 64 * np.finfo(float).eps
 
-# Frames with one point on a side, or at most this many on both, are
-# settled by _solve_small, a stack of same-shape frames at once.
+# Frames of more than one line and at most this many columns (lines: the
+# side with fewer points) are certified by listing every assignment.
 _SMALL = 3
 
 
@@ -169,52 +168,90 @@ def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> fl
     return math.fsum(sub[i, j] for i, j in zip(rr, cc))
 
 
-def solve_assignment(cost) -> tuple[tuple[int, int], ...]:
-    """Minimum-total-cost one-to-one assignment of min(rows, cols) pairs,
-    as (row, column) tuples in row order.
+def solve_assignment(cost) -> tuple[tuple[int, int], ...] | tuple[np.ndarray, np.ndarray]:
+    """Minimum-total-cost one-to-one assignment of k = min(rows, cols)
+    pairs, in one (rows, cols) cost matrix or in each frame of a
+    (frames, rows, cols) stack.
 
-    Among optima within _TIE_TOL of each other the lexicographically
-    smallest pair list is returned, so output is deterministic and
-    order-stable for tests and re-runs. Most matrices settle without the
-    row-by-row refinement, which re-solves O(n²) submatrices: distinct,
-    clear row minima with no solve (_row_minima), else one solve and its
-    uniqueness proof (_unique_optimum). Near-ties take the refinement, and
-    so do costs whose sums are too coarse to resolve _TIE_TOL. Raises
-    ValueError on non-finite costs, and on costs whose assignment totals
-    can overflow: min(rows, cols) · max|cost| not finite.
+    A matrix gives its pairs as (row, column) tuples in row order; a stack
+    gives (rows, cols) index arrays of shape (frames, k), each frame's
+    pairs in row order. Among optima within _TIE_TOL of each other the
+    lexicographically smallest pair list is returned, so output is
+    deterministic and order-stable for tests and re-runs. Most frames
+    settle without the row-by-row refinement, which re-solves O(n²)
+    submatrices: by _certify, for the whole stack at once with no solve,
+    else by one solve and its uniqueness proof (_unique_optimum). Near-ties
+    take the refinement, and so do costs whose sums are too coarse to
+    resolve _TIE_TOL. Raises ValueError on non-finite costs, and on costs
+    whose assignment totals can overflow: k · max|cost| not finite.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.size == 0:
-        return ()
-    if not np.isfinite(cost).all():
-        raise ValueError("cost matrix contains non-finite values")
-    top = float(np.abs(cost).max())
-    if not math.isfinite(min(cost.shape) * top):
-        raise ValueError("cost matrix totals overflow: min(shape) * max|cost| is not finite")
-    rounding = _ROUNDING_PER_TERM * max(cost.shape) ** 2 * top
-    resolved = rounding <= _TIE_TOL  # else sums are too coarse to resolve _TIE_TOL
-    pairs = resolved and (_row_minima(cost, rounding) or _unique_optimum(cost, rounding))
-    return tuple(pairs or _refine_lexicographic(cost))
+    if cost.ndim not in (2, 3):
+        raise ValueError(f"cost must be a matrix or a stack of them, got shape {cost.shape}")
+    stack = cost if cost.ndim == 3 else cost[None]
+    n_rows, n_cols = stack.shape[1:]
+    k = min(n_rows, n_cols)
+    rows = cols = np.empty((len(stack), k), np.intp)
+    if stack.size:
+        if not np.isfinite(stack).all():
+            raise ValueError("cost matrix contains non-finite values")
+        top = np.abs(stack).max(axis=(1, 2))
+        if not math.isfinite(k * float(top.max())):
+            raise ValueError("cost matrix totals overflow: min(shape) * max|cost| is not finite")
+        rounding = _ROUNDING_PER_TERM * max(n_rows, n_cols) ** 2 * top
+        resolved = rounding <= _TIE_TOL  # else sums are too coarse to resolve _TIE_TOL
+        ok, rows, cols = _certify(stack, rounding)
+        for f in np.flatnonzero(~(ok & resolved)).tolist():
+            pairs = resolved[f] and _unique_optimum(stack[f], rounding[f])
+            rows[f], cols[f] = zip(*(pairs or _refine_lexicographic(stack[f])))
+    if cost.ndim == 3:
+        return rows, cols
+    return tuple(zip(rows[0].tolist(), cols[0].tolist()))
 
 
-def _row_minima(cost: np.ndarray, rounding: float) -> list[tuple[int, int]] | None:
-    """The optimum without a solve, when the lines (of the matrix turned to
-    have no more lines than columns) have their minima in distinct columns,
-    each below its runner-up by more than _solve_small's margin: any other
-    assignment moves a line off its minimum. Else None."""
-    tall = cost.shape[0] > cost.shape[1]
-    lines = cost.T if tall else cost
-    best = lines.argmin(axis=1)
-    if len(set(best.tolist())) < len(best):
-        return None
-    picked = np.arange(len(best)), best
-    rest = lines.copy()
-    rest[picked] = np.inf  # a lone entry's runner-up is +inf
-    if not (rest.min(axis=1) - lines[picked] > _TIE_TOL + 2 * rounding).all():
-        return None
-    return sorted(zip(best.tolist(), range(len(best)))) if tall else list(enumerate(best.tolist()))
+def _certify(cost: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The refinement's answer without a solve, for each frame of a stack
+    where it is plain: the certificate of solve_assignment.
+
+    Returns (ok, rows, cols): each frame's best assignment in row order,
+    the answer where ok. On the frames turned to have no more lines than
+    columns, a frame is ok when its best assignment beats the runner-up by
+    more than _unique_optimum's margin plus a slack for naive summation:
+    the rounding term again, far above the few eps · n · max|cost| by
+    which a naive sum can miss math.fsum. Frames of 2 to _SMALL lines at
+    most _SMALL wide list every assignment. Any other frame takes each
+    line's minimum, ok when they fall in distinct columns and each beats
+    its line's runner-up by that margin, as any other assignment moves a
+    line off its minimum; a lone entry's runner-up is +inf. The frames
+    that are not ok are near-ties, contested columns or coarse sums.
+    """
+    n_rows, n_cols = cost.shape[1:]
+    tall = n_rows > n_cols
+    lines = cost.transpose(0, 2, 1) if tall else cost
+    n_lines, width = lines.shape[1:]
+    if n_lines > 1 and width <= _SMALL:
+        perms = np.array(list(permutations(range(width), n_lines)))
+        totals = lines[:, 0, perms[:, 0]]
+        for i in range(1, n_lines):
+            totals = totals + lines[:, i, perms[:, i]]
+        order = np.argsort(totals, axis=1)[:, :2]
+        best, second = np.take_along_axis(totals, order, axis=1).T
+        chosen = perms[order[:, 0]]
+        gap = second - best
+    else:
+        chosen = lines.argmin(axis=2)
+        picked = np.take_along_axis(lines, chosen[..., None], axis=2)
+        rest = lines.copy()
+        np.put_along_axis(rest, chosen[..., None], np.inf, axis=2)
+        gap = (rest.min(axis=2) - picked[..., 0]).min(axis=1)
+        taken = np.sort(chosen, axis=1)
+        gap[(taken[:, 1:] == taken[:, :-1]).any(axis=1)] = -np.inf
+    ok = gap > _TIE_TOL + 2 * rounding
+    if tall:
+        # chosen[f, j] is the row of column j; list the pairs by row
+        by_row = np.argsort(chosen, axis=1)
+        return ok, np.take_along_axis(chosen, by_row, axis=1), by_row
+    return ok, np.broadcast_to(np.arange(n_lines), chosen.shape).copy(), chosen
 
 
 def _unique_optimum(cost: np.ndarray, rounding: float) -> list[tuple[int, int]] | None:
@@ -260,45 +297,6 @@ def _unique_optimum(cost: np.ndarray, rounding: float) -> list[tuple[int, int]] 
     src = np.concatenate([line[moved], np.full(len(entered), k)])
     dst = np.concatenate([owner[col[moved]], entered])
     return None if _has_cycle(src, dst, k + 1) else list(zip(rows.tolist(), cols.tolist()))
-
-
-def _solve_small(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The answer of the row-by-row refinement for a stack of same-shape
-    frames that are 1×n, n×1 or at most _SMALL × _SMALL, where it is plain:
-    point_match's batch kernel.
-
-    Returns (ok, rows, cols): each frame's pairs in row order, valid where
-    ok. Every frame lists its assignments, a line's being its entries, and
-    is ok when its best beats the runner-up by more than
-    _unique_optimum's margin plus a slack for naive summation; a 1×1
-    frame's runner-up is +inf. The slack is the rounding term again, far
-    above the few eps · n · max|cost| by which a naive sum can miss
-    math.fsum. The frames that are not ok (near-ties, huge or non-finite
-    costs) are left to solve_assignment, whose refinement takes a tied
-    line's first entry within _TIE_TOL of the minimum.
-    """
-    n_rows, n_cols = cost.shape[1:]
-    ok = np.isfinite(cost).all(axis=(1, 2))
-    tall = n_rows > n_cols
-    lines = cost.transpose(0, 2, 1) if tall else cost
-    n_lines, width = lines.shape[1:]
-    perms = np.array(list(permutations(range(width), n_lines)))
-    totals = lines[:, 0, perms[:, 0]]
-    for i in range(1, n_lines):
-        totals = totals + lines[:, i, perms[:, i]]
-    order = np.argsort(totals, axis=1)
-    # the best and runner-up totals; a 1×1 frame's runner-up stays +inf
-    best = np.full((len(totals), 2), np.inf)
-    best[:, : totals.shape[1]] = np.take_along_axis(totals, order[:, :2], axis=1)
-    n = max(n_rows, n_cols)
-    rounding = _ROUNDING_PER_TERM * n * n * np.abs(cost).max(axis=(1, 2))
-    ok &= (rounding <= _TIE_TOL) & (best[:, 1] - best[:, 0] > _TIE_TOL + 2 * rounding)
-    chosen = perms[order[:, 0]]
-    if tall:
-        # chosen[f, j] is the row of gt column j; list the pairs by row
-        by_row = np.argsort(chosen, axis=1)
-        return ok, np.take_along_axis(chosen, by_row, axis=1), by_row
-    return ok, np.broadcast_to(np.arange(n_lines), chosen.shape), chosen
 
 
 def _has_cycle(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
@@ -522,10 +520,7 @@ def point_match(
     TPs, and likewise its FNs. The pairs hold one category's points, as
     metrics passes them after filter_category; points of more than one
     category raise ValueError.
-    _solve_small settles each stack of line frames (one point on a side)
-    or of frames of at most three points a side at once, by one rule for
-    both. The frames of the other stacks, and the near-ties the kernel
-    leaves, tied lines among them, go to solve_assignment in pair order.
+    solve_assignment settles each stack of same-shape frames, in one call.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
@@ -533,19 +528,11 @@ def point_match(
     blocks = _distance_blocks(pairing, ctx)
     # every assigned pair as (live frame, detection row, gt column, distance)
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]
-    unsettled: list[tuple[int, np.ndarray]] = []
     for frames, cost in blocks.shapes.values():
-        if min(cost.shape[1:]) > 1 and max(cost.shape[1:]) > _SMALL:
-            unsettled += zip(frames.tolist(), cost)
-            continue
-        ok, rows, cols = _solve_small(cost)
+        rows, cols = solve_assignment(cost)
         dist = cost[np.arange(len(frames))[:, None], rows, cols]
         owner = np.broadcast_to(frames[:, None], rows.shape)
-        parts.append(tuple(a[ok].ravel() for a in (owner, rows, cols, dist)))
-        unsettled += zip(frames[~ok].tolist(), cost[~ok])
-    for f, cost in sorted(unsettled, key=itemgetter(0)):
-        rows, cols = np.array(solve_assignment(cost), dtype=np.intp).reshape(-1, 2).T
-        parts.append((np.full(len(rows), f), rows, cols, cost[rows, cols]))
+        parts.append(tuple(a.ravel() for a in (owner, rows, cols, dist)))
 
     frame, rows, cols, dist = map(np.concatenate, zip(*parts))
     keep = np.flatnonzero(dist <= threshold_m)

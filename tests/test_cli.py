@@ -633,6 +633,15 @@ class TestConfigAndPlumbing:
                 main(argv)
             assert exc.value.code == 0
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_help_states_the_gap_default(self, command, capsys):
+        # matching._default_max_gap falls back to half the median gt tick
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "half the median gt tick" in out
+        assert "comma list from table,csv,json" in out
+
     def test_config_file_supplies_flags(self, data_dir, tmp_path):
         gt = data_dir / "scene_gt.csv"
         cfg = tmp_path / "cfg.json"

@@ -28,7 +28,10 @@ the inputs: stdout goes to stdout.txt, the files under out/ next to it.
 
 from __future__ import annotations
 
+import importlib
 import shutil
+import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -117,6 +120,51 @@ def test_scoring_reads_parsed_columns_only(case, tmp_path, monkeypatch, capsys):
         view.__set_name__(TrajectorySet, name)
         monkeypatch.setattr(TrajectorySet, name, view)
     check_golden(case, tmp_path, monkeypatch, capsys)
+
+
+# the functions whose call counts the benchmark's traced runs pin
+# (perfbench/workloads.py's active layers, perfbench/test_smoke.py)
+TRACED = (
+    "ingest.read_points",
+    "core.from_frames",
+    "matching.match_frames_by_time",
+    "matching.solve_assignment",
+    "matching.linear_sum_assignment",
+    "metrics.compute_report",
+)
+
+
+def count_traced_calls(monkeypatch) -> Counter:
+    """Count calls through every roadside_eval module's binding of the
+    TRACED functions, as the benchmark's tracer wraps them."""
+    calls = Counter()
+    for name in TRACED:
+        module, attr = name.split(".")
+        original = getattr(importlib.import_module(f"roadside_eval.{module}"), attr)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.split(".")[0] == "roadside_eval":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["eval", "sweep"])
+def test_traced_calls_keep_the_benchmark_pins(case, tmp_path, monkeypatch, capsys):
+    # the benchmark's traced runs fail when a layer they pin makes no call,
+    # or eval stops reading 5 files and aligning twice per report
+    calls = count_traced_calls(monkeypatch)
+    check_golden(case, tmp_path, monkeypatch, capsys)
+    assert calls["core.from_frames"] > 0 and calls["matching.solve_assignment"] > 0
+    if case == "eval":
+        assert calls["ingest.read_points"] == 5
+        assert calls["matching.match_frames_by_time"] == 2 * calls["metrics.compute_report"] > 0
+        assert calls["matching.linear_sum_assignment"] > 0
 
 
 def check_golden(case, tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter
+from itertools import groupby, permutations
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,7 +49,8 @@ from conftest import brute_force_assignment, dp, line_points
 # a forbidden pair: the solver must still take matrices that hold it.
 _HUGE_COST = 1e12
 
-# Lines and frames of at most 3×3: the shapes point_match's kernel settles.
+# Lines and frames of at most 3×3: the shapes solve_assignment's
+# certificate settles by listing assignments, or lines by their minima.
 _SMALL_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
 
 
@@ -352,14 +354,36 @@ class TestSolveAssignmentAgainstRefinement:
         frames = [rng.uniform(0.0, 50.0, shape) for _ in range(20)]
         assert 1 in self._assert_solves(monkeypatch, frames)
 
+    @staticmethod
+    def _clear(cost: np.ndarray) -> bool:
+        """Whether the best assignment beats every other by more than the
+        certificate's margin, _TIE_TOL + 2 · rounding, by listing every
+        assignment with exact sums."""
+        lines = cost.T if cost.shape[0] > cost.shape[1] else cost
+        totals = sorted(
+            math.fsum(lines[i, j] for i, j in enumerate(p))
+            for p in permutations(range(lines.shape[1]), lines.shape[0])
+        )
+        rounding = matching._ROUNDING_PER_TERM * max(cost.shape) ** 2 * np.abs(cost).max()
+        return len(totals) == 1 or totals[1] - totals[0] > matching._TIE_TOL + 2 * rounding
+
     @pytest.mark.parametrize("shape", _SMALL_SHAPES)
     def test_small_frames_solve_once(self, monkeypatch, shape):
-        # solve_assignment has one path: lines and small frames take at most
-        # one solve too, and a line (one row or column) never needs one
+        # a small frame takes no solve unless its best assignment is
+        # near-tied; then it takes the proof's one solve first (and the
+        # refinement's on an exact tie). Costs rounded to 0.5 tie often.
         rng = np.random.default_rng(5)
         frames = [rng.uniform(0.0, 50.0, shape) for _ in range(20)]
-        seen = self._assert_solves(monkeypatch, frames)
-        assert seen == ({0} if min(shape) == 1 else {0, 1})
+        frames += [np.round(rng.uniform(0.0, 4.0, shape)) / 2 for _ in range(20)]
+        solves = self._count_solves(monkeypatch)
+        settled = []
+        for cost in frames:
+            solves.clear()
+            assert solve_assignment(cost) == _refinement_oracle(cost)
+            assert solves[:1] in ([], [cost.shape])
+            settled.append(not solves)
+        assert settled == [self._clear(cost) for cost in frames]
+        assert all(settled[:20]) and (all(settled) if shape == (1, 1) else not all(settled))
 
     def test_tight_cycle_takes_the_refinement(self, monkeypatch):
         # both rows prefer column 0 and the two assignments tie: the tight
@@ -371,10 +395,11 @@ class TestSolveAssignmentAgainstRefinement:
         assert refined == [(3, 3)] and len(solves) > 1
 
     def test_acyclic_tight_graph_settles_with_one_solve(self, monkeypatch):
-        # both rows prefer column 0; row 0 moving onto it is a tight move
-        # (reduced weight 0), but no tight move leads back, so one solve
-        # settles the frame
-        cost = np.array([[0.0, 1.0], [0.0, 5.0]])
+        # both rows prefer column 0, so their minima settle nothing, and a
+        # frame 4 wide lists no assignments; row 0 moving onto column 0 is
+        # a tight move (reduced weight 0), but no tight move leads back, so
+        # the proof settles the frame with one solve
+        cost = np.array([[0.0, 1.0, 7.0, 7.0], [0.0, 5.0, 7.0, 7.0]])
         rows, cols, u, v = matching.linear_sum_assignment(cost)
         reduced = cost - u[:, None] - v
         reduced[rows, cols] = np.inf
@@ -382,7 +407,7 @@ class TestSolveAssignmentAgainstRefinement:
         solves = self._count_solves(monkeypatch)
         refined = self._count_refinements(monkeypatch)
         assert solve_assignment(cost) == _refinement_oracle(cost) == ((0, 1), (1, 0))
-        assert solves == [(2, 2)] and refined == []
+        assert solves == [(2, 4)] and refined == []
 
     @given(data=st.data())
     def test_row_minima_at_the_margin_match_refinement(self, data):
@@ -407,23 +432,30 @@ class TestSolveAssignmentAgainstRefinement:
             cost = cost.T
         assert solve_assignment(cost) == _refinement_oracle(cost)
 
+    @staticmethod
+    def _certify(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        """solve_assignment's certificate on a stack, at its rounding term."""
+        top = np.abs(stack).max(axis=(1, 2))
+        rounding = matching._ROUNDING_PER_TERM * max(stack.shape[1:]) ** 2 * top
+        return matching._certify(stack, rounding)
+
     @pytest.mark.parametrize("shape", _SMALL_SHAPES)
     def test_small_frames_need_no_solve(self, monkeypatch, shape):
-        # point_match's batch kernel settles a stack of them as the
-        # refinement would; a 1×1 frame's missing runner-up counts as +inf
+        # the certificate settles a stack of them as the refinement would;
+        # a 1×1 frame's missing runner-up counts as +inf
         stack = np.random.default_rng(6).uniform(0.0, 50.0, (4, *shape))
         calls = self._count_solves(monkeypatch)
-        ok, rows, cols = matching._solve_small(stack)
+        ok, rows, cols = self._certify(stack)
         assert calls == [] and ok.all()
         for cost, r, c in zip(stack, rows.tolist(), cols.tolist()):
             assert tuple(zip(r, c)) == _refinement_oracle(cost)
 
     def test_tied_lines_leave_the_kernel(self, ctx):
-        # a line takes the enumeration's rule too: a near-tie is not settled
-        # there, and solve_assignment's refinement pairs the first tied entry
+        # a near-tied line is not settled by the certificate, and
+        # solve_assignment's refinement pairs the first tied entry
         wide = np.array([[[2.0, 1.0, 1.0]], [[3.0, 0.5, 2.0]]])
         for stack in (wide, wide.transpose(0, 2, 1)):
-            ok, rows, cols = matching._solve_small(stack)
+            ok, rows, cols = self._certify(stack)
             assert ok.tolist() == [False, True]
             assert tuple(zip(rows[1].tolist(), cols[1].tolist())) == _refinement_oracle(stack[1])
             assert solve_assignment(stack[0]) == _refinement_oracle(stack[0])
@@ -436,6 +468,59 @@ class TestSolveAssignmentAgainstRefinement:
         got = _per_pair(point_match(pairs, 1.5, ctx), len(pairs))
         assert got == [_per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs]
         assert [tp[0][:2] for tp in got] == [("a", "b1"), ("b1", "a")]
+
+    @staticmethod
+    def _stack_frame(rng, family: str, shape: tuple[int, int]) -> np.ndarray:
+        """One frame of the stack test's cost families."""
+        if family == "uniform":
+            return rng.uniform(0.0, 50.0, shape)
+        if family == "rounded":  # exact ties
+            return np.round(rng.uniform(0.0, 6.0, shape)) / 2
+        if family == "huge":  # coarse sums force the refinement
+            cost = rng.uniform(0.0, 50.0, shape)
+            cost[tuple(rng.integers(0, shape))] = _HUGE_COST
+            return cost
+        # runner-up gaps about the certificate's margin, as in the test above
+        tall = shape[0] > shape[1]
+        n_lines, width = sorted(shape)
+        margin = matching._TIE_TOL + 2 * matching._ROUNDING_PER_TERM * width**2 * 10.0
+        cost = np.full((n_lines, width), 10.0)
+        columns = rng.permutation(width)
+        if n_lines > 1 and rng.random() < 0.5:
+            columns[1] = columns[0]
+        for i in range(n_lines):
+            low = rng.uniform(0.0, 5.0)
+            factor = rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.9, 1.1)])
+            if width > 1:
+                second = rng.choice([j for j in range(width) if j != columns[i]])
+                cost[i, second] = low + factor * margin
+            cost[i, columns[i]] = low
+        return cost.T if tall else cost
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_frames=st.integers(1, 6),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        family=st.sampled_from(["uniform", "rounded", "near_margin", "huge"]),
+    )
+    def test_stack_matches_each_frame(self, seed, n_frames, shape, family):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([self._stack_frame(rng, family, shape) for _ in range(n_frames)])
+        rows, cols = solve_assignment(stack)
+        assert rows.shape == cols.shape == (n_frames, min(shape))
+        for cost, r, c in zip(stack, rows.tolist(), cols.tolist()):
+            assert tuple(zip(r, c)) == solve_assignment(cost) == _refinement_oracle(cost)
+
+    def test_stack_edge_cases(self):
+        for shape in [(0, 3, 2), (4, 0, 3), (4, 3, 0)]:
+            rows, cols = solve_assignment(np.zeros(shape))
+            assert rows.shape == cols.shape == (shape[0], min(shape[1:])) and rows.size == 0
+        stack = np.ones((3, 2, 2))
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_assignment(stack)
+        with pytest.raises(ValueError, match="shape"):
+            solve_assignment(np.ones((2, 2, 2, 2)))
 
     def test_unmatchable_cells_take_the_refinement(self, monkeypatch):
         # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
@@ -716,15 +801,15 @@ class TestBatchedPointMatch:
     """point_match over many pairs must give the per-pair matcher's results."""
 
     @staticmethod
-    def _count_solves(monkeypatch) -> list:
+    def _record(monkeypatch, *names) -> list:
+        """Record the cost of every call to the named matching functions."""
         calls = []
-        solve = matching.solve_assignment
+        for name in names:
+            def recorded(cost, *args, fn=getattr(matching, name)):
+                calls.append(np.asarray(cost))
+                return fn(cost, *args)
 
-        def counted(cost):
-            calls.append(np.shape(cost))
-            return solve(cost)
-
-        monkeypatch.setattr(matching, "solve_assignment", counted)
+            monkeypatch.setattr(matching, name, recorded)
         return calls
 
     @pytest.mark.parametrize(
@@ -744,26 +829,40 @@ class TestBatchedPointMatch:
         for threshold in (50.0, 1.5, edge):
             got = _per_pair(point_match(pairs, threshold, ctx), len(pairs))
             assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
-        # both ways through the small frames: the batch, and solve_assignment
-        # where only its own arithmetic can decide (near-ties)
-        calls = self._count_solves(monkeypatch)
+        # both ways through the small frames: the certificate, and the
+        # proof or the refinement where only their arithmetic can decide
+        # (near-ties); a frame that fails the proof reaches both, in turn
+        calls = self._record(monkeypatch, "_unique_optimum", "_refine_lexicographic")
         point_match(pairs, 1.5, ctx)
         small = sum(
             1 for df, gf in pairs
             if df.points and gf.points and max(len(df.points), len(gf.points)) <= 3
         )
-        small_calls = [shape for shape in calls if max(shape) <= 3]
+        frames = [key for key, _ in groupby(calls, key=lambda c: (c.shape, c.tobytes()))]
+        small_reached = [shape for shape, _ in frames if max(shape) <= 3]
         if kind == "continuous":
-            assert small_calls == []
+            assert small_reached == []
         else:
-            assert 0 < len(small_calls) < small
+            assert 0 < len(small_reached) < small
 
     def test_lines_and_frames_up_to_3x3_stay_in_the_kernel(self, ctx, monkeypatch):
+        # point_match hands solve_assignment each shape's stack in one call;
+        # continuous costs leave no line or frame up to 3×3 near-tied, so a
+        # solve is only for a larger frame whose line minima share a column
         pairs = _random_pairs(ctx, 11, "continuous", 400)
-        calls = self._count_solves(monkeypatch)
+        stacks = self._record(monkeypatch, "solve_assignment")
+        solves = self._record(monkeypatch, "linear_sum_assignment")
         point_match(pairs, 1.5, ctx)
         shapes = [(len(df.points), len(gf.points)) for df, gf in pairs]
-        assert calls == [s for s in shapes if min(s) > 1 and max(s) > 3]
+        live = sorted({s for s in shapes if min(s) > 0})
+        assert [c.shape for c in stacks] == [(shapes.count(s), *s) for s in live]
+        left = [
+            s for shape in live for s, (df, gf) in zip(shapes, pairs)
+            if s == shape and min(s) > 1 and max(s) > 3
+            and TestSolveAssignmentAgainstRefinement._contested(
+                _per_pair_distances(df.points, gf.points, ctx))
+        ]
+        assert [c.shape for c in solves] == left and left
         assert any(min(s) > 0 and max(s) <= 3 for s in shapes)
         assert any(min(s) == 1 and max(s) > 3 for s in shapes)
 
