@@ -42,6 +42,7 @@ from .core import (
 from .errors import ConsistencyError, EvalError, IntegrityError
 from .ingest import IngestReport, read_points, write_points
 from .latency import (
+    MAX_TEST_POINTS,
     LatencyEstimate,
     RouteLine,
     combine_trials,
@@ -655,7 +656,7 @@ def _add_route_flags(p: argparse.ArgumentParser, with_defaults: bool) -> None:
         "--test-points",
         type=int,
         default=11,
-        help="number of test points inside the window (default 11)",
+        help=f"number of test points inside the window, 1 to {MAX_TEST_POINTS} (default 11)",
     )
     p.add_argument(
         "--speed-tol",

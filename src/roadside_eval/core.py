@@ -327,11 +327,8 @@ def recode(codes: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, list[st
     return (np.cumsum(used) - 1)[codes], [names[k] for k in np.flatnonzero(used).tolist()]
 
 
-def build_trajectory_set(
-    records: Recording | Sequence[DataPoint],
-    source: str = SOURCE_DETECTION,
-) -> TrajectorySet:
-    """Group a recording's rows, or points, by time into frames.
+def build_trajectory_set(rec: Recording, source: str = SOURCE_DETECTION) -> TrajectorySet:
+    """Group a recording's rows by time into frames.
 
     Rows whose timestamps fall into the same FRAME_BIN_S bin share a
     frame. The result is independent of input order: frames are ordered by
@@ -346,7 +343,6 @@ def build_trajectory_set(
     whose bin number overflows). Either error names the first bad record
     in input order.
     """
-    rec = records if isinstance(records, Recording) else _as_recording(list(records))
     # rint rounds half to even, as round() does
     with np.errstate(over="ignore"):
         bins = np.rint(rec.t / FRAME_BIN_S)

@@ -54,6 +54,11 @@ _DET_SLACK_S = 5.0
 # so the offset estimate skips the sample.
 _MIN_OFFSET_SPEED_MPS = 0.5
 
+# Most test points a window takes: 6 cm apart on a 60 m window, far denser
+# than any detection stream samples the route. Memory grows with test
+# points times passes.
+MAX_TEST_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class RouteLine:
@@ -206,6 +211,8 @@ def default_test_points(route: RouteLine, n: int = 11) -> np.ndarray:
     """n test points evenly spread strictly inside the constant window."""
     if n < 1:
         raise ValueError("need at least one test point")
+    if n > MAX_TEST_POINTS:
+        raise ValueError(f"at most {MAX_TEST_POINTS} test points, got {n}")
     return np.linspace(route.window_start_m, route.window_end_m, n + 2)[1:-1]
 
 

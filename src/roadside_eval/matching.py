@@ -19,8 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (SOURCE_DETECTION, SOURCE_GROUND_TRUTH, DataFrame, GeoPoint, ProjectionContext,
-                   TrajectorySet, project, recode)
+from .core import DataFrame, GeoPoint, ProjectionContext, TrajectorySet, project, recode
 from .errors import EvalError
 
 # Absolute tolerance for "equal total cost" during tie-break refinement.
@@ -395,17 +394,6 @@ def match_frames_by_time(
     return FramePairing(det, gt, paired, i[paired], near)
 
 
-def _as_pairing(pairs: FramePairing | Sequence[tuple[DataFrame, DataFrame]]) -> FramePairing:
-    """A pairing as it is, or explicit frame pairs as a pairing of two sets
-    of those frames, frame k with frame k."""
-    if isinstance(pairs, FramePairing):
-        return pairs
-    det = TrajectorySet(tuple(df for df, _ in pairs), SOURCE_DETECTION)
-    gt = TrajectorySet(tuple(gf for _, gf in pairs), SOURCE_GROUND_TRUTH)
-    k = np.arange(len(pairs))
-    return FramePairing(det, gt, k, k, k[:0])
-
-
 def _default_max_gap(det: TrajectorySet, gt: TrajectorySet) -> float:
     for ts in (det, gt):
         if len(ts.frame_times) >= 2:
@@ -505,26 +493,20 @@ class Matches(NamedTuple):
     gt_ids: list[str]
 
 
-def point_match(
-    pairs: FramePairing | Sequence[tuple[DataFrame, DataFrame]],
-    threshold_m: float,
-    ctx: ProjectionContext,
-) -> Matches:
+def point_match(pairing: FramePairing, threshold_m: float, ctx: ProjectionContext) -> Matches:
     """Optimal one-to-one point matching within each aligned frame pair.
 
-    Takes match_frames_by_time's pairing, or explicit (detection, gt)
-    frame pairs. Returns the true positives as one Matches table. The
-    assignment minimizes total distance without regard to the threshold,
-    which only classifies afterwards: an assigned pair beyond it
-    contributes a FP and a FN, so a pair's FPs are its detections less its
-    TPs, and likewise its FNs. The pairs hold one category's points, as
-    metrics passes them after filter_category; points of more than one
-    category raise ValueError.
+    Takes match_frames_by_time's pairing. Returns the true positives as
+    one Matches table. The assignment minimizes total distance without
+    regard to the threshold, which only classifies afterwards: an assigned
+    pair beyond it contributes a FP and a FN, so a pair's FPs are its
+    detections less its TPs, and likewise its FNs. The pairs hold one
+    category's points, as metrics passes them after filter_category;
+    points of more than one category raise ValueError.
     solve_assignment settles each stack of same-shape frames, in one call.
     """
     if not 0 < threshold_m < math.inf:
         raise ValueError(f"threshold_m must be positive and finite, got {threshold_m}")
-    pairing = _as_pairing(pairs)
     blocks = _distance_blocks(pairing, ctx)
     # every assigned pair as (live frame, detection row, gt column, distance)
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3 + (np.empty(0),)]

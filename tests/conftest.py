@@ -12,6 +12,7 @@ import gc
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -21,11 +22,14 @@ from roadside_eval.core import (
     GeoPoint,
     LocalPoint,
     ProjectionContext,
+    Recording,
     TrajectorySet,
+    build_trajectory_set,
     from_frames,
     make_projection,
     unproject,
 )
+from roadside_eval.matching import FramePairing
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -137,3 +141,36 @@ def swap_object_ids(
         )
         frames.append(DataFrame(f.timestamp_s, pts))
     return from_frames(frames, ts.source)
+
+
+# The scoring entry points take what the pipeline hands them: a Recording,
+# as read_points returns it, and a FramePairing, as match_frames_by_time
+# returns it. Tests that start from points or frames reach them through
+# these helpers.
+
+
+def recorded(points) -> Recording:
+    """The points as a Recording, coded here rather than by the library."""
+    cats = sorted({p.category for p in points})
+    ids = sorted({p.object_id for p in points})
+    t, lat, lon = (np.array(v, float) for v in (
+        [p.timestamp_s for p in points],
+        [p.position.lat_deg for p in points],
+        [p.position.lon_deg for p in points],
+    ))
+    return Recording(t, lat, lon, np.array([cats.index(p.category) for p in points], np.intp), cats,
+                     np.array([ids.index(p.object_id) for p in points], np.intp), ids)
+
+
+def grouped(points, source: str = "detection") -> TrajectorySet:
+    """The points grouped into a set, as build_trajectory_set groups a recording."""
+    return build_trajectory_set(recorded(points), source)
+
+
+def paired(frame_pairs) -> FramePairing:
+    """Explicit (detection, gt) frame pairs as a pairing of two sets of
+    those frames, frame k with frame k."""
+    det = TrajectorySet(tuple(df for df, _ in frame_pairs), "detection")
+    gt = TrajectorySet(tuple(gf for _, gf in frame_pairs), "ground_truth")
+    k = np.arange(len(frame_pairs))
+    return FramePairing(det, gt, k, k, k[:0])

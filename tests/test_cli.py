@@ -299,15 +299,16 @@ class TestLatencyCommand:
         assert capsys.readouterr().err == "error: route endpoints coincide\n"
         assert not list(tmp_path.iterdir())
 
-    def test_too_many_test_points_exits_one(self, tmp_path, capsys):
-        # 1e14 test points need over 2**47 bytes, so the allocation fails at once
+    @pytest.mark.parametrize("n", ["1001", "100000000", "100000000000000"])
+    def test_too_many_test_points_exits_one(self, tmp_path, capsys, n):
+        # the bound is checked before anything is allocated for the points
         rc = main([
             "latency", "--det", str(DATA / "lat_det_a.csv"), "--gt", str(DATA / "lat_gt.csv"),
-            "--output-dir", str(tmp_path), "--test-points", "100000000000000",
+            "--output-dir", str(tmp_path), "--test-points", n,
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error: " in err and "Traceback" not in err
+        assert f"error: at most 1000 test points, got {n}" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
     def test_far_origin_exits_one_naming_the_point(self, data_dir, tmp_path, capsys):

@@ -18,8 +18,6 @@ from roadside_eval.core import (
     DataPoint,
     GeoPoint,
     LocalPoint,
-    Recording,
-    build_trajectory_set,
     filter_category,
     from_frames,
     make_projection,
@@ -35,7 +33,7 @@ from roadside_eval import core as core_mod
 from roadside_eval.errors import IntegrityError, ProjectionRangeError
 from roadside_eval.synth import ScenarioSpec, generate_scenario
 
-from conftest import ORIGIN, dp, haversine_m, line_points
+from conftest import ORIGIN, dp, grouped, haversine_m, line_points
 
 
 class TestProjection:
@@ -120,34 +118,19 @@ def reference_grouping(points, source="detection"):
     return from_frames(frames, source)
 
 
-def recorded(points) -> Recording:
-    """The points as a Recording, coded here rather than by the library."""
-    cats = sorted({p.category for p in points})
-    ids = sorted({p.object_id for p in points})
-    t, lat, lon = (np.array(v, float) for v in (
-        [p.timestamp_s for p in points],
-        [p.position.lat_deg for p in points],
-        [p.position.lon_deg for p in points],
-    ))
-    return Recording(t, lat, lon, np.array([cats.index(p.category) for p in points], np.intp), cats,
-                     np.array([ids.index(p.object_id) for p in points], np.intp), ids)
-
-
 def check_against_reference(points):
     """build_trajectory_set gives the reference's frames, stamps bit for bit,
-    or the reference's duplicate error, from the points and from a
-    recording of them."""
-    for given_as in (list, recorded):
-        try:
-            want = reference_grouping(points)
-        except IntegrityError as exc:
-            with pytest.raises(IntegrityError) as got:
-                build_trajectory_set(given_as(points))
-            assert (str(got.value), got.value.records) == (str(exc), exc.records)
-            continue
-        got = build_trajectory_set(given_as(points))
-        assert got == want
-        assert [f.timestamp_s.hex() for f in got.frames] == [f.timestamp_s.hex() for f in want.frames]
+    or the reference's duplicate error, from a recording of the points."""
+    try:
+        want = reference_grouping(points)
+    except IntegrityError as exc:
+        with pytest.raises(IntegrityError) as got:
+            grouped(points)
+        assert (str(got.value), got.value.records) == (str(exc), exc.records)
+        return
+    got = grouped(points)
+    assert got == want
+    assert [f.timestamp_s.hex() for f in got.frames] == [f.timestamp_s.hex() for f in want.frames]
 
 
 def _ulps(t: float, steps: int) -> float:
@@ -191,7 +174,7 @@ def grouping_inputs(draw):
 
 class TestBuildTrajectorySet:
     def test_empty_input(self):
-        ts = build_trajectory_set([])
+        ts = grouped([])
         assert ts.frames == () and ts.trajectories == ()
 
     def test_two_by_two(self, ctx):
@@ -201,7 +184,7 @@ class TestBuildTrajectorySet:
             dp(10.1, 1, 0, ctx, object_id="a"),
             dp(10.1, 6, 0, ctx, object_id="b"),
         ]
-        ts = build_trajectory_set(pts)
+        ts = grouped(pts)
         assert len(ts.frames) == 2
         assert len(ts.trajectories) == 2
         assert all(t.rows.shape == (2, 3) for t in ts.trajectories)
@@ -209,7 +192,7 @@ class TestBuildTrajectorySet:
     def test_duplicate_id_in_bin_rejected(self, ctx):
         pts = [dp(10.0, 0, 0, ctx), dp(10.0, 1, 0, ctx)]
         with pytest.raises(IntegrityError) as exc:
-            build_trajectory_set(pts)
+            grouped(pts)
         assert "veh-01" in str(exc.value)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e306])
@@ -217,20 +200,18 @@ class TestBuildTrajectorySet:
         pts = [dp(10.0, 0, 0, ctx), dp(t, 1, 0, ctx, object_id="b")]
         # a plain float repr, not numpy's np.float64(...)
         message = f"^record 1: timestamp {re.escape(repr(t))} s falls in no frame bin$"
-        for given_as in (list, recorded):
-            with pytest.raises(ValueError, match=message):
-                build_trajectory_set(given_as(pts))
+        with pytest.raises(ValueError, match=message):
+            grouped(pts)
 
     def test_first_bad_record_in_input_order_is_named(self, ctx):
         # whichever of a duplicate and a time in no bin comes first is raised
         a0, a1 = dp(10.0, 0, 0, ctx, object_id="a"), dp(10.0, 1, 0, ctx, object_id="a")
         bad = dp(math.nan, 2, 0, ctx, object_id="b")
-        for given_as in (list, recorded):
-            with pytest.raises(IntegrityError) as exc:
-                build_trajectory_set(given_as([a0, a1, bad]))
-            assert exc.value.records == (0, 1)
-            with pytest.raises(ValueError, match="record 1: timestamp"):
-                build_trajectory_set(given_as([a0, bad, a1]))
+        with pytest.raises(IntegrityError) as exc:
+            grouped([a0, a1, bad])
+        assert exc.value.records == (0, 1)
+        with pytest.raises(ValueError, match="record 1: timestamp"):
+            grouped([a0, bad, a1])
 
     @given(case=grouping_inputs())
     def test_matches_dict_grouping(self, case):
@@ -249,7 +230,7 @@ class TestBuildTrajectorySet:
         pts = [dp(10.0, 0, 0, ctx, object_id="a"), dp(10.0, 1, 0, ctx, object_id="b"),
                dp(10.0001, 2, 0, ctx, object_id="a"), dp(10.0002, 3, 0, ctx, object_id="a")]
         with pytest.raises(IntegrityError) as exc:
-            build_trajectory_set(pts)
+            grouped(pts)
         assert exc.value.records == (0, 2)
         check_against_reference(pts)
 
@@ -257,10 +238,9 @@ class TestBuildTrajectorySet:
         # the later bin's duplicate comes first in the file, so it is the one named
         pts = [dp(20.0, 0, 0, ctx, object_id="x"), dp(10.0, 1, 0, ctx, object_id="y"),
                dp(20.0, 2, 0, ctx, object_id="x"), dp(10.0, 3, 0, ctx, object_id="y")]
-        for given_as in (list, recorded):
-            with pytest.raises(IntegrityError, match="'x'") as exc:
-                build_trajectory_set(given_as(pts))
-            assert exc.value.records == (0, 2)
+        with pytest.raises(IntegrityError, match="'x'") as exc:
+            grouped(pts)
+        assert exc.value.records == (0, 2)
         check_against_reference(pts)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -274,12 +254,11 @@ class TestBuildTrajectorySet:
             )
         shuffled = list(base)
         random.Random(seed).shuffle(shuffled)
-        assert build_trajectory_set(shuffled) == build_trajectory_set(base)
-        assert build_trajectory_set(recorded(shuffled)) == build_trajectory_set(base)
+        assert grouped(shuffled) == grouped(base)
 
     def test_frame_trajectory_duality(self, ctx):
         pts = line_points(ctx, n=30) + line_points(ctx, n=20, object_id="x", y=4)
-        ts = build_trajectory_set(pts)
+        ts = grouped(pts)
         via_frames = sum(len(f.points) for f in ts.frames)
         via_trajs = sum(len(t.rows) for t in ts.trajectories)
         assert via_frames == via_trajs == 50
@@ -318,7 +297,7 @@ class TestFilterCategory:
 class TestArraysAndSlicing:
     def test_trajectory_arrays_match_pointwise_projection(self, ctx):
         pts = line_points(ctx, n=40, vx=3.3, y=5.5)
-        traj = build_trajectory_set(pts).trajectories[0]
+        traj = grouped(pts).trajectories[0]
         times, xy = trajectory_arrays(traj.rows, ctx)
         assert times.shape == (40,) and xy.shape == (40, 2)
         for i, p in enumerate(pts):
@@ -336,7 +315,7 @@ class TestArraysAndSlicing:
 
     def test_all_points_matches_frame_contents(self, ctx):
         pts = line_points(ctx, n=12) + line_points(ctx, n=12, object_id="z", y=3)
-        ts = build_trajectory_set(pts)
+        ts = grouped(pts)
         assert sorted(ts.all_points(), key=lambda p: (p.timestamp_s, p.object_id)) == sorted(
             pts, key=lambda p: (p.timestamp_s, p.object_id)
         )
@@ -398,7 +377,7 @@ class TestSliceView:
             assert (i[k] - lo[k], j[k] - lo[k]) == (a, b)
 
     def test_shared_rows_are_read_only(self, ctx):
-        traj = build_trajectory_set(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
+        traj = grouped(line_points(ctx, t0=0.0, n=10, dt=1.0)).trajectories[0]
         with pytest.raises(ValueError):
             traj.rows[0, 0] = -1.0
         # the arrays handed to callers are their own
@@ -486,22 +465,21 @@ class TestColumns:
                   for p in f.points]
         points += [DataPoint(50.0 + 0.1 * k, ORIGIN, "vehicle", f"obj-{k % 3}") for k in range(9)]
         random.Random(seed).shuffle(points)
-        for given_as in (list, recorded):
-            ts = build_trajectory_set(given_as(points))
-            rebuilt = from_frames(ts.frames, "detection")
-            for view in ("columns", "offsets", "frame_times"):
-                assert view in ts.__dict__ and view not in rebuilt.__dict__
-            assert _columns_equal(ts.columns, rebuilt.columns)
-            assert ts.offsets.tobytes() == rebuilt.offsets.tobytes()
-            assert ts.frame_times.tobytes() == rebuilt.frame_times.tobytes()
-            assert not ts.frame_times.flags.writeable
-            cols = ts.columns
-            assert ts.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
-            assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
-            assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
-            assert cols.t.tolist() == [p.timestamp_s for p in ts.all_points()]
-            assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
-            assert _views_read_only(ts) and _views_read_only(rebuilt)
+        ts = grouped(points)
+        rebuilt = from_frames(ts.frames, "detection")
+        for view in ("columns", "offsets", "frame_times"):
+            assert view in ts.__dict__ and view not in rebuilt.__dict__
+        assert _columns_equal(ts.columns, rebuilt.columns)
+        assert ts.offsets.tobytes() == rebuilt.offsets.tobytes()
+        assert ts.frame_times.tobytes() == rebuilt.frame_times.tobytes()
+        assert not ts.frame_times.flags.writeable
+        cols = ts.columns
+        assert ts.offsets.tolist() == [0, *np.cumsum([len(f.points) for f in ts.frames])]
+        assert [cols.ids[k] for k in cols.ident] == [p.object_id for p in ts.all_points()]
+        assert [cols.categories[k] for k in cols.category] == [p.category for p in ts.all_points()]
+        assert cols.t.tolist() == [p.timestamp_s for p in ts.all_points()]
+        assert cols.lat.tolist() == [p.position.lat_deg for p in ts.all_points()]
+        assert _views_read_only(ts) and _views_read_only(rebuilt)
 
     def test_codes_stay_with_points_the_frame_sort_moves(self, ctx, monkeypatch):
         # were from_frames to reorder the frames, the grouping's rows would
@@ -510,7 +488,7 @@ class TestColumns:
             return TrajectorySet(tuple(reversed(frames)), source)
 
         monkeypatch.setattr(core_mod, "from_frames", reversed_frames)
-        ts = build_trajectory_set([dp(1.0, 0, 0, ctx, object_id="b"), dp(2.0, 0, 0, ctx, object_id="a")])
+        ts = grouped([dp(1.0, 0, 0, ctx, object_id="b"), dp(2.0, 0, 0, ctx, object_id="a")])
         assert not {"columns", "offsets", "frame_times"} & ts.__dict__.keys()
         assert [ts.columns.ids[k] for k in ts.columns.ident] == ["a", "b"]
         assert ts.columns.t.tolist() == [2.0, 1.0]
@@ -540,7 +518,7 @@ class TestOnDemandTrajectories:
 
     def test_per_frame_ids_give_one_point_tracks(self, ctx):
         pts = [dp(10.0 + 0.1 * k, k, 0, ctx, object_id=f"trk-{k}") for k in range(6)]
-        ts = build_trajectory_set(pts)
+        ts = grouped(pts)
         assert [len(t.rows) for t in ts.trajectories] == [1] * 6
         assert _keyed(ts.trajectories) == _keyed(_oracle_trajectories(ts.frames))
 

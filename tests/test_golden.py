@@ -107,9 +107,9 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch, capsys):
     check_golden(case, tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("case", ["eval", "sweep"])
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_scoring_reads_parsed_columns_only(case, tmp_path, monkeypatch, capsys):
-    # eval and sweep score the columns, offsets and frame times the grouping
+    # every command scores the columns, offsets and frame times the grouping
     # handed over: no pass over a set's frames or points after loading
     def refuse(*args):
         raise AssertionError("a pass over a set's frames")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import roadside_eval.latency as latency_mod
 from roadside_eval.core import (
     LocalPoint,
-    build_trajectory_set,
     time_span,
     trajectory_arrays,
 )
@@ -54,7 +53,7 @@ from roadside_eval.synth import (
     min_round_trip_duration_s,
 )
 
-from conftest import dp, swap_object_ids
+from conftest import dp, grouped, swap_object_ids
 
 ROUTE = RouteLine(LocalPoint(0.0, 0.0), (1.0, 0.0), -30.0, 30.0, 10.0)
 
@@ -99,12 +98,12 @@ def straight_run(
         dp(t0 + k * dt, x0 + v * k * dt, y, ctx, object_id=object_id)
         for k in range(n)
     ]
-    return build_trajectory_set(pts, source="ground_truth").trajectories[0]
+    return grouped(pts, source="ground_truth").trajectories[0]
 
 
 def track(pts, ctx):
     """Plane track of the one trajectory the points form."""
-    return plane_tracks([build_trajectory_set(pts).trajectories[:1]], ctx)
+    return plane_tracks([grouped(pts).trajectories[:1]], ctx)
 
 
 def one_pass(gt, route):
@@ -263,6 +262,20 @@ class TestRouteLineValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(ROUTE, **{field: value})
+
+
+class TestDefaultTestPoints:
+    def test_a_thousand_lie_strictly_inside_the_window(self):
+        pts = default_test_points(ROUTE, 1000)
+        assert len(pts) == 1000 and (np.diff(pts) > 0).all()
+        assert ROUTE.window_start_m < pts[0] and pts[-1] < ROUTE.window_end_m
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "need at least one test point"), (1001, "at most 1000 test points, got 1001"),
+    ])
+    def test_out_of_range_counts_rejected(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            default_test_points(ROUTE, n)
 
 
 class TestSampleTau:
@@ -739,8 +752,8 @@ class TestEstimateLatencyForTrial:
     def test_far_point_named_in_frame_order(self, ctx):
         # id order puts "a-far" first, frame order puts b-far's point first
         run = [dp(1000.0 + k * 0.1, -50.0 + k, 0.0, ctx) for k in range(101)]
-        gt = build_trajectory_set(run, source="ground_truth")
-        det = build_trajectory_set([
+        gt = grouped(run, source="ground_truth")
+        det = grouped([
             *run,
             dp(1005.0, 20_000.0, 0.0, ctx, object_id="a-far"),
             dp(1002.0, 0.0, 30_000.0, ctx, object_id="b-far"),
@@ -749,7 +762,7 @@ class TestEstimateLatencyForTrial:
         with pytest.raises(ProjectionRangeError, match="is 30000 m from"):
             estimate_latency_for_trial(det, gt, ROUTE, ctx)
         # the detection set is checked before the ground truth
-        far_gt = build_trajectory_set([*run, dp(1003.0, 0.0, 40_000.0, ctx, object_id="z")])
+        far_gt = grouped([*run, dp(1003.0, 0.0, 40_000.0, ctx, object_id="z")])
         with pytest.raises(ProjectionRangeError, match="is 30000 m from"):
             estimate_latency_for_trial(det, far_gt, ROUTE, ctx)
         with pytest.raises(ProjectionRangeError, match="is 40000 m from"):

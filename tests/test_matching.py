@@ -43,7 +43,7 @@ from roadside_eval.matching import (
 )
 from roadside_eval.metrics import compute_report
 
-from conftest import brute_force_assignment, dp, line_points
+from conftest import brute_force_assignment, dp, grouped, line_points, paired
 
 # A cost far above any sum of real planar distances, as a caller might give
 # a forbidden pair: the solver must still take matrices that hold it.
@@ -465,7 +465,7 @@ class TestSolveAssignmentAgainstRefinement:
             dp(t, x, 0.0, ctx, object_id=f"b{i}") for i, x in enumerate([2.0, -1.0, 1.0])
         ))
         pairs = [(one, three), (three, one)]
-        got = _per_pair(point_match(pairs, 1.5, ctx), len(pairs))
+        got = _per_pair(point_match(paired(pairs), 1.5, ctx), len(pairs))
         assert got == [_per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs]
         assert [tp[0][:2] for tp in got] == [("a", "b1"), ("b1", "a")]
 
@@ -536,8 +536,8 @@ class TestSolveAssignmentAgainstRefinement:
 class TestMatchFramesByTime:
     def test_identity_pairing(self, ctx):
         pts = line_points(ctx, t0=100.0, n=20)
-        det = build_trajectory_set(pts, source="detection")
-        gt = build_trajectory_set(pts, source="ground_truth")
+        det = grouped(pts, source="detection")
+        gt = grouped(pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
         assert len(pairing.pairs) == 20
         for df, gf in pairing.pairs:
@@ -549,8 +549,8 @@ class TestMatchFramesByTime:
         det_pts = [
             dp(p.timestamp_s + 0.25, 0, 0, ctx) for p in gt_pts
         ]
-        det = build_trajectory_set(det_pts, source="detection")
-        gt = build_trajectory_set(gt_pts, source="ground_truth")
+        det = grouped(det_pts, source="detection")
+        gt = grouped(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.25)
         assert len(pairing.pairs) == 20
         for df, gf in pairing.pairs:
@@ -559,8 +559,8 @@ class TestMatchFramesByTime:
     def test_10hz_det_50hz_gt_gap_bound(self, ctx):
         gt_pts = line_points(ctx, t0=100.0, n=250, dt=0.02)
         det_pts = line_points(ctx, t0=100.6, n=30, dt=0.1)
-        det = build_trajectory_set(det_pts, source="detection")
-        gt = build_trajectory_set(gt_pts, source="ground_truth")
+        det = grouped(det_pts, source="detection")
+        gt = grouped(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.1)
         assert len(pairing.pairs) == 30
         gt_times = [f.timestamp_s for f in gt.frames]
@@ -572,24 +572,24 @@ class TestMatchFramesByTime:
             assert gf.timestamp_s == nearest
 
     def test_empty_gt_rejected(self, ctx):
-        det = build_trajectory_set(line_points(ctx, n=3), source="detection")
-        gt = build_trajectory_set([], source="ground_truth")
+        det = grouped(line_points(ctx, n=3), source="detection")
+        gt = grouped([], source="ground_truth")
         with pytest.raises(EvalError):
             match_frames_by_time(det, gt, 0.0)
 
     def test_far_detection_frames_dropped(self, ctx):
-        gt = build_trajectory_set(line_points(ctx, t0=100.0, n=10), source="ground_truth")
+        gt = grouped(line_points(ctx, t0=100.0, n=10), source="ground_truth")
         det_pts = line_points(ctx, t0=100.0, n=10) + line_points(
             ctx, t0=500.0, n=3, object_id="ghost"
         )
-        det = build_trajectory_set(det_pts, source="detection")
+        det = grouped(det_pts, source="detection")
         pairing = match_frames_by_time(det, gt, 0.0)
         assert len(pairing.pairs) == 10
         assert pairing.n_dropped == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_latency_rejected(self, ctx, bad):
-        ts = build_trajectory_set(line_points(ctx, n=5), source="ground_truth")
+        ts = grouped(line_points(ctx, n=5), source="ground_truth")
         with pytest.raises(ValueError, match="latency_s must be finite"):
             match_frames_by_time(ts, ts, bad)
 
@@ -671,7 +671,7 @@ class TestAlignmentAgainstLoop:
             got = match_frames_by_time(det, gt, latency)
             want = _aligned_by_loop(det, gt, latency, _default_gap(det, gt))
             assert (got.pairs, got.fp_only, got.n_dropped) == want
-        gt = build_trajectory_set(line_points(ctx, n=5), source="ground_truth")
+        gt = grouped(line_points(ctx, n=5), source="ground_truth")
         empty = match_frames_by_time(from_frames([], "detection"), gt, 0.0)
         assert (empty.pairs, empty.fp_only, empty.n_dropped) == ((), (), 0)
 
@@ -704,8 +704,8 @@ class TestColumnarSets:
            max_gap=st.sampled_from([None, 0.0625, 0.125]))
     def test_filter_and_alignment_match_the_loops(self, det, gt, category, latency, max_gap):
         # each side as explicit frames, and grouped from the same points
-        grouped = (build_trajectory_set(ts.all_points(), ts.source) for ts in (det, gt))
-        for det, gt in ((det, gt), tuple(grouped)):
+        regrouped = (grouped(ts.all_points(), ts.source) for ts in (det, gt))
+        for det, gt in ((det, gt), tuple(regrouped)):
             kept = {}
             for ts in (det, gt):
                 got = filter_category(ts, category)
@@ -824,16 +824,16 @@ class TestBatchedPointMatch:
         assert any(n > 1 for s, n in shapes.items() if min(s) > 0 and max(s) > 3)
         # 50 m keeps every assigned pair; the last threshold equals one
         # pair's distance, which then counts as a TP
-        tps = point_match(pairs, 50.0, ctx).dist.tolist()
+        tps = point_match(paired(pairs), 50.0, ctx).dist.tolist()
         edge = max(d for d in tps if 0 < d < 1.5)
         for threshold in (50.0, 1.5, edge):
-            got = _per_pair(point_match(pairs, threshold, ctx), len(pairs))
+            got = _per_pair(point_match(paired(pairs), threshold, ctx), len(pairs))
             assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
         # both ways through the small frames: the certificate, and the
         # proof or the refinement where only their arithmetic can decide
         # (near-ties); a frame that fails the proof reaches both, in turn
         calls = self._record(monkeypatch, "_unique_optimum", "_refine_lexicographic")
-        point_match(pairs, 1.5, ctx)
+        point_match(paired(pairs), 1.5, ctx)
         small = sum(
             1 for df, gf in pairs
             if df.points and gf.points and max(len(df.points), len(gf.points)) <= 3
@@ -852,7 +852,7 @@ class TestBatchedPointMatch:
         pairs = _random_pairs(ctx, 11, "continuous", 400)
         stacks = self._record(monkeypatch, "solve_assignment")
         solves = self._record(monkeypatch, "linear_sum_assignment")
-        point_match(pairs, 1.5, ctx)
+        point_match(paired(pairs), 1.5, ctx)
         shapes = [(len(df.points), len(gf.points)) for df, gf in pairs]
         live = sorted({s for s in shapes if min(s) > 0})
         assert [c.shape for c in stacks] == [(shapes.count(s), *s) for s in live]
@@ -893,12 +893,12 @@ class TestBatchedPointMatch:
                 pairs.append(tuple(sides))
             want = self._first_far_point(pairs, ctx)
             if want is None:
-                assert _per_pair(point_match(pairs, 1.5, ctx), len(pairs)) == [
+                assert _per_pair(point_match(paired(pairs), 1.5, ctx), len(pairs)) == [
                     _per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs
                 ]
                 continue
             with pytest.raises(ProjectionRangeError) as exc:
-                point_match(pairs, 1.5, ctx)
+                point_match(paired(pairs), 1.5, ctx)
             assert str(exc.value) == want
             raised += 1
         assert 0 < raised < 300
@@ -907,13 +907,13 @@ class TestBatchedPointMatch:
         far = DataFrame(1.0, (dp(1.0, 20_000.0, 0.0, ctx, object_id="d0"),))
         near = DataFrame(1.0, (dp(1.0, 0.0, 0.0, ctx, object_id="g0"),))
         empty = DataFrame(1.0, ())
-        m = point_match([(far, empty), (empty, far), (near, near)], 1.5, ctx)
+        m = point_match(paired([(far, empty), (empty, far), (near, near)]), 1.5, ctx)
         det_far, gt_far, _ = _per_pair(m, 3)
         # no TPs, so the far detection is a FP and the far gt point a FN
         assert det_far == gt_far == ()
         assert len(far.points) - len(det_far) == 1
         with pytest.raises(ProjectionRangeError, match="flat-plane validity"):
-            point_match([(far, near)], 1.5, ctx)
+            point_match(paired([(far, near)]), 1.5, ctx)
 
     def test_scoring_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique and np.median import numpy.ma on first use, about 40 ms
@@ -980,14 +980,14 @@ class TestFarPointsThroughReports:
 
 class TestPointMatch:
     def test_both_empty(self, ctx):
-        m = point_match([(DataFrame(1.0, ()), DataFrame(1.0, ()))], 1.5, ctx)
+        m = point_match(paired([(DataFrame(1.0, ()), DataFrame(1.0, ()))]), 1.5, ctx)
         assert _per_pair(m, 1) == [()]
         assert [len(column) for column in m] == [0] * 6
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="g1"),))
-        [((det_id, gt_id, d),)] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
+        [((det_id, gt_id, d),)] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
         assert (det_id, gt_id) == ("d1", "g1")
         assert d == pytest.approx(0.0, abs=1e-9)
 
@@ -1000,7 +1000,7 @@ class TestPointMatch:
             dp(1.0, 0.4, 0, ctx, object_id="d1"),
             dp(1.0, 1.6, 0, ctx, object_id="d2"),
         ))
-        [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
+        [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
         # TPs in detection order; no FP (2 detections − 2 TPs), no FN (2 gt − 2)
         assert [(d, g) for d, g, _ in res] == [("d1", "g1"), ("d2", "g2")]
         total = sum(d for _, _, d in res)
@@ -1009,7 +1009,7 @@ class TestPointMatch:
     def test_over_threshold_counts_both_sides(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 10.0, 0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0.0, 0, ctx, object_id="g1"),))
-        [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
+        [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
         # no TP: FP = 1 detection − 0 TPs, FN = 1 gt − 0 TPs
         assert res == ()
 
@@ -1019,7 +1019,7 @@ class TestPointMatch:
         gt = DataFrame(1.0, (dp(1.0, 0, 0, ctx, category="vehicle", object_id="g1"),))
         named = r"\['pedestrian', 'vehicle'\]"
         with pytest.raises(ValueError, match=named):
-            point_match([(det, gt)], 1.5, ctx)
+            point_match(paired([(det, gt)]), 1.5, ctx)
         with pytest.raises(ValueError, match=named):
             association_match(
                 from_frames([det], "detection"), from_frames([gt], "ground_truth"), 0.0, 1.5, ctx
@@ -1028,10 +1028,10 @@ class TestPointMatch:
         mixed = DataFrame(1.0, det.points + (dp(1.0, 1, 0, ctx, object_id="d2"),))
         for pairs in ([(mixed, gt)], [(gt, mixed)]):
             with pytest.raises(ValueError, match=named):
-                point_match(pairs, 1.5, ctx)
+                point_match(paired(pairs), 1.5, ctx)
         # a frame with an empty side is never matched, so its category is free
         empty = DataFrame(1.0, ())
-        assert _per_pair(point_match([(det, empty), (empty, gt)], 1.5, ctx), 2) == [(), ()]
+        assert _per_pair(point_match(paired([(det, empty), (empty, gt)]), 1.5, ctx), 2) == [(), ()]
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -1047,7 +1047,7 @@ class TestPointMatch:
                    object_id=f"g{i}")
                 for i in range(n_gt)
             ))
-            [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
+            [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
             # one-to-one: FP = n_det − TP and FN = n_gt − TP are never negative
             assert len({d for d, _, _ in res}) == len(res) <= n_det
             assert len({g for _, g, _ in res}) == len(res) <= n_gt
@@ -1066,7 +1066,7 @@ class TestPointMatch:
                 dp(1.0, x + shift, y + shift, ctx, object_id=f"g{i}")
                 for i, (x, y) in enumerate(gt_xy)
             ))
-            [res] = _per_pair(point_match([(det, gt)], 1.5, ctx), 1)
+            [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
             # the TP id pairs fix the FPs and FNs: every other point
             return sorted((d, g) for d, g, _ in res)
 
@@ -1162,13 +1162,13 @@ def _association_counts(det, gt, threshold_m, ctx, category="vehicle"):
 class TestAssociationMatch:
     def test_identical_single_trajectory(self, ctx):
         pts = line_points(ctx, n=25)
-        det = build_trajectory_set(pts, source="detection")
-        gt = build_trajectory_set(pts, source="ground_truth")
+        det = grouped(pts, source="detection")
+        gt = grouped(pts, source="ground_truth")
         assert _association_counts(det, gt, 1.5, ctx) == (25, 0, 0)
 
     def test_empty_detection_side(self, ctx):
-        det = build_trajectory_set([], source="detection")
-        gt = build_trajectory_set(line_points(ctx, n=10), source="ground_truth")
+        det = grouped([], source="detection")
+        gt = grouped(line_points(ctx, n=10), source="ground_truth")
         assert _association_counts(det, gt, 1.5, ctx) == (0, 0, 10)
 
     def test_swapped_second_half(self, ctx):
@@ -1184,8 +1184,8 @@ class TestAssociationMatch:
             t = 1000.0 + k * 0.1
             det_pts.append(dp(t, 10.0 * k * 0.1, 0.0, ctx, object_id=a))
             det_pts.append(dp(t, 10.0 * k * 0.1, 8.0, ctx, object_id=b))
-        det = build_trajectory_set(det_pts, source="detection")
-        gt = build_trajectory_set(gt_pts, source="ground_truth")
+        det = grouped(det_pts, source="detection")
+        gt = grouped(gt_pts, source="ground_truth")
         tpa, fpa, fna = _association_counts(det, gt, 1.5, ctx)
         # each det id overlaps each gt trajectory for exactly half the run;
         # the fixed association keeps the first-half pairing, so the second
@@ -1211,10 +1211,10 @@ class TestAssociationMatch:
                 ctx,
                 object_id="d1" if p.object_id == "g1" else "d2",
             ))
-        det = build_trajectory_set(det_pts, source="detection")
-        gt = build_trajectory_set(gt_pts, source="ground_truth")
+        det = grouped(det_pts, source="detection")
+        gt = grouped(gt_pts, source="ground_truth")
         pairing = match_frames_by_time(det, gt, 0.0)
-        per_frame_tp = len(point_match(pairing.pairs, 1.5, ctx).dist)
+        per_frame_tp = len(point_match(pairing, 1.5, ctx).dist)
         assert association_match(det, gt, 0.0, 1.5, ctx) <= per_frame_tp
 
     def test_input_order_invariance(self, ctx):
@@ -1226,9 +1226,9 @@ class TestAssociationMatch:
             line_points(ctx, n=10, y=0.1, object_id="d9")
             + line_points(ctx, n=10, y=6.1, object_id="d2")
         )
-        det_fwd = build_trajectory_set(det_pts, source="detection")
-        det_rev = build_trajectory_set(list(reversed(det_pts)), source="detection")
-        gt = build_trajectory_set(gt_pts, source="ground_truth")
+        det_fwd = grouped(det_pts, source="detection")
+        det_rev = grouped(list(reversed(det_pts)), source="detection")
+        gt = grouped(gt_pts, source="ground_truth")
         a = _association_counts(det_fwd, gt, 1.5, ctx)
         b = _association_counts(det_rev, gt, 1.5, ctx)
         assert a == b
@@ -1236,8 +1236,8 @@ class TestAssociationMatch:
     def test_no_cell_within_threshold(self, ctx):
         # two lanes 10 m apart: every frame aligns, nothing is a hit, and
         # the co-count matrix is 0×0
-        det = build_trajectory_set(line_points(ctx, n=12, y=10.0, object_id="d1"), source="detection")
-        gt = build_trajectory_set(line_points(ctx, n=12, object_id="g1"), source="ground_truth")
+        det = grouped(line_points(ctx, n=12, y=10.0, object_id="d1"), source="detection")
+        gt = grouped(line_points(ctx, n=12, object_id="g1"), source="ground_truth")
         assert _association_counts(det, gt, 1.5, ctx) == (0, 12, 12)
         assert compute_report(det, gt, 0.0, 1.5, "vehicle", ctx).idf1_pct == 0.0
 

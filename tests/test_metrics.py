@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from roadside_eval.core import (
     DataFrame,
     GeoPoint,
-    build_trajectory_set,
     from_frames,
     make_projection,
 )
@@ -30,7 +29,7 @@ from roadside_eval.metrics import (
 )
 from roadside_eval.synth import ErrorModel, ScenarioSpec, degrade, generate_scenario
 
-from conftest import dp
+from conftest import dp, grouped, paired
 
 
 def counts(tp=0, fp=0, fn=0, ids=0, tpa=0, fpa=0, fna=0, sum_d=0.0):
@@ -156,7 +155,7 @@ def simple_scene(ctx, n_frames=40):
         t = 100.0 + 0.1 * k
         pts.append(dp(t, 1.0 * k, 0.0, ctx, object_id="veh-01"))
         pts.append(dp(t, 1.0 * k, 8.0, ctx, object_id="veh-02"))
-    return build_trajectory_set(pts, source="ground_truth")
+    return grouped(pts, source="ground_truth")
 
 
 def shifted_copy(gt, ctx, dx=0.0, dy=0.0):
@@ -170,7 +169,7 @@ def shifted_copy(gt, ctx, dx=0.0, dy=0.0):
                 dp(t, local.x_m + dx, local.y_m + dy, ctx,
                    category=traj.category, object_id=traj.object_id)
             )
-    return build_trajectory_set(pts, source="detection")
+    return grouped(pts, source="detection")
 
 
 class TestComputeReport:
@@ -200,7 +199,7 @@ class TestComputeReport:
 
     def test_empty_detections_all_misses(self, ctx):
         gt = simple_scene(ctx)
-        det = build_trajectory_set([], source="detection")
+        det = grouped([], source="detection")
         r = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
         assert r.counts.fn == r.counts.gt_total == 80
         assert r.mota_pct == 0.0
@@ -209,7 +208,7 @@ class TestComputeReport:
 
     def test_threshold_checked_without_frame_pairs(self, ctx):
         gt = simple_scene(ctx)
-        det = build_trajectory_set([], source="detection")
+        det = grouped([], source="detection")
         with pytest.raises(ValueError, match="threshold"):
             compute_report(det, gt, 0.0, -1.0, "vehicle", ctx)
 
@@ -221,7 +220,7 @@ class TestComputeReport:
         with pytest.raises(ValueError, match="finite"):
             threshold_sweep(gt, gt, 0.0, [1.0, bad], "vehicle", ctx)
         with pytest.raises(ValueError, match="finite"):
-            point_match([(gt.frames[0], gt.frames[0])], bad, ctx)
+            point_match(paired([(gt.frames[0], gt.frames[0])]), bad, ctx)
         with pytest.raises(ValueError, match="finite"):
             match_frames_by_time(gt, gt, 0.0, max_gap_s=bad)
 
@@ -233,7 +232,7 @@ class TestComputeReport:
             t = 100.0 + 0.1 * k
             pts.append(dp(t + 0.2, 1.0 * k, 0.0, ctx, object_id="veh-01"))
             pts.append(dp(t + 0.2, 1.0 * k, 8.0, ctx, object_id="veh-02"))
-        det = build_trajectory_set(pts, source="detection")
+        det = grouped(pts, source="detection")
         r = compute_report(det, gt, 0.2, 1.5, "vehicle", ctx)
         assert r.motp_m == pytest.approx(0.0, abs=1e-9)
         r_raw = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
@@ -258,7 +257,7 @@ class TestComputeReport:
             a, b = ("veh-01", "veh-02") if t < half else ("veh-02", "veh-01")
             pts.append(dp(t, 1.0 * k, 0.0, ctx, object_id=a))
             pts.append(dp(t, 1.0 * k, 8.0, ctx, object_id=b))
-        det = build_trajectory_set(pts, source="detection")
+        det = grouped(pts, source="detection")
         r = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
         assert r.counts.ids >= 1
         assert r.idf1_pct < r.mota_pct
@@ -403,8 +402,8 @@ class TestReportIdentities:
                     for oid, y in (("veh-01", 0.0), ("veh-02", 8.0)):
                         pts_gt.append(dp(t, 1.0 * k, y, ctx, object_id=oid))
                         pts_det.append(dp(t, 1.0 * k + 0.2, y, ctx, object_id=oid))
-            gt = build_trajectory_set(pts_gt, source="ground_truth")
-            det = build_trajectory_set(pts_det, source="detection")
+            gt = grouped(pts_gt, source="ground_truth")
+            det = grouped(pts_det, source="detection")
             return compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
 
         r1, r2 = build(1), build(2)
