@@ -37,7 +37,6 @@ from .core import (
     build_trajectory_set,
     make_projection,
     paused_gc,
-    validate_geo,
 )
 from .errors import ConsistencyError, EvalError, IntegrityError
 from .ingest import IngestReport, read_points, write_points
@@ -161,11 +160,9 @@ def _parse_origin(text: str) -> GeoPoint:
     if len(parts) != 2:
         raise EvalError(f"origin must be 'lat,lon', got {text!r}")
     try:
-        origin = GeoPoint(float(parts[0]), float(parts[1]))
+        return GeoPoint(float(parts[0]), float(parts[1]))
     except ValueError:
         raise EvalError(f"origin must be 'lat,lon' numbers, got {text!r}") from None
-    validate_geo(origin)
-    return origin
 
 
 def _default_origin(gt: TrajectorySet) -> GeoPoint:
@@ -423,6 +420,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
         )
 
     combined = combine_trials(estimates)
+    out = _out_dir(args)
     print(f"forward mean:  {combined.per_direction_mean_s[1]:.6f} s")
     print(f"reverse mean:  {combined.per_direction_mean_s[-1]:.6f} s")
     print(f"combined mean: {combined.mean_s:.6f} s")
@@ -431,7 +429,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
 
     latency = _latency_dict(combined, "estimated")
     latency["per_trial"] = per_trial
-    _write_manifest(_out_dir(args) / "report.json", _manifest(args, inputs, latency))
+    _write_manifest(out / "report.json", _manifest(args, inputs, latency))
     return 0
 
 
@@ -548,6 +546,7 @@ def _emit(
     sweep: ThresholdSweep | None,
 ) -> None:
     """Single writer for all chosen formats, after computation finishes."""
+    out = _out_dir(args)
     if "table" in formats:
         if reports:
             print(_metrics_table(reports))
@@ -559,7 +558,6 @@ def _emit(
                 )
             ]
             print(_render_table(rows, ("Threshold (m)", "FP Rate %", "FN Rate %")))
-    out = _out_dir(args)
     if "json" in formats:
         _write_manifest(out / "report.json", manifest)
     if "csv" in formats:
@@ -570,6 +568,8 @@ def _emit(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.out_det is not None and Path(args.out_det).resolve() == Path(args.out_gt).resolve():
+        raise EvalError(f"--out-det and --out-gt name the same file: {args.out_det}")
     origin = _parse_origin(args.origin)
     ctx = make_projection(origin)
     try:

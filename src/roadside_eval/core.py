@@ -16,8 +16,8 @@ The Monte Carlo replay reads trajectories only, so it never builds
 columns. A :class:`Trajectory` is its rows: one object id's (time, lat,
 lon) in time order, as one read-only array.
 trajectory_arrays projects rows, of one trajectory or many laid end to
-end, into plane tracks, which time_span cuts by index, one span or many
-at once.
+end, into plane tracks, which time_span cuts by index, many spans at
+once.
 
 All distances downstream are planar meters, so geographic coordinates are
 projected once onto an equirectangular tangent plane anchored at a trial-site
@@ -278,25 +278,21 @@ def make_projection(origin: GeoPoint) -> ProjectionContext:
 
 
 def project(p: GeoPoint, ctx: ProjectionContext) -> LocalPoint:
-    """Map a geographic point to plane coordinates (east, north) in meters.
+    """Map a GeoPoint of equal-shape arrays to a LocalPoint of plane
+    coordinates (east, north) in meters, element by element.
 
-    A GeoPoint of equal-shape arrays maps to a LocalPoint of arrays, with
-    the same arithmetic per element. Raises ProjectionRangeError beyond
-    10 km from the origin, where the flat-earth assumption no longer holds;
-    for arrays it names the first such point.
+    Raises ProjectionRangeError, naming the first such point, when a point
+    lies beyond 10 km from the origin, where the flat-earth assumption no
+    longer holds.
     """
     x = (p.lon_deg - ctx.origin.lon_deg) * ctx.meters_per_deg_lon
     y = (p.lat_deg - ctx.origin.lat_deg) * ctx.meters_per_deg_lat
-    if isinstance(x, np.ndarray):
-        far = np.flatnonzero(x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M)
-        if not far.size:
-            return LocalPoint(x, y)
+    far = np.flatnonzero(x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M)
+    if far.size:
         k = far[0]
-        p = GeoPoint(float(p.lat_deg.flat[k]), float(p.lon_deg.flat[k]))
-        x, y = float(x.flat[k]), float(y.flat[k])
-    if x * x + y * y > MAX_PROJECTION_RANGE_M * MAX_PROJECTION_RANGE_M:
         raise ProjectionRangeError(
-            f"point {p} is {math.hypot(x, y):.0f} m from the projection "
+            f"point {GeoPoint(float(p.lat_deg.flat[k]), float(p.lon_deg.flat[k]))} is "
+            f"{math.hypot(x.flat[k], y.flat[k]):.0f} m from the projection "
             f"origin; flat-plane validity ends at {MAX_PROJECTION_RANGE_M:.0f} m"
         )
     return LocalPoint(x, y)
@@ -458,24 +454,24 @@ def time_span(
     times: np.ndarray,
     t0: float | np.ndarray,
     t1: float | np.ndarray,
-    lo: int | np.ndarray = 0,
-    hi: int | np.ndarray | None = None,
-) -> tuple:
-    """Index range ``[i, j)`` of the ascending ``times[lo:hi]`` inside [t0, t1].
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges ``[i, j)`` of the ascending ``times[lo:hi]`` inside [t0, t1].
 
-    The bounds are found by bisection. The range is empty (``i >= j``)
-    when no time lies within the bounds, and when either bound is NaN.
-    Array bounds and row limits (broadcast together) give one range per
+    The bounds and row limits broadcast together and give one range per
     entry, as two int arrays: many spans of tracks laid end to end, each
-    ascending within its rows, in one call. Scalars give two ints.
+    ascending within its rows, in one call. The bounds are found by
+    bisection. A range is empty (``i >= j``) when no time lies within its
+    bounds, and when either bound is NaN.
     """
-    t0, t1, lo, hi = np.broadcast_arrays(t0, t1, lo, len(times) if hi is None else hi)
+    t0, t1, lo, hi = np.broadcast_arrays(t0, t1, lo, hi)
     i = _first_false(lo, hi, lambda k: times[k] < t0)
     j = _first_false(lo, hi, lambda k: times[k] <= t1)
     # a NaN t0 sorts after every time, and no time is <= a NaN t1
     i = np.where(t0 == t0, i, hi)
     j = np.where(t1 == t1, j, i)
-    return (int(i), int(j)) if i.ndim == 0 else (i, j)
+    return i, j
 
 
 def _first_false(lo: np.ndarray, hi: np.ndarray, before) -> np.ndarray:

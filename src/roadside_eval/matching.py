@@ -167,13 +167,11 @@ def _sub_total(cost: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> fl
     return math.fsum(sub[i, j] for i, j in zip(rr, cc))
 
 
-def solve_assignment(cost) -> tuple[tuple[int, int], ...] | tuple[np.ndarray, np.ndarray]:
+def solve_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-total-cost one-to-one assignment of k = min(rows, cols)
-    pairs, in one (rows, cols) cost matrix or in each frame of a
-    (frames, rows, cols) stack.
+    pairs in each frame of a (frames, rows, cols) cost stack.
 
-    A matrix gives its pairs as (row, column) tuples in row order; a stack
-    gives (rows, cols) index arrays of shape (frames, k), each frame's
+    Returns (rows, cols) index arrays of shape (frames, k), each frame's
     pairs in row order. Among optima within _TIE_TOL of each other the
     lexicographically smallest pair list is returned, so output is
     deterministic and order-stable for tests and re-runs. Most frames
@@ -181,13 +179,13 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...] | tuple[np.ndarray, np
     submatrices: by _certify, for the whole stack at once with no solve,
     else by one solve and its uniqueness proof (_unique_optimum). Near-ties
     take the refinement, and so do costs whose sums are too coarse to
-    resolve _TIE_TOL. Raises ValueError on non-finite costs, and on costs
-    whose assignment totals can overflow: k · max|cost| not finite.
+    resolve _TIE_TOL. Raises ValueError on a cost of any other shape, on
+    non-finite costs, and on costs whose assignment totals can overflow:
+    k · max|cost| not finite.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim not in (2, 3):
-        raise ValueError(f"cost must be a matrix or a stack of them, got shape {cost.shape}")
-    stack = cost if cost.ndim == 3 else cost[None]
+    stack = np.asarray(cost, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError(f"cost must be a stack of matrices, got shape {stack.shape}")
     n_rows, n_cols = stack.shape[1:]
     k = min(n_rows, n_cols)
     rows = cols = np.empty((len(stack), k), np.intp)
@@ -203,9 +201,7 @@ def solve_assignment(cost) -> tuple[tuple[int, int], ...] | tuple[np.ndarray, np
         for f in np.flatnonzero(~(ok & resolved)).tolist():
             pairs = resolved[f] and _unique_optimum(stack[f], rounding[f])
             rows[f], cols[f] = zip(*(pairs or _refine_lexicographic(stack[f])))
-    if cost.ndim == 3:
-        return rows, cols
-    return tuple(zip(rows[0].tolist(), cols[0].tolist()))
+    return rows, cols
 
 
 def _certify(cost: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -483,14 +479,12 @@ class Matches(NamedTuple):
     """point_match's true positives, one row each, in pair order and within
     a pair in detection order: the frame pair's index, the detection's and
     the gt point's object id codes, and their distance in meters. The codes
-    index det_ids and gt_ids, which are in string order."""
+    index the paired sets' columns.ids, which are in string order."""
 
     pair: np.ndarray
     det: np.ndarray
     gt: np.ndarray
     dist: np.ndarray
-    det_ids: list[str]
-    gt_ids: list[str]
 
 
 def point_match(pairing: FramePairing, threshold_m: float, ctx: ProjectionContext) -> Matches:
@@ -522,8 +516,7 @@ def point_match(pairing: FramePairing, threshold_m: float, ctx: ProjectionContex
     frame = frame[keep]
     det = blocks.ident[blocks.start[frame] + rows[keep]]
     gt = blocks.ident[blocks.start[frame] + blocks.rows[frame] + cols[keep]]
-    ids = pairing.det.columns.ids, pairing.gt.columns.ids
-    return Matches(blocks.live[frame], det, gt, dist[keep], *ids)
+    return Matches(blocks.live[frame], det, gt, dist[keep])
 
 
 def count_id_switches(matches: Matches) -> int:

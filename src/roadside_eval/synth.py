@@ -347,7 +347,7 @@ def degrade(
     gt: TrajectorySet,
     model: ErrorModel,
     ctx: ProjectionContext,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     route_direction: tuple[float, float] = (1.0, 0.0),
 ) -> TrajectorySet:
     """Detections for a ground-truth set under the error model.
@@ -359,15 +359,14 @@ def degrade(
     scene: offset_e1_m = (along, cross-left) relative to route_direction, so
     on a back-and-forth run its along-route component biases the two travel
     directions with opposite signs and cancels in a paired mean. Id swaps
-    are persistent from the frame they occur. rng is an int seed or a
-    Generator, so every call is reproducible.
+    are persistent from the frame they occur. Every draw comes from rng, so
+    a seeded Generator makes the call reproducible.
 
     Every model takes one path: per-actor draws, then a loop over only the
     ticks that draw a swap or clutter, then each actor's kept points built
     in bulk with the id it reports at each tick. When no swap took place
     and no clutter was drawn, the actors' trajectories are handed over too.
     """
-    rng = np.random.default_rng(rng)
     if not len(gt.frame_times):
         return TrajectorySet((), "detection")
 

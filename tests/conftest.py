@@ -27,9 +27,11 @@ from roadside_eval.core import (
     build_trajectory_set,
     from_frames,
     make_projection,
+    project,
+    time_span,
     unproject,
 )
-from roadside_eval.matching import FramePairing
+from roadside_eval.matching import FramePairing, solve_assignment
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -174,3 +176,27 @@ def paired(frame_pairs) -> FramePairing:
     gt = TrajectorySet(tuple(gf for _, gf in frame_pairs), "ground_truth")
     k = np.arange(len(frame_pairs))
     return FramePairing(det, gt, k, k, k[:0])
+
+
+# project, time_span and solve_assignment take arrays, as the pipeline
+# calls them. Tests of one point, one range or one matrix reach them
+# through these helpers.
+
+
+def projected(p: GeoPoint, ctx: ProjectionContext) -> LocalPoint:
+    """One point's plane coordinates, as floats."""
+    x, y = project(GeoPoint(np.array([p.lat_deg]), np.array([p.lon_deg])), ctx)
+    return LocalPoint(x.item(), y.item())
+
+
+def span(times, t0: float, t1: float) -> tuple[int, int]:
+    """time_span's one range over all of times, as ints."""
+    i, j = time_span(times, t0, t1, np.array([0]), np.array([len(times)]))
+    return i.item(), j.item()
+
+
+def assigned(cost) -> tuple[tuple[int, int], ...]:
+    """One cost matrix's pairs as (row, column) tuples in row order: its
+    frame of solve_assignment's answer for a stack of that matrix alone."""
+    rows, cols = solve_assignment(np.asarray(cost, dtype=float)[None])
+    return tuple(zip(rows[0].tolist(), cols[0].tolist()))

@@ -27,7 +27,6 @@ from roadside_eval.latency import (
     estimate_position_error,
     plane_tracks,
 )
-from roadside_eval.matching import solve_assignment
 from roadside_eval.metrics import MetricsReport, compute_report, threshold_sweep
 from roadside_eval.synth import (
     BASE_TIME_S,
@@ -40,7 +39,7 @@ from roadside_eval.synth import (
     monte_carlo_validate,
 )
 
-from conftest import ORIGIN, brute_force_assignment, swap_object_ids
+from conftest import ORIGIN, assigned, brute_force_assignment, swap_object_ids
 
 
 def verdict(capsys, label: str, ok: bool, detail: str) -> None:
@@ -62,7 +61,7 @@ def metric_reports(ctx):
     spec = ScenarioSpec("two_vehicle_plus_pedestrian", duration_s=300.0,
                         rng_seed=71)
     gt = generate_scenario(spec, ctx)
-    det_miss = degrade(gt, ErrorModel(miss_prob=0.07), ctx, rng=72)
+    det_miss = degrade(gt, ErrorModel(miss_prob=0.07), ctx, rng=np.random.default_rng(72))
     r_miss = compute_report(det_miss, gt, 0.0, 1.5, "vehicle", ctx, "miss-trial")
     det_swap = swap_object_ids(det_miss, "veh-01", "veh-02", BASE_TIME_S + 150.0)
     r_swap = compute_report(det_swap, gt, 0.0, 1.5, "vehicle", ctx, "swap-trial")
@@ -73,7 +72,7 @@ def metric_reports(ctx):
     spec8 = ScenarioSpec("one_vehicle_maneuver", duration_s=300.0, rng_seed=81)
     gt8 = generate_scenario(spec8, ctx)
     model8 = ErrorModel(noise_sigma_m=0.2, miss_prob=0.08, clutter_rate=0.1)
-    det8 = degrade(gt8, model8, ctx, rng=82)
+    det8 = degrade(gt8, model8, ctx, rng=np.random.default_rng(82))
     thresholds = (0.25, 0.5, 1.0, 1.5, 3.0, 6.0)
     sweep = threshold_sweep(det8, gt8, 0.0, thresholds, "vehicle", ctx)
     for t in thresholds:
@@ -85,7 +84,7 @@ def metric_reports(ctx):
         gt,
         ErrorModel(noise_sigma_m=0.4, miss_prob=0.1, clutter_rate=0.3,
                    id_switch_prob=0.03),
-        ctx, rng=73,
+        ctx, rng=np.random.default_rng(73),
     )
     for cat in ("vehicle", "pedestrian"):
         reports.append(compute_report(det_noisy, gt, 0.0, 1.5, cat, ctx, "noisy"))
@@ -208,13 +207,13 @@ def test_4_assignment_optimality(capsys):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         cost = rng.uniform(0.0, 100.0, (rows, cols))
-        sol = solve_assignment(cost)
+        sol = assigned(cost)
         total = math.fsum(cost[r, c] for r, c in sol)
         best = brute_force_assignment(cost)
         worst = max(worst, abs(total - best))
         all_ok &= abs(total - best) < 1e-9
-        all_ok &= solve_assignment(cost) == sol  # deterministic replay
-    all_ok &= solve_assignment(np.ones((3, 3))) == ((0, 0), (1, 1), (2, 2))
+        all_ok &= assigned(cost) == sol  # deterministic replay
+    all_ok &= assigned(np.ones((3, 3))) == ((0, 0), (1, 1), (2, 2))
     verdict(
         capsys, "4 assignment optimality", all_ok,
         f"1000 random matrices ≤ 6×6, max gap to exhaustive minimum "
@@ -345,7 +344,8 @@ def test_9_deterministic_reproduction(ctx, tmp_path, capsys):
     spec = ScenarioSpec("two_vehicle_plus_pedestrian", duration_s=30.0,
                         rng_seed=9)
     gt = generate_scenario(spec, ctx)
-    det = degrade(gt, ErrorModel(noise_sigma_m=0.2, miss_prob=0.05), ctx, rng=90)
+    det = degrade(gt, ErrorModel(noise_sigma_m=0.2, miss_prob=0.05), ctx,
+                  rng=np.random.default_rng(90))
     round_trip_ok = True
     for ts in (gt, det):
         path = tmp_path / "rt.csv"

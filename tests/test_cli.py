@@ -136,6 +136,24 @@ class TestSynthCommand:
         assert f"error: {template}: veh-01 reaches {reach} m" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("det", ["g.csv", "./sub/../g.csv"])
+    def test_detections_over_the_truth_file_exit_one(self, tmp_path, capsys, monkeypatch, det):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = main(["synth", "--template", "latency_run", "--duration", "30",
+                   "--out-gt", "g.csv", "--out-det", det])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: --out-det and --out-gt name the same file: {det}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_origin_out_of_range_exits_one(self, tmp_path, capsys):
+        rc = main(["synth", "--template", "latency_run", "--duration", "30",
+                   "--origin", "0,200", "--out-gt", str(tmp_path / "g.csv")])
+        assert rc == 1
+        assert "error: longitude out of range: 200.0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_duration_fails(self, tmp_path, capsys):
         rc = main([
             "synth", "--template", "latency_run", "--duration", "0",
@@ -509,6 +527,13 @@ class TestEvalCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+    def test_origin_out_of_range_exits_one(self, tmp_path, capsys):
+        rc = main(["eval", *SCENE, "--origin", "91,0", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "error: latitude out of range: 91.0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 COMMANDS = [["eval"], ["sweep", "--thresholds", "0.5,1.5", "--category", "vehicle"]]
 
 
@@ -738,6 +763,20 @@ class TestConfigAndPlumbing:
         ])
         assert rc == 2
         assert "fabricated invariant violation" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", *SCENE],
+        ["sweep", *SCENE, "--thresholds", "0.5,1.5", "--category", "vehicle"],
+        ["latency", "--det", str(DATA / "lat_det_a.csv"), "--gt", str(DATA / "lat_gt.csv")],
+    ], ids=["eval", "sweep", "latency"])
+    def test_bad_output_dir_fails_before_printing(self, tmp_path, capsys, argv):
+        # a file where the directory should be: nothing is printed first
+        taken = tmp_path / "taken.csv"
+        taken.write_text("")
+        assert main([*argv, "--output-dir", str(taken)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: [Errno 17] File exists" in err
 
 
 class TestPerCommandParser:

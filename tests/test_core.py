@@ -33,7 +33,7 @@ from roadside_eval import core as core_mod
 from roadside_eval.errors import IntegrityError, ProjectionRangeError
 from roadside_eval.synth import ScenarioSpec, generate_scenario
 
-from conftest import ORIGIN, dp, grouped, haversine_m, line_points
+from conftest import ORIGIN, dp, grouped, haversine_m, line_points, projected, span
 
 
 class TestProjection:
@@ -47,18 +47,18 @@ class TestProjection:
 
     def test_small_north_step_matches_haversine(self, ctx):
         p = GeoPoint(ORIGIN.lat_deg + 0.001, ORIGIN.lon_deg)
-        local = project(p, ctx)
+        local = projected(p, ctx)
         assert local.x_m == 0.0
         assert local.y_m == pytest.approx(111.13, abs=0.2)
         assert local.y_m == pytest.approx(haversine_m(ORIGIN, p), abs=0.2)
 
     def test_origin_projects_to_zero(self, ctx):
-        assert project(ORIGIN, ctx) == LocalPoint(0.0, 0.0)
+        assert projected(ORIGIN, ctx) == LocalPoint(0.0, 0.0)
 
     def test_east_west_mirror(self, ctx):
         east = GeoPoint(ORIGIN.lat_deg, ORIGIN.lon_deg + 0.002)
         west = GeoPoint(ORIGIN.lat_deg, ORIGIN.lon_deg - 0.002)
-        pe, pw = project(east, ctx), project(west, ctx)
+        pe, pw = projected(east, ctx), projected(west, ctx)
         assert pe.x_m == -pw.x_m
         assert pe.y_m == pw.y_m
 
@@ -70,21 +70,25 @@ class TestProjection:
                 ORIGIN.lat_deg + rng.uniform(-0.008, 0.008),
                 ORIGIN.lon_deg + rng.uniform(-0.011, 0.011),
             )
-            local = project(p, ctx)
+            local = projected(p, ctx)
             planar = math.hypot(local.x_m, local.y_m)
             great_circle = haversine_m(ORIGIN, p)
             if great_circle > 1.0:
                 assert planar == pytest.approx(great_circle, rel=1e-3)
 
     def test_out_of_range_rejected(self, ctx):
-        with pytest.raises(ProjectionRangeError):
-            project(GeoPoint(ORIGIN.lat_deg + 0.5, ORIGIN.lon_deg), ctx)
+        # the last two points lie beyond range; the error names the first
+        lat = ORIGIN.lat_deg + np.array([0.0, 0.5, -0.6])
+        lon = np.full(3, ORIGIN.lon_deg)
+        with pytest.raises(ProjectionRangeError) as exc:
+            project(GeoPoint(lat, lon), ctx)
+        assert str(exc.value).startswith(f"point {GeoPoint(lat[1].item(), ORIGIN.lon_deg)} is ")
 
     def test_round_trip_within_micrometer(self, ctx):
         rng = random.Random(7)
         for _ in range(200):
             p = LocalPoint(rng.uniform(-2000, 2000), rng.uniform(-2000, 2000))
-            q = project(unproject(p, ctx), ctx)
+            q = projected(unproject(p, ctx), ctx)
             assert abs(q.x_m - p.x_m) < 1e-6
             assert abs(q.y_m - p.y_m) < 1e-6
 
@@ -301,16 +305,16 @@ class TestArraysAndSlicing:
         times, xy = trajectory_arrays(traj.rows, ctx)
         assert times.shape == (40,) and xy.shape == (40, 2)
         for i, p in enumerate(pts):
-            local = project(p.position, ctx)
+            local = projected(p.position, ctx)
             assert times[i] == p.timestamp_s
             assert xy[i, 0] == pytest.approx(local.x_m, abs=1e-9)
             assert xy[i, 1] == pytest.approx(local.y_m, abs=1e-9)
 
     def test_time_span_bounds_inclusive(self):
         times = np.arange(10.0)
-        i, j = time_span(times, 2.0, 5.0)
+        i, j = span(times, 2.0, 5.0)
         assert times[i:j].tolist() == [2.0, 3.0, 4.0, 5.0]
-        i, j = time_span(times, 100.0, 200.0)
+        i, j = span(times, 100.0, 200.0)
         assert i >= j
 
     def test_all_points_matches_frame_contents(self, ctx):
@@ -344,7 +348,7 @@ class TestSliceView:
             for k, t in enumerate(times)
         )
         t, xy = trajectory_arrays(_rows(pts), ctx)
-        i, j = time_span(t, t0, t1)
+        i, j = span(t, t0, t1)
         kept = tuple(p for p in pts if t0 <= p.timestamp_s <= t1)
         assert pts[i:j] == kept
         if kept:
@@ -354,12 +358,15 @@ class TestSliceView:
 
     def test_nan_and_reversed_bounds_give_empty_span(self):
         times = np.arange(10.0)
-        for t0, t1 in ((math.nan, 5.0), (2.0, math.nan), (5.0, 2.0)):
-            i, j = time_span(times, t0, t1)
-            assert i >= j and times[i:j].size == 0
-        assert time_span(times, 3.0, 3.0) == (3, 4)
-        assert time_span(times, -math.inf, math.inf) == (0, 10)
-        assert time_span(times, 2.5, 4.0) == (3, 5)
+        t0 = np.array([math.nan, 2.0, 5.0, 3.0, -math.inf, 2.5])
+        t1 = np.array([5.0, math.nan, 2.0, 3.0, math.inf, 4.0])
+        i, j = time_span(times, t0, t1, np.zeros(6, np.intp), np.full(6, 10))
+        for a, b in zip(i[:3].tolist(), j[:3].tolist()):
+            assert a >= b and times[a:b].size == 0
+        assert list(zip(i[3:].tolist(), j[3:].tolist())) == [(3, 4), (0, 10), (3, 5)]
+        # the row limits are required: there is no range over all of times by default
+        with pytest.raises(TypeError):
+            time_span(times, 2.0, 5.0)
 
     @given(case=ascending_times_and_bounds(), cut=st.integers(0, 12), other=st.floats(-1e6, 1e6))
     def test_many_spans_in_one_call(self, case, cut, other):
@@ -373,7 +380,7 @@ class TestSliceView:
         t0s, t1s = np.array([t0, t1, t0, other]), np.array([t1, t0, t1, t1])
         i, j = time_span(both, t0s, t1s, lo, hi)
         for k in range(4):
-            a, b = time_span(both[lo[k]:hi[k]], t0s[k], t1s[k])
+            a, b = span(both[lo[k]:hi[k]], t0s[k], t1s[k])
             assert (i[k] - lo[k], j[k] - lo[k]) == (a, b)
 
     def test_shared_rows_are_read_only(self, ctx):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import roadside_eval.latency as latency_mod
 from roadside_eval.core import (
     LocalPoint,
-    time_span,
     trajectory_arrays,
 )
 from roadside_eval.errors import (
@@ -53,7 +52,7 @@ from roadside_eval.synth import (
     min_round_trip_duration_s,
 )
 
-from conftest import dp, grouped, swap_object_ids
+from conftest import dp, grouped, span, swap_object_ids
 
 ROUTE = RouteLine(LocalPoint(0.0, 0.0), (1.0, 0.0), -30.0, 30.0, 10.0)
 
@@ -410,14 +409,15 @@ class TestSampleTauBatch:
         for seed in range(3):
             gt = generate_scenario(ScenarioSpec("latency_run", duration_s=dur, rng_seed=seed,
                                                 route=route), ctx)
-            det = degrade(gt, model, ctx, rng=50 + seed, route_direction=route.direction)
+            det = degrade(gt, model, ctx, rng=np.random.default_rng(50 + seed),
+                          route_direction=route.direction)
             t_gt, xy_gt = trajectory_arrays(gt.trajectories[0].rows, ctx)
             w = find_constant_speed_windows(one_track(t_gt, xy_gt), route)
             for a, b in zip(w.start.tolist(), w.stop.tolist()):
                 for shift in (0.0, 4.0):
                     for traj in det.trajectories:
                         t_det, xy_det = trajectory_arrays(traj.rows, ctx)
-                        i, j = time_span(t_det, t_gt[a] - 5.0 + shift, t_gt[b - 1] + 5.0 + shift)
+                        i, j = span(t_det, t_gt[a] - 5.0 + shift, t_gt[b - 1] + 5.0 + shift)
                         gt_passes.append((t_gt[a:b], xy_gt[a:b]))
                         det_passes.append((t_det[i:j], xy_det[i:j]))
         pts = default_test_points(route)
@@ -477,7 +477,8 @@ class TestBatchInvariance:
         for seed in range(4):
             gt = generate_scenario(ScenarioSpec("latency_run", duration_s=dur, rng_seed=seed,
                                                 route=route), ctx)
-            det = degrade(gt, model, ctx, rng=100 + seed, route_direction=route.direction)
+            det = degrade(gt, model, ctx, rng=np.random.default_rng(100 + seed),
+                          route_direction=route.direction)
             t0 = gt.frames[0].timestamp_s
             det = swap_object_ids(det, "veh-01", "veh-07", t0 + dur / 3)
             det = swap_object_ids(det, "veh-07", "veh-03", t0 + 2 * dur / 3)
@@ -525,7 +526,8 @@ class TestCollectTauSamples:
         gt = generate_scenario(ScenarioSpec("latency_run", duration_s=dur, rng_seed=5,
                                             route=route), ctx)
         model = ErrorModel(latency_mean_s=0.1, noise_sigma_m=0.05, clutter_rate=0.2)
-        det = degrade(gt, model, ctx, rng=6, route_direction=route.direction)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(6),
+                      route_direction=route.direction)
         assert len(det.trajectories) > 10
         projected = []
 
@@ -548,7 +550,8 @@ class TestCollectTauSamples:
                                             route=route), ctx)
         model = ErrorModel(latency_mean_s=0.1, noise_sigma_m=0.05, clutter_rate=0.3,
                            id_switch_prob=0.01, miss_prob=0.1)
-        det = degrade(gt, model, ctx, rng=5, route_direction=route.direction)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(5),
+                      route_direction=route.direction)
         assert any(len(t.rows) == 1 for t in det.trajectories)
         sizes = []
 
@@ -738,7 +741,8 @@ class TestOffsetCancellationEndToEnd:
         spec = ScenarioSpec("latency_run", duration_s=dur, rng_seed=4,
                             route=route)
         gt = generate_scenario(spec, ctx)
-        det = degrade(gt, model, ctx, rng=5, route_direction=route.direction)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(5),
+                      route_direction=route.direction)
         est = estimate_latency_for_trial(det, gt, route, ctx, 11)
         # zero noise leaves only the fitted-crossing interpolation error
         assert est.mean_s == pytest.approx(0.1, abs=1e-5)

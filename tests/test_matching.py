@@ -28,12 +28,12 @@ from roadside_eval.core import (
     build_trajectory_set,
     filter_category,
     from_frames,
-    project,
     string_codes,
 )
 from roadside_eval.errors import EvalError, ProjectionRangeError
 from roadside_eval.ingest import read_points
 from roadside_eval.matching import (
+    FramePairing,
     Matches,
     association_match,
     count_id_switches,
@@ -43,7 +43,15 @@ from roadside_eval.matching import (
 )
 from roadside_eval.metrics import compute_report
 
-from conftest import brute_force_assignment, dp, grouped, line_points, paired
+from conftest import (
+    assigned,
+    brute_force_assignment,
+    dp,
+    grouped,
+    line_points,
+    paired,
+    projected,
+)
 
 # A cost far above any sum of real planar distances, as a caller might give
 # a forbidden pair: the solver must still take matrices that hold it.
@@ -56,13 +64,13 @@ _SMALL_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
 
 class TestSolveAssignment:
     def test_symmetric_two_by_two(self):
-        assert solve_assignment([[1.0, 2.0], [2.0, 1.0]]) == ((0, 0), (1, 1))
+        assert assigned([[1.0, 2.0], [2.0, 1.0]]) == ((0, 0), (1, 1))
 
     def test_one_by_one(self):
-        assert solve_assignment([[7.0]]) == ((0, 0),)
+        assert assigned([[7.0]]) == ((0, 0),)
 
     def test_empty_matrix(self):
-        assert solve_assignment(np.zeros((0, 3))) == ()
+        assert assigned(np.zeros((0, 3))) == ()
 
     def test_thousand_random_matrices_match_brute_force(self):
         rng = random.Random(1234)
@@ -73,7 +81,7 @@ class TestSolveAssignment:
                 [rng.uniform(0.0, 100.0) for _ in range(n_cols)]
                 for _ in range(n_rows)
             ]
-            got = solve_assignment(cost)
+            got = assigned(cost)
             want = brute_force_assignment(cost)
             assert math.fsum(cost[r][c] for r, c in got) == want, (
                 f"trial {trial}: solver total differs from exhaustive minimum"
@@ -82,35 +90,35 @@ class TestSolveAssignment:
 
     def test_tie_break_lexicographic(self):
         # every assignment of this matrix costs 2; the smallest pair list wins
-        assert solve_assignment([[1.0, 1.0], [1.0, 1.0]]) == ((0, 0), (1, 1))
-        assert solve_assignment([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]]) == ((0, 0), (1, 1))
+        assert assigned([[1.0, 1.0], [1.0, 1.0]]) == ((0, 0), (1, 1))
+        assert assigned([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]]) == ((0, 0), (1, 1))
 
     def test_tie_break_prefers_smaller_column_at_equal_cost(self):
         # rows can take either column at the same total
-        assert solve_assignment([[2.0, 2.0]]) == ((0, 0),)
+        assert assigned([[2.0, 2.0]]) == ((0, 0),)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(9)
         cost = [[rng.choice([1.0, 2.0]) for _ in range(5)] for _ in range(5)]
-        first = solve_assignment(cost)
+        first = assigned(cost)
         for _ in range(5):
-            assert solve_assignment(cost) == first
+            assert assigned(cost) == first
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            solve_assignment([[1.0, float("inf")], [1.0, 1.0]])
+            assigned([[1.0, float("inf")], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            solve_assignment([[float("nan")]])
+            assigned([[float("nan")]])
 
     @pytest.mark.parametrize("shape, value", [((2, 2), 1e308), ((3, 2), 9e307)])
     def test_overflowing_totals_rejected(self, shape, value):
         # finite costs whose two-pair totals overflow
         with pytest.raises(ValueError, match="overflow"):
-            solve_assignment(np.full(shape, value))
+            assigned(np.full(shape, value))
 
     def test_line_frame_of_huge_costs_is_solved(self):
         # one pair per assignment: its total is one finite cost
-        assert solve_assignment(np.full((2, 1), 1e308)) == ((0, 0),)
+        assert assigned(np.full((2, 1), 1e308)) == ((0, 0),)
 
 
 class TestLinearSumAssignment:
@@ -273,7 +281,7 @@ class TestSolveAssignmentAgainstRefinement:
     def test_small_matrices_match_refinement(self, kind):
         shapes = set()
         for cost in self._matrices(2024, kind, 600):
-            assert solve_assignment(cost) == _refinement_oracle(cost), cost.tolist()
+            assert assigned(cost) == _refinement_oracle(cost), cost.tolist()
             shapes.add(cost.shape[0] < cost.shape[1])
         assert shapes == {True, False}  # both rectangular orientations
 
@@ -282,7 +290,7 @@ class TestSolveAssignmentAgainstRefinement:
     )
     def test_crowd_frames_match_refinement(self, shape):
         cost = _crowd_frame(np.random.default_rng(sum(shape)), shape[1], shape[0])
-        assert solve_assignment(cost) == _refinement_oracle(cost)
+        assert assigned(cost) == _refinement_oracle(cost)
 
     @pytest.mark.parametrize("shape", [(10, 12), (12, 10)])
     def test_tied_and_sentinel_frames_match_refinement(self, shape):
@@ -291,7 +299,7 @@ class TestSolveAssignmentAgainstRefinement:
         gated = tied.copy()
         gated[rng.random(shape) < 0.3] = _HUGE_COST
         for cost in (tied, gated, -rng.integers(0, 3, shape).astype(float)):
-            assert solve_assignment(cost) == _refinement_oracle(cost)
+            assert assigned(cost) == _refinement_oracle(cost)
 
     @staticmethod
     def _count_solves(monkeypatch) -> list:
@@ -333,7 +341,7 @@ class TestSolveAssignmentAgainstRefinement:
         seen = set()
         for cost in frames:
             solves.clear()
-            assert solve_assignment(cost) == _refinement_oracle(cost)
+            assert assigned(cost) == _refinement_oracle(cost)
             assert solves == ([cost.shape] if self._contested(cost) else [])
             seen.add(len(solves))
         assert refined == []
@@ -379,7 +387,7 @@ class TestSolveAssignmentAgainstRefinement:
         settled = []
         for cost in frames:
             solves.clear()
-            assert solve_assignment(cost) == _refinement_oracle(cost)
+            assert assigned(cost) == _refinement_oracle(cost)
             assert solves[:1] in ([], [cost.shape])
             settled.append(not solves)
         assert settled == [self._clear(cost) for cost in frames]
@@ -391,7 +399,7 @@ class TestSolveAssignmentAgainstRefinement:
         cost = np.array([[1.0, 2.0, 9.0], [1.0, 2.0, 9.0], [9.0, 9.0, 0.0]])
         solves = self._count_solves(monkeypatch)
         refined = self._count_refinements(monkeypatch)
-        assert solve_assignment(cost) == _refinement_oracle(cost) == ((0, 0), (1, 1), (2, 2))
+        assert assigned(cost) == _refinement_oracle(cost) == ((0, 0), (1, 1), (2, 2))
         assert refined == [(3, 3)] and len(solves) > 1
 
     def test_acyclic_tight_graph_settles_with_one_solve(self, monkeypatch):
@@ -406,7 +414,7 @@ class TestSolveAssignmentAgainstRefinement:
         assert (reduced <= 1e-6).any()
         solves = self._count_solves(monkeypatch)
         refined = self._count_refinements(monkeypatch)
-        assert solve_assignment(cost) == _refinement_oracle(cost) == ((0, 1), (1, 0))
+        assert assigned(cost) == _refinement_oracle(cost) == ((0, 1), (1, 0))
         assert solves == [(2, 4)] and refined == []
 
     @given(data=st.data())
@@ -430,7 +438,7 @@ class TestSolveAssignmentAgainstRefinement:
             cost[i, columns[i]] = low
         if data.draw(st.booleans()):
             cost = cost.T
-        assert solve_assignment(cost) == _refinement_oracle(cost)
+        assert assigned(cost) == _refinement_oracle(cost)
 
     @staticmethod
     def _certify(stack: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -458,14 +466,14 @@ class TestSolveAssignmentAgainstRefinement:
             ok, rows, cols = self._certify(stack)
             assert ok.tolist() == [False, True]
             assert tuple(zip(rows[1].tolist(), cols[1].tolist())) == _refinement_oracle(stack[1])
-            assert solve_assignment(stack[0]) == _refinement_oracle(stack[0])
+            assert assigned(stack[0]) == _refinement_oracle(stack[0])
         t = 1000.0
         one = DataFrame(t, (dp(t, 0.0, 0.0, ctx, object_id="a"),))
         three = DataFrame(t, tuple(
             dp(t, x, 0.0, ctx, object_id=f"b{i}") for i, x in enumerate([2.0, -1.0, 1.0])
         ))
         pairs = [(one, three), (three, one)]
-        got = _per_pair(point_match(paired(pairs), 1.5, ctx), len(pairs))
+        got = _per_pair(paired(pairs), 1.5, ctx)
         assert got == [_per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs]
         assert [tp[0][:2] for tp in got] == [("a", "b1"), ("b1", "a")]
 
@@ -509,7 +517,7 @@ class TestSolveAssignmentAgainstRefinement:
         rows, cols = solve_assignment(stack)
         assert rows.shape == cols.shape == (n_frames, min(shape))
         for cost, r, c in zip(stack, rows.tolist(), cols.tolist()):
-            assert tuple(zip(r, c)) == solve_assignment(cost) == _refinement_oracle(cost)
+            assert tuple(zip(r, c)) == assigned(cost) == _refinement_oracle(cost)
 
     def test_stack_edge_cases(self):
         for shape in [(0, 3, 2), (4, 0, 3), (4, 3, 0)]:
@@ -519,8 +527,9 @@ class TestSolveAssignmentAgainstRefinement:
         stack[2, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             solve_assignment(stack)
-        with pytest.raises(ValueError, match="shape"):
-            solve_assignment(np.ones((2, 2, 2, 2)))
+        for cost in (np.ones((2, 2)), np.ones((2, 2, 2, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                solve_assignment(cost)
 
     def test_unmatchable_cells_take_the_refinement(self, monkeypatch):
         # sums of 1e12 round in steps far above _TIE_TOL, so the refinement's
@@ -528,7 +537,7 @@ class TestSolveAssignmentAgainstRefinement:
         cost = np.random.default_rng(8).uniform(0.0, 50.0, (6, 6))
         cost[0, 1:] = _HUGE_COST
         calls = self._count_solves(monkeypatch)
-        got = solve_assignment(cost)
+        got = assigned(cost)
         assert len(calls) > 1
         assert got == _refinement_oracle(cost)
 
@@ -730,8 +739,8 @@ class TestColumnarSets:
 
 def _per_pair_distances(det, gt, ctx) -> np.ndarray:
     """One pair's distance matrix, projected point by point."""
-    dxy = np.array([project(p.position, ctx) for p in det])
-    gxy = np.array([project(p.position, ctx) for p in gt])
+    dxy = np.array([projected(p.position, ctx) for p in det])
+    gxy = np.array([projected(p.position, ctx) for p in gt])
     return np.hypot(dxy[:, 0:1] - gxy[None, :, 0], dxy[:, 1:2] - gxy[None, :, 1])
 
 
@@ -752,12 +761,15 @@ def _per_pair_point_match(det_frame, gt_frame, threshold_m, ctx) -> tuple:
     return tuple(tp)
 
 
-def _per_pair(m: Matches, n_pairs: int) -> list[tuple]:
-    """point_match's table grouped by frame pair, in the per-pair matcher's
-    shape: each pair's TPs as (detection id, gt id, distance), in order."""
-    out = [[] for _ in range(n_pairs)]
+def _per_pair(pairing: FramePairing, threshold_m: float, ctx) -> list[tuple]:
+    """point_match's table on the pairing, grouped by frame pair, in the
+    per-pair matcher's shape: each pair's TPs as (detection id, gt id,
+    distance), in order."""
+    m = point_match(pairing, threshold_m, ctx)
+    det_ids, gt_ids = pairing.det.columns.ids, pairing.gt.columns.ids
+    out = [[] for _ in pairing.det_frames]
     for k, d, g, dist in zip(m.pair.tolist(), m.det.tolist(), m.gt.tolist(), m.dist.tolist()):
-        out[k].append((m.det_ids[d], m.gt_ids[g], dist))
+        out[k].append((det_ids[d], gt_ids[g], dist))
     return list(map(tuple, out))
 
 
@@ -827,7 +839,7 @@ class TestBatchedPointMatch:
         tps = point_match(paired(pairs), 50.0, ctx).dist.tolist()
         edge = max(d for d in tps if 0 < d < 1.5)
         for threshold in (50.0, 1.5, edge):
-            got = _per_pair(point_match(paired(pairs), threshold, ctx), len(pairs))
+            got = _per_pair(paired(pairs), threshold, ctx)
             assert got == [_per_pair_point_match(df, gf, threshold, ctx) for df, gf in pairs]
         # both ways through the small frames: the certificate, and the
         # proof or the refinement where only their arithmetic can decide
@@ -893,7 +905,7 @@ class TestBatchedPointMatch:
                 pairs.append(tuple(sides))
             want = self._first_far_point(pairs, ctx)
             if want is None:
-                assert _per_pair(point_match(paired(pairs), 1.5, ctx), len(pairs)) == [
+                assert _per_pair(paired(pairs), 1.5, ctx) == [
                     _per_pair_point_match(df, gf, 1.5, ctx) for df, gf in pairs
                 ]
                 continue
@@ -907,8 +919,8 @@ class TestBatchedPointMatch:
         far = DataFrame(1.0, (dp(1.0, 20_000.0, 0.0, ctx, object_id="d0"),))
         near = DataFrame(1.0, (dp(1.0, 0.0, 0.0, ctx, object_id="g0"),))
         empty = DataFrame(1.0, ())
-        m = point_match(paired([(far, empty), (empty, far), (near, near)]), 1.5, ctx)
-        det_far, gt_far, _ = _per_pair(m, 3)
+        pairs = [(far, empty), (empty, far), (near, near)]
+        det_far, gt_far, _ = _per_pair(paired(pairs), 1.5, ctx)
         # no TPs, so the far detection is a FP and the far gt point a FN
         assert det_far == gt_far == ()
         assert len(far.points) - len(det_far) == 1
@@ -972,7 +984,7 @@ class TestFarPointsThroughReports:
     def test_paired_far_point_raises_naming_the_first(self, ctx):
         det, gt = self._trial(ctx, [(3, -15_000.0, "d7"), (6, 12_000.0, "d8")])
         with pytest.raises(ProjectionRangeError) as want:
-            project(det.frames[3].points[1].position, ctx)
+            projected(det.frames[3].points[1].position, ctx)
         with pytest.raises(ProjectionRangeError) as got:
             compute_report(det, gt, 0.0, 1.5, "vehicle", ctx, max_gap_s=0.05)
         assert str(got.value) == str(want.value)
@@ -980,14 +992,14 @@ class TestFarPointsThroughReports:
 
 class TestPointMatch:
     def test_both_empty(self, ctx):
-        m = point_match(paired([(DataFrame(1.0, ()), DataFrame(1.0, ()))]), 1.5, ctx)
-        assert _per_pair(m, 1) == [()]
-        assert [len(column) for column in m] == [0] * 6
+        pairing = paired([(DataFrame(1.0, ()), DataFrame(1.0, ()))])
+        assert _per_pair(pairing, 1.5, ctx) == [()]
+        assert [len(column) for column in point_match(pairing, 1.5, ctx)] == [0] * 4
 
     def test_exact_overlap_single(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 3.0, 4.0, ctx, object_id="g1"),))
-        [((det_id, gt_id, d),)] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
+        [((det_id, gt_id, d),)] = _per_pair(paired([(det, gt)]), 1.5, ctx)
         assert (det_id, gt_id) == ("d1", "g1")
         assert d == pytest.approx(0.0, abs=1e-9)
 
@@ -1000,7 +1012,7 @@ class TestPointMatch:
             dp(1.0, 0.4, 0, ctx, object_id="d1"),
             dp(1.0, 1.6, 0, ctx, object_id="d2"),
         ))
-        [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
+        [res] = _per_pair(paired([(det, gt)]), 1.5, ctx)
         # TPs in detection order; no FP (2 detections − 2 TPs), no FN (2 gt − 2)
         assert [(d, g) for d, g, _ in res] == [("d1", "g1"), ("d2", "g2")]
         total = sum(d for _, _, d in res)
@@ -1009,7 +1021,7 @@ class TestPointMatch:
     def test_over_threshold_counts_both_sides(self, ctx):
         det = DataFrame(1.0, (dp(1.0, 10.0, 0, ctx, object_id="d1"),))
         gt = DataFrame(1.0, (dp(1.0, 0.0, 0, ctx, object_id="g1"),))
-        [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
+        [res] = _per_pair(paired([(det, gt)]), 1.5, ctx)
         # no TP: FP = 1 detection − 0 TPs, FN = 1 gt − 0 TPs
         assert res == ()
 
@@ -1031,7 +1043,7 @@ class TestPointMatch:
                 point_match(paired(pairs), 1.5, ctx)
         # a frame with an empty side is never matched, so its category is free
         empty = DataFrame(1.0, ())
-        assert _per_pair(point_match(paired([(det, empty), (empty, gt)]), 1.5, ctx), 2) == [(), ()]
+        assert _per_pair(paired([(det, empty), (empty, gt)]), 1.5, ctx) == [(), ()]
 
     def test_count_identities_random_frames(self, ctx):
         rng = random.Random(5)
@@ -1047,7 +1059,7 @@ class TestPointMatch:
                    object_id=f"g{i}")
                 for i in range(n_gt)
             ))
-            [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
+            [res] = _per_pair(paired([(det, gt)]), 1.5, ctx)
             # one-to-one: FP = n_det − TP and FN = n_gt − TP are never negative
             assert len({d for d, _, _ in res}) == len(res) <= n_det
             assert len({g for _, g, _ in res}) == len(res) <= n_gt
@@ -1066,7 +1078,7 @@ class TestPointMatch:
                 dp(1.0, x + shift, y + shift, ctx, object_id=f"g{i}")
                 for i, (x, y) in enumerate(gt_xy)
             ))
-            [res] = _per_pair(point_match(paired([(det, gt)]), 1.5, ctx), 1)
+            [res] = _per_pair(paired([(det, gt)]), 1.5, ctx)
             # the TP id pairs fix the FPs and FNs: every other point
             return sorted((d, g) for d, g, _ in res)
 
@@ -1077,19 +1089,18 @@ def _table(frames: list[list[tuple[str, str]]]) -> Matches:
     """A Matches table of frames of (detection id, gt id) matches, with the
     ids coded in string order as point_match codes them."""
     pair = [k for k, frame in enumerate(frames) for _ in frame]
-    det, det_ids = string_codes([d for frame in frames for d, _ in frame])
-    gt, gt_ids = string_codes([g for frame in frames for _, g in frame])
-    return Matches(np.array(pair, dtype=np.intp), det, gt, np.zeros(len(pair)), det_ids, gt_ids)
+    det = string_codes([d for frame in frames for d, _ in frame])[0]
+    gt = string_codes([g for frame in frames for _, g in frame])[0]
+    return Matches(np.array(pair, dtype=np.intp), det, gt, np.zeros(len(pair)))
 
 
-def _switches_by_walk(m: Matches) -> int:
-    """count_id_switches as a walk over the chronological matches, keeping
-    each gt id's last detection id in a dict: the reference for the array
-    pass."""
+def _switches_by_walk(frames: list[list[tuple[str, str]]]) -> int:
+    """count_id_switches as a walk over the chronological (detection id,
+    gt id) matches, keeping each gt id's last detection id in a dict: the
+    reference for the array pass."""
     last_id: dict[str, str] = {}
     switches = 0
-    for d, g in zip(m.det.tolist(), m.gt.tolist()):
-        d, g = m.det_ids[d], m.gt_ids[g]
+    for d, g in (match for frame in frames for match in frame):
         if g in last_id and last_id[g] != d:
             switches += 1
         last_id[g] = d
@@ -1146,8 +1157,8 @@ class TestIdSwitches:
         max_size=4,
     ), max_size=30))
     def test_agrees_with_the_walk(self, frames):
-        m = _table([list(f.items()) for f in frames])
-        assert count_id_switches(m) == _switches_by_walk(m)
+        frames = [list(f.items()) for f in frames]
+        assert count_id_switches(_table(frames)) == _switches_by_walk(frames)
 
 
 def _association_counts(det, gt, threshold_m, ctx, category="vehicle"):
@@ -1283,7 +1294,7 @@ class TestAssociationMatch:
             neg[det_ids.index(d), gt_ids.index(g)] = -n
         chosen = [
             (det_ids[i], gt_ids[j])
-            for i, j in (solve_assignment(neg) if neg.size else ())
+            for i, j in (assigned(neg) if neg.size else ())
             if co_counts.get((det_ids[i], gt_ids[j]), 0) > 0
         ]
         tpa = sum(co_counts[key] for key in chosen)

@@ -29,7 +29,7 @@ from roadside_eval.metrics import (
 )
 from roadside_eval.synth import ErrorModel, ScenarioSpec, degrade, generate_scenario
 
-from conftest import dp, grouped, paired
+from conftest import dp, grouped, paired, projected
 
 
 def counts(tp=0, fp=0, fn=0, ids=0, tpa=0, fpa=0, fna=0, sum_d=0.0):
@@ -159,12 +159,10 @@ def simple_scene(ctx, n_frames=40):
 
 
 def shifted_copy(gt, ctx, dx=0.0, dy=0.0):
-    from roadside_eval.core import project
-
     pts = []
     for traj in gt.trajectories:
         for t, lat, lon in traj.rows.tolist():
-            local = project(GeoPoint(lat, lon), ctx)
+            local = projected(GeoPoint(lat, lon), ctx)
             pts.append(
                 dp(t, local.x_m + dx, local.y_m + dy, ctx,
                    category=traj.category, object_id=traj.object_id)
@@ -242,7 +240,7 @@ class TestComputeReport:
         spec = ScenarioSpec("two_vehicle_plus_pedestrian", duration_s=120.0,
                             rng_seed=11)
         gt = generate_scenario(spec, ctx)
-        det = degrade(gt, ErrorModel(miss_prob=0.07), ctx, rng=12)
+        det = degrade(gt, ErrorModel(miss_prob=0.07), ctx, rng=np.random.default_rng(12))
         r = compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
         assert r.fn_rate_pct == pytest.approx(7.0, abs=1.0)
         assert r.counts.fp == 0
@@ -278,7 +276,7 @@ def degraded_report():
     gt = generate_scenario(spec, ctx)
     model = ErrorModel(noise_sigma_m=0.4, miss_prob=0.1,
                        clutter_rate=0.3, id_switch_prob=0.02)
-    det = degrade(gt, model, ctx, rng=24)
+    det = degrade(gt, model, ctx, rng=np.random.default_rng(24))
     return compute_report(det, gt, 0.0, 1.5, "vehicle", ctx)
 
 
@@ -289,7 +287,7 @@ def noisy_scene():
                         rng_seed=31)
     gt = generate_scenario(spec, ctx)
     model = ErrorModel(noise_sigma_m=0.5, miss_prob=0.05, clutter_rate=0.2)
-    det = degrade(gt, model, ctx, rng=32)
+    det = degrade(gt, model, ctx, rng=np.random.default_rng(32))
     return det, gt, ctx
 
 

@@ -17,7 +17,6 @@ from roadside_eval.core import (
     from_frames,
     from_trajectories,
     make_projection,
-    project,
     trajectory_arrays,
 )
 from roadside_eval.errors import EvalError, ScenarioError
@@ -37,7 +36,7 @@ from roadside_eval.synth import (
     monte_carlo_validate,
 )
 
-from conftest import swap_object_ids
+from conftest import projected, swap_object_ids
 
 
 def spec_for(template="two_vehicle_plus_pedestrian", duration=60.0, seed=5, **kw):
@@ -244,7 +243,7 @@ class TestErrorModelValidation:
 class TestDegrade:
     def test_identity_model_reproduces_positions(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
-        det = degrade(gt, ErrorModel(), ctx, rng=1)
+        det = degrade(gt, ErrorModel(), ctx, rng=np.random.default_rng(1))
         gt_by_key = {
             (t.object_id, round(time, 6)): GeoPoint(lat, lon)
             for t in gt.trajectories for time, lat, lon in t.rows.tolist()
@@ -255,7 +254,7 @@ class TestDegrade:
                 ref = gt_by_key.get((traj.object_id, round(time, 6)))
                 if ref is None:
                     continue  # det tick between gt samples
-                a, b = project(GeoPoint(lat, lon), ctx), project(ref, ctx)
+                a, b = projected(GeoPoint(lat, lon), ctx), projected(ref, ctx)
                 assert math.hypot(a.x_m - b.x_m, a.y_m - b.y_m) < 1e-9
                 n_checked += 1
         assert n_checked > 100
@@ -265,10 +264,10 @@ class TestDegrade:
         model = ErrorModel(latency_mean_s=0.1, latency_std_s=0.02,
                            noise_sigma_m=0.3, miss_prob=0.1,
                            clutter_rate=0.5, id_switch_prob=0.05)
-        a = degrade(gt, model, ctx, rng=9)
-        b = degrade(gt, model, ctx, rng=9)
+        a = degrade(gt, model, ctx, rng=np.random.default_rng(9))
+        b = degrade(gt, model, ctx, rng=np.random.default_rng(9))
         assert a == b
-        c = degrade(gt, model, ctx, rng=10)
+        c = degrade(gt, model, ctx, rng=np.random.default_rng(10))
         assert a != c
 
     def test_seed_is_required(self, ctx):
@@ -276,10 +275,13 @@ class TestDegrade:
         gt = generate_scenario(spec_for(duration=5.0), ctx)
         with pytest.raises(TypeError, match="rng"):
             degrade(gt, ErrorModel(), ctx)
+        # nor is an int seed taken for one: degrade draws from rng itself
+        with pytest.raises(AttributeError):
+            degrade(gt, ErrorModel(), ctx, rng=1)
 
     def test_pure_latency_shifts_crossings(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
-        det = degrade(gt, ErrorModel(latency_mean_s=0.5), ctx, rng=2)
+        det = degrade(gt, ErrorModel(latency_mean_s=0.5), ctx, rng=np.random.default_rng(2))
         # a detection at tick t reports where the object was at t - 0.5
         traj_gt = gt.trajectories[0]
         traj_det = next(
@@ -296,18 +298,18 @@ class TestDegrade:
     def test_bad_route_direction_rejected(self, ctx, direction):
         gt = generate_scenario(spec_for(duration=5.0), ctx)
         with pytest.raises(ValueError, match="route_direction"):
-            degrade(gt, ErrorModel(), ctx, rng=1, route_direction=direction)
+            degrade(gt, ErrorModel(), ctx, rng=np.random.default_rng(1), route_direction=direction)
 
     def test_miss_prob_thins_points(self, ctx):
         gt = generate_scenario(spec_for(duration=120.0), ctx)
-        det = degrade(gt, ErrorModel(miss_prob=0.25), ctx, rng=3)
+        det = degrade(gt, ErrorModel(miss_prob=0.25), ctx, rng=np.random.default_rng(3))
         n_gt = len(gt.all_points())
         n_det = len(det.all_points())
         assert n_det / n_gt == pytest.approx(0.75, abs=0.02)
 
     def test_clutter_ids_never_collide_with_actors(self, ctx):
         gt = generate_scenario(spec_for(duration=60.0), ctx)
-        det = degrade(gt, ErrorModel(clutter_rate=1.0), ctx, rng=4)
+        det = degrade(gt, ErrorModel(clutter_rate=1.0), ctx, rng=np.random.default_rng(4))
         actor_ids = {t.object_id for t in gt.trajectories}
         clutter = [t for t in det.trajectories if t.object_id not in actor_ids]
         assert clutter
@@ -315,7 +317,7 @@ class TestDegrade:
 
     def test_clutter_rate_poisson_mean(self, ctx):
         gt = generate_scenario(spec_for(duration=200.0), ctx)
-        det = degrade(gt, ErrorModel(clutter_rate=0.4), ctx, rng=5)
+        det = degrade(gt, ErrorModel(clutter_rate=0.4), ctx, rng=np.random.default_rng(5))
         n_frames = len(det.frames)
         n_clutter = sum(
             len(t.rows) for t in det.trajectories
@@ -325,13 +327,13 @@ class TestDegrade:
 
     def test_det_rate_controls_tick_count(self, ctx):
         gt = generate_scenario(spec_for(duration=50.0), ctx)
-        det = degrade(gt, ErrorModel(det_rate_hz=2.0), ctx, rng=6)
+        det = degrade(gt, ErrorModel(det_rate_hz=2.0), ctx, rng=np.random.default_rng(6))
         times = sorted({f.timestamp_s for f in det.frames})
         assert np.allclose(np.diff(times), 0.5, atol=1e-9)
 
     def test_noise_sigma_observed(self, ctx):
         gt = generate_scenario(spec_for(duration=120.0), ctx)
-        det = degrade(gt, ErrorModel(noise_sigma_m=0.3), ctx, rng=7)
+        det = degrade(gt, ErrorModel(noise_sigma_m=0.3), ctx, rng=np.random.default_rng(7))
         gt_traj = {t.object_id: t for t in gt.trajectories}
         devs = []
         for traj in det.trajectories:
@@ -381,7 +383,7 @@ class TestHandedOverTrajectories:
         gt = generate_scenario(spec_for(template=template, duration=40.0), ctx)
         model = ErrorModel(latency_mean_s=0.4, latency_std_s=0.05,
                            noise_sigma_m=0.2, det_rate_hz=7.0, **errors)
-        det = degrade(gt, model, ctx, rng=8)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(8))
         assert len(det.frames) > 200
         assert ("trajectories" in det.__dict__) == handed
         assert bool(det.trajectories) == (errors.get("miss_prob", 0.0) < 1.0)
@@ -395,7 +397,7 @@ class TestHandedOverTrajectories:
     ], ids=["clutter", "clutter_and_swaps"])
     def test_degrade_gt_without_points(self, ctx, model, digest):
         gt = from_frames([DataFrame(BASE_TIME_S + 0.1 * k, ()) for k in range(60)], "ground_truth")
-        det = degrade(gt, model, ctx, rng=5)
+        det = degrade(gt, model, ctx, rng=np.random.default_rng(5))
         assert len(det.frames) == 60
         assert all(p.object_id.startswith("clutter-") for p in det.all_points())
         assert len(det.all_points()) == 47
@@ -407,7 +409,7 @@ class TestHandedOverTrajectories:
 
     def test_rows_are_read_only(self, ctx):
         gt = generate_scenario(spec_for(duration=20.0), ctx)
-        det = degrade(gt, ErrorModel(), ctx, rng=1)
+        det = degrade(gt, ErrorModel(), ctx, rng=np.random.default_rng(1))
         assert "trajectories" in det.__dict__
         grouped = from_frames(gt.frames, gt.source).trajectories
         for traj in (*gt.trajectories, *det.trajectories, *grouped):
@@ -449,7 +451,7 @@ class TestFramesGroupedOnFirstRead:
         from_trajectories((), np.empty(0), "ground_truth"),
     ], ids=["frames", "trajectories"])
     def test_degrade_empty_truth(self, ctx, gt):
-        det = degrade(gt, ErrorModel(clutter_rate=0.5), ctx, rng=1)
+        det = degrade(gt, ErrorModel(clutter_rate=0.5), ctx, rng=np.random.default_rng(1))
         assert det == TrajectorySet((), "detection")
 
     def test_monte_carlo_block_builds_no_truth_point(self, monkeypatch):
@@ -483,7 +485,7 @@ class TestFramesGroupedOnFirstRead:
         noisy = ErrorModel(noise_sigma_m=0.2, miss_prob=0.05, clutter_rate=0.5,
                            id_switch_prob=0.01)
         for model in (noisy, ErrorModel(noise_sigma_m=0.2)):
-            degrade(gt, model, ctx, rng=3)
+            degrade(gt, model, ctx, rng=np.random.default_rng(3))
         assert built == []
 
 
@@ -636,7 +638,7 @@ class TestRoundTrip:
         det = degrade(
             gt,
             ErrorModel(latency_mean_s=0.1, noise_sigma_m=0.2, miss_prob=0.1),
-            ctx, rng=8,
+            ctx, rng=np.random.default_rng(8),
         )
         for name, ts in (("gt.csv", gt), ("det.csv", det)):
             path = tmp_path / name
