@@ -7,8 +7,8 @@ writes synthetic trial files. Machine-readable output is a single
 deterministic JSON manifest per run (schema_version 1); human output is a
 fixed-width table matching the manifest's numbers at display precision.
 
-Exit codes: 0 success, 1 input or configuration error, 2 internal
-consistency violation.
+Exit codes: 0 success, 1 usage, input or configuration error; any other
+exception is a crash, not a report.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
     make_projection,
     paused_gc,
 )
-from .errors import ConsistencyError, EvalError, IntegrityError
+from .errors import EvalError, IntegrityError
 from .ingest import IngestReport, read_points, write_points
 from .latency import (
     MAX_TEST_POINTS,
@@ -229,27 +229,25 @@ def _route_from_args(
     return make_route_line(LocalPoint(x0, y0), LocalPoint(x1, y1), ws, we, v0)
 
 
-def _latency_dict(est: LatencyEstimate, source: str) -> dict[str, Any]:
-    return {
-        "mean_s": est.mean_s,
-        "std_s": est.std_s,
-        "n_samples": est.n_samples,
-        "per_direction_mean_s": {
-            "forward": est.per_direction_mean_s[1],
-            "reverse": est.per_direction_mean_s[-1],
-        },
-        "source": source,
-    }
-
-
-def _fixed_latency(mean_s: float, source: str) -> dict[str, Any]:
-    return {
+def _latency_dict(
+    source: str, mean_s: float, est: LatencyEstimate | None = None
+) -> dict[str, Any]:
+    """The manifest's latency block; only an estimate has a spread."""
+    block = {
         "mean_s": mean_s,
         "std_s": None,
         "n_samples": None,
         "per_direction_mean_s": None,
         "source": source,
     }
+    if est is not None:
+        block["std_s"] = est.std_s
+        block["n_samples"] = est.n_samples
+        block["per_direction_mean_s"] = {
+            "forward": est.per_direction_mean_s[1],
+            "reverse": est.per_direction_mean_s[-1],
+        }
+    return block
 
 
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
@@ -398,7 +396,7 @@ def _trial_ids(args: argparse.Namespace, pairs: Sequence[tuple[str, str]]) -> li
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
+def cmd_latency(args: argparse.Namespace) -> None:
     _require(args, "det", "--det")
     _require(args, "gt", "--gt")
     pairs = _paired_paths(args)
@@ -415,9 +413,8 @@ def cmd_latency(args: argparse.Namespace) -> int:
             det, gt, route, ctx, args.test_points, args.speed_tol
         )
         estimates.append(est)
-        per_trial.append(
-            {"detection_path": str(det_path), **_latency_dict(est, "estimated")}
-        )
+        block = _latency_dict("estimated", est.mean_s, est)
+        per_trial.append({"detection_path": str(det_path), **block})
 
     combined = combine_trials(estimates)
     out = _out_dir(args)
@@ -427,10 +424,9 @@ def cmd_latency(args: argparse.Namespace) -> int:
     print(f"std:           {combined.std_s:.6f} s")
     print(f"samples:       {combined.n_samples}")
 
-    latency = _latency_dict(combined, "estimated")
+    latency = _latency_dict("estimated", combined.mean_s, combined)
     latency["per_trial"] = per_trial
     _write_manifest(out / "report.json", _manifest(args, inputs, latency))
-    return 0
 
 
 def _resolve_trial_latency(
@@ -441,17 +437,17 @@ def _resolve_trial_latency(
 ) -> tuple[float, dict[str, Any]]:
     """Latency for one trial: provided beats estimated beats zero."""
     if args.latency is not None:
-        return args.latency, _fixed_latency(args.latency, "provided")
+        return args.latency, _latency_dict("provided", args.latency)
     route = _route_from_args(args)
     if route is not None:
         est = estimate_latency_for_trial(
             det, gt, route, ctx, args.test_points, args.speed_tol
         )
-        return est.mean_s, _latency_dict(est, "estimated")
-    return 0.0, _fixed_latency(0.0, "default")
+        return est.mean_s, _latency_dict("estimated", est.mean_s, est)
+    return 0.0, _latency_dict("default", 0.0)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     _require(args, "det", "--det")
     _require(args, "gt", "--gt")
     formats = _parse_formats(args.formats)
@@ -482,10 +478,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     latency_block = latencies[0] if len(latencies) == 1 else {"per_trial": latencies}
     manifest = _manifest(args, inputs, latency_block, reports=reports)
     _emit(args, formats, manifest, reports, sweep=None)
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     _require(args, "det", "--det")
     _require(args, "gt", "--gt")
     _require(args, "thresholds", "--thresholds")
@@ -501,7 +496,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args, inputs, latency, sweep={"category": category, **asdict(sweep)}
     )
     _emit(args, formats, manifest, reports=(), sweep=sweep)
-    return 0
 
 
 def _first_category(gt: TrajectorySet) -> str:
@@ -567,7 +561,7 @@ def _emit(
             _write_sweep_csv(out / "sweep.csv", sweep)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     if args.out_det is not None and Path(args.out_det).resolve() == Path(args.out_gt).resolve():
         raise EvalError(f"--out-det and --out-gt name the same file: {args.out_det}")
     origin = _parse_origin(args.origin)
@@ -620,7 +614,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 f"note: {n_empty} empty detection frames are not representable "
                 "in the point-per-row file format"
             )
-    return 0
 
 
 # --- parser ------------------------------------------------------------------
@@ -812,8 +805,8 @@ _CONFIG_SKIP_KEYS = {"func", "config", "command", "help"}
 def _config_tokens(sp: argparse.ArgumentParser, cfg: dict[str, Any]) -> list[str]:
     """Config values as flag tokens, so argparse checks them like flags.
 
-    A list fills a multi-value flag with one token per item; null keeps the
-    flag's default.
+    A list fills a multi-value flag with one token per item, and is an
+    error for any other flag; null keeps the flag's default.
     """
     actions = {
         a.dest: a for a in sp._actions if a.dest not in _CONFIG_SKIP_KEYS  # noqa: SLF001
@@ -828,6 +821,8 @@ def _config_tokens(sp: argparse.ArgumentParser, cfg: dict[str, Any]) -> list[str
         flag = actions[key].option_strings[-1]
         if isinstance(value, list) and actions[key].nargs == "+":
             tokens += [flag, *map(_config_token, value)]
+        elif isinstance(value, list):
+            sp.error(f"argument {flag}: config key {key!r} takes one value, not a list")
         else:
             tokens.append(f"{flag}={_config_token(value)}")
     return tokens
@@ -869,15 +864,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = _apply_config_file(parser, subparsers, argv, args)
-        code = args.func(args)
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.func(args)
     except (EvalError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"completed in {time.monotonic() - started:.2f} s", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the evaluation pipeline.
 
-The CLI maps EvalError (and subclasses) to exit code 1 and
-ConsistencyError to exit code 2; everything else is a genuine crash.
+The CLI maps EvalError (and subclasses) to exit code 1; everything else
+is a genuine crash.
 """
 
 
@@ -43,7 +43,3 @@ class ScenarioError(EvalError):
 
 class CategoryError(EvalError):
     """Requested object category is absent from the ground truth."""
-
-
-class ConsistencyError(Exception):
-    """Internal invariant violated (indicates a bug, not bad input)."""

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ProjectionContext, TrajectorySet, filter_category
-from .errors import CategoryError, ConsistencyError
+from .errors import CategoryError
 from .matching import (
     Matches,
     association_match,
@@ -243,9 +243,7 @@ def threshold_sweep(
     classify assigned pairs), so one matching pass at the largest threshold
     serves every threshold, and the rates are non-increasing by
     construction. A pair beyond the largest threshold counts at none of
-    them. The monotonicity postcondition is still checked; a violation
-    means the matcher broke. Rates are None when the paired frames hold no
-    gt point.
+    them. Rates are None when the paired frames hold no gt point.
     """
     thresholds = _checked_thresholds(thresholds_m)
     _, _, matches, det_total, gt_total = _match_category(
@@ -255,12 +253,4 @@ def threshold_sweep(
     tps = np.searchsorted(dist, thresholds, side="right").tolist()
     fp_rates = [_rate_pct(det_total - tp, gt_total) for tp in tps]
     fn_rates = [_rate_pct(gt_total - tp, gt_total) for tp in tps]
-
-    if gt_total:
-        for name, rates in (("fp", fp_rates), ("fn", fn_rates)):
-            if any(b > a for a, b in zip(rates, rates[1:])):
-                raise ConsistencyError(
-                    f"{name} rate increased with threshold: {rates}; "
-                    "the matcher violated its monotonicity contract"
-                )
     return ThresholdSweep(tuple(thresholds), tuple(fp_rates), tuple(fn_rates))

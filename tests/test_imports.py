@@ -9,7 +9,9 @@ modules. In the package, a module-level function, class or assignment, or a
 method, whose name has one leading underscore must be read somewhere in the
 package, as a name, an attribute or an import: tests alone do not keep one
 alive. A public module-level function, class or assignment must be read
-somewhere in the package outside ``__init__.py``, or in the scripts.
+somewhere in the package outside ``__init__.py``, or in the scripts. Every
+exception class in ``errors.py`` must be raised somewhere in the package:
+an ``except`` clause reads a type that nothing raises.
 """
 
 from __future__ import annotations
@@ -174,6 +176,40 @@ def test_finds_an_unreferenced_public_definition():
         "class K:\n    def m(self): return f\n"
     )
     assert set(public_definitions(tree)) - read_names(tree) == {"B", "K"}
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """Names in the exception of a raise statement; its cause does not count."""
+    return {
+        name.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name)
+    }
+
+
+def test_every_error_type_is_raised():
+    path = ROOT / "src/roadside_eval/errors.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    raised = set().union(*(
+        raised_names(ast.parse(p.read_text(encoding="utf-8"), str(p))) for p in PACKAGE
+    ))
+    unraised = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised
+    ]
+    assert not unraised, f"error types nothing in the package raises: {unraised}"
+
+
+def test_finds_an_unraised_error_type():
+    tree = ast.parse(
+        "class A(Exception): pass\nclass B(A): pass\nclass C(A): pass\n"
+        "class D(A): pass\n"
+        "try:\n    raise B('x') from D\nexcept C:\n    raise\n"
+    )
+    assert raised_names(tree) == {"B"}
 
 
 def test_package_binds_its_modules_and_version_only():
