@@ -41,6 +41,8 @@ from .core import (
 from .errors import EvalError, IntegrityError
 from .ingest import IngestReport, read_points, write_points
 from .latency import (
+    DEFAULT_SPEED_TOL_FRAC,
+    DEFAULT_TEST_POINTS,
     MAX_TEST_POINTS,
     LatencyEstimate,
     RouteLine,
@@ -126,7 +128,11 @@ def _sha256(path: str) -> str:
 
 
 def _load_set(path: str, source: str) -> tuple[TrajectorySet, IngestReport]:
+    """The file's set; ground truth without a usable row is an error."""
     rec, report = read_points(path)
+    if source == SOURCE_GROUND_TRUTH and not report.n_accepted:
+        dropped = f" ({_dropped(report)})" if report.rejections else ""
+        raise EvalError(f"{path}: ground truth contains no usable points{dropped}")
     try:
         return build_trajectory_set(rec, source=source), report
     except IntegrityError as exc:
@@ -134,14 +140,14 @@ def _load_set(path: str, source: str) -> tuple[TrajectorySet, IngestReport]:
         raise IntegrityError(f"{path}: {exc} (lines {lines})") from None
 
 
+def _dropped(report: IngestReport) -> str:
+    line, reason = report.rejections[0]
+    return f"dropped {len(report.rejections)} malformed row(s); first at line {line}: {reason}"
+
+
 def _warn_rejections(path: str, report: IngestReport) -> None:
     if report.rejections:
-        line, reason = report.rejections[0]
-        print(
-            f"warning: {path}: dropped {len(report.rejections)} malformed "
-            f"row(s); first at line {line}: {reason}",
-            file=sys.stderr,
-        )
+        print(f"warning: {path}: {_dropped(report)}", file=sys.stderr)
 
 
 def _input_record(role: str, path: str, report: IngestReport) -> dict[str, Any]:
@@ -169,8 +175,6 @@ def _default_origin(gt: TrajectorySet) -> GeoPoint:
     """First ground-truth point, rounded to 0.01 degrees (about 1 km): row 0
     of the columns, which hold the points in frame order."""
     cols = gt.columns
-    if not len(cols.t):
-        raise EvalError("ground truth contains no usable points")
     return GeoPoint(round(cols.lat[0].item(), 2), round(cols.lon[0].item(), 2))
 
 
@@ -190,8 +194,8 @@ def _load_trial(
 ) -> tuple[TrajectorySet, TrajectorySet, ProjectionContext, list[dict[str, Any]]]:
     """Load one detection/gt pair with its projection and input records."""
     det, det_rep = _load_set(det_path, SOURCE_DETECTION)
-    gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
     _warn_rejections(det_path, det_rep)
+    gt, gt_rep = _load_set(gt_path, SOURCE_GROUND_TRUTH)
     _warn_rejections(gt_path, gt_rep)
     inputs = [
         _input_record("detection", det_path, det_rep),
@@ -397,8 +401,6 @@ def _trial_ids(args: argparse.Namespace, pairs: Sequence[tuple[str, str]]) -> li
 
 
 def cmd_latency(args: argparse.Namespace) -> None:
-    _require(args, "det", "--det")
-    _require(args, "gt", "--gt")
     pairs = _paired_paths(args)
     route = _route_from_args(args)
     assert route is not None  # latency flags carry defaults
@@ -448,8 +450,6 @@ def _resolve_trial_latency(
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    _require(args, "det", "--det")
-    _require(args, "gt", "--gt")
     formats = _parse_formats(args.formats)
     pairs = _paired_paths(args)
     args.trial_id = _trial_ids(args, pairs)
@@ -466,8 +466,6 @@ def cmd_eval(args: argparse.Namespace) -> None:
         latency_s, latency = _resolve_trial_latency(args, det, gt, ctx)
         latencies.append(latency)
         categories = [args.category] if args.category is not None else sorted(gt.categories)
-        if not categories:
-            raise EvalError(f"ground truth {gt_path!r} contains no usable points")
         reports.extend(
             compute_report(
                 det, gt, latency_s, args.threshold, cat, ctx, trial_id, args.max_gap
@@ -481,9 +479,6 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    _require(args, "det", "--det")
-    _require(args, "gt", "--gt")
-    _require(args, "thresholds", "--thresholds")
     formats = _parse_formats(args.formats)
     thresholds = _parse_thresholds(args.thresholds)
 
@@ -500,18 +495,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def _first_category(gt: TrajectorySet) -> str:
     cats = sorted(gt.categories)
-    if not cats:
-        raise EvalError("ground truth contains no usable points")
     if len(cats) > 1:
         raise EvalError(
             f"ground truth mixes categories {cats}; pass --category to pick one"
         )
     return cats[0]
-
-
-def _require(args: argparse.Namespace, dest: str, flag: str) -> None:
-    if getattr(args, dest) is None:
-        raise EvalError(f"{flag} is required (as a flag or a config file key)")
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -567,9 +555,11 @@ def cmd_synth(args: argparse.Namespace) -> None:
     origin = _parse_origin(args.origin)
     ctx = make_projection(origin)
     try:
-        speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip()) or (10.0,)
+        speeds = tuple(float(v) for v in args.speeds.split(",") if v.strip())
     except ValueError:
-        raise EvalError(f"--speeds must be a comma list of numbers, got {args.speeds!r}") from None
+        speeds = ()
+    if not speeds:
+        raise EvalError(f"--speeds must be a comma list of numbers, got {args.speeds!r}")
     route = _route_from_args(args, speeds[0])
     driven = args.template == "latency_run"
     for flag in ("window_start", "window_end", "speed"):
@@ -648,14 +638,14 @@ def _add_route_flags(p: argparse.ArgumentParser, with_defaults: bool) -> None:
     p.add_argument(
         "--test-points",
         type=int,
-        default=11,
-        help=f"number of test points inside the window, 1 to {MAX_TEST_POINTS} (default 11)",
+        default=DEFAULT_TEST_POINTS,
+        help=f"number of test points inside the window, 1 to {MAX_TEST_POINTS} (default %(default)s)",
     )
     p.add_argument(
         "--speed-tol",
         type=float,
-        default=0.1,
-        help="fractional speed tolerance for window extraction (default 0.1)",
+        default=DEFAULT_SPEED_TOL_FRAC,
+        help="fractional speed tolerance for window extraction (default %(default)s)",
     )
 
 
@@ -799,6 +789,9 @@ def build_parser(
     return parser, subparsers
 
 
+# The inputs each command needs, given as a flag or a config file key.
+_REQUIRED = {"latency": ("det", "gt"), "eval": ("det", "gt"), "sweep": ("det", "gt", "thresholds")}
+
 _CONFIG_SKIP_KEYS = {"func", "config", "command", "help"}
 
 
@@ -806,7 +799,8 @@ def _config_tokens(sp: argparse.ArgumentParser, cfg: dict[str, Any]) -> list[str
     """Config values as flag tokens, so argparse checks them like flags.
 
     A list fills a multi-value flag with one token per item, and is an
-    error for any other flag; null keeps the flag's default.
+    error for any other flag; null keeps the flag's default. No flag
+    takes an object, a boolean, or null or a list inside a list.
     """
     actions = {
         a.dest: a for a in sp._actions if a.dest not in _CONFIG_SKIP_KEYS  # noqa: SLF001
@@ -820,15 +814,18 @@ def _config_tokens(sp: argparse.ArgumentParser, cfg: dict[str, Any]) -> list[str
             continue
         flag = actions[key].option_strings[-1]
         if isinstance(value, list) and actions[key].nargs == "+":
-            tokens += [flag, *map(_config_token, value)]
+            tokens += [flag, *(_config_token(sp, flag, key, v) for v in value)]
         elif isinstance(value, list):
             sp.error(f"argument {flag}: config key {key!r} takes one value, not a list")
         else:
-            tokens.append(f"{flag}={_config_token(value)}")
+            tokens.append(f"{flag}={_config_token(sp, flag, key, value)}")
     return tokens
 
 
-def _config_token(value: Any) -> str:
+def _config_token(sp: argparse.ArgumentParser, flag: str, key: str, value: Any) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        sp.error(f"argument {flag}: config key {key!r} takes a string or a number, "
+                 f"not {json.dumps(value)}")
     return value if isinstance(value, str) else json.dumps(value)
 
 
@@ -864,6 +861,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = _apply_config_file(parser, subparsers, argv, args)
+        for dest in _REQUIRED.get(args.command, ()):
+            if getattr(args, dest) is None:
+                raise EvalError(f"--{dest} is required (as a flag or a config file key)")
         args.func(args)
     except (EvalError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

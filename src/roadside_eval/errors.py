@@ -1,7 +1,7 @@
 """Exception types shared across the evaluation pipeline.
 
-The CLI maps EvalError (and subclasses) to exit code 1; everything else
-is a genuine crash.
+The CLI exits 1 on EvalError (and subclasses), ValueError, OSError and
+MemoryError; any other exception is a crash, not a report.
 """
 
 

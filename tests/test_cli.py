@@ -30,6 +30,7 @@ from roadside_eval.core import (
 from roadside_eval.ingest import read_points
 from roadside_eval.errors import EvalError
 from roadside_eval.synth import TEMPLATES, default_latency_route, min_round_trip_duration_s
+from test_golden import CASES as GOLDEN_CASES, INPUTS as GOLDEN_INPUTS
 
 GT_HEADER = "timestamp,lat,lon,category,id\n"
 DATA = Path(__file__).parent / "data"
@@ -179,6 +180,8 @@ class TestSynthCommand:
         ("--noise-sigma", "nan", "noise_sigma_m"),
         ("--seed", "-1", "rng_seed"),
         ("--speeds", "x", "--speeds"),
+        ("--speeds", ",", "--speeds"),
+        ("--speeds", "", "--speeds"),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, field):
         rc = main([
@@ -515,8 +518,6 @@ class TestEvalCommand:
         p = DataPoint(1.0, GeoPoint(42.316, -83.724), "vehicle", "v1")
         ts = from_frames([DataFrame(0.5, ()), DataFrame(1.0, (p,))], "ground_truth")
         assert cli_mod._default_origin(ts) == GeoPoint(42.32, -83.72)
-        with pytest.raises(EvalError, match="no usable points"):
-            cli_mod._default_origin(from_frames([DataFrame(0.5, ())], "ground_truth"))
 
     def test_far_origin_exits_one_without_traceback(self, tmp_path, capsys):
         rc = main(["eval", *SCENE, "--origin", "0,0", "--output-dir", str(tmp_path)])
@@ -749,21 +750,45 @@ class TestConfigAndPlumbing:
         assert main(["eval", "--config", str(cfg)]) == 1
         assert "unknown config keys: ['help']" in capsys.readouterr().err
 
-    def test_manifest_config_reproduces_run(self, data_dir, tmp_path):
-        gt = data_dir / "noisy_gt.csv"
-        det = data_dir / "noisy_det.csv"
-        out = tmp_path / "out"
-        rc = main([
-            "eval", "--det", str(det), "--gt", str(gt),
-            "--category", "vehicle", "--output-dir", str(out),
-        ])
-        assert rc == 0
-        first = (out / "report.json").read_bytes()
-        cfg = tmp_path / "replay.json"
-        cfg.write_text(json.dumps(json.loads(first)["config"]))
-        rc = main(["eval", "--config", str(cfg)])
-        assert rc == 0
-        assert (out / "report.json").read_bytes() == first
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_manifest_config_reproduces_run(self, case, tmp_path, monkeypatch, capsys):
+        # the config block alone supplies every input, required ones included
+        for name in GOLDEN_INPUTS:
+            shutil.copy(DATA / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        argv = GOLDEN_CASES[case]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        first = {f.name: f.read_bytes() for f in Path("out").iterdir()}
+        shutil.rmtree("out")
+        Path("replay.json").write_text(json.dumps(json.loads(first["report.json"])["config"]))
+        assert main([argv[0], "--config", "replay.json"]) == 0
+        assert capsys.readouterr().out == stdout
+        assert {f.name: f.read_bytes() for f in Path("out").iterdir()} == first
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("output_dir", {"a": 1}, '{"a": 1}'),
+        ("output_dir", True, "true"),
+        ("trial_id", {"x": 2}, '{"x": 2}'),
+        ("trial_id", [{"x": 2}], '{"x": 2}'),
+        ("trial_id", [True], "true"),
+        ("trial_id", [None], "null"),
+        ("trial_id", [["t"]], '["t"]'),
+    ], ids=["object", "boolean", "object-for-a-list-flag", "object-in-a-list",
+            "boolean-in-a-list", "null-in-a-list", "list-in-a-list"])
+    def test_config_value_no_flag_takes_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                  key, value, shown):
+        gt = str(DATA / "scene_gt.csv")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"det": [gt], "gt": [gt], key: value}))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(path)])
+        assert exc.value.code == 1
+        flag = "--" + key.replace("_", "-")
+        assert (f"error: argument {flag}: config key {key!r} takes a string or a number, "
+                f"not {shown}" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
 
 
     @pytest.mark.parametrize("argv", [
@@ -826,6 +851,41 @@ class TestPerCommandParser:
 
 class TestInputDiagnostics:
     """Input errors name their file; dropped rows are reported on stderr."""
+
+    # ground truth with no usable row, and the error's tail after the file name
+    UNUSABLE_TRUTH = {
+        "header_only": (GT_HEADER, ""),
+        "all_rejected": (
+            GT_HEADER + "1700000000.0,95.0,-83.7,vehicle,v1\n1700000000.1,nan,-83.7,vehicle,v1\n",
+            " (dropped 2 malformed row(s); first at line 2: latitude '95.0' outside [-90, 90])",
+        ),
+    }
+    ORIGIN = ["--origin", "42.3,-83.7"]
+
+    @pytest.mark.parametrize("truth", sorted(UNUSABLE_TRUTH))
+    @pytest.mark.parametrize("argv", [
+        ["eval", *SCENE[:2]],
+        ["eval", *SCENE[:2], *ORIGIN],
+        ["eval", *SCENE[:2], *ORIGIN, "--category", "vehicle"],
+        ["sweep", *SCENE[:2], "--thresholds", "0.5,1.5"],
+        ["sweep", *SCENE[:2], "--thresholds", "0.5,1.5", *ORIGIN],
+        ["sweep", *SCENE[:2], "--thresholds", "0.5,1.5", *ORIGIN, "--category", "vehicle"],
+        ["latency", "--det", str(DATA / "lat_det_a.csv")],
+        ["latency", "--det", str(DATA / "lat_det_a.csv"), *ORIGIN],
+    ], ids=["eval", "eval-origin", "eval-origin-category", "sweep", "sweep-origin",
+            "sweep-origin-category", "latency", "latency-origin"])
+    def test_unusable_truth_is_one_error_naming_the_file(self, tmp_path, capsys, argv, truth):
+        text, tail = self.UNUSABLE_TRUTH[truth]
+        gt = tmp_path / "gt.csv"
+        gt.write_text(text)
+        out = tmp_path / "out"
+        assert main([*argv, "--gt", str(gt), "--output-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert not (out / "report.json").exists()
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: {gt}: ground truth contains no usable points{tail}"
+        ]
 
     def _scene_with(self, tmp_path, extra: bytes) -> Path:
         det = tmp_path / "det.csv"

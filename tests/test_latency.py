@@ -19,7 +19,6 @@ from roadside_eval.core import (
 )
 from roadside_eval.errors import (
     EvalError,
-    InsufficientDataError,
     PairingError,
     ProjectionRangeError,
 )
@@ -344,10 +343,17 @@ class TestSampleTau:
         for tau_s in samples.tau_s:
             assert tau_s == pytest.approx(0.100, abs=1e-6)
 
-    def test_no_crossing_raises(self, ctx):
+    def test_no_crossing_gives_no_samples(self, ctx):
         gt = plane_tracks([[straight_run(ctx, n=30)]], ctx)  # spans x in [-50, -21]
-        with pytest.raises(InsufficientDataError):
-            sample_tau(gt, gt, ROUTE, [25.0])
+        assert len(sample_tau(gt, gt, ROUTE, [25.0])) == 0
+
+    def test_no_detection_in_the_window_gives_no_samples(self, ctx):
+        gt = plane_tracks([[straight_run(ctx)]], ctx)
+        det = plane_tracks([[straight_run(ctx, x0=100.0)]], ctx)  # beyond the window
+        samples = sample_tau(gt, det, ROUTE, [0.0])
+        assert len(samples) == 0
+        # the empty batch still indexes: its trial and direction are integers
+        assert samples.trial.dtype.kind == samples.direction_sign.dtype.kind == "i"
 
 
 def stacked(tracks):
